@@ -86,14 +86,6 @@ def _dot(row, vec) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(row, vec)), Fraction(0))
 
 
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def _proportional(u: IntVec, v: IntVec) -> bool:
     n = len(u)
     for i in range(n):
@@ -225,23 +217,30 @@ class LatticeSpec:
         if len(beta) != self.rank1:
             raise InputError("curve class length does not match rank1")
         cache = self._eff_cache
-
-        def search(v: IntVec) -> bool:
-            hit = cache.get(v)
-            if hit is not None:
-                return hit
-            if all(x == 0 for x in v):
+        # depth-first over v - g, generators in order, stopping at the first
+        # effective remainder; a vector stays on the stack until it is decided
+        stack = [beta]
+        while stack:
+            v = stack[-1]
+            if v in cache:
+                stack.pop()
+            elif all(x == 0 for x in v):
                 cache[v] = True
-                return True
-            if self.l_of(v) < 1:
+            elif self.l_of(v) < 1:
                 cache[v] = False
-                return False
-            res = any(search(tuple(a - b for a, b in zip(v, g)))
-                      for g in self.effgens1)
-            cache[v] = res
-            return res
-
-        return search(beta)
+            else:
+                for g in self.effgens1:
+                    w = tuple(a - b for a, b in zip(v, g))
+                    hit = cache.get(w)
+                    if hit is None:
+                        stack.append(w)
+                        break
+                    if hit:
+                        cache[v] = True
+                        break
+                else:
+                    cache[v] = False
+        return cache[beta]
 
     def leq_effective(self, b1, b2) -> bool:
         """b1 <= b2 in the effective order: both differences effective."""
@@ -283,8 +282,8 @@ class LatticeSpec:
         if hi < lo:
             return []
         step = Fraction(1, math.factorial(self.l_of(beta)))
-        k0 = _ceil(lo / step)
-        k1 = _floor(hi / step)
+        k0 = math.ceil(lo / step)
+        k1 = math.floor(hi / step)
         return [k * step for k in range(k0, k1 + 1)]
 
     def zeta_slope(self, x: KClass):

@@ -1,12 +1,15 @@
 """Multivariate quasi-polynomials and their exact resummation.
 
 A quasi-polynomial of period p in r variables is a table of polynomials
-indexed by residue tuples in (Z/p)^r.  Orthant and chain sums of
-q^(integer combinations) weighted by a quasi-polynomial close up into
-rational functions with predictable denominators; this module computes
-those rational functions exactly, detects quasi-polynomial structure in
-sample sequences, and checks re-expansion claims across a wall of
-gradings.
+indexed by residue tuples in (Z/p)^r.  Summed against q^(integer
+combinations) over an orthant or a chain it closes up into a rational
+function.  With degree d_t in variable t the denominator is
+prod_t (1 - x_t^p)^(1 + d_t), and the numerator is the box
+prod_t [0, p(1 + d_t)) of values after that separable difference
+operator (Stanley, EC1 4.4).  A chain sum is the orthant sum over its
+increments, with tail degrees as the exponents.  This module also
+detects quasi-polynomial structure in sample sequences and checks
+re-expansion claims across a wall of gradings.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ from .series import (
     RationalFunction,
     verify_expansion,
 )
-
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
@@ -85,46 +85,51 @@ def _per_var_degrees(a: QuasiPolynomial) -> tuple[int, ...]:
     return tuple(a.degree(i) for i in range(a.vars))
 
 
-def _residues(period: int, n: int):
-    return itertools.product(range(period), repeat=n)
+def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
+               shift) -> RationalFunction:
+    """g/h equal to q^shift times the sum over j >= 0 of a(point(j)) q^(j.monos).
 
-
-def _box_numerator(a: QuasiPolynomial, degs: tuple[int, ...]) -> LaurentPolynomial:
-    """Numerator of sum a(n) x^n over the nonnegative orthant, against the
-    denominator prod_i (1 - x_i^period)^(1 + degs[i]).
-
-    Eliminates the last variable: multiplying by (1 - x_r^p)^(1+d) kills
-    everything at heights >= p(1+d) because the (1+d)-th difference of a
-    degree-d polynomial vanishes, and each remaining slab is again a
-    quasi-polynomial in one variable fewer with the same degree bounds.
+    b(j) = a(point(j)) must be a period-p quasi-polynomial of degree at most
+    degs[t] in j_t.  Then h = prod_t (1 - x_t^p)^(1 + degs[t]) times
+    sum_j b(j) x^j is supported on the box prod_t [0, p(1 + degs[t])),
+    since a (1 + d)-th difference of step p kills a degree-d polynomial on
+    each residue class.  So g is the box of values b(j), taken as integers
+    over the lcm of the table's denominators, after the separable
+    difference (1 - x_t^p)^(1 + degs[t]) is applied one axis at a time;
+    then x_t becomes q^monos[t].
     """
-    r = a.vars
     p = a.period
-    if r == 0:
-        return LaurentPolynomial({(): a.table[()].coeff(())}, 0)
-    d_last = degs[-1]
-    out: dict[Exponent, Fraction] = {}
-    for m in range(p * (1 + d_last)):
-        rho_last = m % p
-        table: dict[tuple[int, ...], LaurentPolynomial] = {}
-        for rho_rest in _residues(p, r - 1):
-            acc = LaurentPolynomial({}, r - 1)
-            for k in range(1 + d_last + 1):
-                arg = m - p * k
-                if arg < 0:
-                    break
-                poly = a.table[rho_rest + (rho_last,)]
-                piece = poly.substitute_last(arg)
-                sign = -1 if k % 2 else 1
-                acc = acc + piece.scale(sign * math.comb(1 + d_last, k))
-            table[rho_rest] = acc
-        slab = QuasiPolynomial(r - 1, p, table)
-        if slab.is_zero():
-            continue
-        g_m = _box_numerator(slab, degs[:-1])
-        for e, c in g_m.items():
-            out[e + (m,)] = c
-    return LaurentPolynomial(out, r)
+    den = math.lcm(*(c.denominator for poly in a.table.values()
+                     for _, c in poly.items()))
+    table = {rho: [(c.numerator * (den // c.denominator), e)
+                   for e, c in poly.items()]
+             for rho, poly in a.table.items()}
+    sizes = [p * (1 + d) for d in degs]
+    box = list(itertools.product(*map(range, sizes)))
+    values = [sum(c * math.prod(x ** k for x, k in zip(n, e))
+                  for c, e in table[tuple(x % p for x in n)])
+              for n in map(point, box)]
+    stride = 1
+    for size, d in zip(reversed(sizes), reversed(degs)):
+        step = p * stride
+        inner = [i for i in reversed(range(len(values)))
+                 if i // stride % size >= p]
+        for _ in range(1 + d):
+            for i in inner:
+                values[i] -= values[i - step]
+        stride *= size
+    out: dict[Exponent, int] = {}
+    for j, v in zip(box, values):
+        if v:
+            e = tuple(s + sum(jt * m[k] for jt, m in zip(j, monos))
+                      for k, s in enumerate(shift))
+            out[e] = out.get(e, 0) + v
+    g = LaurentPolynomial({e: Fraction(v, den) for e, v in out.items()}, nq)
+    one = h = LaurentPolynomial.constant(nq, 1)
+    for m, d in zip(monos, degs):
+        factor = one - LaurentPolynomial.monomial(tuple(p * x for x in m))
+        h = h * factor ** (1 + d)
+    return RationalFunction(g, h)
 
 
 def _check_monomials(monos, count: int, grading: LinearFunctional):
@@ -146,27 +151,16 @@ def resum_orthant(a: QuasiPolynomial, monos, grading: LinearFunctional) -> Ratio
     """Closed form of sum over n in Z_{>=0}^r of a(n) q^(n1 v1 + ... + nr vr).
 
     The denominator is exactly prod_i (1 - q^(p v_i))^(1 + deg_i a); the
-    grading must be positive on every v_i so the sum is locally finite.
+    numerator is the box prod_i [0, p(1 + deg_i a)) of values a(n) after
+    the separable difference prod_i (1 - x_i^p)^(1 + deg_i a), with x_i
+    read as q^(v_i).  The grading must be positive on every v_i so the sum
+    is locally finite.
     """
     monos_t, nq = _check_monomials(monos, a.vars, grading)
     if a.is_zero():
         return RationalFunction(LaurentPolynomial({}, nq),
                                 LaurentPolynomial.constant(nq, 1))
-    degs = _per_var_degrees(a)
-    g_formal = _box_numerator(a, degs)
-
-    def to_q(e):
-        return tuple(sum(e[i] * monos_t[i][j] for i in range(a.vars))
-                     for j in range(nq))
-
-    g = g_formal.map_exponents(to_q, nq)
-    h = LaurentPolynomial.constant(nq, 1)
-    one = LaurentPolynomial.constant(nq, 1)
-    for i, v in enumerate(monos_t):
-        factor = one - LaurentPolynomial.monomial(
-            tuple(a.period * x for x in v))
-        h = h * factor ** (1 + degs[i])
-    return RationalFunction(g, h)
+    return _resum_box(a, lambda j: j, _per_var_degrees(a), monos_t, nq, (0,) * nq)
 
 
 @dataclass(frozen=True)
@@ -193,9 +187,13 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
     """Closed form of the chain sum of a(n) q^(sum n_i v_i).
 
     Over 0 <= n_1 <= ... <= n_r with equalities exactly on the pattern.
-    The denominator is prod over free positions m of
-    (1 - q^(p w_m))^(1 + D_m) with tail sums w_m = sum_{i >= m} v_i and
-    D_m = sum_{i >= m} deg_i a.
+    One increment j_m >= 0 per free position m parametrizes the chains,
+    and a(n(j)) is a quasi-polynomial in j of degree at most the tail
+    degree D_m = sum_{i >= m} deg_i a in j_m.  The denominator is the
+    product over free positions of (1 - q^(p w_m))^(1 + D_m) with tail
+    sums w_m = sum_{i >= m} v_i; the numerator is the box of values
+    a(n(j)) after the matching separable difference, so the tail degrees
+    are its exponents whatever the degrees of a(n(j)) are.
     """
     if a.vars != pattern.r:
         raise InputError("quasi-polynomial arity must match the chain length")
@@ -208,43 +206,20 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
         return RationalFunction(LaurentPolynomial({}, nq),
                                 LaurentPolynomial.constant(nq, 1))
     r = pattern.r
-    p = a.period
     free = pattern.free_positions()
-    s = len(free)
-    # n_i = consts[i] + sum over free positions m_t <= i+1 of j_t
-    consts = [sum(1 for t in range(1, s) if free[t] <= i + 1) for i in range(r)]
-    matrix = [[1 if free[t] <= i + 1 else 0 for t in range(s)] for i in range(r)]
-    table: dict[tuple[int, ...], LaurentPolynomial] = {}
-    for rho_j in _residues(p, s):
-        n_res = tuple(
-            (consts[i] + sum(matrix[i][t] * rho_j[t] for t in range(s))) % p
-            for i in range(r))
-        table[rho_j] = a.table[n_res].compose_affine(consts, matrix, s)
-    a_sub = QuasiPolynomial(s, p, table)
+    # n_i = k_i - 1 + j_1 + ... + j_{k_i}, k_i the number of free positions <= i
+    ks = [sum(1 for m in free if m <= i + 1) for i in range(r)]
 
-    tails = [tuple(sum(monos_t[i][j] for i in range(m - 1, r)) for j in range(nq))
-             for m in free]
-    orthant = resum_orthant(a_sub, tails, grading)
+    def point(j):
+        sums = list(itertools.accumulate(j))
+        return tuple(k - 1 + sums[k - 1] for k in ks)
 
-    degs_a = _per_var_degrees(a)
-    tail_degs = [sum(degs_a[i] for i in range(m - 1, r)) for m in free]
-    one = LaurentPolynomial.constant(nq, 1)
-    h = LaurentPolynomial.constant(nq, 1)
-    for t in range(s):
-        factor = one - LaurentPolynomial.monomial(tuple(p * x for x in tails[t]))
-        h = h * factor ** (1 + tail_degs[t])
-    if a_sub.is_zero():
-        return RationalFunction(LaurentPolynomial({}, nq), h)
-    sub_degs = _per_var_degrees(a_sub)
-    extra = LaurentPolynomial.constant(nq, 1)
-    for t in range(s):
-        gap = tail_degs[t] - sub_degs[t]
-        if gap:
-            factor = one - LaurentPolynomial.monomial(tuple(p * x for x in tails[t]))
-            extra = extra * factor ** gap
-    shift = tuple(sum(consts[i] * monos_t[i][j] for i in range(r)) for j in range(nq))
-    g = (orthant.numerator * extra).shift(shift)
-    return RationalFunction(g, h)
+    degs = _per_var_degrees(a)
+    tails = [tuple(map(sum, zip(*monos_t[m - 1:]))) for m in free]
+    tail_degs = [sum(degs[m - 1:]) for m in free]
+    shift = tuple(sum((k - 1) * v[c] for k, v in zip(ks, monos_t))
+                  for c in range(nq))
+    return _resum_box(a, point, tail_degs, tails, nq, shift)
 
 
 # -- detection ----------------------------------------------------------------
@@ -308,14 +283,6 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
 
 # -- re-expansion -------------------------------------------------------------
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 @dataclass(frozen=True)
 class CosetFit:
     representative: Exponent
@@ -366,8 +333,8 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     cosets = []
     all_fit = True
     for rep in reps:
-        k_lo = _ceil_frac((s_minus.bound - L_minus(rep)) / down)
-        k_hi = _floor_frac((s_plus.bound - L_plus(rep)) / up)
+        k_lo = math.ceil((s_minus.bound - L_minus(rep)) / down)
+        k_hi = math.floor((s_plus.bound - L_plus(rep)) / up)
         samples = {}
         for k in range(k_lo, k_hi + 1):
             e = tuple(x + k * y for x, y in zip(rep, c0))

@@ -279,45 +279,6 @@ class LaurentPolynomial:
             total += val
         return total
 
-    def substitute_last(self, value: int) -> "LaurentPolynomial":
-        """Plug an integer into the last variable."""
-        if self.nvars == 0:
-            raise InputError("no variable to substitute")
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            coeff = c * Fraction(value) ** e[-1] if e[-1] else c
-            key = e[:-1]
-            acc = out.get(key, _ZERO) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return LaurentPolynomial(out, self.nvars - 1)
-
-    def compose_affine(self, consts, matrix, nvars_out: int) -> "LaurentPolynomial":
-        """Substitute variable i by consts[i] + sum_t matrix[i][t] * y_t.
-
-        Exponents must be nonnegative for this to make sense.
-        """
-        forms = []
-        for i in range(self.nvars):
-            terms = {(0,) * nvars_out: Fraction(consts[i])}
-            for t in range(nvars_out):
-                if matrix[i][t]:
-                    unit = tuple(1 if s == t else 0 for s in range(nvars_out))
-                    terms[unit] = terms.get(unit, _ZERO) + Fraction(matrix[i][t])
-            forms.append(LaurentPolynomial(terms, nvars_out))
-        total = LaurentPolynomial({}, nvars_out)
-        for e, c in self._terms.items():
-            if any(k < 0 for k in e):
-                raise InputError("affine composition needs nonnegative exponents")
-            term = LaurentPolynomial.constant(nvars_out, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * forms[i] ** k
-            total = total + term
-        return total
-
     def map_exponents(self, fn: Callable[[Exponent], Exponent],
                       nvars_out: int) -> "LaurentPolynomial":
         """Push exponents through fn, summing collisions."""
@@ -333,15 +294,7 @@ class LaurentPolynomial:
 
     def l_min(self, functional: LinearFunctional):
         """(value, exponents) attaining the minimal L-value, or (None, [])."""
-        best = None
-        exps: list[Exponent] = []
-        for e in self._terms:
-            v = functional(e)
-            if best is None or v < best:
-                best, exps = v, [e]
-            elif v == best:
-                exps.append(e)
-        return best, exps
+        return _unique_l_min(self._terms, functional)
 
     def l_max(self, functional: LinearFunctional):
         best = None
@@ -458,7 +411,11 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         _same_functional(self, other)
-        window = Window(self.window.functional, min(self.bound, other.bound))
+        c1, c2 = self.window.coset, other.window.coset
+        if c1 is not None and c2 is not None and c1 != c2:
+            raise InputError("window cosets differ")
+        window = Window(self.window.functional, min(self.bound, other.bound),
+                        c1 or c2)
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, _ZERO) + c
@@ -477,6 +434,12 @@ class LaurentSeries:
 def _same_functional(a: LaurentSeries, b: LaurentSeries):
     if a.window.functional != b.window.functional:
         raise InputError("window functional mismatch")
+
+
+def _no_coset(*series: LaurentSeries):
+    """A product reads its operands off their cosets, where nothing is known."""
+    if any(s.window.coset is not None for s in series):
+        raise InputError("products of coset-window series are not supported")
 
 
 def _unique_l_min(terms: Mapping[Exponent, Fraction], L: LinearFunctional):
@@ -551,6 +514,7 @@ def expand(f: RationalFunction, L: LinearFunctional, window: Window) -> LaurentS
 def multiply(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
     """Product series; the window shrinks by the operands' L-spreads."""
     _same_functional(s1, s2)
+    _no_coset(s1, s2)
     L = s1.window.functional
     m1 = s1.support_min()
     m2 = s2.support_min()
@@ -571,6 +535,7 @@ def divide(s1: LaurentSeries, s2: LaurentSeries, L: LinearFunctional) -> Laurent
     """
     if s1.window.functional != L or s2.window.functional != L:
         raise InputError("window functional mismatch")
+    _no_coset(s1, s2)
     _, exps = _unique_l_min(s2._terms, L)
     if len(exps) != 1:
         raise InputError("not invertible with respect to L")
@@ -587,6 +552,7 @@ def divide(s1: LaurentSeries, s2: LaurentSeries, L: LinearFunctional) -> Laurent
 
 def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeries:
     """Multiply a series by a fully known polynomial."""
+    _no_coset(s)
     L = s.window.functional
     if p.is_zero():
         return LaurentSeries({}, s.window)

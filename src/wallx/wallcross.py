@@ -10,6 +10,7 @@ duality, and certify re-expansions across a gamma wall.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,20 +212,13 @@ def _b_factor(group: GroupSpec) -> QuasiPolynomial:
     if spec.sigma == 1:
         return QuasiPolynomial(r, 1, {(0,) * r: product})
     table = {}
-    for rho in _binary_residues(r):
+    for rho in itertools.product((0, 1), repeat=r):
         sign = 1
         for chi in chis:
             if int(chi.evaluate(rho)) % 2:
                 sign = -sign
         table[rho] = product.scale(sign)
     return QuasiPolynomial(r, 2, table)
-
-
-def _binary_residues(n: int):
-    out = [()]
-    for _ in range(n):
-        out = [rho + (b,) for rho in out for b in (0, 1)]
-    return out
 
 
 def _exponential_factor(group: GroupSpec) -> Fraction:

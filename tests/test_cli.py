@@ -1,11 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wallx import cli
 from wallx.a1model import build_a1
+
+from conftest import model_lattice
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _poly_obj(terms):
@@ -123,6 +128,16 @@ def test_resum_group_document(tmp_path, capsys):
     assert rf["denominator"] == [{"exponent": [0, 0], "coeff": "1"}]
 
 
+@pytest.mark.parametrize("name", ["orthant", "chain", "group"])
+def test_resum_output_bytes_are_pinned(name, capsys):
+    # orthant: r=2, p=2, degree 2; chain: r=3 with n1 == n2 and no table
+    # entry of the joint top degree; group: two classes on the two-generator
+    # lattice.  The .out files are the full stdout of the CLI.
+    status = cli.main(["--input", str(GOLDEN / f"resum_{name}.json")])
+    assert status == 0
+    assert capsys.readouterr().out == (GOLDEN / f"resum_{name}.out").read_text()
+
+
 def _alt(m):
     return -1 if m % 2 else 1
 
@@ -159,6 +174,16 @@ def test_bracket_and_naive_differ_by_sign(tmp_path, capsys):
     assert report["operation"] == "bracket"
     assert report["element"] == _element_obj((-1, (1,), (0, 0), -1))
     status, out = _run(tmp_path, capsys, dict(doc, operation="naive"))
+    assert status == 0
+    assert json.loads(out)["element"] == _element_obj((-1, (1,), (0, 0), 1))
+
+
+def test_bracket_with_deep_beta_cap(tmp_path, capsys):
+    doc = {"kind": "bracket", "lattice": model_lattice().to_obj(),
+           "x": _element_obj((-1, (0,), (0, 0), 1)),
+           "y": _element_obj((0, (1,), (0, 0), 1)),
+           "truncation": {"beta_cap": [5000]}}
+    status, out = _run(tmp_path, capsys, doc)
     assert status == 0
     assert json.loads(out)["element"] == _element_obj((-1, (1,), (0, 0), 1))
 

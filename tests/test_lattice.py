@@ -52,6 +52,11 @@ def test_effective_cone_membership():
     assert not spec.is_effective((-1, 0))
 
 
+def test_effective_cone_deep_class_does_not_recurse():
+    # 5000 generator steps: deeper than the interpreter's recursion limit
+    assert model_lattice().is_effective((5000,))
+
+
 def test_enumerate_below_against_bruteforce():
     spec = two_gen_lattice()
     target = (3, 2)

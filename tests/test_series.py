@@ -13,6 +13,7 @@ from wallx.series import (
     Window,
     divide,
     expand,
+    mul_series_polynomial,
     multiply,
     series_from_obj,
     series_to_obj,
@@ -215,6 +216,31 @@ def test_window_coset_filters_series_terms():
     w = Window(L_UP, fr(6), Coset((0,), ((2,),)))
     s = LaurentSeries({(k,): fr(1) for k in range(7)}, w)
     assert sorted(e[0] for e, _ in s.terms()) == [0, 2, 4, 6]
+
+
+def test_sum_keeps_coset_window_and_products_reject_it():
+    L = LinearFunctional((fr(1), fr(1)))
+    f = RationalFunction(LaurentPolynomial.constant(2, 1),
+                         LaurentPolynomial({(0, 0): 1, (1, 0): -1}, 2))
+    diagonal = Coset((0, 0), ((1, 1),))
+    s = expand(f, L, Window(L, fr(6), diagonal))
+    total = s + s
+    # (1, 0) is off the coset: its true coefficient 2 must not read as a known zero
+    assert not total.window.admits((1, 0))
+    assert total.window == Window(L, fr(6), diagonal)
+    assert dict(total.terms()) == {(0, 0): 2}
+    plain = expand(f, L, Window(L, fr(4)))
+    assert (s + plain).window == Window(L, fr(4), diagonal)
+    assert (plain - s).window == Window(L, fr(4), diagonal)
+    shifted = expand(f, L, Window(L, fr(6), Coset((1, 0), ((1, 1),))))
+    with pytest.raises(InputError, match="cosets differ"):
+        s + shifted
+    for op in (lambda: multiply(s, plain), lambda: multiply(plain, s),
+               lambda: divide(s, plain, L), lambda: divide(plain, s, L),
+               lambda: mul_series_polynomial(s, f.denominator),
+               lambda: verify_expansion(s, f)):
+        with pytest.raises(InputError, match="coset"):
+            op()
 
 
 def test_series_json_roundtrip_is_canonical():
