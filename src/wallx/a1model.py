@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import InputError
 from .jsonio import format_rational
 from .lattice import KClass, LatticeSpec
-from .quasipoly import detect_quasipoly, qp_degree, qp_eval, reexpand_check
+from .quasipoly import detect_quasipoly, reexpand_check
 from .series import (LaurentPolynomial, LinearFunctional, RationalFunction,
                      Window, expand)
 from .wallcross import dtpt_ratio
@@ -231,8 +231,8 @@ def run_a1(report_window: int) -> dict:
         fit_detail = {}
     else:
         fit_div = _first_divergence((m, model.column_difference(m),
-                                     qp_eval(fit, (m,))) for m in ms)
-        fit_detail = {"period": fit.period, "degree": qp_degree(fit, 0)}
+                                     fit.eval((m,))) for m in ms)
+        fit_detail = {"period": fit.period, "degree": fit.degree(0)}
     add_step("difference quasi-polynomial", fit_div, **fit_detail)
 
     verdict = reexpand_check(model.shared_layer, resolution_series,

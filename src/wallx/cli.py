@@ -26,7 +26,7 @@ from .poisson import (Truncation, TorusElement, bracket, element_from_obj,
                       element_to_obj, exp_ad, naive_product, star_product,
                       truncation_from_obj)
 from .quasipoly import (ChainPattern, QuasiPolynomial, detect_quasipoly,
-                        qp_eval, qp_from_obj, qp_to_obj, reexpand_check,
+                        qp_from_obj, qp_to_obj, reexpand_check,
                         resum_chain, resum_orthant)
 from .series import (LaurentPolynomial, LinearFunctional, RationalFunction,
                      Window, expand, multiply, rational_function_from_obj,
@@ -384,7 +384,7 @@ def _selfcheck(seed: int) -> dict:
         out = resum_orthant(a, [(step,)], deg1)
         series = expand(out, deg1, Window(deg1, 12))
         for j in range(13):
-            expected = (qp_eval(a, (j // step,))
+            expected = (a.eval((j // step,))
                         if j % step == 0 else Fraction(0))
             ok = ok and series.coeff((j,)) == expected
     record("orthant resummation matches one-sided partial sums", 15, ok)
@@ -431,7 +431,7 @@ def _selfcheck(seed: int) -> dict:
     verdict = reexpand_check(geom, s_minus, s_plus, (1,), l_minus, deg1)
     fit = verdict.cosets[0].fit
     ok = verdict.confirmed and fit is not None and fit.period == 1 \
-        and all(qp_eval(fit, (k,)) == 1 for k in range(-4, 5))
+        and all(fit.eval((k,)) == 1 for k in range(-4, 5))
     record("geometric series re-expands across zero with constant difference",
            1, ok)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -275,16 +274,6 @@ class LatticeSpec:
         if l_val == 0:
             return INF
         return Fraction(d_val, l_val)
-
-    def nu_walls(self, beta, lo: Fraction, hi: Fraction) -> list[Fraction]:
-        """Slope values in [lo, hi] of step 1/l(beta)! (candidate walls)."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi < lo:
-            return []
-        step = Fraction(1, math.factorial(self.l_of(beta)))
-        k0 = math.ceil(lo / step)
-        k1 = math.floor(hi / step)
-        return [k * step for k in range(k0, k1 + 1)]
 
     def zeta_slope(self, x: KClass):
         """(zeta1, nu) ordered lexicographically; (+oo, +oo) on the point block."""

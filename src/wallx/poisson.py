@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import jsonio
 from .errors import InputError
 from .lattice import KClass, LatticeSpec, kclass_from_obj, kclass_to_obj
+from .series import _accumulate
 
 _ZERO = Fraction(0)
 
@@ -59,20 +60,20 @@ class TorusElement:
 
     def __init__(self, context: LatticeSpec, terms):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[KClass, Fraction] = {}
-        for cls, coeff in items:
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            if len(cls.beta) != context.rank1 or len(cls.c) != context.rank0:
-                raise InputError("class shape does not match the lattice")
-            acc = data.get(cls, _ZERO) + coeff
-            if acc:
-                data[cls] = acc
-            else:
-                data.pop(cls, None)
-        self._terms = data
+        pairs = [(cls, Fraction(coeff)) for cls, coeff in items]
+        shape = (context.rank1, context.rank0)
+        if any(c and (len(cls.beta), len(cls.c)) != shape for cls, c in pairs):
+            raise InputError("class shape does not match the lattice")
+        self._terms = _accumulate({}, pairs)
         self.context = context
+
+    @classmethod
+    def _make(cls, context: LatticeSpec, terms: dict) -> "TorusElement":
+        """Trusted: classes of the lattice's shape, nonzero Fraction values."""
+        self = object.__new__(cls)
+        self._terms = terms
+        self.context = context
+        return self
 
     def terms(self):
         return self._terms.items()
@@ -96,22 +97,17 @@ class TorusElement:
 
     def __add__(self, other):
         _same_context(self, other)
-        out = dict(self._terms)
-        for cls, coeff in other._terms.items():
-            acc = out.get(cls, _ZERO) + coeff
-            if acc:
-                out[cls] = acc
-            else:
-                out.pop(cls, None)
-        return TorusElement(self.context, out)
+        return TorusElement._make(
+            self.context, _accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, factor) -> "TorusElement":
         factor = Fraction(factor)
-        return TorusElement(self.context,
-                            {cls: c * factor for cls, c in self._terms.items()})
+        return TorusElement._make(
+            self.context,
+            {cls: c * factor for cls, c in self._terms.items()} if factor else {})
 
     def __repr__(self):
         inner = ", ".join(f"t^{(cls.r, cls.beta, cls.c)}: {c}"
@@ -128,48 +124,40 @@ def _sigma_power(sigma: int, chi: int) -> int:
     return -1 if sigma == -1 and chi % 2 else 1
 
 
-def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None, kind: str):
+def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
+               weight: Callable[[int], int]) -> TorusElement:
+    """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2)."""
     _same_context(x, y)
     spec = x.context
-    out: dict[KClass, Fraction] = {}
+    pairs = []
     for a1, c1 in x._terms.items():
         for a2, c2 in y._terms.items():
-            chi = spec.euler_pairing(a1, a2)
-            if kind == "bracket":
-                weight = Fraction(_sigma_power(spec.sigma, chi) * chi)
-            elif kind == "star":
-                weight = Fraction(_sigma_power(spec.sigma, chi))
-            else:
-                weight = Fraction(1)
-            if not weight:
-                continue
-            total = a1 + a2
-            if trunc is not None and not trunc.contains(spec, total):
-                continue
-            acc = out.get(total, _ZERO) + c1 * c2 * weight
-            if acc:
-                out[total] = acc
-            else:
-                out.pop(total, None)
-    return TorusElement(spec, out)
+            w = weight(spec.euler_pairing(a1, a2))
+            if w:
+                total = a1 + a2
+                if trunc is None or trunc.contains(spec, total):
+                    pairs.append((total, c1 * c2 * w))
+    return TorusElement._make(spec, _accumulate({}, pairs))
 
 
 def bracket(x: TorusElement, y: TorusElement,
             trunc: Truncation | None = None) -> TorusElement:
     """{t^a, t^b} = sigma^chi(a,b) chi(a,b) t^(a+b), extended bilinearly."""
-    return _binary_op(x, y, trunc, "bracket")
+    sigma = x.context.sigma
+    return _binary_op(x, y, trunc, lambda chi: _sigma_power(sigma, chi) * chi)
 
 
 def star_product(x: TorusElement, y: TorusElement,
                  trunc: Truncation | None = None) -> TorusElement:
     """t^a * t^b = sigma^chi(a,b) t^(a+b)."""
-    return _binary_op(x, y, trunc, "star")
+    sigma = x.context.sigma
+    return _binary_op(x, y, trunc, lambda chi: _sigma_power(sigma, chi))
 
 
 def naive_product(x: TorusElement, y: TorusElement,
                   trunc: Truncation | None = None) -> TorusElement:
     """t^a t^b = t^(a+b) with no sign; this is what assembles series."""
-    return _binary_op(x, y, trunc, "naive")
+    return _binary_op(x, y, trunc, lambda chi: 1)
 
 
 def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:

@@ -28,6 +28,8 @@ from .series import (
     LaurentSeries,
     LinearFunctional,
     RationalFunction,
+    polynomial_to_obj,
+    terms_from_obj,
     verify_expansion,
 )
 
@@ -73,14 +75,6 @@ class QuasiPolynomial:
         return all(poly.is_zero() for poly in self.table.values())
 
 
-def qp_eval(a: QuasiPolynomial, n) -> Fraction:
-    return a.eval(n)
-
-
-def qp_degree(a: QuasiPolynomial, i: int) -> int:
-    return a.degree(i)
-
-
 def _per_var_degrees(a: QuasiPolynomial) -> tuple[int, ...]:
     return tuple(a.degree(i) for i in range(a.vars))
 
@@ -118,13 +112,11 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
             for i in inner:
                 values[i] -= values[i - step]
         stride *= size
-    out: dict[Exponent, int] = {}
-    for j, v in zip(box, values):
-        if v:
-            e = tuple(s + sum(jt * m[k] for jt, m in zip(j, monos))
-                      for k, s in enumerate(shift))
-            out[e] = out.get(e, 0) + v
-    g = LaurentPolynomial({e: Fraction(v, den) for e, v in out.items()}, nq)
+    # the constructor sums the values of box points with one exponent
+    g = LaurentPolynomial(
+        ((tuple(s + sum(jt * m[k] for jt, m in zip(j, monos))
+                for k, s in enumerate(shift)), Fraction(v, den))
+         for j, v in zip(box, values) if v), nq)
     one = h = LaurentPolynomial.constant(nq, 1)
     for m, d in zip(monos, degs):
         factor = one - LaurentPolynomial.monomial(tuple(p * x for x in m))
@@ -353,10 +345,7 @@ def qp_to_obj(a: QuasiPolynomial):
     entries = []
     for rho in sorted(a.table):
         poly = a.table[rho]
-        entries.append({"residues": list(rho),
-                        "poly": [{"exponent": list(e),
-                                  "coeff": jsonio.format_rational(c)}
-                                 for e, c in sorted(poly.items())]})
+        entries.append({"residues": list(rho), "poly": polynomial_to_obj(poly)})
     return {"vars": a.vars, "period": a.period, "table": entries}
 
 
@@ -371,18 +360,8 @@ def qp_from_obj(obj, path: str) -> QuasiPolynomial:
         epath = f"{path}.table[{i}]"
         rho = jsonio.parse_int_vector(
             jsonio.get_key(entry, "residues", epath), f"{epath}.residues", nvars)
-        terms = []
-        poly_obj = jsonio.get_key(entry, "poly", epath)
-        if not isinstance(poly_obj, list):
-            raise InputError("expected a list of terms", f"{epath}.poly")
-        for j, term in enumerate(poly_obj):
-            exp = jsonio.parse_int_vector(
-                jsonio.get_key(term, "exponent", f"{epath}.poly[{j}]"),
-                f"{epath}.poly[{j}].exponent", nvars)
-            coeff = jsonio.parse_rational(
-                jsonio.get_key(term, "coeff", f"{epath}.poly[{j}]"),
-                f"{epath}.poly[{j}].coeff")
-            terms.append((exp, coeff))
+        terms = terms_from_obj(jsonio.get_key(entry, "poly", epath),
+                               f"{epath}.poly", nvars)
         if rho in table:
             raise InputError("duplicate residue tuple", f"{epath}.residues")
         table[rho] = LaurentPolynomial(terms, nvars)

@@ -9,9 +9,10 @@ predicate, and anything not stored with L-value at most b is a true zero.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from . import jsonio
 from .errors import InputError
@@ -134,35 +135,23 @@ class Window:
         return True
 
 
-def _merge_terms(items, nvars: int | None):
-    data: dict[Exponent, Fraction] = {}
-    for exp, coeff in items:
-        exp = tuple(int(e) for e in exp)
-        if nvars is None:
-            nvars = len(exp)
-        elif len(exp) != nvars:
-            raise InputError("mixed exponent lengths")
-        coeff = Fraction(coeff)
-        if coeff:
-            acc = data.get(exp, _ZERO) + coeff
-            if acc:
-                data[exp] = acc
-            else:
-                data.pop(exp, None)
-    return data, nvars
+def _accumulate(out: dict, pairs) -> dict:
+    """Add (key, coeff) pairs into out, dropping any key whose sum is zero."""
+    for key, coeff in pairs:
+        acc = out.get(key)
+        acc = coeff if acc is None else acc + coeff
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
 
 
-def _mul_terms(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]):
-    out: dict[Exponent, Fraction] = {}
+def _products(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]):
+    """The (exponent, coeff) pairs of a product, one per pair of terms."""
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            acc = out.get(e, _ZERO) + ca * cb
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
-    return out
+            yield tuple(map(operator.add, ea, eb)), ca * cb
 
 
 class LaurentPolynomial:
@@ -172,11 +161,26 @@ class LaurentPolynomial:
 
     def __init__(self, terms=(), nvars: int | None = None):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data, nv = _merge_terms(items, nvars)
-        if nv is None:
+        pairs = []
+        for exp, coeff in items:
+            exp = tuple(int(e) for e in exp)
+            if nvars is None:
+                nvars = len(exp)
+            elif len(exp) != nvars:
+                raise InputError("mixed exponent lengths")
+            pairs.append((exp, Fraction(coeff)))
+        if nvars is None:
             raise InputError("variable count of an empty polynomial must be given")
-        self._terms = data
-        self.nvars = nv
+        self._terms = _accumulate({}, pairs)
+        self.nvars = nvars
+
+    @classmethod
+    def _make(cls, terms: dict, nvars: int) -> "LaurentPolynomial":
+        """Trusted: int-tuple keys of length nvars, nonzero Fraction values."""
+        self = object.__new__(cls)
+        self._terms = terms
+        self.nvars = nvars
+        return self
 
     @classmethod
     def constant(cls, nvars: int, value) -> "LaurentPolynomial":
@@ -208,21 +212,16 @@ class LaurentPolynomial:
         return hash((self.nvars, frozenset(self._terms.items())))
 
     def __neg__(self):
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()}, self.nvars)
+        return LaurentPolynomial._make(
+            {e: -c for e, c in self._terms.items()}, self.nvars)
 
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         if self.nvars != other.nvars:
             raise InputError("polynomial variable counts differ")
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = out.get(e, _ZERO) + c
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
-        return LaurentPolynomial(out, self.nvars)
+        return LaurentPolynomial._make(
+            _accumulate(dict(self._terms), other._terms.items()), self.nvars)
 
     def __sub__(self, other):
         return self + (-other)
@@ -231,20 +230,22 @@ class LaurentPolynomial:
         if isinstance(other, LaurentPolynomial):
             if self.nvars != other.nvars:
                 raise InputError("polynomial variable counts differ")
-            return LaurentPolynomial(_mul_terms(self._terms, other._terms), self.nvars)
+            return LaurentPolynomial._make(
+                _accumulate({}, _products(self._terms, other._terms)), self.nvars)
         return NotImplemented
 
     def scale(self, factor) -> "LaurentPolynomial":
         factor = Fraction(factor)
-        if not factor:
-            return LaurentPolynomial({}, self.nvars)
-        return LaurentPolynomial(
-            {e: c * factor for e, c in self._terms.items()}, self.nvars)
+        return LaurentPolynomial._make(
+            {e: c * factor for e, c in self._terms.items()} if factor else {},
+            self.nvars)
 
     def shift(self, exponent) -> "LaurentPolynomial":
         exponent = tuple(int(e) for e in exponent)
-        return LaurentPolynomial(
-            {tuple(a + b for a, b in zip(e, exponent)): c
+        if len(exponent) != self.nvars:
+            raise InputError("shift length does not match the variable count")
+        return LaurentPolynomial._make(
+            {tuple(map(operator.add, e, exponent)): c
              for e, c in self._terms.items()}, self.nvars)
 
     def __pow__(self, n: int):
@@ -267,6 +268,8 @@ class LaurentPolynomial:
 
     def evaluate(self, point) -> Fraction:
         point = tuple(Fraction(p) for p in point)
+        if len(point) != self.nvars:
+            raise InputError("evaluation point arity mismatch")
         total = _ZERO
         for e, c in self._terms.items():
             val = c
@@ -282,27 +285,15 @@ class LaurentPolynomial:
     def map_exponents(self, fn: Callable[[Exponent], Exponent],
                       nvars_out: int) -> "LaurentPolynomial":
         """Push exponents through fn, summing collisions."""
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            e2 = tuple(int(x) for x in fn(e))
-            acc = out.get(e2, _ZERO) + c
-            if acc:
-                out[e2] = acc
-            else:
-                out.pop(e2, None)
-        return LaurentPolynomial(out, nvars_out)
+        return LaurentPolynomial(
+            ((fn(e), c) for e, c in self._terms.items()), nvars_out)
 
     def l_min(self, functional: LinearFunctional):
         """(value, exponents) attaining the minimal L-value, or (None, [])."""
         return _unique_l_min(self._terms, functional)
 
     def l_max(self, functional: LinearFunctional):
-        best = None
-        for e in self._terms:
-            v = functional(e)
-            if best is None or v > best:
-                best = v
-        return best
+        return max((functional(e) for e in self._terms), default=None)
 
     def __repr__(self):
         inner = ", ".join(f"{e}: {c}" for e, c in sorted(self._terms.items()))
@@ -351,19 +342,18 @@ class LaurentSeries:
 
     def __init__(self, terms, window: Window):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Exponent, Fraction] = {}
-        for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
-            coeff = Fraction(coeff)
-            if not coeff or not window.admits(exp):
-                continue
-            acc = data.get(exp, _ZERO) + coeff
-            if acc:
-                data[exp] = acc
-            else:
-                data.pop(exp, None)
-        self._terms = data
+        pairs = ((tuple(int(e) for e in exp), Fraction(coeff)) for exp, coeff in items)
+        self._terms = _accumulate(
+            {}, ((e, c) for e, c in pairs if c and window.admits(e)))
         self.window = window
+
+    @classmethod
+    def _make(cls, terms: dict, window: Window) -> "LaurentSeries":
+        """Trusted: int-tuple keys the window admits, nonzero Fraction values."""
+        self = object.__new__(cls)
+        self._terms = terms
+        self.window = window
+        return self
 
     @property
     def functional(self) -> LinearFunctional:
@@ -400,12 +390,14 @@ class LaurentSeries:
         raise TypeError("series are not hashable")
 
     def __neg__(self):
-        return LaurentSeries({e: -c for e, c in self._terms.items()}, self.window)
+        return LaurentSeries._make(
+            {e: -c for e, c in self._terms.items()}, self.window)
 
     def scale(self, factor) -> "LaurentSeries":
         factor = Fraction(factor)
-        return LaurentSeries(
-            {e: c * factor for e, c in self._terms.items()}, self.window)
+        return LaurentSeries._make(
+            {e: c * factor for e, c in self._terms.items()} if factor else {},
+            self.window)
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -416,10 +408,9 @@ class LaurentSeries:
             raise InputError("window cosets differ")
         window = Window(self.window.functional, min(self.bound, other.bound),
                         c1 or c2)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, _ZERO) + c
-        return LaurentSeries(out, window)
+        # the admitting constructor drops what the smaller window excludes
+        return LaurentSeries(
+            _accumulate(dict(self._terms), other._terms.items()), window)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -508,7 +499,10 @@ def expand(f: RationalFunction, L: LinearFunctional, window: Window) -> LaurentS
                         L, window.bound, m0, c0)
     if not out and not f.numerator.is_zero():
         raise InputError("empty window")
-    return LaurentSeries(out, window)
+    # quotient terms have L-value at most the bound; a coset still filters
+    if window.coset is not None:
+        return LaurentSeries(out, window)
+    return LaurentSeries._make(out, window)
 
 
 def multiply(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
@@ -524,7 +518,7 @@ def multiply(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
     if m1 is not None:
         candidates.append(s2.bound + m1)
     bound = min(candidates) if candidates else s1.bound + s2.bound
-    return LaurentSeries(_mul_terms(s1._terms, s2._terms), Window(L, bound))
+    return _series_product(s1._terms, s2._terms, Window(L, bound))
 
 
 def divide(s1: LaurentSeries, s2: LaurentSeries, L: LinearFunctional) -> LaurentSeries:
@@ -547,7 +541,7 @@ def divide(s1: LaurentSeries, s2: LaurentSeries, L: LinearFunctional) -> Laurent
         m1 = s1.bound
     bound = min(s1.bound - l_m0, m1 + s2.bound - 2 * l_m0)
     out = _divide_terms(s1._terms, s2._terms, L, bound, m0, c0)
-    return LaurentSeries(out, Window(L, bound))
+    return LaurentSeries._make(out, Window(L, bound))
 
 
 def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeries:
@@ -555,24 +549,29 @@ def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeri
     _no_coset(s)
     L = s.window.functional
     if p.is_zero():
-        return LaurentSeries({}, s.window)
+        return LaurentSeries._make({}, s.window)
     min_l, _ = _unique_l_min(p._terms, L)
-    bound = s.bound + min_l
-    return LaurentSeries(_mul_terms(s._terms, p._terms), Window(L, bound))
+    return _series_product(s._terms, p._terms, Window(L, s.bound + min_l))
+
+
+def _series_product(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction],
+                    window: Window) -> LaurentSeries:
+    """The terms of a*b with L-value at most the (coset-free) window's bound,
+    tested once per merged exponent: a series times a polynomial has many
+    pairs of terms per exponent."""
+    L, bound = window.functional, window.bound
+    out = _accumulate({}, _products(a, b))
+    return LaurentSeries._make(
+        {e: c for e, c in out.items() if L(e) <= bound}, window)
 
 
 def verify_expansion(s: LaurentSeries, f: RationalFunction) -> bool:
     """Check s * h == g on the region where the product is final."""
     product = mul_series_polynomial(s, f.denominator)
     L = s.window.functional
-    diff = dict(product._terms)
-    for e, c in f.numerator.items():
-        if L(e) <= product.bound:
-            acc = diff.get(e, _ZERO) - c
-            if acc:
-                diff[e] = acc
-            else:
-                diff.pop(e, None)
+    diff = _accumulate(dict(product._terms),
+                       ((e, -c) for e, c in f.numerator.items()
+                        if L(e) <= product.bound))
     return not diff
 
 

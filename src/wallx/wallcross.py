@@ -41,8 +41,6 @@ from .series import (
     divide,
 )
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class WallDatum:
@@ -192,17 +190,13 @@ def _b_factor(group: GroupSpec) -> QuasiPolynomial:
     chis = []
     cur = group.alpha_prime
     for i in range(r):
-        terms = {
-            (0,) * r: Fraction(spec.euler_pairing(base[i], cur)),
-            unit(i): Fraction(spec.euler_pairing(steps[i], cur)),
-        }
+        terms = [((0,) * r, spec.euler_pairing(base[i], cur)),
+                 (unit(i), spec.euler_pairing(steps[i], cur))]
         for j in range(i):
-            e_j = unit(j)
-            terms[e_j] = (terms.get(e_j, _ZERO)
-                          + spec.euler_pairing(base[i], steps[j]))
-            e_ij = tuple(x + y for x, y in zip(unit(i), e_j))
-            terms[e_ij] = (terms.get(e_ij, _ZERO)
-                           + spec.euler_pairing(steps[i], steps[j]))
+            e_ij = tuple(x + y for x, y in zip(unit(i), unit(j)))
+            terms += [(unit(j), spec.euler_pairing(base[i], steps[j])),
+                      (e_ij, spec.euler_pairing(steps[i], steps[j]))]
+        # the constructor sums repeated exponents
         chis.append(LaurentPolynomial(terms, r))
         cur = cur + base[i]
 

@@ -71,7 +71,6 @@ def test_build_a1_lattice_shape():
 
 def test_build_a1_walls_validate():
     spec = build_a1().lattice
-    assert spec.nu_walls((1,), 0, 1) == [fr(k, 2) for k in range(3)]
     assert spec.gamma_walls((2,)) == [fr(1)]
 
 

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import wallx
 from wallx import cli
 from wallx.a1model import build_a1
 
@@ -136,6 +138,23 @@ def test_resum_output_bytes_are_pinned(name, capsys):
     status = cli.main(["--input", str(GOLDEN / f"resum_{name}.json")])
     assert status == 0
     assert capsys.readouterr().out == (GOLDEN / f"resum_{name}.out").read_text()
+
+
+@pytest.mark.parametrize("poly, path, message", [
+    ([{"exponent": [0, 1], "coeff": "1"}],
+     "document.quasipoly.table[0].poly[0].exponent", "expected 1 entries, got 2"),
+    ([{"exponent": [0], "coeff": 0.5}],
+     "document.quasipoly.table[0].poly[0].coeff",
+     'floats are not accepted; use a "p/q" string'),
+    ({"exponent": [0], "coeff": "1"},
+     "document.quasipoly.table[0].poly", "expected a list of terms"),
+])
+def test_resum_malformed_table_poly_exits_two(tmp_path, capsys, poly, path, message):
+    qp = {"vars": 1, "period": 1, "table": [{"residues": [0], "poly": poly}]}
+    doc = {"kind": "resum", "quasipoly": qp, "monomials": [[1]], "grading": [1]}
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 2
+    assert json.loads(out)["error"] == {"path": path, "message": message}
 
 
 def _alt(m):
@@ -400,8 +419,10 @@ def test_module_entry_point_subprocess(tmp_path):
            "window": {"functional": [1], "bound": "3"}}
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
+    src = str(Path(wallx.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "wallx", "--input", str(path)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert {tuple(t["exponent"]): t["coeff"]

@@ -100,13 +100,6 @@ def test_nu_slope_and_infinity_ordering():
     assert (fr(3), fr(1)) < (INF, INF)
 
 
-def test_nu_walls_grid():
-    spec = model_lattice()
-    walls = spec.nu_walls((1,), fr(0), fr(7, 3))
-    assert walls == [fr(0), fr(1, 2), fr(1), fr(3, 2), fr(2)]
-    assert spec.nu_walls((1,), fr(1), fr(1, 2)) == []
-
-
 def test_zeta_slope_lexicographic():
     spec = model_lattice()
     z_curve = spec.zeta_slope(KClass(0, (1,), (0, 0)))

@@ -9,8 +9,6 @@ from wallx.quasipoly import (
     ChainPattern,
     QuasiPolynomial,
     detect_quasipoly,
-    qp_degree,
-    qp_eval,
     qp_from_obj,
     qp_to_obj,
     reexpand_check,
@@ -108,10 +106,10 @@ G1 = LinearFunctional((fr(1),))
 def test_qp_eval_uses_mathematical_mod():
     table = {(0,): _poly(1, {(1,): 1}), (1,): _poly(1, {(0,): -7})}
     a = QuasiPolynomial(1, 2, table)
-    assert qp_eval(a, (4,)) == 4
-    assert qp_eval(a, (-3,)) == -7
-    assert qp_eval(a, (-2,)) == -2
-    assert qp_degree(a, 0) == 1
+    assert a.eval((4,)) == 4
+    assert a.eval((-3,)) == -7
+    assert a.eval((-2,)) == -2
+    assert a.degree(0) == 1
 
 
 def test_qp_table_must_be_complete():
@@ -121,7 +119,7 @@ def test_qp_table_must_be_complete():
 
 def test_zero_qp_degree_sentinel():
     a = _qp_const(1, 0)
-    assert qp_degree(a, 0) == -1
+    assert a.degree(0) == -1
     assert a.is_zero()
 
 
@@ -255,7 +253,7 @@ def test_chain_empty_length():
 def test_detect_constant_and_minimality():
     fit = detect_quasipoly({n: fr(1) for n in range(-3, 4)})
     assert fit is not None
-    assert (fit.period, qp_degree(fit, 0)) == (1, 0)
+    assert (fit.period, fit.degree(0)) == (1, 0)
 
 
 def test_detect_alternating_linear():
@@ -263,15 +261,15 @@ def test_detect_alternating_linear():
     fit = detect_quasipoly(samples, max_period=4, max_degree=3)
     assert fit is not None
     assert fit.period == 2
-    assert qp_degree(fit, 0) == 1
+    assert fit.degree(0) == 1
     for m in range(-20, 21):
-        assert qp_eval(fit, (m,)) == _alt(m) * (3 * m - 9)
+        assert fit.eval((m,)) == _alt(m) * (3 * m - 9)
 
 
 def test_detect_square_degree_two():
     fit = detect_quasipoly({n: fr(n * n) for n in range(-4, 5)})
     assert fit is not None
-    assert (fit.period, qp_degree(fit, 0)) == (1, 2)
+    assert (fit.period, fit.degree(0)) == (1, 2)
 
 
 def test_detect_no_fit_returns_none():
@@ -308,8 +306,8 @@ def test_reexpand_geometric_constant_fit():
     coset = verdict.cosets[0]
     assert (coset.k_lo, coset.k_hi) == (-8, 8)
     fit = coset.fit
-    assert fit.period == 1 and qp_degree(fit, 0) == 0
-    assert qp_eval(fit, (17,)) == 1
+    assert fit.period == 1 and fit.degree(0) == 0
+    assert fit.eval((17,)) == 1
 
 
 def test_reexpand_rejects_wrong_direction():
@@ -356,9 +354,9 @@ def test_reexpand_two_variable_layer():
     assert verdict.confirmed
     assert [c.representative for c in verdict.cosets] == [(0, 4)]
     fit = verdict.cosets[0].fit
-    assert fit.period == 2 and qp_degree(fit, 0) == 1
+    assert fit.period == 2 and fit.degree(0) == 1
     for m in range(-8, 13):
-        assert qp_eval(fit, (m,)) == _alt(m) * (3 * m - 9)
+        assert fit.eval((m,)) == _alt(m) * (3 * m - 9)
 
 
 def test_qp_json_roundtrip():

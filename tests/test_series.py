@@ -258,3 +258,14 @@ def test_polynomial_power_and_degree():
     assert p.coeff((1,)) == -3 and p.coeff((3,)) == -1
     assert p.degree_in_var(0) == 3
     assert LaurentPolynomial({}, 1).degree_in_var(0) == -1
+
+
+def test_evaluate_and_shift_reject_wrong_arity():
+    p = LaurentPolynomial({(1, 1): 1}, 2)
+    assert p.evaluate((2, 3)) == 6
+    assert p.shift((1, -1)) == LaurentPolynomial({(2, 0): 1}, 2)
+    for point in [(2,), (2, 3, 4)]:
+        with pytest.raises(InputError, match="arity"):
+            p.evaluate(point)
+        with pytest.raises(InputError):
+            p.shift(point)

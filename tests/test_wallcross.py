@@ -7,7 +7,6 @@ import pytest
 from wallx.errors import InputError
 from wallx.lattice import INF, KClass, LatticeSpec
 from wallx.poisson import TorusElement, Truncation, bracket
-from wallx.quasipoly import qp_degree, qp_eval
 from wallx.series import (
     LaurentPolynomial,
     LaurentSeries,
@@ -614,9 +613,9 @@ def test_cross_gamma_wall_geometric():
     (coset,) = crossing.verdict.cosets
     assert coset.fit is not None
     assert coset.fit.period == 1
-    assert qp_degree(coset.fit, 0) == 0
+    assert coset.fit.degree(0) == 0
     for k in range(coset.k_lo, coset.k_hi + 1):
-        assert qp_eval(coset.fit, (k,)) == 1
+        assert coset.fit.eval((k,)) == 1
 
 
 def test_cross_gamma_wall_model_layer():
@@ -637,8 +636,8 @@ def test_cross_gamma_wall_model_layer():
     odd = fits[(-1, 4)]
     for k in range(-3, 4):
         # difference of the two expansions at m = -2k and m = -1-2k
-        assert qp_eval(even, (k,)) == 9 + 6 * k
-        assert qp_eval(odd, (k,)) == -12 - 6 * k
+        assert even.eval((k,)) == 9 + 6 * k
+        assert odd.eval((k,)) == -12 - 6 * k
 
 
 def test_cross_gamma_wall_rejects_non_walls():
