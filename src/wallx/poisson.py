@@ -12,6 +12,7 @@ the point part.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -19,7 +20,7 @@ from typing import Callable, Mapping
 from . import jsonio
 from .errors import InputError
 from .lattice import KClass, LatticeSpec, kclass_from_obj, kclass_to_obj
-from .series import _accumulate
+from .series import _accumulate, _coefficient
 
 _ZERO = Fraction(0)
 
@@ -60,7 +61,7 @@ class TorusElement:
 
     def __init__(self, context: LatticeSpec, terms):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        pairs = [(cls, Fraction(coeff)) for cls, coeff in items]
+        pairs = [(cls, _coefficient(coeff)) for cls, coeff in items]
         shape = (context.rank1, context.rank0)
         if any(c and (len(cls.beta), len(cls.c)) != shape for cls, c in pairs):
             raise InputError("class shape does not match the lattice")
@@ -104,7 +105,7 @@ class TorusElement:
         return self + other.scale(-1)
 
     def scale(self, factor) -> "TorusElement":
-        factor = Fraction(factor)
+        factor = _coefficient(factor)
         return TorusElement._make(
             self.context,
             {cls: c * factor for cls, c in self._terms.items()} if factor else {})
@@ -126,17 +127,28 @@ def _sigma_power(sigma: int, chi: int) -> int:
 
 def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
                weight: Callable[[int], int]) -> TorusElement:
-    """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2)."""
+    """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2), with
+    chi the row a1.pairing dotted with a2 and trunc tested once per sum."""
     _same_context(x, y)
     spec = x.context
+    cols = list(zip(*spec.pairing))
+    split = 1 + spec.rank1
+    ys = [(a2.vector(), c2) for a2, c2 in y._terms.items()]
+    kept: dict = {}  # summed vector -> its class, or None outside trunc
     pairs = []
     for a1, c1 in x._terms.items():
-        for a2, c2 in y._terms.items():
-            w = weight(spec.euler_pairing(a1, a2))
+        v1 = a1.vector()
+        row = [sum(map(operator.mul, v1, col)) for col in cols]
+        for v2, c2 in ys:
+            w = weight(sum(map(operator.mul, row, v2)))
             if w:
-                total = a1 + a2
-                if trunc is None or trunc.contains(spec, total):
-                    pairs.append((total, c1 * c2 * w))
+                v = tuple(map(operator.add, v1, v2))
+                if v not in kept:
+                    total = KClass(v[0], v[1:split], v[split:])
+                    kept[v] = total if trunc is None or trunc.contains(
+                        spec, total) else None
+                if kept[v] is not None:
+                    pairs.append((kept[v], c1 * c2 * w))
     return TorusElement._make(spec, _accumulate({}, pairs))
 
 

@@ -9,6 +9,7 @@ predicate, and anything not stored with L-value at most b is a true zero.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,8 @@ from .errors import InputError
 Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
+
+_MAX_DIVISION_STEPS = 100_000  # heap pops one long division may take
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,19 @@ class Window:
         return True
 
 
+def _exponent(exp) -> Exponent:
+    try:  # operator.index refuses 0.7 and 1.0, which int() would accept
+        return tuple(map(operator.index, exp))
+    except TypeError:
+        raise InputError(f"exponents must be integers, got {exp!r}") from None
+
+
+def _coefficient(value) -> Fraction:
+    if isinstance(value, float):  # not read as a binary fraction: no floats
+        raise InputError(f"floats are not accepted as coefficients, got {value!r}")
+    return Fraction(value)
+
+
 def _accumulate(out: dict, pairs) -> dict:
     """Add (key, coeff) pairs into out, dropping any key whose sum is zero."""
     for key, coeff in pairs:
@@ -163,12 +179,12 @@ class LaurentPolynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         pairs = []
         for exp, coeff in items:
-            exp = tuple(int(e) for e in exp)
+            exp = _exponent(exp)
             if nvars is None:
                 nvars = len(exp)
             elif len(exp) != nvars:
                 raise InputError("mixed exponent lengths")
-            pairs.append((exp, Fraction(coeff)))
+            pairs.append((exp, _coefficient(coeff)))
         if nvars is None:
             raise InputError("variable count of an empty polynomial must be given")
         self._terms = _accumulate({}, pairs)
@@ -184,12 +200,12 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "LaurentPolynomial":
-        return cls({(0,) * nvars: Fraction(value)}, nvars)
+        return cls({(0,) * nvars: value}, nvars)
 
     @classmethod
     def monomial(cls, exponent, coeff=1) -> "LaurentPolynomial":
-        exponent = tuple(int(e) for e in exponent)
-        return cls({exponent: Fraction(coeff)}, len(exponent))
+        exponent = _exponent(exponent)
+        return cls({exponent: coeff}, len(exponent))
 
     def items(self):
         return self._terms.items()
@@ -235,13 +251,13 @@ class LaurentPolynomial:
         return NotImplemented
 
     def scale(self, factor) -> "LaurentPolynomial":
-        factor = Fraction(factor)
+        factor = _coefficient(factor)
         return LaurentPolynomial._make(
             {e: c * factor for e, c in self._terms.items()} if factor else {},
             self.nvars)
 
     def shift(self, exponent) -> "LaurentPolynomial":
-        exponent = tuple(int(e) for e in exponent)
+        exponent = _exponent(exponent)
         if len(exponent) != self.nvars:
             raise InputError("shift length does not match the variable count")
         return LaurentPolynomial._make(
@@ -342,7 +358,7 @@ class LaurentSeries:
 
     def __init__(self, terms, window: Window):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        pairs = ((tuple(int(e) for e in exp), Fraction(coeff)) for exp, coeff in items)
+        pairs = ((_exponent(exp), _coefficient(coeff)) for exp, coeff in items)
         self._terms = _accumulate(
             {}, ((e, c) for e, c in pairs if c and window.admits(e)))
         self.window = window
@@ -394,7 +410,7 @@ class LaurentSeries:
             {e: -c for e, c in self._terms.items()}, self.window)
 
     def scale(self, factor) -> "LaurentSeries":
-        factor = Fraction(factor)
+        factor = _coefficient(factor)
         return LaurentSeries._make(
             {e: c * factor for e, c in self._terms.items()} if factor else {},
             self.window)
@@ -451,34 +467,44 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
 
     den's unique L-minimal term (m0, c0) must be supplied.  Emits quotient
     terms with L-value at most bound; terms are processed in a monotone
-    order so each quotient exponent is written exactly once.
-    """
-    r = dict(num)
-    heap = [(L(e), e) for e in r]
+    order so each quotient exponent is written exactly once.  It runs over
+    ints (L times the lcm s of its denominators, the remainder times the lcm
+    nd of num's) with steps (he - m0, hc/c0), which stay Fractions only
+    where c0 does not divide hc; each quotient term is r/(c0*nd)."""
+    s = math.lcm(*(c.denominator for c in L.coeffs))
+    ls = [int(c * s) for c in L.coeffs]
+    top = math.floor((bound + L(m0)) * s)
+    nd = math.lcm(*(c.denominator for c in num.values()))
+    r = {e: c.numerator * (nd // c.denominator) for e, c in num.items()}
+    steps = [(d, sum(map(operator.mul, ls, d)), k.numerator if k.denominator == 1 else k)
+             for d, k in ((tuple(map(operator.sub, he, m0)), hc / c0)
+                          for he, hc in den.items() if he != m0)]
+    heap = [(sum(map(operator.mul, ls, e)), e) for e in r]
     heapq.heapify(heap)
-    l_m0 = L(m0)
+    out_num, out_den = c0.denominator, c0.numerator * nd
     out: dict[Exponent, Fraction] = {}
-    while heap:
+    for _ in range(_MAX_DIVISION_STEPS):
+        if not heap:
+            return out
         l_e, e = heapq.heappop(heap)
-        c = r.pop(e, _ZERO)
+        c = r.pop(e, 0)
         if not c:
             continue
-        if l_e - l_m0 > bound:
-            break
-        q_exp = tuple(a - b for a, b in zip(e, m0))
-        q_c = c / c0
-        out[q_exp] = q_c
-        for he, hc in den.items():
-            if he == m0:
-                continue
-            ne = tuple(a + b for a, b in zip(q_exp, he))
-            acc = r.get(ne, _ZERO) - q_c * hc
+        if l_e > top:
+            return out
+        out[tuple(map(operator.sub, e, m0))] = Fraction(c * out_num, out_den)
+        for d, l_d, k in steps:
+            ne = tuple(map(operator.add, e, d))
+            acc = r.get(ne, 0) - c * k
             if acc:
                 if ne not in r:
-                    heapq.heappush(heap, (L(ne), ne))
+                    heapq.heappush(heap, (l_e + l_d, ne))
                 r[ne] = acc
             else:
                 r.pop(ne, None)
+    if heap:
+        raise InputError(f"work budget exceeded: long division took "
+                         f"{_MAX_DIVISION_STEPS} steps short of the window bound")
     return out
 
 

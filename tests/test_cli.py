@@ -73,6 +73,14 @@ def test_expand_output_is_byte_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def test_expand_huge_window_hits_budget(tmp_path, capsys):
+    doc = {"kind": "expand", "f": _GEOMETRIC,
+           "window": {"functional": [1], "bound": "4"}}
+    status, out = _run(tmp_path, capsys, doc, ("--window", "1e400"))
+    assert status == 2
+    assert "work budget exceeded" in json.loads(out)["error"]["message"]
+
+
 def test_verify_accepts_and_rejects(tmp_path, capsys):
     good = [{"exponent": [m], "coeff": "1"} for m in range(5)]
     window = {"functional": [1], "bound": "4"}
@@ -138,6 +146,20 @@ def test_resum_output_bytes_are_pinned(name, capsys):
     status = cli.main(["--input", str(GOLDEN / f"resum_{name}.json")])
     assert status == 0
     assert capsys.readouterr().out == (GOLDEN / f"resum_{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("appendix_a_200", ("--window", "200")),
+    ("expand_rational", ()),
+    ("dtpt", ()),
+])
+def test_division_output_bytes_are_pinned(name, extra, capsys):
+    # long-division consumers: run_a1 at window 200; expand with a rational
+    # functional and a leading denominator coefficient of -3, whose ratios
+    # to the other coefficients are partly non-integral; a dtpt ratio.
+    status = cli.main(["--input", str(GOLDEN / f"{name}.json"), *extra])
+    assert status == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
 @pytest.mark.parametrize("poly, path, message", [

@@ -347,3 +347,13 @@ def test_truncation_json_round_trip():
     with pytest.raises(InputError) as err:
         truncation_from_obj({"beta_cap": [-1]}, "truncation", spec)
     assert err.value.path == "truncation.beta_cap"
+
+
+def test_element_rejects_float_coefficients():
+    spec = model_lattice()
+    cls = KClass(0, (1,), (0, 0))
+    with pytest.raises(InputError, match="float"):
+        TorusElement(spec, {cls: 0.5})
+    with pytest.raises(InputError, match="float"):
+        TorusElement(spec, {cls: 1}).scale(0.5)
+    assert TorusElement(spec, {cls: "1/2"}).coeff(cls) == fr(1, 2)

@@ -1,10 +1,14 @@
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from wallx.errors import InputError
 from wallx.series import (
+    _divide_terms,
     Coset,
     LaurentPolynomial,
     LaurentSeries,
@@ -269,3 +273,105 @@ def test_evaluate_and_shift_reject_wrong_arity():
             p.evaluate(point)
         with pytest.raises(InputError):
             p.shift(point)
+
+
+def test_constructors_reject_floats_and_fractional_exponents():
+    window = Window(L_UP, fr(3))
+    for make in [lambda t: LaurentPolynomial(t, 1),
+                 lambda t: LaurentSeries(t, window)]:
+        with pytest.raises(InputError, match="float"):
+            make({(0,): 0.1})
+        for exponent in [(0.7,), (1.0,), (fr(1),)]:
+            with pytest.raises(InputError, match="integer"):
+                make({exponent: 1})
+        assert make({(1,): "2/3", (2,): 3}) == make({(1,): fr(2, 3), (2,): fr(3)})
+    with pytest.raises(InputError, match="float"):
+        LaurentPolynomial.constant(1, 0.5)
+    with pytest.raises(InputError, match="integer"):
+        LaurentPolynomial.monomial((1.0,))
+    with pytest.raises(InputError, match="integer"):
+        _poly1({0: 1}).shift((0.5,))
+
+
+# -- the integer long-division kernel against a plain-Fraction reference -----
+
+def _reference_divide(num, den, L, bound, m0, c0):
+    """Heap long division over Fractions, term by term as _divide_terms
+    did before it ran over ints."""
+    r = dict(num)
+    heap = [(L(e), e) for e in r]
+    heapq.heapify(heap)
+    l_m0 = L(m0)
+    out = {}
+    while heap:
+        l_e, e = heapq.heappop(heap)
+        c = r.pop(e, Fraction(0))
+        if not c:
+            continue
+        if l_e - l_m0 > bound:
+            break
+        q_exp = tuple(a - b for a, b in zip(e, m0))
+        q_c = c / c0
+        out[q_exp] = q_c
+        for he, hc in den.items():
+            if he == m0:
+                continue
+            ne = tuple(a + b for a, b in zip(q_exp, he))
+            acc = r.get(ne, Fraction(0)) - q_c * hc
+            if acc:
+                if ne not in r:
+                    heapq.heappush(heap, (L(ne), ne))
+                r[ne] = acc
+            else:
+                r.pop(ne, None)
+    return out
+
+
+_div_exp = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_div_coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+_div_terms = st.dictionaries(_div_exp, _div_coeff, min_size=1, max_size=4)
+_div_L = st.tuples(*[st.sampled_from([fr(1), fr(1, 2), fr(2, 3), fr(3, 2),
+                                      fr(-1, 2)])] * 2).map(LinearFunctional)
+_div_bound = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _unique_min(terms, L):
+    lows = sorted(terms, key=L)
+    assume(len(lows) == 1 or L(lows[0]) < L(lows[1]))
+    return lows[0], terms[lows[0]]
+
+
+def _assert_same_terms(got, want):
+    assert list(got) == list(want.items())
+    assert all(type(c) is Fraction and c for _, c in got)
+
+
+# non-integral hc/c0 with c0 = -3; a bound below the first term; an L with
+# denominators 2 and 3 and negative exponents
+@example({(0, 0): fr(1, 2), (1, -1): fr(-2)}, {(0, 0): fr(-3), (1, 0): fr(2),
+                                               (0, 1): fr(1, 2)},
+         LinearFunctional((fr(1, 2), fr(2, 3))), fr(3))
+@example({(2, 2): fr(1)}, {(0, 0): fr(2), (1, 0): fr(1)},
+         LinearFunctional((fr(1), fr(1))), fr(1, 2))
+@example({(-2, 1): fr(5, 3)}, {(-1, 0): fr(-2, 3), (0, 0): fr(4, 3),
+                               (-1, 1): fr(-2)},
+         LinearFunctional((fr(3, 2), fr(5, 6))), fr(2))
+@given(_div_terms, _div_terms, _div_L, _div_bound)
+@settings(deadline=None, max_examples=200)
+def test_integer_division_matches_fraction_reference(num, den, L, bound):
+    m0, c0 = _unique_min(den, L)
+    want = _reference_divide(num, den, L, bound, m0, c0)
+    _assert_same_terms(_divide_terms(num, den, L, bound, m0, c0).items(), want)
+
+    f = RationalFunction(LaurentPolynomial(num, 2), LaurentPolynomial(den, 2))
+    if want:
+        _assert_same_terms(expand(f, L, Window(L, bound)).terms(), want)
+    else:
+        with pytest.raises(InputError, match="empty window"):
+            expand(f, L, Window(L, bound))
+
+    s1 = LaurentSeries(num, Window(L, L(max(num, key=L)) + 1))
+    s2 = LaurentSeries(den, Window(L, L(m0) + abs(bound)))
+    q = divide(s1, s2, L)
+    _assert_same_terms(q.terms(), _reference_divide(
+        num, den, L, q.bound, m0, c0))

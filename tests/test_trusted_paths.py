@@ -129,6 +129,24 @@ def test_series_operations_stay_well_formed(f, g, p, b1, b2):
         _check_series(s)
 
 
+# a leading denominator coefficient other than 1, so that the long division
+# also runs with non-integral step coefficients
+_scaled_denominator = st.tuples(_denominator, _coeffs.filter(bool)).map(
+    lambda t: t[0].scale(t[1]))
+
+
+@given(_numerator, _scaled_denominator, _bound, _bound)
+@settings(deadline=None, max_examples=60)
+def test_division_results_hold_fractions(num, den, b1, b2):
+    try:
+        s = _expand(RationalFunction(num, den), b1)
+    except InputError:  # every term beyond the window
+        assume(False)
+    results = [s, divide(s, LaurentSeries(dict(den.items()), Window(_L, b2)), _L)]
+    for q in results:
+        _check_series(q)
+
+
 # -- torus elements -----------------------------------------------------------
 
 _SPEC = model_lattice()
