@@ -51,42 +51,43 @@ def _tool_obj():
 
 
 def _doc_lattice(doc) -> LatticeSpec:
-    return lattice_from_obj(jsonio.get_key(doc, "lattice", "document"),
-                            "document.lattice")
+    return jsonio.field(doc, "lattice", "document", lattice_from_obj)
 
 
 def _doc_truncation(doc, spec, required: bool):
-    obj = jsonio.get_optional(doc, "truncation", "document")
-    if obj is None:
-        if required:
-            raise InputError("a truncation is required", "document.truncation")
-        return None
-    return truncation_from_obj(obj, "document.truncation", spec)
+    trunc = jsonio.field(doc, "truncation", "document", truncation_from_obj,
+                         spec, default=None)
+    if trunc is None and required:
+        raise InputError("a truncation is required", "document.truncation")
+    return trunc
 
 
 def _doc_window(doc, opts: _Options) -> Window:
-    window = window_from_obj(jsonio.get_key(doc, "window", "document"),
-                             "document.window")
+    window = jsonio.field(doc, "window", "document", window_from_obj)
     if opts.window is not None:
         window = Window(window.functional, opts.window, window.coset)
     return window
 
 
+def _doc_fit_limits(doc) -> tuple[int, int]:
+    """The detection search box: max_period (default 4), max_degree (6)."""
+    return (jsonio.field(doc, "max_period", "document", jsonio.parse_int, default=4),
+            jsonio.field(doc, "max_degree", "document", jsonio.parse_int, default=6))
+
+
 # -- handlers, one per document kind ------------------------------------------
 
 def _run_expand(doc, opts):
-    f = rational_function_from_obj(jsonio.get_key(doc, "f", "document"),
-                                   "document.f")
+    f = jsonio.field(doc, "f", "document", rational_function_from_obj)
     window = _doc_window(doc, opts)
     series = expand(f, window.functional, window)
     return {"series": series_to_obj(series)}, 0
 
 
 def _run_verify(doc, opts):
-    f = rational_function_from_obj(jsonio.get_key(doc, "f", "document"),
-                                   "document.f")
-    series = series_from_obj(jsonio.get_key(doc, "series", "document"),
-                             "document.series", f.numerator.nvars)
+    f = jsonio.field(doc, "f", "document", rational_function_from_obj)
+    series = jsonio.field(doc, "series", "document", series_from_obj,
+                          f.numerator.nvars)
     verified = verify_expansion(series, f)
     return {"verified": verified}, 0 if verified else 1
 
@@ -94,51 +95,40 @@ def _run_verify(doc, opts):
 def _run_resum(doc, opts):
     if "group" in doc:
         spec = _doc_lattice(doc)
-        group = group_from_obj(jsonio.get_key(doc, "group", "document"),
-                               "document.group", spec)
+        group = jsonio.field(doc, "group", "document", group_from_obj, spec)
         trunc = _doc_truncation(doc, spec, required=False)
         out = group_resum(group, trunc)
         return {"lattice_fingerprint": spec.fingerprint(),
                 "rational_function": rational_function_to_obj(out)}, 0
-    a = qp_from_obj(jsonio.get_key(doc, "quasipoly", "document"),
-                    "document.quasipoly")
-    monos_obj = jsonio.get_key(doc, "monomials", "document")
-    if not isinstance(monos_obj, list):
-        raise InputError("monomials must be a list", "document.monomials")
-    monos = [jsonio.parse_int_vector(m, f"document.monomials[{i}]")
-             for i, m in enumerate(monos_obj)]
-    grading = LinearFunctional.from_obj(
-        jsonio.get_key(doc, "grading", "document"), "document.grading")
-    pattern_obj = jsonio.get_optional(doc, "pattern", "document")
-    if pattern_obj is None:
+    a = jsonio.field(doc, "quasipoly", "document", qp_from_obj)
+    monos = jsonio.field(doc, "monomials", "document", jsonio.parse_list,
+                         jsonio.parse_int_vector,
+                         message="monomials must be a list")
+    grading = jsonio.field(doc, "grading", "document", LinearFunctional.from_obj)
+    equalities = jsonio.field(doc, "pattern", "document", _pattern_equalities,
+                              default=None)
+    if equalities is None:
         out = resum_orthant(a, monos, grading)
     else:
-        equalities = jsonio.parse_int_vector(
-            jsonio.get_key(pattern_obj, "equalities", "document.pattern"),
-            "document.pattern.equalities")
         out = resum_chain(a, ChainPattern(a.vars, frozenset(equalities)),
                           monos, grading)
     return {"rational_function": rational_function_to_obj(out)}, 0
 
 
+def _pattern_equalities(obj, path):
+    return jsonio.field(obj, "equalities", path, jsonio.parse_int_vector)
+
+
+def _sample(obj, path):
+    return (jsonio.field(obj, "n", path, jsonio.parse_int),
+            jsonio.field(obj, "value", path, jsonio.parse_rational))
+
+
 def _run_detect(doc, opts):
-    samples_obj = jsonio.get_key(doc, "samples", "document")
-    if not isinstance(samples_obj, list):
-        raise InputError("samples must be a list", "document.samples")
-    samples = {}
-    for i, entry in enumerate(samples_obj):
-        n = jsonio.parse_int(jsonio.get_key(entry, "n", f"document.samples[{i}]"),
-                             f"document.samples[{i}].n")
-        samples[n] = jsonio.parse_rational(
-            jsonio.get_key(entry, "value", f"document.samples[{i}]"),
-            f"document.samples[{i}].value")
-    max_period = jsonio.parse_int(
-        jsonio.get_optional(doc, "max_period", "document", 4),
-        "document.max_period")
-    max_degree = jsonio.parse_int(
-        jsonio.get_optional(doc, "max_degree", "document", 6),
-        "document.max_degree")
-    fit = detect_quasipoly(samples, max_period, max_degree)
+    samples = jsonio.field(doc, "samples", "document", jsonio.parse_keyed,
+                           _sample, "n", message="samples must be a list",
+                           duplicate="duplicate sample n")
+    fit = detect_quasipoly(samples, *_doc_fit_limits(doc))
     report = {"found": fit is not None,
               "fit": None if fit is None else qp_to_obj(fit)}
     return report, 0 if fit is not None else 1
@@ -149,12 +139,12 @@ _PRODUCTS = {"bracket": bracket, "star": star_product, "naive": naive_product}
 
 def _run_bracket(doc, opts):
     spec = _doc_lattice(doc)
-    x = element_from_obj(jsonio.get_key(doc, "x", "document"), "document.x", spec)
-    y = element_from_obj(jsonio.get_key(doc, "y", "document"), "document.y", spec)
-    operation = jsonio.get_optional(doc, "operation", "document", "bracket")
-    if operation not in _PRODUCTS:
-        raise InputError("operation must be one of bracket, star, naive",
-                         "document.operation")
+    x = jsonio.field(doc, "x", "document", element_from_obj, spec)
+    y = jsonio.field(doc, "y", "document", element_from_obj, spec)
+    operation = jsonio.field(doc, "operation", "document", jsonio.parse_choice,
+                             _PRODUCTS,
+                             "operation must be one of bracket, star, naive",
+                             default="bracket")
     trunc = _doc_truncation(doc, spec, required=False)
     out = _PRODUCTS[operation](x, y, trunc)
     return {"lattice_fingerprint": spec.fingerprint(),
@@ -163,8 +153,8 @@ def _run_bracket(doc, opts):
 
 def _run_exp_ad(doc, opts):
     spec = _doc_lattice(doc)
-    w = element_from_obj(jsonio.get_key(doc, "w", "document"), "document.w", spec)
-    x = element_from_obj(jsonio.get_key(doc, "x", "document"), "document.x", spec)
+    w = jsonio.field(doc, "w", "document", element_from_obj, spec)
+    x = jsonio.field(doc, "x", "document", element_from_obj, spec)
     trunc = _doc_truncation(doc, spec, required=True)
     out = exp_ad(w, x, trunc)
     return {"lattice_fingerprint": spec.fingerprint(),
@@ -173,13 +163,9 @@ def _run_exp_ad(doc, opts):
 
 def _run_wallcross(doc, opts):
     spec = _doc_lattice(doc)
-    seed = seed_from_obj(jsonio.get_key(doc, "seed", "document"),
-                         "document.seed", spec)
-    walls_obj = jsonio.get_key(doc, "walls", "document")
-    if not isinstance(walls_obj, list):
-        raise InputError("walls must be a list", "document.walls")
-    walls = [wall_from_obj(w, f"document.walls[{i}]", spec)
-             for i, w in enumerate(walls_obj)]
+    seed = jsonio.field(doc, "seed", "document", seed_from_obj, spec)
+    walls = jsonio.field(doc, "walls", "document", jsonio.parse_list,
+                         wall_from_obj, spec, message="walls must be a list")
     trunc = _doc_truncation(doc, spec, required=True)
     final = iterate_walls(seed, walls, trunc)
     return {"lattice_fingerprint": spec.fingerprint(),
@@ -187,31 +173,27 @@ def _run_wallcross(doc, opts):
 
 
 def _run_dtpt(doc, opts):
-    dt = rational_function_from_obj(jsonio.get_key(doc, "dt", "document"),
-                                    "document.dt")
-    dt_zero = rational_function_from_obj(
-        jsonio.get_key(doc, "dt_zero", "document"), "document.dt_zero")
+    dt = jsonio.field(doc, "dt", "document", rational_function_from_obj)
+    dt_zero = jsonio.field(doc, "dt_zero", "document", rational_function_from_obj)
     window = _doc_window(doc, opts)
     L = window.functional
     ratio = dtpt_ratio(expand(dt, L, window), expand(dt_zero, L, window), L)
     return {"series": series_to_obj(ratio)}, 0
 
 
+def _family_member(obj, path, spec):
+    return (jsonio.field(obj, "beta", path, jsonio.parse_int_vector, spec.rank1),
+            jsonio.field(obj, "f", path, rational_function_from_obj, spec.rank0))
+
+
 def _run_dualize(doc, opts):
     spec = _doc_lattice(doc)
     report = {"lattice_fingerprint": spec.fingerprint()}
     if "family" in doc:
-        family_obj = doc["family"]
-        if not isinstance(family_obj, list):
-            raise InputError("family must be a list", "document.family")
-        family = {}
-        for i, entry in enumerate(family_obj):
-            beta = tuple(jsonio.parse_int_vector(
-                jsonio.get_key(entry, "beta", f"document.family[{i}]"),
-                f"document.family[{i}].beta", spec.rank1))
-            family[beta] = rational_function_from_obj(
-                jsonio.get_key(entry, "f", f"document.family[{i}]"),
-                f"document.family[{i}].f", spec.rank0)
+        family = jsonio.field(doc, "family", "document", jsonio.parse_keyed,
+                              _family_member, "beta", spec,
+                              message="family must be a list",
+                              duplicate="duplicate family beta")
         out = duality_check(family, spec)
         entries = []
         for entry in out.entries:
@@ -225,31 +207,20 @@ def _run_dualize(doc, opts):
             entries.append(row)
         report.update({"entries": entries, "all_ok": out.all_ok})
         return report, 0 if out.all_ok else 1
-    x = kclass_from_obj(jsonio.get_key(doc, "class", "document"),
-                        "document.class", spec)
+    x = jsonio.field(doc, "class", "document", kclass_from_obj, spec)
     report["image"] = kclass_to_obj(spec.dualize(x))
     return report, 0
 
 
 def _run_reexpand(doc, opts):
-    f = rational_function_from_obj(jsonio.get_key(doc, "f", "document"),
-                                   "document.f")
+    f = jsonio.field(doc, "f", "document", rational_function_from_obj)
     nvars = f.numerator.nvars
-    s_minus = series_from_obj(jsonio.get_key(doc, "s_minus", "document"),
-                              "document.s_minus", nvars)
-    s_plus = series_from_obj(jsonio.get_key(doc, "s_plus", "document"),
-                             "document.s_plus", nvars)
-    c0 = jsonio.parse_int_vector(jsonio.get_key(doc, "c0", "document"),
-                                 "document.c0", nvars)
-    max_period = jsonio.parse_int(
-        jsonio.get_optional(doc, "max_period", "document", 4),
-        "document.max_period")
-    max_degree = jsonio.parse_int(
-        jsonio.get_optional(doc, "max_degree", "document", 6),
-        "document.max_degree")
+    s_minus = jsonio.field(doc, "s_minus", "document", series_from_obj, nvars)
+    s_plus = jsonio.field(doc, "s_plus", "document", series_from_obj, nvars)
+    c0 = jsonio.field(doc, "c0", "document", jsonio.parse_int_vector, nvars)
     verdict = reexpand_check(f, s_minus, s_plus, c0,
                              s_minus.window.functional,
-                             s_plus.window.functional, max_period, max_degree)
+                             s_plus.window.functional, *_doc_fit_limits(doc))
     cosets = []
     for coset in verdict.cosets:
         cosets.append({"representative": list(coset.representative),
@@ -266,9 +237,8 @@ def _run_appendix_a(doc, opts):
             raise InputError("report window must be an integer", "--window")
         window = int(opts.window)
     else:
-        window = jsonio.parse_int(
-            jsonio.get_optional(doc, "window", "document", 10),
-            "document.window")
+        window = jsonio.field(doc, "window", "document", jsonio.parse_int,
+                              default=10)
     report = run_a1(window)
     return report, 0 if report["ok"] else 1
 
@@ -277,9 +247,8 @@ def _run_selfcheck(doc, opts):
     if opts.seed is not None:
         seed = opts.seed
     else:
-        seed = jsonio.parse_int(
-            jsonio.get_optional(doc, "seed", "document", SELFCHECK_SEED),
-            "document.seed")
+        seed = jsonio.field(doc, "seed", "document", jsonio.parse_int,
+                            default=SELFCHECK_SEED)
     report = _selfcheck(seed)
     return report, 0 if report["ok"] else 1
 
@@ -529,9 +498,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = _load_document(args.input)
-        kind = jsonio.get_key(doc, "kind", "document")
-        if kind not in _HANDLERS:
-            raise InputError("unknown document kind", "document.kind")
+        kind = jsonio.field(doc, "kind", "document", jsonio.parse_choice,
+                            _HANDLERS, "unknown document kind")
         window = None
         if args.window is not None:
             window = jsonio.parse_rational(args.window, "--window")

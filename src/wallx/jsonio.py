@@ -3,7 +3,8 @@
 All rationals travel as strings "p/q" (or "p" when the denominator is 1);
 ints are accepted on input wherever a rational is expected.  Floats are
 rejected everywhere.  Parsers take a ``path`` argument so schema errors can
-point at the offending entry.
+point at the offending entry.  Only this module extends a path (``field``
+with a key, ``parse_list`` with an index), so each key is named once.
 """
 
 from __future__ import annotations
@@ -11,6 +12,59 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
+
+_REQUIRED = object()
+
+
+def field(obj, key: str, path: str, parse, *args, default=_REQUIRED, **kwargs):
+    """Parse ``obj[key]`` at the path ``<path>.<key>``.
+
+    A missing key is an error unless a ``default`` is given, which is
+    returned as is.  A JSON null reads as absent only where the default
+    is None.
+    """
+    if not isinstance(obj, dict):
+        raise InputError(f"expected an object, got {type(obj).__name__}", path)
+    if key not in obj or (default is None and obj[key] is None):
+        if default is _REQUIRED:
+            raise InputError(f"missing required key {key!r}", path)
+        return default
+    return parse(obj[key], f"{path}.{key}", *args, **kwargs)
+
+
+def parse_list(value, path: str, parse_item, *args, message: str) -> tuple:
+    """Parse entry ``i`` of a list at the path ``<path>[i]``.
+
+    ``message`` reports a non-list; ``{type}`` in it names the type found.
+    """
+    if not isinstance(value, list):
+        raise InputError(message.format(type=type(value).__name__), path)
+    return tuple(parse_item(v, f"{path}[{i}]", *args) for i, v in enumerate(value))
+
+
+def parse_keyed(value, path: str, parse_entry, key: str, *args, message: str,
+                duplicate: str) -> dict:
+    """A list of entries, each parsed to a (k, v) pair, as a dict {k: v}.
+
+    ``key`` names the entry field that k comes from: a repeated k raises
+    ``duplicate`` at that field of the repeated entry.
+    """
+    out = {}
+
+    def entry(obj, epath):
+        k, v = parse_entry(obj, epath, *args)
+        if k in out:
+            raise InputError(duplicate, f"{epath}.{key}")
+        out[k] = v
+
+    parse_list(value, path, entry, message=message)
+    return out
+
+
+def parse_choice(value, path: str, options, message: str) -> str:
+    if not isinstance(value, str) or value not in options:
+        raise InputError(message, path)
+    return value
 
 
 def parse_rational(value, path: str) -> Fraction:
@@ -40,43 +94,26 @@ def parse_int(value, path: str) -> int:
     return value
 
 
-def parse_int_vector(value, path: str, length: int | None = None) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise InputError(f"expected a list of integers, got {type(value).__name__}", path)
-    out = tuple(parse_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+def _check_length(out: tuple, path: str, length: int | None, what: str) -> tuple:
     if length is not None and len(out) != length:
-        raise InputError(f"expected {length} entries, got {len(out)}", path)
+        raise InputError(f"expected {length} {what}, got {len(out)}", path)
     return out
+
+
+def parse_int_vector(value, path: str, length: int | None = None) -> tuple[int, ...]:
+    out = parse_list(value, path, parse_int,
+                     message="expected a list of integers, got {type}")
+    return _check_length(out, path, length, "entries")
 
 
 def parse_rational_vector(value, path: str, length: int | None = None) -> tuple[Fraction, ...]:
-    if not isinstance(value, list):
-        raise InputError(f"expected a list of rationals, got {type(value).__name__}", path)
-    out = tuple(parse_rational(v, f"{path}[{i}]") for i, v in enumerate(value))
-    if length is not None and len(out) != length:
-        raise InputError(f"expected {length} entries, got {len(out)}", path)
-    return out
+    out = parse_list(value, path, parse_rational,
+                     message="expected a list of rationals, got {type}")
+    return _check_length(out, path, length, "entries")
 
 
 def parse_int_matrix(value, path: str, rows: int | None = None,
                      cols: int | None = None) -> tuple[tuple[int, ...], ...]:
-    if not isinstance(value, list):
-        raise InputError(f"expected a matrix (list of rows), got {type(value).__name__}", path)
-    out = tuple(parse_int_vector(row, f"{path}[{i}]", cols) for i, row in enumerate(value))
-    if rows is not None and len(out) != rows:
-        raise InputError(f"expected {rows} rows, got {len(out)}", path)
-    return out
-
-
-def get_key(obj, key: str, path: str):
-    if not isinstance(obj, dict):
-        raise InputError(f"expected an object, got {type(obj).__name__}", path)
-    if key not in obj:
-        raise InputError(f"missing required key {key!r}", path)
-    return obj[key]
-
-
-def get_optional(obj, key: str, path: str, default=None):
-    if not isinstance(obj, dict):
-        raise InputError(f"expected an object, got {type(obj).__name__}", path)
-    return obj.get(key, default)
+    out = parse_list(value, path, parse_int_vector, cols,
+                     message="expected a matrix (list of rows), got {type}")
+    return _check_length(out, path, rows, "rows")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .errors import InputError
-from .series import LinearFunctional
+from .series import LinearFunctional, _exponent
 
 IntVec = tuple[int, ...]
 
@@ -59,8 +59,10 @@ class KClass:
     c: IntVec
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(int(b) for b in self.beta))
-        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
+        # integers only: 0.5 or (0.7,) raise instead of truncating to 0
+        object.__setattr__(self, "r", _exponent((self.r,))[0])
+        object.__setattr__(self, "beta", _exponent(self.beta))
+        object.__setattr__(self, "c", _exponent(self.c))
 
     def __add__(self, other: "KClass") -> "KClass":
         return KClass(self.r + other.r,
@@ -350,27 +352,19 @@ class LatticeSpec:
 
 
 def lattice_from_obj(obj, path: str = "lattice") -> LatticeSpec:
-    rank1 = jsonio.parse_int(jsonio.get_key(obj, "rank1", path), f"{path}.rank1")
-    rank0 = jsonio.parse_int(jsonio.get_key(obj, "rank0", path), f"{path}.rank0")
+    rank1 = jsonio.field(obj, "rank1", path, jsonio.parse_int)
+    rank0 = jsonio.field(obj, "rank0", path, jsonio.parse_int)
     n = 1 + rank1 + rank0
-    pairing = jsonio.parse_int_matrix(
-        jsonio.get_key(obj, "pairing", path), f"{path}.pairing", n, n)
-    deg = jsonio.parse_int_vector(
-        jsonio.get_key(obj, "deg", path), f"{path}.deg", rank1 + rank0)
-    l_row = jsonio.parse_int_vector(
-        jsonio.get_key(obj, "l", path), f"{path}.l", rank1)
-    excdeg = jsonio.parse_rational_vector(
-        jsonio.get_key(obj, "excdeg", path), f"{path}.excdeg", rank0)
-    twist = jsonio.parse_int_matrix(
-        jsonio.get_key(obj, "twistA", path), f"{path}.twistA", rank0, rank1)
-    duality = jsonio.parse_int_matrix(
-        jsonio.get_key(obj, "duality", path), f"{path}.duality", n, n)
-    gens_obj = jsonio.get_key(obj, "effgens1", path)
-    if not isinstance(gens_obj, list):
-        raise InputError("expected a list of generators", f"{path}.effgens1")
-    gens = tuple(jsonio.parse_int_vector(g, f"{path}.effgens1[{i}]", rank1)
-                 for i, g in enumerate(gens_obj))
-    sigma = jsonio.parse_int(jsonio.get_key(obj, "sigma", path), f"{path}.sigma")
+    pairing = jsonio.field(obj, "pairing", path, jsonio.parse_int_matrix, n, n)
+    deg = jsonio.field(obj, "deg", path, jsonio.parse_int_vector, rank1 + rank0)
+    l_row = jsonio.field(obj, "l", path, jsonio.parse_int_vector, rank1)
+    excdeg = jsonio.field(obj, "excdeg", path, jsonio.parse_rational_vector, rank0)
+    twist = jsonio.field(obj, "twistA", path, jsonio.parse_int_matrix, rank0, rank1)
+    duality = jsonio.field(obj, "duality", path, jsonio.parse_int_matrix, n, n)
+    gens = jsonio.field(obj, "effgens1", path, jsonio.parse_list,
+                        jsonio.parse_int_vector, rank1,
+                        message="expected a list of generators")
+    sigma = jsonio.field(obj, "sigma", path, jsonio.parse_int)
     try:
         return LatticeSpec(rank1=rank1, rank0=rank0, pairing=pairing, deg=deg,
                            l=l_row, excdeg=excdeg, twist_matrix=twist,
@@ -380,11 +374,9 @@ def lattice_from_obj(obj, path: str = "lattice") -> LatticeSpec:
 
 
 def kclass_from_obj(obj, path: str, spec: LatticeSpec) -> KClass:
-    r = jsonio.parse_int(jsonio.get_key(obj, "r", path), f"{path}.r")
-    beta = jsonio.parse_int_vector(
-        jsonio.get_key(obj, "beta", path), f"{path}.beta", spec.rank1)
-    c = jsonio.parse_int_vector(
-        jsonio.get_key(obj, "c", path), f"{path}.c", spec.rank0)
+    r = jsonio.field(obj, "r", path, jsonio.parse_int)
+    beta = jsonio.field(obj, "beta", path, jsonio.parse_int_vector, spec.rank1)
+    c = jsonio.field(obj, "c", path, jsonio.parse_int_vector, spec.rank0)
     return KClass(r, beta, c)
 
 

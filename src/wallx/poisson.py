@@ -11,7 +11,6 @@ the point part.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,15 +192,14 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
         elif not spec.is_effective(cls.beta):
             raise InputError("non-nilpotent adjoint under this truncation")
     acc = x
-    cur = x
+    cur = x  # ad_w^k(x) / k! after round k
     k = 1
     while not cur.is_zero():
         if k > _MAX_EXP_AD_ROUNDS:
-            raise RuntimeError("adjoint exponential failed to terminate")
-        cur = bracket(w, cur, trunc)
-        if cur.is_zero():
-            break
-        acc = acc + cur.scale(Fraction(1, math.factorial(k)))
+            raise InputError(f"work budget exceeded: exp_ad took "
+                             f"{_MAX_EXP_AD_ROUNDS} rounds short of nilpotency")
+        cur = bracket(w, cur, trunc).scale(Fraction(1, k))
+        acc = acc + cur
         k += 1
     return acc
 
@@ -214,32 +212,22 @@ def element_to_obj(x: TorusElement):
 
 
 def element_from_obj(obj, path: str, spec: LatticeSpec) -> TorusElement:
-    if not isinstance(obj, list):
-        raise InputError("expected a list of torus terms", path)
-    terms = []
-    for i, entry in enumerate(obj):
-        cls = kclass_from_obj(jsonio.get_key(entry, "class", f"{path}[{i}]"),
-                              f"{path}[{i}].class", spec)
-        coeff = jsonio.parse_rational(
-            jsonio.get_key(entry, "coeff", f"{path}[{i}]"), f"{path}[{i}].coeff")
-        terms.append((cls, coeff))
-    return TorusElement(spec, terms)
+    return TorusElement(spec, jsonio.parse_list(
+        obj, path, _torus_term, spec, message="expected a list of torus terms"))
+
+
+def _torus_term(obj, path: str, spec: LatticeSpec):
+    return (jsonio.field(obj, "class", path, kclass_from_obj, spec),
+            jsonio.field(obj, "coeff", path, jsonio.parse_rational))
 
 
 def truncation_from_obj(obj, path: str, spec: LatticeSpec) -> Truncation:
-    beta_cap = jsonio.parse_int_vector(
-        jsonio.get_key(obj, "beta_cap", path), f"{path}.beta_cap", spec.rank1)
-    deg_cap_obj = jsonio.get_optional(obj, "deg_cap", path)
-    deg_cap = None if deg_cap_obj is None else jsonio.parse_rational(
-        deg_cap_obj, f"{path}.deg_cap")
-    ranks_obj = jsonio.get_optional(obj, "ranks", path)
-    if ranks_obj is None:
-        rank_set = frozenset({0, -1})
-    else:
-        rank_set = frozenset(jsonio.parse_int_vector(ranks_obj, f"{path}.ranks"))
+    beta_cap = jsonio.field(obj, "beta_cap", path, jsonio.parse_int_vector, spec.rank1)
+    deg_cap = jsonio.field(obj, "deg_cap", path, jsonio.parse_rational, default=None)
+    ranks = jsonio.field(obj, "ranks", path, jsonio.parse_int_vector, default=None)
     if not spec.is_effective(beta_cap):
         raise InputError("truncation cap must be effective", f"{path}.beta_cap")
-    return Truncation(beta_cap, deg_cap, rank_set)
+    return Truncation(beta_cap, deg_cap, frozenset({0, -1} if ranks is None else ranks))
 
 
 def truncation_to_obj(trunc: Truncation):

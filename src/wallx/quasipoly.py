@@ -341,6 +341,12 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
 
 # -- wire format --------------------------------------------------------------
 
+def _residue_entry(obj, path: str, nvars: int):
+    rho = jsonio.field(obj, "residues", path, jsonio.parse_int_vector, nvars)
+    terms = jsonio.field(obj, "poly", path, terms_from_obj, nvars)
+    return rho, LaurentPolynomial(terms, nvars)
+
+
 def qp_to_obj(a: QuasiPolynomial):
     entries = []
     for rho in sorted(a.table):
@@ -350,21 +356,12 @@ def qp_to_obj(a: QuasiPolynomial):
 
 
 def qp_from_obj(obj, path: str) -> QuasiPolynomial:
-    nvars = jsonio.parse_int(jsonio.get_key(obj, "vars", path), f"{path}.vars")
-    period = jsonio.parse_int(jsonio.get_key(obj, "period", path), f"{path}.period")
-    entries = jsonio.get_key(obj, "table", path)
-    if not isinstance(entries, list):
-        raise InputError("expected a list of residue entries", f"{path}.table")
-    table = {}
-    for i, entry in enumerate(entries):
-        epath = f"{path}.table[{i}]"
-        rho = jsonio.parse_int_vector(
-            jsonio.get_key(entry, "residues", epath), f"{epath}.residues", nvars)
-        terms = terms_from_obj(jsonio.get_key(entry, "poly", epath),
-                               f"{epath}.poly", nvars)
-        if rho in table:
-            raise InputError("duplicate residue tuple", f"{epath}.residues")
-        table[rho] = LaurentPolynomial(terms, nvars)
+    nvars = jsonio.field(obj, "vars", path, jsonio.parse_int)
+    period = jsonio.field(obj, "period", path, jsonio.parse_int)
+    table = jsonio.field(obj, "table", path, jsonio.parse_keyed, _residue_entry,
+                         "residues", nvars,
+                         message="expected a list of residue entries",
+                         duplicate="duplicate residue tuple")
     try:
         return QuasiPolynomial(nvars, period, table)
     except InputError as err:

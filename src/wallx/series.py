@@ -343,9 +343,6 @@ class RationalFunction:
                                     self.denominator * other.denominator)
         return NotImplemented
 
-    def scale(self, factor) -> "RationalFunction":
-        return RationalFunction(self.numerator.scale(factor), self.denominator)
-
     def __repr__(self):
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"
 
@@ -613,22 +610,18 @@ def window_to_obj(w: Window):
 
 
 def window_from_obj(obj, path: str) -> Window:
-    functional = LinearFunctional.from_obj(
-        jsonio.get_key(obj, "functional", path), f"{path}.functional")
-    bound = jsonio.parse_rational(jsonio.get_key(obj, "bound", path), f"{path}.bound")
-    coset_obj = jsonio.get_optional(obj, "coset", path)
-    coset = None
-    if coset_obj is not None:
-        base = jsonio.parse_int_vector(
-            jsonio.get_key(coset_obj, "base", f"{path}.coset"), f"{path}.coset.base")
-        gens = jsonio.get_key(coset_obj, "generators", f"{path}.coset")
-        if not isinstance(gens, list):
-            raise InputError("expected a list of generators", f"{path}.coset.generators")
-        generators = tuple(
-            jsonio.parse_int_vector(g, f"{path}.coset.generators[{i}]", len(base))
-            for i, g in enumerate(gens))
-        coset = Coset(base, generators)
+    functional = jsonio.field(obj, "functional", path, LinearFunctional.from_obj)
+    bound = jsonio.field(obj, "bound", path, jsonio.parse_rational)
+    coset = jsonio.field(obj, "coset", path, _coset_from_obj, default=None)
     return Window(functional, bound, coset)
+
+
+def _coset_from_obj(obj, path: str) -> Coset:
+    base = jsonio.field(obj, "base", path, jsonio.parse_int_vector)
+    generators = jsonio.field(obj, "generators", path, jsonio.parse_list,
+                              jsonio.parse_int_vector, len(base),
+                              message="expected a list of generators")
+    return Coset(base, generators)
 
 
 def terms_to_obj(items, sort_key=None):
@@ -638,17 +631,13 @@ def terms_to_obj(items, sort_key=None):
 
 
 def terms_from_obj(obj, path: str, nvars: int | None = None):
-    if not isinstance(obj, list):
-        raise InputError("expected a list of terms", path)
-    out = []
-    for i, entry in enumerate(obj):
-        exp = jsonio.parse_int_vector(
-            jsonio.get_key(entry, "exponent", f"{path}[{i}]"),
-            f"{path}[{i}].exponent", nvars)
-        coeff = jsonio.parse_rational(
-            jsonio.get_key(entry, "coeff", f"{path}[{i}]"), f"{path}[{i}].coeff")
-        out.append((exp, coeff))
-    return out
+    return jsonio.parse_list(obj, path, _term_from_obj, nvars,
+                             message="expected a list of terms")
+
+
+def _term_from_obj(obj, path: str, nvars: int | None):
+    return (jsonio.field(obj, "exponent", path, jsonio.parse_int_vector, nvars),
+            jsonio.field(obj, "coeff", path, jsonio.parse_rational))
 
 
 def series_to_obj(s: LaurentSeries):
@@ -658,8 +647,8 @@ def series_to_obj(s: LaurentSeries):
 
 
 def series_from_obj(obj, path: str, nvars: int | None = None) -> LaurentSeries:
-    window = window_from_obj(jsonio.get_key(obj, "window", path), f"{path}.window")
-    terms = terms_from_obj(jsonio.get_key(obj, "terms", path), f"{path}.terms", nvars)
+    window = jsonio.field(obj, "window", path, window_from_obj)
+    terms = jsonio.field(obj, "terms", path, terms_from_obj, nvars)
     return LaurentSeries(terms, window)
 
 
@@ -680,8 +669,6 @@ def rational_function_to_obj(f: RationalFunction):
 
 
 def rational_function_from_obj(obj, path: str, nvars: int | None = None) -> RationalFunction:
-    num = polynomial_from_obj(jsonio.get_key(obj, "numerator", path),
-                              f"{path}.numerator", nvars)
-    den = polynomial_from_obj(jsonio.get_key(obj, "denominator", path),
-                              f"{path}.denominator", num.nvars)
+    num = jsonio.field(obj, "numerator", path, polynomial_from_obj, nvars)
+    den = jsonio.field(obj, "denominator", path, polynomial_from_obj, num.nvars)
     return RationalFunction(num, den)

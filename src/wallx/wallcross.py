@@ -277,8 +277,7 @@ class DualityReport:
 
 
 def duality_check(f_by_beta: Mapping[IntVec, RationalFunction],
-                  spec: LatticeSpec, trunc: Truncation | None = None
-                  ) -> DualityReport:
+                  spec: LatticeSpec) -> DualityReport:
     """Check a family of point-variable fractions against the duality.
 
     Applying the duality to the monomials of z^beta f_beta must reproduce
@@ -363,34 +362,31 @@ def cross_gamma_wall(f: RationalFunction, gamma, b,
 # -- wire format --------------------------------------------------------------
 
 def wall_from_obj(obj, path: str, spec: LatticeSpec) -> WallDatum:
-    slope_obj = jsonio.get_key(obj, "slope", path)
-    if slope_obj == "oo":
-        slope = INF
-    else:
-        slope = jsonio.parse_rational(slope_obj, f"{path}.slope")
-    element = element_from_obj(jsonio.get_key(obj, "J", path),
-                               f"{path}.J", spec)
+    slope = jsonio.field(obj, "slope", path, _parse_slope)
+    element = jsonio.field(obj, "J", path, element_from_obj, spec)
     try:
         return WallDatum(slope, element)
     except InputError as err:
         raise InputError(err.message, err.path or path) from err
 
 
-def wall_to_obj(wall: WallDatum):
-    slope = "oo" if wall.slope is INF else jsonio.format_rational(wall.slope)
-    return {"slope": slope, "J": element_to_obj(wall.J)}
+def _parse_slope(value, path: str):
+    return INF if value == "oo" else jsonio.parse_rational(value, path)
 
 
 def seed_from_obj(obj, path: str, spec: LatticeSpec) -> SeedSeries:
-    element = element_from_obj(jsonio.get_key(obj, "element", path),
-                               f"{path}.element", spec)
-    label = jsonio.get_optional(obj, "label", path, "seed")
-    if not isinstance(label, str):
-        raise InputError("label must be a string", f"{path}.label")
+    element = jsonio.field(obj, "element", path, element_from_obj, spec)
+    label = jsonio.field(obj, "label", path, _parse_label, default="seed")
     try:
         return SeedSeries(element, label)
     except InputError as err:
         raise InputError(err.message, err.path or path) from err
+
+
+def _parse_label(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise InputError("label must be a string", path)
+    return value
 
 
 def seed_to_obj(seed: SeedSeries):
@@ -398,26 +394,18 @@ def seed_to_obj(seed: SeedSeries):
 
 
 def group_from_obj(obj, path: str, spec: LatticeSpec) -> GroupSpec:
-    alpha_prime = kclass_from_obj(jsonio.get_key(obj, "alpha_prime", path),
-                                  f"{path}.alpha_prime", spec)
-    betas_obj = jsonio.get_key(obj, "betas", path)
-    if not isinstance(betas_obj, list):
-        raise InputError("betas must be a list", f"{path}.betas")
-    betas = tuple(jsonio.parse_int_vector(b, f"{path}.betas[{i}]", spec.rank1)
-                  for i, b in enumerate(betas_obj))
-    kappas_obj = jsonio.get_key(obj, "kappas", path)
-    if not isinstance(kappas_obj, list):
-        raise InputError("kappas must be a list", f"{path}.kappas")
-    kappas = tuple(jsonio.parse_int_vector(k, f"{path}.kappas[{i}]", spec.rank0)
-                   for i, k in enumerate(kappas_obj))
-    equalities = jsonio.parse_int_vector(
-        jsonio.get_optional(obj, "equalities", path, []), f"{path}.equalities")
-    j_values = jsonio.parse_rational_vector(
-        jsonio.get_key(obj, "J_values", path), f"{path}.J_values")
-    dt_value = jsonio.parse_rational(jsonio.get_key(obj, "DT_value", path),
-                                     f"{path}.DT_value")
-    delta0 = jsonio.parse_rational(jsonio.get_key(obj, "delta0", path),
-                                   f"{path}.delta0")
+    alpha_prime = jsonio.field(obj, "alpha_prime", path, kclass_from_obj, spec)
+    betas = jsonio.field(obj, "betas", path, jsonio.parse_list,
+                         jsonio.parse_int_vector, spec.rank1,
+                         message="betas must be a list")
+    kappas = jsonio.field(obj, "kappas", path, jsonio.parse_list,
+                          jsonio.parse_int_vector, spec.rank0,
+                          message="kappas must be a list")
+    equalities = jsonio.field(obj, "equalities", path, jsonio.parse_int_vector,
+                              default=())
+    j_values = jsonio.field(obj, "J_values", path, jsonio.parse_rational_vector)
+    dt_value = jsonio.field(obj, "DT_value", path, jsonio.parse_rational)
+    delta0 = jsonio.field(obj, "delta0", path, jsonio.parse_rational)
     return GroupSpec(spec, alpha_prime, betas, kappas, frozenset(equalities),
                      j_values, dt_value, delta0)
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wallx
-from wallx import cli
+from wallx import cli, poisson
 from wallx.a1model import build_a1
 
 from conftest import model_lattice
@@ -26,6 +27,8 @@ def _element_obj(*terms):
 
 _GEOMETRIC = {"numerator": _poly_obj([((0,), 1)]),
               "denominator": _poly_obj([((0,), 1), ((1,), -1)])}
+_GEOMETRIC2 = {"numerator": _poly_obj([((0, 0), 1)]),
+               "denominator": _poly_obj([((0, 0), 1), ((1, 0), -1)])}
 
 
 def _write_doc(tmp_path, doc):
@@ -249,6 +252,25 @@ def test_exp_ad_requires_truncation(tmp_path, capsys):
     assert json.loads(out)["error"]["path"] == "document.truncation"
 
 
+def test_exp_ad_round_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # a point wall is nilpotent only through the degree cap: 40 rounds here
+    monkeypatch.setattr(poisson, "_MAX_EXP_AD_ROUNDS", 5)
+    doc = {"kind": "exp-ad", "lattice": model_lattice().to_obj(),
+           "w": _element_obj((0, (0,), (1, 0), 1)),
+           "x": _element_obj((-1, (0,), (0, 0), 1)),
+           "truncation": {"beta_cap": [0], "deg_cap": "40"}}
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 2
+    assert json.loads(out)["error"]["message"].startswith("work budget exceeded")
+    # 40 nonzero rounds, then one that brackets to zero
+    monkeypatch.setattr(poisson, "_MAX_EXP_AD_ROUNDS", 41)
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 0
+    element = json.loads(out)["element"]
+    assert len(element) == 41
+    assert element[-1]["coeff"] == f"1/{math.factorial(40)}"
+
+
 def test_wallcross_document(tmp_path, capsys):
     doc = {"kind": "wallcross", "lattice": build_a1().lattice.to_obj(),
            "seed": {"element": _element_obj((-1, (0,), (0, 0), 1))},
@@ -403,6 +425,51 @@ def test_malformed_rational_exits_two_with_path(tmp_path, capsys):
     assert status == 2
     report = json.loads(out)
     assert report["error"]["path"] == "document.samples[0].value"
+
+
+_MALFORMED = json.loads((GOLDEN / "malformed.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_document_report_is_pinned(name, tmp_path, capsys):
+    # a wrong type at each parser's top level and at a nested entry, missing
+    # keys, and null on optional fields: null reads as absent for truncation,
+    # deg_cap, ranks, coset and pattern, and is an error everywhere else.
+    case = _MALFORMED[name]
+    status, out = _run(tmp_path, capsys, case["document"])
+    assert (status, out) == (case["exit"], case["stdout"])
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"kind": []}, "document.kind"),
+    ({"kind": {"expand": 1}}, "document.kind"),
+    ({"kind": "bracket", "lattice": model_lattice().to_obj(), "x": [], "y": [],
+      "operation": []}, "document.operation"),
+    ({"kind": "bracket", "lattice": model_lattice().to_obj(), "x": [], "y": [],
+      "operation": {}}, "document.operation"),
+])
+def test_unhashable_kind_or_operation_exits_two(tmp_path, capsys, doc, path):
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 2
+    assert json.loads(out)["error"]["path"] == path
+
+
+def test_repeated_sample_n_exits_two(tmp_path, capsys):
+    samples = [{"n": n, "value": n} for n in (0, 1, 2, 3, 1)]
+    status, out = _run(tmp_path, capsys, {"kind": "detect", "samples": samples})
+    assert status == 2
+    assert json.loads(out)["error"] == {"message": "duplicate sample n",
+                                        "path": "document.samples[4].n"}
+
+
+def test_repeated_family_beta_exits_two(tmp_path, capsys):
+    doc = {"kind": "dualize", "lattice": cli._selfcheck_lattice().to_obj(),
+           "family": [{"beta": [1], "f": _GEOMETRIC2},
+                      {"beta": [1], "f": _GEOMETRIC2}]}
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 2
+    assert json.loads(out)["error"] == {"message": "duplicate family beta",
+                                        "path": "document.family[1].beta"}
 
 
 def test_unknown_kind_exits_two(tmp_path, capsys):

@@ -211,3 +211,21 @@ def test_from_obj_reports_paths():
 def test_roundtrip_to_obj():
     spec = model_lattice()
     assert lattice_from_obj(spec.to_obj()) == spec
+
+
+@pytest.mark.parametrize("r, beta, c", [
+    (0.5, (0,), (1, 0)),
+    (0, (0.7,), (1, 0)),
+    (0, (0,), (1.9, 0)),
+    (0, (0,), (Fraction(1), 0)),
+    ("1", (0,), (1, 0)),
+])
+def test_kclass_rejects_non_integers(r, beta, c):
+    with pytest.raises(InputError):
+        KClass(r, beta, c)
+
+
+def test_kclass_keeps_integer_subclasses_as_ints():
+    x = KClass(True, [1], (0, 2))
+    assert x == KClass(1, (1,), (0, 2))
+    assert type(x.r) is int and type(x.beta) is tuple
