@@ -5,13 +5,14 @@ operation and kind-specific payload fields next to it.  Reports are
 printed to standard output with sorted keys and a fixed indent, so equal
 documents always produce byte-identical output.  Exit status: 0 for
 success or a positive verification verdict, 1 for a negative verdict,
-2 for input or schema errors; every input error names the offending JSON
-path.
+2 for input or schema errors (every input error names the offending JSON
+path), 3 for an internal error or a closed standard output.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -221,11 +222,10 @@ def _run_reexpand(doc, opts):
     verdict = reexpand_check(f, s_minus, s_plus, c0,
                              s_minus.window.functional,
                              s_plus.window.functional, *_doc_fit_limits(doc))
-    cosets = []
-    for coset in verdict.cosets:
-        cosets.append({"representative": list(coset.representative),
-                       "k_lo": coset.k_lo, "k_hi": coset.k_hi,
-                       "fit": None if coset.fit is None else qp_to_obj(coset.fit)})
+    cosets = [{"representative": list(coset.representative),
+               "k_lo": coset.k_lo, "k_hi": coset.k_hi,
+               "fit": None if coset.fit is None else qp_to_obj(coset.fit)}
+              for coset in verdict.cosets]
     report = {"c0": list(verdict.c0), "cosets": cosets,
               "all_fit": verdict.all_fit, "confirmed": verdict.confirmed}
     return report, 0 if verdict.confirmed else 1
@@ -505,11 +505,19 @@ def main(argv=None) -> int:
             window = jsonio.parse_rational(args.window, "--window")
         opts = _Options(window=window, seed=args.seed)
         payload, status = _HANDLERS[kind](doc, opts)
+        report = {"kind": kind, "tool": _tool_obj()}
+        report.update(payload)
+        text = render_report(report, args.format)
     except InputError as err:
-        report = {"error": {"message": err.message, "path": err.path}}
-        print(_dumps(report))
-        return 2
-    report = {"kind": kind, "tool": _tool_obj()}
-    report.update(payload)
-    print(render_report(report, args.format))
+        text, status = _dumps({"error": {"message": err.message, "path": err.path}}), 2
+    except Exception as err:  # a defect, not bad input: still one JSON report
+        message = f"internal error: {type(err).__name__}: {err}"
+        text, status = _dumps({"error": {"message": message, "path": None}}), 3
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left; the flush at interpreter exit goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     return status

@@ -7,9 +7,9 @@ function.  With degree d_t in variable t the denominator is
 prod_t (1 - x_t^p)^(1 + d_t), and the numerator is the box
 prod_t [0, p(1 + d_t)) of values after that separable difference
 operator (Stanley, EC1 4.4).  A chain sum is the orthant sum over its
-increments, with tail degrees as the exponents.  This module also
-detects quasi-polynomial structure in sample sequences and checks
-re-expansion claims across a wall of gradings.
+increments, with tail degrees as the exponents.  Detection in sample
+sequences applies the same difference operator to each residue class.
+This module also checks re-expansion claims across a wall of gradings.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .series import (
     terms_from_obj,
     verify_expansion,
 )
+
+_MAX_DETECT_STEPS = 1_000_000  # differenced entries one detection may take
+
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
@@ -75,8 +78,10 @@ class QuasiPolynomial:
         return all(poly.is_zero() for poly in self.table.values())
 
 
-def _per_var_degrees(a: QuasiPolynomial) -> tuple[int, ...]:
-    return tuple(a.degree(i) for i in range(a.vars))
+def _difference(values: list, indices, step: int) -> None:
+    """Apply (1 - x^step) once in place over ``indices``, which run downwards."""
+    for i in indices:
+        values[i] -= values[i - step]
 
 
 def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
@@ -105,12 +110,10 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
               for n in map(point, box)]
     stride = 1
     for size, d in zip(reversed(sizes), reversed(degs)):
-        step = p * stride
         inner = [i for i in reversed(range(len(values)))
                  if i // stride % size >= p]
         for _ in range(1 + d):
-            for i in inner:
-                values[i] -= values[i - step]
+            _difference(values, inner, p * stride)
         stride *= size
     # the constructor sums the values of box points with one exponent
     g = LaurentPolynomial(
@@ -149,10 +152,8 @@ def resum_orthant(a: QuasiPolynomial, monos, grading: LinearFunctional) -> Ratio
     is locally finite.
     """
     monos_t, nq = _check_monomials(monos, a.vars, grading)
-    if a.is_zero():
-        return RationalFunction(LaurentPolynomial({}, nq),
-                                LaurentPolynomial.constant(nq, 1))
-    return _resum_box(a, lambda j: j, _per_var_degrees(a), monos_t, nq, (0,) * nq)
+    degs = tuple(map(a.degree, range(a.vars)))  # -1 each for the zero table
+    return _resum_box(a, lambda j: j, degs, monos_t, nq, (0,) * nq)
 
 
 @dataclass(frozen=True)
@@ -190,13 +191,8 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
     if a.vars != pattern.r:
         raise InputError("quasi-polynomial arity must match the chain length")
     monos_t, nq = _check_monomials(monos, pattern.r, grading)
-    if pattern.r == 0:
-        value = a.table[()].coeff(())
-        return RationalFunction(LaurentPolynomial.constant(nq, value),
-                                LaurentPolynomial.constant(nq, 1))
-    if a.is_zero():
-        return RationalFunction(LaurentPolynomial({}, nq),
-                                LaurentPolynomial.constant(nq, 1))
+    if pattern.r == 0 or a.is_zero():  # no increments, or the zero box
+        return resum_orthant(a, monos_t, grading)
     r = pattern.r
     free = pattern.free_positions()
     # n_i = k_i - 1 + j_1 + ... + j_{k_i}, k_i the number of free positions <= i
@@ -206,7 +202,7 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
         sums = list(itertools.accumulate(j))
         return tuple(k - 1 + sums[k - 1] for k in ks)
 
-    degs = _per_var_degrees(a)
+    degs = tuple(map(a.degree, range(a.vars)))
     tails = [tuple(map(sum, zip(*monos_t[m - 1:]))) for m in free]
     tail_degs = [sum(degs[m - 1:]) for m in free]
     shift = tuple(sum((k - 1) * v[c] for k, v in zip(ks, monos_t))
@@ -217,16 +213,16 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
 # -- detection ----------------------------------------------------------------
 
 def _interpolate(points) -> LaurentPolynomial:
-    """Exact Lagrange interpolation through (x, y) pairs, one variable."""
+    """Exact Lagrange interpolation through (x, y) pairs, one variable;
+    detection runs it once per residue class of the accepted fit."""
     x_var = LaurentPolynomial({(1,): Fraction(1)}, 1)
     total = LaurentPolynomial({}, 1)
-    for i, (xi, yi) in enumerate(points):
+    for xi, yi in points:
         term = LaurentPolynomial.constant(1, yi)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            term = term * (x_var - LaurentPolynomial.constant(1, xj)).scale(
-                Fraction(1, xi - xj))
+        for xj, _ in points:
+            if xj != xi:
+                term = term * (x_var - LaurentPolynomial.constant(1, xj)).scale(
+                    Fraction(1, xi - xj))
         total = total + term
     return total
 
@@ -236,40 +232,45 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
     """Smallest (period, degree) quasi-polynomial fitting the samples exactly.
 
     Samples must cover a contiguous integer range (negative indices are
-    fine).  Candidates are tried by ascending period, then ascending
-    degree; a candidate is attempted only when every residue class holds at
-    least degree + 2 samples, so a fit is always confirmed on at least one
-    held-out point per class.  Returns None when every attemptable
-    candidate fails, and raises "window too small" when no candidate was
-    attemptable at all.
+    fine).  Period p and degree d fit when the (d + 1)-th differences vanish
+    on every residue class mod p: (1 - x^p)^(1 + d) times the generating
+    function is a polynomial (Stanley, EC1 4.4).  Periods rise from 1; each
+    class is differenced, in integers, up to its first vanishing order, and
+    the degree is the largest such order.  Every class keeps a held-out
+    point, so period <= len / 2 and degree <= len / period - 2.  Returns
+    None when no period fits; raises "window too small" when nothing could
+    be tried, and a work budget error past _MAX_DETECT_STEPS entries.
     """
     keys = sorted(samples)
-    if not keys:
-        raise InputError("window too small")
-    if keys != list(range(keys[0], keys[-1] + 1)):
+    if keys and keys != list(range(keys[0], keys[0] + len(keys))):
         raise InputError("samples must cover a contiguous integer range")
-    values = {int(k): Fraction(samples[k]) for k in keys}
-    attempted = False
-    for period in range(1, max_period + 1):
-        classes = {rho: [n for n in keys if n % period == rho]
-                   for rho in range(period)}
-        for degree in range(0, max_degree + 1):
-            if any(len(ns) < degree + 2 for ns in classes.values()):
-                continue
-            attempted = True
-            table = {}
-            ok = True
-            for rho, ns in classes.items():
-                pts = [(n, values[n]) for n in ns[:degree + 1]]
-                poly = _interpolate(pts)
-                if any(poly.evaluate((n,)) != values[n] for n in ns[degree + 1:]):
-                    ok = False
-                    break
-                table[(rho,)] = poly
-            if ok:
-                return QuasiPolynomial(1, period, table)
-    if not attempted:
+    if len(keys) < 2 or max_period < 1 or max_degree < 0:
         raise InputError("window too small")
+    values = [Fraction(samples[k]) for k in keys]
+    den = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    work = 0
+    for period in range(1, min(max_period, len(keys) // 2) + 1):
+        cap = min(max_degree, len(keys) // period - 2)
+        degree = 0
+        for start in range(period):
+            column = scaled[start::period]
+            for d in range(cap + 1):
+                work += len(column) - 1 - d
+                if work > _MAX_DETECT_STEPS:
+                    raise InputError(f"work budget exceeded: detection took "
+                                     f"{_MAX_DETECT_STEPS} differenced entries")
+                _difference(column, range(len(column) - 1, d, -1), 1)
+                if not any(column[d + 1:]):  # the (d + 1)-th differences
+                    degree = max(degree, d)
+                    break
+            else:  # this class needs a degree above cap: next period
+                break
+        else:  # every class fits
+            points = list(zip(keys, values))
+            return QuasiPolynomial(1, period, {
+                (rho,): _interpolate(points[(rho - keys[0]) % period::period][:degree + 1])
+                for rho in range(period)})
     return None
 
 
@@ -323,7 +324,6 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     reps = sorted({rep_of(e) for e, _ in s_minus.terms()}
                   | {rep_of(e) for e, _ in s_plus.terms()})
     cosets = []
-    all_fit = True
     for rep in reps:
         k_lo = math.ceil((s_minus.bound - L_minus(rep)) / down)
         k_hi = math.floor((s_plus.bound - L_plus(rep)) / up)
@@ -331,10 +331,9 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
         for k in range(k_lo, k_hi + 1):
             e = tuple(x + k * y for x, y in zip(rep, c0))
             samples[k] = s_plus.coeff(e) - s_minus.coeff(e)
-        fit = detect_quasipoly(samples, max_period, max_degree)
-        if fit is None:
-            all_fit = False
-        cosets.append(CosetFit(rep, k_lo, k_hi, fit))
+        cosets.append(CosetFit(rep, k_lo, k_hi,
+                               detect_quasipoly(samples, max_period, max_degree)))
+    all_fit = all(coset.fit is not None for coset in cosets)
     confirmed = all_fit and verify_expansion(s_plus, f)
     return ReexpandVerdict(c0, tuple(cosets), all_fit, confirmed)
 
@@ -348,10 +347,8 @@ def _residue_entry(obj, path: str, nvars: int):
 
 
 def qp_to_obj(a: QuasiPolynomial):
-    entries = []
-    for rho in sorted(a.table):
-        poly = a.table[rho]
-        entries.append({"residues": list(rho), "poly": polynomial_to_obj(poly)})
+    entries = [{"residues": list(rho), "poly": polynomial_to_obj(a.table[rho])}
+               for rho in sorted(a.table)]
     return {"vars": a.vars, "period": a.period, "table": entries}
 
 

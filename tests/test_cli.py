@@ -206,6 +206,65 @@ def test_detect_no_fit_exits_one(tmp_path, capsys):
     assert report["found"] is False and report["fit"] is None
 
 
+_FIT_GOLDEN = [("detect_fit", 0), ("detect_nofit", 1),
+               ("reexpand_confirmed", 0), ("reexpand_rejected", 1)]
+
+
+@pytest.mark.parametrize("name, code", _FIT_GOLDEN)
+def test_detect_output_bytes_are_pinned(name, code, capsys):
+    # detect_fit: period 3, degree 2, samples from n = -7 with rational
+    # values; detect_nofit: no fit; reexpand_confirmed: two cosets whose
+    # differences fit period 2; reexpand_rejected: one corrupted coefficient,
+    # so its coset fits nothing.  The .out files are the full stdout.
+    status = cli.main(["--input", str(GOLDEN / f"{name}.json")])
+    assert status == code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def _child_env():
+    """Environment that makes this wallx importable in ``python -m wallx``."""
+    return {**os.environ,
+            "PYTHONPATH": str(Path(wallx.__file__).resolve().parents[1])}
+
+
+@pytest.mark.parametrize("limit", ["max_period", "max_degree"])
+@pytest.mark.parametrize("name, code", _FIT_GOLDEN)
+def test_huge_fit_limits_answer_promptly(tmp_path, name, code, limit):
+    # the sample count bounds both loops, whatever the document asks for
+    doc = json.loads((GOLDEN / f"{name}.json").read_text())
+    doc[limit] = 10 ** 9
+    proc = subprocess.run([sys.executable, "-m", "wallx", "--input",
+                           _write_doc(tmp_path, doc)], env=_child_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == code
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_closed_stdout_exits_three(tmp_path):
+    # about 3 MB of report, far more than a pipe buffers, so the child is
+    # still writing when the reader goes away
+    doc = {"kind": "expand", "f": _GEOMETRIC,
+           "window": {"functional": [1], "bound": "50000"}}
+    with subprocess.Popen([sys.executable, "-m", "wallx", "--input",
+                           _write_doc(tmp_path, doc)], env=_child_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(5) == b'{\n  "'
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 3
+        assert proc.stderr.read() == b""
+
+
+def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    def broken(doc, opts):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "detect", broken)
+    status, out = _run(tmp_path, capsys, {"kind": "detect"})
+    assert status == 3
+    assert json.loads(out) == {"error": {
+        "message": "internal error: RuntimeError: boom", "path": None}}
+
+
 # -- poisson kinds ------------------------------------------------------------
 
 def test_bracket_and_naive_differ_by_sign(tmp_path, capsys):
@@ -508,10 +567,8 @@ def test_module_entry_point_subprocess(tmp_path):
            "window": {"functional": [1], "bound": "3"}}
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    src = str(Path(wallx.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "wallx", "--input", str(path)],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert {tuple(t["exponent"]): t["coeff"]

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wallx import quasipoly
 from wallx.errors import InputError
 from wallx.quasipoly import (
     ChainPattern,
@@ -287,6 +290,123 @@ def test_detect_window_too_small():
 def test_detect_requires_contiguous_samples():
     with pytest.raises(InputError, match="contiguous"):
         detect_quasipoly({0: fr(1), 2: fr(1)})
+
+
+# -- the difference-table search against the interpolation search -----------
+
+def _reference_interpolate(points):
+    x_var = LaurentPolynomial({(1,): Fraction(1)}, 1)
+    total = LaurentPolynomial({}, 1)
+    for i, (xi, yi) in enumerate(points):
+        term = LaurentPolynomial.constant(1, yi)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            term = term * (x_var - LaurentPolynomial.constant(1, xj)).scale(
+                Fraction(1, xi - xj))
+        total = total + term
+    return total
+
+
+def _reference_detect(samples, max_period=4, max_degree=6):
+    """Lagrange interpolation per (period, degree, class) candidate, checked
+    point by point on the held-out samples, as detect_quasipoly did before
+    it searched difference tables."""
+    keys = sorted(samples)
+    if not keys:
+        raise InputError("window too small")
+    if keys != list(range(keys[0], keys[-1] + 1)):
+        raise InputError("samples must cover a contiguous integer range")
+    values = {int(k): Fraction(samples[k]) for k in keys}
+    attempted = False
+    for period in range(1, max_period + 1):
+        classes = {rho: [n for n in keys if n % period == rho]
+                   for rho in range(period)}
+        for degree in range(0, max_degree + 1):
+            if any(len(ns) < degree + 2 for ns in classes.values()):
+                continue
+            attempted = True
+            table = {}
+            ok = True
+            for rho, ns in classes.items():
+                pts = [(n, values[n]) for n in ns[:degree + 1]]
+                poly = _reference_interpolate(pts)
+                if any(poly.evaluate((n,)) != values[n] for n in ns[degree + 1:]):
+                    ok = False
+                    break
+                table[(rho,)] = poly
+            if ok:
+                return QuasiPolynomial(1, period, table)
+    if not attempted:
+        raise InputError("window too small")
+    return None
+
+
+def _outcome(search, samples, max_period, max_degree):
+    try:
+        fit = search(samples, max_period, max_degree)
+    except InputError as err:
+        return "error", err.message
+    if fit is None:
+        return None
+    return fit.period, [(rho, list(poly.items())) for rho, poly in fit.table.items()]
+
+
+_qp_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _detect_case(draw):
+    start = draw(st.integers(-6, 6))
+    count = draw(st.integers(1, 14))
+    period = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    rows = [draw(st.lists(_qp_coeff, min_size=1, max_size=degree + 1))
+            for _ in range(period)]
+    samples = {n: sum(c * n ** k for k, c in enumerate(rows[n % period]))
+               for n in range(start, start + count)}
+    corrupt = draw(st.none() | st.tuples(st.integers(0, count - 1),
+                                         _qp_coeff.filter(bool)))
+    if corrupt is not None:
+        samples[start + corrupt[0]] += corrupt[1]
+    return samples, draw(st.integers(-1, 6)), draw(st.integers(-1, 6))
+
+
+# period 3 from a start that is not 0 mod 3; period 2 with a quadratic
+# class before a constant one
+@example(({n: fr(n * n, 3) + (n % 3) for n in range(-7, 8)}, 3, 2))
+@example(({n: fr(n * n if n % 2 == 0 else 1) for n in range(-6, 8)}, 4, 6))
+@example(({n: fr(0) for n in range(-2, 3)}, 100000, 1))
+@example(({}, 2, 2))
+@example(({0: fr(1)}, 6, 6))
+@example(({n: fr(1) for n in range(5)}, -1, 6))
+@example(({n: fr(1) for n in range(5)}, 6, -1))
+@given(_detect_case())
+@settings(deadline=None, max_examples=300)
+def test_detect_matches_interpolation_reference(case):
+    samples, max_period, max_degree = case
+    assert _outcome(detect_quasipoly, samples, max_period, max_degree) == \
+        _outcome(_reference_detect, samples, max_period, max_degree)
+
+
+def test_detect_huge_limits_are_bounded_by_the_samples():
+    # five samples allow period <= 2 and, at period 1, degree <= 3
+    cubic = {n: fr(n ** 3 - n, 2) for n in range(-2, 3)}
+    fit = detect_quasipoly(cubic, max_period=10 ** 9, max_degree=10 ** 9)
+    assert (fit.period, fit.degree(0)) == (1, 3)
+    quartic = {n: fr(n ** 4) for n in range(-2, 3)}
+    assert detect_quasipoly(quartic, 10 ** 9, 10 ** 9) is None
+
+
+def test_detect_work_budget(monkeypatch):
+    # zeros but for the last sample: every period differences that
+    # sample's class up to the degree cap
+    samples = {n: fr(n == 39) for n in range(40)}
+    assert detect_quasipoly(samples, 10 ** 9, 10 ** 9) is None
+    monkeypatch.setattr(quasipoly, "_MAX_DETECT_STEPS", 500)
+    with pytest.raises(InputError, match="work budget exceeded"):
+        detect_quasipoly(samples, 10 ** 9, 10 ** 9)
+    assert detect_quasipoly({n: fr(n) for n in range(40)}, 4, 6) is not None
 
 
 def _geom_expansions(bound_each=8):
