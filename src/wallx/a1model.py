@@ -23,7 +23,7 @@ from .jsonio import format_rational
 from .lattice import KClass, LatticeSpec
 from .quasipoly import detect_quasipoly, reexpand_check
 from .series import (LaurentPolynomial, LinearFunctional, RationalFunction,
-                     Window, expand)
+                     Window, _exponent, expand)
 from .wallcross import dtpt_ratio
 
 
@@ -34,7 +34,7 @@ def behrend_smooth(dims) -> int:
     (-1)^dimension, so the weighted count of a product of projective spaces
     P^{d_1} x ... x P^{d_k} is (-1)^(sum d_i) * prod (d_i + 1).
     """
-    dims = [int(d) for d in dims]
+    dims = _exponent(dims)
     if any(d < 0 for d in dims):
         raise InputError("projective space dimensions must be nonnegative")
     sign = -1 if sum(dims) % 2 else 1
@@ -188,10 +188,10 @@ def run_a1(report_window: int) -> dict:
     divergent coefficient and flips the top-level ok flag instead of
     raising.
     """
-    if report_window < 8:
+    w = _exponent((report_window,))[0]
+    if w < 8:
         raise InputError("report window must be at least 8")
     model = build_a1()
-    w = int(report_window)
     m_lo, m_hi = -w, w + 4
     ms = range(m_lo, m_hi + 1)
 

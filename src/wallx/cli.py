@@ -11,6 +11,7 @@ path), 3 for an internal error or a closed standard output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -273,13 +274,8 @@ _HANDLERS = {
 
 def _selfcheck_lattice() -> LatticeSpec:
     """The worked-model lattice with the duality swapping the two point rows."""
-    base = build_a1().lattice
     swapped = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-    return LatticeSpec(rank1=base.rank1, rank0=base.rank0,
-                       pairing=base.pairing, deg=base.deg, l=base.l,
-                       excdeg=base.excdeg, twist_matrix=base.twist_matrix,
-                       duality=swapped, effgens1=base.effgens1,
-                       sigma=base.sigma)
+    return dataclasses.replace(build_a1().lattice, duality=swapped)
 
 
 def _random_poly(rng, max_exp=4):

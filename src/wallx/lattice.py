@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .errors import InputError
-from .series import LinearFunctional, _exponent
+from .series import LinearFunctional, _coefficient, _exponent
 
 IntVec = tuple[int, ...]
 
@@ -135,8 +135,7 @@ class LatticeSpec:
             raise InputError("l must grade the curve block")
         if len(self.excdeg) != self.rank0:
             raise InputError("excdeg must grade the point block")
-        object.__setattr__(self, "excdeg",
-                           tuple(Fraction(x) for x in self.excdeg))
+        object.__setattr__(self, "excdeg", tuple(map(_coefficient, self.excdeg)))
         if len(self.twist_matrix) != self.rank0 or any(
                 len(row) != self.rank1 for row in self.twist_matrix):
             raise InputError("twist matrix must map the curve block to the point block")
@@ -214,7 +213,7 @@ class LatticeSpec:
 
     def is_effective(self, beta) -> bool:
         """beta is a nonnegative integer combination of the effective generators."""
-        beta = tuple(int(b) for b in beta)
+        beta = _exponent(beta)
         if len(beta) != self.rank1:
             raise InputError("curve class length does not match rank1")
         cache = self._eff_cache
@@ -250,7 +249,7 @@ class LatticeSpec:
 
     def enumerate_below(self, beta) -> list[IntVec]:
         """All effective b' with b' <= beta, in lexicographic order."""
-        beta = tuple(int(b) for b in beta)
+        beta = _exponent(beta)
         if not self.is_effective(beta):
             raise InputError("class is not effective")
         budget = self.l_of(beta)
@@ -305,7 +304,7 @@ class LatticeSpec:
         All matching classes must be mutually proportional, otherwise the
         configured functionals cannot separate them.
         """
-        gamma = Fraction(gamma)
+        gamma = _coefficient(gamma)
         matches = []
         for bp in self.enumerate_below(beta):
             if all(x == 0 for x in bp):
@@ -323,7 +322,7 @@ class LatticeSpec:
 
     def L_gamma(self, gamma: Fraction) -> LinearFunctional:
         """deg + gamma^-1 excdeg on the point block."""
-        gamma = Fraction(gamma)
+        gamma = _coefficient(gamma)
         if gamma <= 0:
             raise InputError("gamma must be positive")
         return LinearFunctional(tuple(

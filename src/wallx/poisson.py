@@ -19,9 +19,7 @@ from typing import Callable, Mapping
 from . import jsonio
 from .errors import InputError
 from .lattice import KClass, LatticeSpec, kclass_from_obj, kclass_to_obj
-from .series import _accumulate, _coefficient
-
-_ZERO = Fraction(0)
+from .series import _Sparse, _accumulate, _coefficient, _exponent
 
 _MAX_EXP_AD_ROUNDS = 10000
 
@@ -35,28 +33,23 @@ class Truncation:
     rank_set: frozenset[int] = frozenset({0, -1})
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_cap", tuple(int(b) for b in self.beta_cap))
+        object.__setattr__(self, "beta_cap", _exponent(self.beta_cap))
         if self.deg_cap is not None:
-            object.__setattr__(self, "deg_cap", Fraction(self.deg_cap))
-        object.__setattr__(self, "rank_set", frozenset(self.rank_set))
+            object.__setattr__(self, "deg_cap", _coefficient(self.deg_cap))
+        object.__setattr__(self, "rank_set", frozenset(_exponent(self.rank_set)))
 
     def contains(self, spec: LatticeSpec, alpha: KClass) -> bool:
-        if alpha.r not in self.rank_set:
-            return False
-        if not spec.is_effective(alpha.beta):
-            return False
-        if not spec.is_effective(tuple(a - b for a, b in
-                                       zip(self.beta_cap, alpha.beta))):
-            return False
-        if self.deg_cap is not None and spec.deg_point(alpha.c) > self.deg_cap:
-            return False
-        return True
+        return (alpha.r in self.rank_set
+                and spec.leq_effective(alpha.beta, self.beta_cap)
+                and (self.deg_cap is None
+                     or spec.deg_point(alpha.c) <= self.deg_cap))
 
 
-class TorusElement:
+class TorusElement(_Sparse):
     """Finite linear combination of torus monomials over a fixed lattice."""
 
-    __slots__ = ("_terms", "context")
+    __slots__ = ()
+    _mismatch = "torus elements live over different lattices"
 
     def __init__(self, context: LatticeSpec, terms):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -65,59 +58,19 @@ class TorusElement:
         if any(c and (len(cls.beta), len(cls.c)) != shape for cls, c in pairs):
             raise InputError("class shape does not match the lattice")
         self._terms = _accumulate({}, pairs)
-        self.context = context
+        self._context = context
 
-    @classmethod
-    def _make(cls, context: LatticeSpec, terms: dict) -> "TorusElement":
-        """Trusted: classes of the lattice's shape, nonzero Fraction values."""
-        self = object.__new__(cls)
-        self._terms = terms
-        self.context = context
-        return self
-
-    def terms(self):
-        return self._terms.items()
-
-    def coeff(self, cls: KClass) -> Fraction:
-        return self._terms.get(cls, _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+    @property
+    def context(self) -> LatticeSpec:
+        return self._context
 
     def items_sorted(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self.context == other.context and self._terms == other._terms
-
-    def __hash__(self):
-        raise TypeError("torus elements are not hashable")
-
-    def __add__(self, other):
-        _same_context(self, other)
-        return TorusElement._make(
-            self.context, _accumulate(dict(self._terms), other._terms.items()))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "TorusElement":
-        factor = _coefficient(factor)
-        return TorusElement._make(
-            self.context,
-            {cls: c * factor for cls, c in self._terms.items()} if factor else {})
 
     def __repr__(self):
         inner = ", ".join(f"t^{(cls.r, cls.beta, cls.c)}: {c}"
                           for cls, c in self.items_sorted())
         return f"TorusElement({{{inner}}})"
-
-
-def _same_context(a: TorusElement, b: TorusElement):
-    if a.context != b.context:
-        raise InputError("torus elements live over different lattices")
 
 
 def _sigma_power(sigma: int, chi: int) -> int:
@@ -128,7 +81,7 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
                weight: Callable[[int], int]) -> TorusElement:
     """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2), with
     chi the row a1.pairing dotted with a2 and trunc tested once per sum."""
-    _same_context(x, y)
+    x._check_context(y)
     spec = x.context
     cols = list(zip(*spec.pairing))
     split = 1 + spec.rank1
@@ -148,7 +101,7 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
                         spec, total) else None
                 if kept[v] is not None:
                     pairs.append((kept[v], c1 * c2 * w))
-    return TorusElement._make(spec, _accumulate({}, pairs))
+    return TorusElement._make(_accumulate({}, pairs), spec)
 
 
 def bracket(x: TorusElement, y: TorusElement,
@@ -182,7 +135,7 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
     if trunc is None:
         raise InputError("non-nilpotent adjoint under this truncation")
     spec = w.context
-    _same_context(w, x)
+    w._check_context(x)
     for cls, _ in w.terms():
         if cls.r != 0:
             raise InputError("wall data must have rank zero")

@@ -28,6 +28,8 @@ from .series import (
     LaurentSeries,
     LinearFunctional,
     RationalFunction,
+    _coefficient,
+    _exponent,
     polynomial_to_obj,
     terms_from_obj,
     verify_expansion,
@@ -62,7 +64,7 @@ class QuasiPolynomial:
         object.__setattr__(self, "table", table)
 
     def eval(self, n) -> Fraction:
-        n = tuple(int(x) for x in n)
+        n = _exponent(n)
         if len(n) != self.vars:
             raise InputError("evaluation point arity mismatch")
         rho = tuple(x % self.period for x in n)
@@ -133,7 +135,7 @@ def _check_monomials(monos, count: int, grading: LinearFunctional):
         raise InputError("one exponent vector per summation variable is required")
     cleaned = []
     for i, v in enumerate(monos):
-        v = tuple(int(x) for x in v)
+        v = _exponent(v)
         if len(v) != nq:
             raise InputError("monomial exponent length must match the grading arity")
         if grading(v) <= 0:
@@ -241,12 +243,12 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
     None when no period fits; raises "window too small" when nothing could
     be tried, and a work budget error past _MAX_DETECT_STEPS entries.
     """
-    keys = sorted(samples)
+    keys = sorted(_exponent(samples))
     if keys and keys != list(range(keys[0], keys[0] + len(keys))):
         raise InputError("samples must cover a contiguous integer range")
     if len(keys) < 2 or max_period < 1 or max_degree < 0:
         raise InputError("window too small")
-    values = [Fraction(samples[k]) for k in keys]
+    values = [_coefficient(samples[k]) for k in keys]
     den = math.lcm(*(v.denominator for v in values))
     scaled = [v.numerator * (den // v.denominator) for v in values]
     work = 0
@@ -303,7 +305,7 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     sampled along c0 must be quasi-polynomial; when every coset fits and
     s_plus passes direct verification the verdict is confirmed.
     """
-    c0 = tuple(int(x) for x in c0)
+    c0 = _exponent(c0)
     if all(x == 0 for x in c0):
         raise InputError("re-expansion direction must be nonzero")
     down = L_minus(c0)

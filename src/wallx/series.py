@@ -4,6 +4,9 @@ Exponents are integer tuples; coefficients are Fractions throughout.  A
 window (functional L, bound b, optional coset) marks the region where a
 series' coefficients are final: stored terms all satisfy the window
 predicate, and anything not stored with L-value at most b is a true zero.
+Laurent polynomials, Laurent series and torus elements share one
+sparse-term container, ``_Sparse``; validation runs only in their public
+constructors and in the wire-format parsers.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class LinearFunctional:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_coefficient, self.coeffs)))
 
     def __call__(self, exponent) -> Fraction:
         if len(exponent) != len(self.coeffs):
@@ -96,10 +99,9 @@ class Coset:
     generators: tuple[Exponent, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(int(b) for b in self.base))
-        object.__setattr__(
-            self, "generators",
-            tuple(tuple(int(g) for g in gen) for gen in self.generators))
+        object.__setattr__(self, "base", _exponent(self.base))
+        object.__setattr__(self, "generators",
+                           tuple(map(_exponent, self.generators)))
         for gen in self.generators:
             if len(gen) != len(self.base):
                 raise InputError("coset generator length does not match base")
@@ -128,7 +130,7 @@ class Window:
     coset: Coset | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", Fraction(self.bound))
+        object.__setattr__(self, "bound", _coefficient(self.bound))
 
     def admits(self, exponent) -> bool:
         if self.functional(exponent) > self.bound:
@@ -170,10 +172,69 @@ def _products(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]):
             yield tuple(map(operator.add, ea, eb)), ca * cb
 
 
-class LaurentPolynomial:
-    """Finitely supported Laurent polynomial; zero coefficients are never stored."""
+class _Sparse:
+    """Finitely supported map from keys to nonzero Fractions over a context
+    (a variable count, a window or a lattice); zero values are never stored.
 
-    __slots__ = ("_terms", "nvars")
+    Only the public constructors and the wire-format parsers validate; every
+    internal result is built by the trusted ``_make``."""
+
+    __slots__ = ("_terms", "_context")
+    _mismatch: str  # the error when two operands' contexts differ
+
+    @classmethod
+    def _make(cls, terms: dict, context):
+        """Trusted: keys well formed for the context, nonzero Fraction values."""
+        self = object.__new__(cls)
+        self._terms = terms
+        self._context = context
+        return self
+
+    def terms(self):
+        return self._terms.items()
+
+    def coeff(self, key) -> Fraction:
+        return self._terms.get(key, _ZERO)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _check_context(self, other):
+        if self._context != other._context:
+            raise InputError(self._mismatch)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._context == other._context and self._terms == other._terms
+
+    def __neg__(self):
+        return self._make({k: -c for k, c in self._terms.items()}, self._context)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_context(other)
+        return self._make(_accumulate(dict(self._terms), other._terms.items()),
+                          self._context)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, factor):
+        factor = _coefficient(factor)
+        return self._make(
+            {k: c * factor for k, c in self._terms.items()} if factor else {},
+            self._context)
+
+
+class LaurentPolynomial(_Sparse):
+    """Finitely supported Laurent polynomial in ``nvars`` variables."""
+
+    __slots__ = ()
+    _mismatch = "polynomial variable counts differ"
 
     def __init__(self, terms=(), nvars: int | None = None):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -188,15 +249,11 @@ class LaurentPolynomial:
         if nvars is None:
             raise InputError("variable count of an empty polynomial must be given")
         self._terms = _accumulate({}, pairs)
-        self.nvars = nvars
+        self._context = nvars
 
-    @classmethod
-    def _make(cls, terms: dict, nvars: int) -> "LaurentPolynomial":
-        """Trusted: int-tuple keys of length nvars, nonzero Fraction values."""
-        self = object.__new__(cls)
-        self._terms = terms
-        self.nvars = nvars
-        return self
+    @property
+    def nvars(self) -> int:
+        return self._context
 
     @classmethod
     def constant(cls, nvars: int, value) -> "LaurentPolynomial":
@@ -207,54 +264,20 @@ class LaurentPolynomial:
         exponent = _exponent(exponent)
         return cls({exponent: coeff}, len(exponent))
 
-    def items(self):
-        return self._terms.items()
-
-    def coeff(self, exponent) -> Fraction:
-        return self._terms.get(tuple(exponent), _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+    items = _Sparse.terms  # the polynomial spelling of terms()
 
     def support_sorted(self) -> list[Exponent]:
         return sorted(self._terms)
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
-
     def __hash__(self):
         return hash((self.nvars, frozenset(self._terms.items())))
 
-    def __neg__(self):
-        return LaurentPolynomial._make(
-            {e: -c for e, c in self._terms.items()}, self.nvars)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            raise InputError("polynomial variable counts differ")
-        return LaurentPolynomial._make(
-            _accumulate(dict(self._terms), other._terms.items()), self.nvars)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            if self.nvars != other.nvars:
-                raise InputError("polynomial variable counts differ")
-            return LaurentPolynomial._make(
-                _accumulate({}, _products(self._terms, other._terms)), self.nvars)
-        return NotImplemented
-
-    def scale(self, factor) -> "LaurentPolynomial":
-        factor = _coefficient(factor)
+        if type(other) is not LaurentPolynomial:
+            return NotImplemented
+        self._check_context(other)
         return LaurentPolynomial._make(
-            {e: c * factor for e, c in self._terms.items()} if factor else {},
-            self.nvars)
+            _accumulate({}, _products(self._terms, other._terms)), self.nvars)
 
     def shift(self, exponent) -> "LaurentPolynomial":
         exponent = _exponent(exponent)
@@ -283,7 +306,7 @@ class LaurentPolynomial:
         return max(e[i] for e in self._terms)
 
     def evaluate(self, point) -> Fraction:
-        point = tuple(Fraction(p) for p in point)
+        point = tuple(map(_coefficient, point))
         if len(point) != self.nvars:
             raise InputError("evaluation point arity mismatch")
         total = _ZERO
@@ -347,26 +370,22 @@ class RationalFunction:
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"
 
 
-class LaurentSeries:
+class LaurentSeries(_Sparse):
     """Window-truncated series: stored terms are final, and every exponent
     admitted by the window but not stored has coefficient zero."""
 
-    __slots__ = ("_terms", "window")
+    __slots__ = ()
 
     def __init__(self, terms, window: Window):
         items = terms.items() if isinstance(terms, Mapping) else terms
         pairs = ((_exponent(exp), _coefficient(coeff)) for exp, coeff in items)
         self._terms = _accumulate(
             {}, ((e, c) for e, c in pairs if c and window.admits(e)))
-        self.window = window
+        self._context = window
 
-    @classmethod
-    def _make(cls, terms: dict, window: Window) -> "LaurentSeries":
-        """Trusted: int-tuple keys the window admits, nonzero Fraction values."""
-        self = object.__new__(cls)
-        self._terms = terms
-        self.window = window
-        return self
+    @property
+    def window(self) -> Window:
+        return self._context
 
     @property
     def functional(self) -> LinearFunctional:
@@ -375,15 +394,6 @@ class LaurentSeries:
     @property
     def bound(self) -> Fraction:
         return self.window.bound
-
-    def coeff(self, exponent) -> Fraction:
-        return self._terms.get(tuple(exponent), _ZERO)
-
-    def terms(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def items_sorted(self) -> list[tuple[Exponent, Fraction]]:
         L = self.window.functional
@@ -394,26 +404,8 @@ class LaurentSeries:
         L = self.window.functional
         return min((L(e) for e in self._terms), default=None)
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self.window == other.window and self._terms == other._terms
-
-    def __hash__(self):
-        raise TypeError("series are not hashable")
-
-    def __neg__(self):
-        return LaurentSeries._make(
-            {e: -c for e, c in self._terms.items()}, self.window)
-
-    def scale(self, factor) -> "LaurentSeries":
-        factor = _coefficient(factor)
-        return LaurentSeries._make(
-            {e: c * factor for e, c in self._terms.items()} if factor else {},
-            self.window)
-
     def __add__(self, other):
-        if not isinstance(other, LaurentSeries):
+        if type(other) is not LaurentSeries:
             return NotImplemented
         _same_functional(self, other)
         c1, c2 = self.window.coset, other.window.coset
@@ -424,11 +416,6 @@ class LaurentSeries:
         # the admitting constructor drops what the smaller window excludes
         return LaurentSeries(
             _accumulate(dict(self._terms), other._terms.items()), window)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __repr__(self):
         inner = ", ".join(f"{e}: {c}" for e, c in self.items_sorted())

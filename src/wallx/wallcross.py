@@ -38,6 +38,8 @@ from .series import (
     LaurentSeries,
     LinearFunctional,
     RationalFunction,
+    _coefficient,
+    _exponent,
     divide,
 )
 
@@ -52,7 +54,7 @@ class WallDatum:
 
     def __post_init__(self):
         if self.slope is not INF:
-            object.__setattr__(self, "slope", Fraction(self.slope))
+            object.__setattr__(self, "slope", _coefficient(self.slope))
         spec = self.J.context
         for cls, _ in self.J.terms():
             if cls.r != 0:
@@ -115,15 +117,14 @@ class GroupSpec:
     delta0: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "betas",
-                           tuple(tuple(int(x) for x in b) for b in self.betas))
-        object.__setattr__(self, "kappas",
-                           tuple(tuple(int(x) for x in k) for k in self.kappas))
-        object.__setattr__(self, "equalities", frozenset(self.equalities))
+        object.__setattr__(self, "betas", tuple(map(_exponent, self.betas)))
+        object.__setattr__(self, "kappas", tuple(map(_exponent, self.kappas)))
+        object.__setattr__(self, "equalities",
+                           frozenset(_exponent(self.equalities)))
         object.__setattr__(self, "J_values",
-                           tuple(Fraction(v) for v in self.J_values))
-        object.__setattr__(self, "DT_value", Fraction(self.DT_value))
-        object.__setattr__(self, "delta0", Fraction(self.delta0))
+                           tuple(map(_coefficient, self.J_values)))
+        object.__setattr__(self, "DT_value", _coefficient(self.DT_value))
+        object.__setattr__(self, "delta0", _coefficient(self.delta0))
 
     @property
     def r(self) -> int:
@@ -231,19 +232,14 @@ def group_resum(group: GroupSpec, trunc: Truncation | None) -> RationalFunction:
     variables, at the fixed output class alpha' + sum alpha_i."""
     _validate_group(group, trunc)
     spec = group.context
-    nq = spec.rank0
-    r = group.r
     base_shift = tuple(
         c + sum(k[j] for k in group.kappas)
         for j, c in enumerate(group.alpha_prime.c))
     scalar = group.DT_value * _exponential_factor(group)
     for v in group.J_values:
         scalar *= v
-    if r == 0:
-        g = LaurentPolynomial.monomial(base_shift, scalar)
-        return RationalFunction(g, LaurentPolynomial.constant(nq, 1))
     qp = _b_factor(group)
-    pattern = ChainPattern(r, group.equalities)
+    pattern = ChainPattern(group.r, group.equalities)
     monos = [spec.twist(b) for b in group.betas]
     inner = resum_chain(qp, pattern, monos, spec.point_degree_functional())
     g = inner.numerator.shift(base_shift).scale(scalar)
@@ -284,15 +280,12 @@ def duality_check(f_by_beta: Mapping[IntVec, RationalFunction],
     z^(D beta) f_(D beta); equality is verified by cross-multiplication,
     so no truncation of the fractions is needed.
     """
-    family = {tuple(int(x) for x in b): f for b, f in f_by_beta.items()}
+    family = {_exponent(b): f for b, f in f_by_beta.items()}
     n0 = spec.rank0
-    point_map = [[spec.duality[1 + spec.rank1 + i][1 + spec.rank1 + j]
-                  for j in range(n0)] for i in range(n0)]
-    zero_c = (0,) * n0
+    zero_c, zero_beta = (0,) * n0, (0,) * spec.rank1
 
-    def c_image(e):
-        return tuple(sum(point_map[i][j] * e[j] for j in range(n0))
-                     for i in range(n0))
+    def c_image(e):  # the duality preserves the point block
+        return spec.dualize(KClass(0, zero_beta, e)).c
 
     entries = []
     all_ok = True
@@ -339,7 +332,7 @@ def cross_gamma_wall(f: RationalFunction, gamma, b,
     must be quasi-polynomial along the crossing direction c_gamma, which
     points into the region where the above-gamma functional is negative.
     """
-    gamma = Fraction(gamma)
+    gamma = _coefficient(gamma)
     walls = spec.gamma_walls(b)
     if gamma not in walls:
         raise InputError("not a wall")

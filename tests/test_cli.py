@@ -344,6 +344,20 @@ def test_wallcross_document(tmp_path, capsys):
         (-1, (0,), (0, 0), 1), (-1, (1,), (1, 0), 4))
 
 
+@pytest.mark.parametrize("name", ["bracket", "star", "exp_ad", "wallcross"])
+def test_torus_output_bytes_are_pinned(name, capsys):
+    # bracket: rank-0 x against a rank -1 y on the two-generator lattice under
+    # beta_cap [2, 1] and deg_cap 5; star: the signed product on the model
+    # lattice with an explicit rank set; exp_ad: a three-term wall acting on a
+    # rank -1 element, nilpotent through beta_cap [3] and deg_cap 6;
+    # wallcross: three curve walls and a point wall swept over a labelled
+    # rank -1 seed.  Coefficients are rational; the .out files are the full
+    # stdout of the CLI.
+    status = cli.main(["--input", str(GOLDEN / f"{name}.json")])
+    assert status == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
 # -- dtpt / dualize / reexpand ------------------------------------------------
 
 def test_dtpt_document_reproduces_ratio(tmp_path, capsys):

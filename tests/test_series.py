@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 from fractions import Fraction
 
@@ -375,3 +376,68 @@ def test_integer_division_matches_fraction_reference(num, den, L, bound):
     q = divide(s1, s2, L)
     _assert_same_terms(q.terms(), _reference_divide(
         num, den, L, q.bound, m0, c0))
+
+
+# -- the window invariant against a wider direct expansion --------------------
+
+# generic on exponents in [-2, 2]^n, so every nonzero polynomial drawn below
+# has a unique L-minimal term
+_inv_L = st.sampled_from([(fr(1),), (fr(-1),), (fr(2, 3),), (fr(1), fr(7, 5)),
+                          (fr(-1), fr(7, 5)), (fr(1, 2), fr(-5, 7))])
+_INV_COSETS = {1: Coset((1,), ((2,),)), 2: Coset((0, 1), ((1, 1), (0, 2)))}
+
+
+@st.composite
+def _invariant_case(draw):
+    L = LinearFunctional(draw(_inv_L))
+    n = len(L.coeffs)
+    terms = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * n), _div_coeff,
+                            min_size=1, max_size=4)
+    g1, h1, g2, h2 = (LaurentPolynomial(draw(terms), n) for _ in range(4))
+    return (L, RationalFunction(g1, h1), RationalFunction(g2, h2),
+            draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+
+
+def _low(f, L):
+    """The L-value of f's leading term: lowest of g minus lowest of h."""
+    return f.numerator.l_min(L)[0] - f.denominator.l_min(L)[0]
+
+
+def _expand_past_low(f, L, extra, coset=None):
+    return expand(f, L, Window(L, _low(f, L) + extra, coset))
+
+
+def _assert_window_invariant(s, f):
+    """Every stored term of s lies in its window with the coefficient of a
+    direct expansion of f two past s's bound, and every exponent of a box
+    around both supports that s's window admits but s does not store is
+    zero there."""
+    L = s.functional
+    if f.numerator.is_zero():
+        wide = LaurentSeries({}, Window(L, s.bound))
+    else:
+        wide = expand(f, L, Window(L, max(s.bound, _low(f, L)) + 2))
+    for e, c in s.terms():
+        assert s.window.admits(e) and wide.coeff(e) == c
+    support = [e for e, _ in s.terms()] + [e for e, _ in wide.terms()]
+    support.append((0,) * len(L.coeffs))
+    box = itertools.product(*(range(min(col) - 2, max(col) + 3)
+                              for col in zip(*support)))
+    for e in box:
+        if s.window.admits(e) and not s.coeff(e):
+            assert wide.coeff(e) == 0, e
+
+
+@given(_invariant_case())
+@settings(deadline=None, max_examples=80)
+def test_operations_keep_the_window_invariant(case):
+    L, f1, f2, k1, k2 = case
+    g1, h1, g2, h2 = f1.numerator, f1.denominator, f2.numerator, f2.denominator
+    s1, s2 = _expand_past_low(f1, L, k1), _expand_past_low(f2, L, k2)
+    c1 = _expand_past_low(f1, L, k1, _INV_COSETS[len(L.coeffs)])
+    f_sum = RationalFunction(g1 * h2 + g2 * h1, h1 * h2)
+    cases = [(s1, f1), (s2, f2), (s1 + s2, f_sum), (multiply(s1, s2), f1 * f2),
+             (divide(s1, s2, L), RationalFunction(g1 * h2, h1 * g2)),
+             (c1, f1), (c1 + s2, f_sum), (s2 + c1, f_sum)]
+    for s, f in cases:
+        _assert_window_invariant(s, f)

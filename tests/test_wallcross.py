@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product as iproduct
@@ -265,6 +266,22 @@ def test_group_resum_empty_group():
     f = group_resum(group, Truncation((0,)))
     assert f == RationalFunction(_poly({(1, 2): fr(5, 3)}, 2),
                                  LaurentPolynomial.constant(2, 1))
+
+
+@pytest.mark.parametrize("lattice", [model_lattice, two_gen_lattice])
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("dt", [fr(3, 2), fr(0)])
+def test_empty_group_resums_to_the_seed_monomial_term_for_term(lattice, sigma, dt):
+    # r = 0 runs through the general b-factor and chain path: its numerator
+    # and denominator must be the monomial DT z^c over 1 exactly, not only
+    # up to cross-multiplication
+    spec = dataclasses.replace(lattice(), sigma=sigma)
+    c = tuple(range(1, spec.rank0 + 1))
+    group = GroupSpec(spec, KClass(-1, (0,) * spec.rank1, c), (), (),
+                      frozenset(), (), dt, fr(0))
+    f = group_resum(group, None)
+    assert dict(f.numerator.items()) == ({c: dt} if dt else {})
+    assert dict(f.denominator.items()) == {(0,) * spec.rank0: 1}
 
 
 def test_group_resum_geometric_r1():
