@@ -9,11 +9,16 @@ with a key, ``parse_list`` with an index), so each key is named once.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InputError
 
 _REQUIRED = object()
+# Fraction builds 10**exponent exactly, which for an exponent of 10**9 takes
+# hours; 4300 is Python's own limit on the digits of an integer string
+_MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
 
 
 def field(obj, key: str, path: str, parse, *args, default=_REQUIRED, **kwargs):
@@ -75,6 +80,11 @@ def parse_rational(value, path: str) -> Fraction:
     if isinstance(value, float):
         raise InputError("floats are not accepted; use a \"p/q\" string", path)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent and exponent[1].replace("_", "").lstrip("0")
+        if digits and (len(digits) > 4 or int(digits) > _MAX_DECIMAL_EXPONENT):
+            raise InputError(f"decimal exponent beyond {_MAX_DECIMAL_EXPONENT} "
+                             f"in absolute value", path)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

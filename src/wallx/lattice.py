@@ -9,8 +9,11 @@ grading functionals.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jsonio
@@ -18,6 +21,8 @@ from .errors import InputError
 from .series import LinearFunctional, _coefficient, _exponent
 
 IntVec = tuple[int, ...]
+
+_MAX_CONE_CLASSES = 1_000_000  # effective classes one lattice may enumerate
 
 
 class _PlusInfinity:
@@ -83,17 +88,9 @@ class KClass:
         return (self.r, self.beta, self.c)
 
 
-def _dot(row, vec) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(row, vec)), Fraction(0))
-
-
 def _proportional(u: IntVec, v: IntVec) -> bool:
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
+    return all(u[i] * v[j] == u[j] * v[i]
+               for i, j in itertools.combinations(range(len(u)), 2))
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,6 @@ class LatticeSpec:
     duality: tuple[tuple[int, ...], ...]
     effgens1: tuple[IntVec, ...]
     sigma: int
-    _eff_cache: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False, hash=False)
 
     def __post_init__(self):
         n = 1 + self.rank1 + self.rank0
@@ -170,6 +165,11 @@ class LatticeSpec:
                           for i in range(self.rank0))
             if col_deg != self.l[j]:
                 raise InputError("deg of the twist must equal l on the curve block")
+        # the effective cone, grown on demand, and the classes below each cap
+        zero = (0,) * self.rank1
+        object.__setattr__(self, "_cone", {zero})
+        object.__setattr__(self, "_frontier", [(0, zero)])
+        object.__setattr__(self, "_below", {})
 
     # -- basic functionals ----------------------------------------------------
 
@@ -183,7 +183,7 @@ class LatticeSpec:
         return sum(a * b for a, b in zip(self.deg[self.rank1:], c))
 
     def excdeg_point(self, c) -> Fraction:
-        return _dot(self.excdeg, c)
+        return sum((a * b for a, b in zip(self.excdeg, c)), Fraction(0))
 
     def twist(self, beta) -> IntVec:
         return tuple(sum(row[j] * beta[j] for j in range(self.rank1))
@@ -211,60 +211,56 @@ class LatticeSpec:
 
     # -- effective cone -------------------------------------------------------
 
-    def is_effective(self, beta) -> bool:
-        """beta is a nonnegative integer combination of the effective generators."""
+    def _curve(self, beta) -> IntVec:
         beta = _exponent(beta)
         if len(beta) != self.rank1:
             raise InputError("curve class length does not match rank1")
-        cache = self._eff_cache
-        # depth-first over v - g, generators in order, stopping at the first
-        # effective remainder; a vector stays on the stack until it is decided
-        stack = [beta]
-        while stack:
-            v = stack[-1]
-            if v in cache:
-                stack.pop()
-            elif all(x == 0 for x in v):
-                cache[v] = True
-            elif self.l_of(v) < 1:
-                cache[v] = False
-            else:
-                for g in self.effgens1:
-                    w = tuple(a - b for a, b in zip(v, g))
-                    hit = cache.get(w)
-                    if hit is None:
-                        stack.append(w)
-                        break
-                    if hit:
-                        cache[v] = True
-                        break
-                else:
-                    cache[v] = False
-        return cache[beta]
+        return beta
+
+    def _cone_upto(self, budget: int) -> set:
+        """Effective classes, every one with l <= budget among them.
+
+        Each generator has l >= 1, so extending the found classes with
+        l < budget finds them all; ``_frontier`` heaps the unextended by l.
+        """
+        cone, heap = self._cone, self._frontier
+        while heap and heap[0][0] < budget:
+            if len(cone) > _MAX_CONE_CLASSES:
+                raise InputError(f"work budget exceeded: effective cone took "
+                                 f"{_MAX_CONE_CLASSES} classes short of l = {budget}")
+            l_v, v = heapq.heappop(heap)
+            for g in self.effgens1:
+                w = tuple(map(operator.add, v, g))
+                if w not in cone:
+                    cone.add(w)
+                    heapq.heappush(heap, (l_v + self.l_of(g), w))
+        return cone
+
+    def below(self, beta) -> frozenset:
+        """Effective v with beta - v effective, for a tuple beta; memoized."""
+        hit = self._below.get(beta)
+        if hit is None:
+            beta = self._curve(beta)
+            cone = self._cone_upto(self.l_of(beta))
+            hit = self._below[beta] = frozenset(
+                v for v in cone if tuple(map(operator.sub, beta, v)) in cone)
+        return hit
+
+    def is_effective(self, beta) -> bool:
+        """beta is a nonnegative integer combination of the effective generators."""
+        beta = self._curve(beta)
+        return beta in self._cone_upto(self.l_of(beta))
 
     def leq_effective(self, b1, b2) -> bool:
         """b1 <= b2 in the effective order: both differences effective."""
-        return self.is_effective(b1) and self.is_effective(
-            tuple(a - b for a, b in zip(b2, b1)))
+        return self._curve(b1) in self.below(self._curve(b2))
 
     def enumerate_below(self, beta) -> list[IntVec]:
         """All effective b' with b' <= beta, in lexicographic order."""
-        beta = _exponent(beta)
-        if not self.is_effective(beta):
+        below = self.below(self._curve(beta))
+        if not below:
             raise InputError("class is not effective")
-        budget = self.l_of(beta)
-        zero = (0,) * self.rank1
-        seen = {zero}
-        queue = [zero]
-        while queue:
-            v = queue.pop()
-            for g in self.effgens1:
-                w = tuple(a + b for a, b in zip(v, g))
-                if w not in seen and self.l_of(w) <= budget:
-                    seen.add(w)
-                    queue.append(w)
-        return sorted(v for v in seen
-                      if self.is_effective(tuple(a - b for a, b in zip(beta, v))))
+        return sorted(below)
 
     # -- slopes and walls -----------------------------------------------------
 
@@ -287,16 +283,15 @@ class LatticeSpec:
         zeta1 = -self.excdeg_point(tw) / denom
         return (zeta1, self.nu_slope(x))
 
+    def _wall_slopes(self, beta) -> list[tuple[Fraction, IntVec]]:
+        """(zeta1, b') over the nonzero effective b' <= beta, b' in lex order."""
+        zero_c = (0,) * self.rank0
+        return [(self.zeta_slope(KClass(0, bp, zero_c))[0], bp)
+                for bp in self.enumerate_below(beta) if any(bp)]
+
     def gamma_walls(self, beta) -> list[Fraction]:
         """Positive zeta1 values over nonzero effective classes below beta."""
-        values = set()
-        for bp in self.enumerate_below(beta):
-            if all(x == 0 for x in bp):
-                continue
-            z1, _ = self.zeta_slope(KClass(0, bp, (0,) * self.rank0))
-            if z1 > 0:
-                values.add(z1)
-        return sorted(values)
+        return sorted({z1 for z1, _ in self._wall_slopes(beta) if z1 > 0})
 
     def distinguished_class(self, gamma: Fraction, beta) -> IntVec:
         """The l-minimal effective class below beta with zeta1 equal to gamma.
@@ -305,13 +300,7 @@ class LatticeSpec:
         configured functionals cannot separate them.
         """
         gamma = _coefficient(gamma)
-        matches = []
-        for bp in self.enumerate_below(beta):
-            if all(x == 0 for x in bp):
-                continue
-            z1, _ = self.zeta_slope(KClass(0, bp, (0,) * self.rank0))
-            if z1 == gamma:
-                matches.append(bp)
+        matches = [bp for z1, bp in self._wall_slopes(beta) if z1 == gamma]
         if not matches:
             raise InputError("not a wall")
         best = min(matches, key=lambda v: (self.l_of(v), v))

@@ -36,6 +36,7 @@ from .series import (
 )
 
 _MAX_DETECT_STEPS = 1_000_000  # differenced entries one detection may take
+_MAX_RESUM_STEPS = 1_000_000  # differenced entries one resummation box may take
 
 
 @dataclass(frozen=True)
@@ -100,12 +101,15 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
     then x_t becomes q^monos[t].
     """
     p = a.period
+    sizes = [p * (1 + d) for d in degs]
+    if math.prod(sizes) * sum(1 + d for d in degs) > _MAX_RESUM_STEPS:
+        raise InputError(f"work budget exceeded: resummation box needs more "
+                         f"than {_MAX_RESUM_STEPS} differenced entries")
     den = math.lcm(*(c.denominator for poly in a.table.values()
                      for _, c in poly.items()))
     table = {rho: [(c.numerator * (den // c.denominator), e)
                    for e, c in poly.items()]
              for rho, poly in a.table.items()}
-    sizes = [p * (1 + d) for d in degs]
     box = list(itertools.product(*map(range, sizes)))
     values = [sum(c * math.prod(x ** k for x, k in zip(n, e))
                   for c, e in table[tuple(x % p for x in n)])

@@ -240,6 +240,48 @@ def test_huge_fit_limits_answer_promptly(tmp_path, name, code, limit):
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
 
 
+_HUGE_DOCS = {
+    # an effective cone of 10**9 + 1 classes below the cap
+    "beta_cap": ({"kind": "bracket", "lattice": model_lattice().to_obj(),
+                  "x": _element_obj((-1, (0,), (0, 0), 1)),
+                  "y": _element_obj((0, (1,), (0, 0), 1)),
+                  "truncation": {"beta_cap": [10 ** 9]}},
+                 "work budget exceeded: effective cone"),
+    # a degree-10000 table: a box of 10001 points, differenced 10001 times
+    "resum_degree": ({"kind": "resum", "monomials": [[1]], "grading": [1],
+                      "quasipoly": {"vars": 1, "period": 1, "table": [{
+                          "residues": [0],
+                          "poly": [{"exponent": [10000], "coeff": "1"}]}]}},
+                     "work budget exceeded: resummation"),
+    # a billion-digit integer, were the exponent taken literally
+    "decimal_exponent": ({"kind": "expand", "f": _GEOMETRIC,
+                          "window": {"functional": [1], "bound": "1e1000000000"}},
+                         "decimal exponent beyond 4300"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HUGE_DOCS))
+def test_huge_documents_exit_two_promptly(tmp_path, name):
+    doc, message = _HUGE_DOCS[name]
+    proc = subprocess.run([sys.executable, "-m", "wallx", "--input",
+                           _write_doc(tmp_path, doc)], env=_child_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["message"].startswith(message)
+
+
+def test_huge_decimal_exponent_is_rejected_at_its_path(tmp_path, capsys):
+    doc, _ = _HUGE_DOCS["decimal_exponent"]
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 2
+    assert json.loads(out)["error"] == {
+        "message": "decimal exponent beyond 4300 in absolute value",
+        "path": "document.window.bound"}
+    for bound in ("1e4300", "1e-4300", "1.5E+0_0300"):
+        assert _run(tmp_path, capsys, dict(doc, window={
+            "functional": [1], "bound": bound}), ("--window", "3"))[0] == 0
+
+
 def test_closed_stdout_exits_three(tmp_path):
     # about 3 MB of report, far more than a pipe buffers, so the child is
     # still writing when the reader goes away

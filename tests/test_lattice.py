@@ -1,9 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wallx import lattice
 from wallx.errors import InputError
 from wallx.lattice import INF, KClass, LatticeSpec, lattice_from_obj
+from wallx.poisson import Truncation
+from wallx.series import _exponent
 
 from conftest import fr, model_lattice, two_gen_lattice
 
@@ -55,6 +60,110 @@ def test_effective_cone_membership():
 def test_effective_cone_deep_class_does_not_recurse():
     # 5000 generator steps: deeper than the interpreter's recursion limit
     assert model_lattice().is_effective((5000,))
+
+
+def test_effective_cone_work_budget(monkeypatch):
+    monkeypatch.setattr(lattice, "_MAX_CONE_CLASSES", 50)
+    spec = model_lattice()
+    with pytest.raises(InputError, match="work budget exceeded: effective cone"):
+        spec.is_effective((100,))
+    with pytest.raises(InputError, match="work budget exceeded: effective cone"):
+        Truncation((100,)).contains(spec, KClass(0, (1,), (0, 0)))
+    # the classes found before the error stay sound
+    assert spec.is_effective((40,)) and not spec.is_effective((-1,))
+    assert spec.enumerate_below((40,)) == [(k,) for k in range(41)]
+
+
+def _reference_is_effective(spec, beta, cache):
+    """Depth-first downward test from beta, as is_effective ran before the
+    cone was enumerated upwards; ``cache`` plays the old per-lattice memo."""
+    beta = _exponent(beta)
+    if len(beta) != spec.rank1:
+        raise InputError("curve class length does not match rank1")
+    stack = [beta]
+    while stack:
+        v = stack[-1]
+        if v in cache:
+            stack.pop()
+        elif all(x == 0 for x in v):
+            cache[v] = True
+        elif spec.l_of(v) < 1:
+            cache[v] = False
+        else:
+            for g in spec.effgens1:
+                w = tuple(a - b for a, b in zip(v, g))
+                hit = cache.get(w)
+                if hit is None:
+                    stack.append(w)
+                    break
+                if hit:
+                    cache[v] = True
+                    break
+            else:
+                cache[v] = False
+    return cache[beta]
+
+
+def _reference_leq_effective(spec, b1, b2, cache):
+    return _reference_is_effective(spec, b1, cache) and _reference_is_effective(
+        spec, tuple(a - b for a, b in zip(b2, b1)), cache)
+
+
+def _reference_enumerate_below(spec, beta, cache):
+    """Breadth-first upward search, then the downward test per candidate."""
+    beta = _exponent(beta)
+    if not _reference_is_effective(spec, beta, cache):
+        raise InputError("class is not effective")
+    budget = spec.l_of(beta)
+    zero = (0,) * spec.rank1
+    seen = {zero}
+    queue = [zero]
+    while queue:
+        v = queue.pop()
+        for g in spec.effgens1:
+            w = tuple(a + b for a, b in zip(v, g))
+            if w not in seen and spec.l_of(w) <= budget:
+                seen.add(w)
+                queue.append(w)
+    return sorted(v for v in seen if _reference_is_effective(
+        spec, tuple(a - b for a, b in zip(beta, v)), cache))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as err:
+        return ("InputError", err.message)
+
+
+_GENERATORS = st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+                       .filter(lambda g: sum(g) >= 1), min_size=1, max_size=3)
+_CLASSES = [(a, b) for a in range(-3, 7) for b in range(-3, 7)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(gens=_GENERATORS, order=st.permutations(_CLASSES))
+def test_effective_cone_matches_reference(gens, order):
+    # l = (1, 1); generators may be negative in one entry or non-primitive,
+    # and the random query order grows the memo from small and large l
+    obj = two_gen_lattice().to_obj()
+    obj["effgens1"] = [list(g) for g in gens]
+    spec, cache = lattice_from_obj(obj), {}
+    prev = order[-1]
+    for beta in order:
+        assert spec.is_effective(beta) == _reference_is_effective(spec, beta, cache)
+        assert (spec.leq_effective(prev, beta)
+                == _reference_leq_effective(spec, prev, beta, cache))
+        assert (_outcome(spec.enumerate_below, beta)
+                == _outcome(_reference_enumerate_below, spec, beta, cache))
+        alpha = KClass(-1, prev, (beta[0],))
+        assert Truncation(beta, fr(2)).contains(spec, alpha) == (
+            _reference_leq_effective(spec, prev, beta, cache) and beta[0] <= 2)
+        prev = beta
+    for bad in [(1,), (1, 2, 3), (0.5, 0)]:
+        for ours, ref in [(spec.is_effective, _reference_is_effective),
+                          (spec.enumerate_below, _reference_enumerate_below)]:
+            assert _outcome(ours, bad) == _outcome(ref, spec, bad, cache)
 
 
 def test_enumerate_below_against_bruteforce():

@@ -409,6 +409,19 @@ def test_detect_work_budget(monkeypatch):
     assert detect_quasipoly({n: fr(n) for n in range(40)}, 4, 6) is not None
 
 
+def test_resum_work_budget(monkeypatch):
+    # one table term n^30: a box of 31 points, differenced 31 times
+    a = QuasiPolynomial(1, 1, {(0,): _poly(1, {(30,): 1})})
+    chain = ChainPattern(1, frozenset())
+    monkeypatch.setattr(quasipoly, "_MAX_RESUM_STEPS", 31 * 31)
+    assert resum_orthant(a, [(1,)], G1) == resum_chain(a, chain, [(1,)], G1)
+    monkeypatch.setattr(quasipoly, "_MAX_RESUM_STEPS", 31 * 31 - 1)
+    with pytest.raises(InputError, match="work budget exceeded: resummation"):
+        resum_orthant(a, [(1,)], G1)
+    with pytest.raises(InputError, match="work budget exceeded: resummation"):
+        resum_chain(a, chain, [(1,)], G1)
+
+
 def _geom_expansions(bound_each=8):
     up = LinearFunctional((fr(1),))
     down = LinearFunctional((fr(-1),))
