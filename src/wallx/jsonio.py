@@ -16,9 +16,11 @@ from .errors import InputError
 
 _REQUIRED = object()
 # Fraction builds 10**exponent exactly, which for an exponent of 10**9 takes
-# hours; 4300 is Python's own limit on the digits of an integer string
+# hours; 4300 is Python's own limit on the digits of an integer string.
+# The exponent is read as Fraction reads it: any Unicode decimal digits,
+# grouped by underscores, at the end of the string.
 _MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
 def field(obj, key: str, path: str, parse, *args, default=_REQUIRED, **kwargs):
@@ -81,8 +83,7 @@ def parse_rational(value, path: str) -> Fraction:
         raise InputError("floats are not accepted; use a \"p/q\" string", path)
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)
-        digits = exponent and exponent[1].replace("_", "").lstrip("0")
-        if digits and (len(digits) > 4 or int(digits) > _MAX_DECIMAL_EXPONENT):
+        if exponent and _exponent_beyond_limit(exponent[1]):
             raise InputError(f"decimal exponent beyond {_MAX_DECIMAL_EXPONENT} "
                              f"in absolute value", path)
         try:
@@ -90,6 +91,13 @@ def parse_rational(value, path: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise InputError(f"malformed rational {value!r}", path) from None
     raise InputError(f"expected a rational, got {type(value).__name__}", path)
+
+
+def _exponent_beyond_limit(digits: str) -> bool:
+    try:
+        return int(digits) > _MAX_DECIMAL_EXPONENT
+    except ValueError:  # more than 4300 digits: int() refuses, as would Fraction
+        return True
 
 
 def format_rational(value: Fraction) -> str:

@@ -22,7 +22,7 @@ from .series import LinearFunctional, _coefficient, _exponent
 
 IntVec = tuple[int, ...]
 
-_MAX_CONE_CLASSES = 1_000_000  # effective classes one lattice may enumerate
+_MAX_CONE_CLASSES = 100_000  # effective classes one lattice may enumerate
 
 
 class _PlusInfinity:
@@ -88,9 +88,17 @@ class KClass:
         return (self.r, self.beta, self.c)
 
 
+def _dot(row, vec) -> Fraction:
+    return sum((Fraction(a) * b for a, b in zip(row, vec)), Fraction(0))
+
+
 def _proportional(u: IntVec, v: IntVec) -> bool:
-    return all(u[i] * v[j] == u[j] * v[i]
-               for i, j in itertools.combinations(range(len(u)), 2))
+    n = len(u)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if u[i] * v[j] != u[j] * v[i]:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -166,10 +174,9 @@ class LatticeSpec:
             if col_deg != self.l[j]:
                 raise InputError("deg of the twist must equal l on the curve block")
         # the effective cone, grown on demand, and the classes below each cap
-        zero = (0,) * self.rank1
-        object.__setattr__(self, "_cone", {zero})
-        object.__setattr__(self, "_frontier", [(0, zero)])
-        object.__setattr__(self, "_below", {})
+        object.__setattr__(self, "_cone", {})
+        object.__setattr__(self, "_frontier", [(0, (0,) * self.rank1)])
+        object.__setattr__(self, "_below_memo", {})
 
     # -- basic functionals ----------------------------------------------------
 
@@ -183,7 +190,7 @@ class LatticeSpec:
         return sum(a * b for a, b in zip(self.deg[self.rank1:], c))
 
     def excdeg_point(self, c) -> Fraction:
-        return sum((a * b for a, b in zip(self.excdeg, c)), Fraction(0))
+        return _dot(self.excdeg, c)
 
     def twist(self, beta) -> IntVec:
         return tuple(sum(row[j] * beta[j] for j in range(self.rank1))
@@ -217,33 +224,35 @@ class LatticeSpec:
             raise InputError("curve class length does not match rank1")
         return beta
 
-    def _cone_upto(self, budget: int) -> set:
-        """Effective classes, every one with l <= budget among them.
+    def _cone_upto(self, budget: int) -> dict:
+        """Effective classes {v: l(v)} in order of l, all those with l <= budget.
 
-        Each generator has l >= 1, so extending the found classes with
-        l < budget finds them all; ``_frontier`` heaps the unextended by l.
+        Each is a generator (l >= 1) plus one of smaller l: ``_frontier`` heaps such sums.
         """
         cone, heap = self._cone, self._frontier
-        while heap and heap[0][0] < budget:
-            if len(cone) > _MAX_CONE_CLASSES:
+        while heap and heap[0][0] <= budget:
+            if len(cone) >= _MAX_CONE_CLASSES:
                 raise InputError(f"work budget exceeded: effective cone took "
                                  f"{_MAX_CONE_CLASSES} classes short of l = {budget}")
             l_v, v = heapq.heappop(heap)
-            for g in self.effgens1:
-                w = tuple(map(operator.add, v, g))
-                if w not in cone:
-                    cone.add(w)
-                    heapq.heappush(heap, (l_v + self.l_of(g), w))
+            if v not in cone:
+                cone[v] = l_v
+                for g in self.effgens1:
+                    heapq.heappush(heap, (l_v + self.l_of(g), tuple(map(operator.add, v, g))))
         return cone
 
-    def below(self, beta) -> frozenset:
-        """Effective v with beta - v effective, for a tuple beta; memoized."""
-        hit = self._below.get(beta)
+    def _below(self, beta: IntVec) -> frozenset:
+        """Effective v with beta - v effective, so l(v) <= l(beta); memoized.
+
+        Callers pass beta as a tuple of ints, the memo key; its length is checked here.
+        """
+        hit = self._below_memo.get(beta)
         if hit is None:
-            beta = self._curve(beta)
-            cone = self._cone_upto(self.l_of(beta))
-            hit = self._below[beta] = frozenset(
-                v for v in cone if tuple(map(operator.sub, beta, v)) in cone)
+            l_beta = self.l_of(self._curve(beta))
+            cone = self._cone_upto(l_beta)
+            lower = itertools.takewhile(lambda item: item[1] <= l_beta, cone.items())
+            hit = self._below_memo[beta] = frozenset(
+                v for v, _ in lower if tuple(map(operator.sub, beta, v)) in cone)
         return hit
 
     def is_effective(self, beta) -> bool:
@@ -253,11 +262,11 @@ class LatticeSpec:
 
     def leq_effective(self, b1, b2) -> bool:
         """b1 <= b2 in the effective order: both differences effective."""
-        return self._curve(b1) in self.below(self._curve(b2))
+        return self._curve(b1) in self._below(self._curve(b2))
 
     def enumerate_below(self, beta) -> list[IntVec]:
         """All effective b' with b' <= beta, in lexicographic order."""
-        below = self.below(self._curve(beta))
+        below = self._below(self._curve(beta))
         if not below:
             raise InputError("class is not effective")
         return sorted(below)

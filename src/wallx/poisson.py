@@ -40,7 +40,7 @@ class Truncation:
 
     def contains(self, spec: LatticeSpec, alpha: KClass) -> bool:
         return (alpha.r in self.rank_set
-                and alpha.beta in spec.below(self.beta_cap)
+                and alpha.beta in spec._below(self.beta_cap)
                 and (self.deg_cap is None
                      or spec.deg_point(alpha.c) <= self.deg_cap))
 

@@ -257,6 +257,14 @@ _HUGE_DOCS = {
     "decimal_exponent": ({"kind": "expand", "f": _GEOMETRIC,
                           "window": {"functional": [1], "bound": "1e1000000000"}},
                          "decimal exponent beyond 4300"),
+    # the same exponent in Arabic-Indic digits, all of them or all but the
+    # first, which Fraction reads as it reads ASCII digits
+    "decimal_exponent_unicode": ({"kind": "expand", "f": _GEOMETRIC, "window": {
+        "functional": [1], "bound": "1e\u0661" + "\u0660" * 9}},
+                                 "decimal exponent beyond 4300"),
+    "decimal_exponent_mixed": ({"kind": "expand", "f": _GEOMETRIC, "window": {
+        "functional": [1], "bound": "1e1" + "\u0660" * 9}},
+                               "decimal exponent beyond 4300"),
 }
 
 
@@ -277,7 +285,13 @@ def test_huge_decimal_exponent_is_rejected_at_its_path(tmp_path, capsys):
     assert json.loads(out)["error"] == {
         "message": "decimal exponent beyond 4300 in absolute value",
         "path": "document.window.bound"}
-    for bound in ("1e4300", "1e-4300", "1.5E+0_0300"):
+    for bound in ("1e\u0661" + "\u0660" * 5, "1e1" + "\u0660" * 5,
+                  "1e-\u0664\u0663\u0660\u0661", " 1e0" + "0" * 5000 + "1 "):
+        status, out = _run(tmp_path, capsys, dict(doc, window={
+            "functional": [1], "bound": bound}))
+        assert status == 2
+        assert json.loads(out)["error"]["path"] == "document.window.bound"
+    for bound in ("1e4300", "1e-4300", "1.5E+0_0300", "1e\u0664\u0663\u0660\u0660"):
         assert _run(tmp_path, capsys, dict(doc, window={
             "functional": [1], "bound": bound}), ("--window", "3"))[0] == 0
 
