@@ -420,12 +420,13 @@ def _load_document(source: str | None):
         try:
             with open(source, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise InputError(f"cannot read input: {err}", "--input") from err
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise InputError(f"invalid JSON: {err.msg}", "document") from err
+    except (ValueError, RecursionError) as err:  # also too long an int, too deep a nest
+        message = err.msg if isinstance(err, json.JSONDecodeError) else err
+        raise InputError(f"invalid JSON: {message}", "document") from err
     if not isinstance(doc, dict):
         raise InputError("expected a JSON object", "document")
     return doc

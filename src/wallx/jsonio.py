@@ -10,6 +10,7 @@ with a key, ``parse_list`` with an index), so each key is named once.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -101,9 +102,14 @@ def _exponent_beyond_limit(digits: str) -> bool:
 
 
 def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # parse_rational could not read the digits back either
+        raise InputError(f"result has a rational beyond Python's "
+                         f"{sys.get_int_max_str_digits()}-digit limit on "
+                         f"integer strings") from None
 
 
 def parse_int(value, path: str) -> int:

@@ -8,6 +8,8 @@ grading functionals.
 
 from __future__ import annotations
 
+import collections
+import functools
 import hashlib
 import heapq
 import itertools
@@ -25,6 +27,7 @@ IntVec = tuple[int, ...]
 _MAX_CONE_CLASSES = 100_000  # effective classes one lattice may enumerate
 
 
+@functools.total_ordering
 class _PlusInfinity:
     """Totally ordered above every Fraction; compares equal only to itself."""
 
@@ -32,15 +35,6 @@ class _PlusInfinity:
 
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return other is INF
-
-    def __gt__(self, other):
-        return other is not INF
-
-    def __ge__(self, other):
-        return True
 
     def __eq__(self, other):
         return other is INF
@@ -55,19 +49,14 @@ class _PlusInfinity:
 INF = _PlusInfinity()
 
 
-@dataclass(frozen=True)
-class KClass:
-    """Lattice vector (r, beta, c)."""
+class KClass(collections.namedtuple("KClass", "r beta c")):
+    """Lattice vector (r, beta, c), ordered as that tuple; ``_make`` is trusted."""
 
-    r: int
-    beta: IntVec
-    c: IntVec
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, r, beta, c):
         # integers only: 0.5 or (0.7,) raise instead of truncating to 0
-        object.__setattr__(self, "r", _exponent((self.r,))[0])
-        object.__setattr__(self, "beta", _exponent(self.beta))
-        object.__setattr__(self, "c", _exponent(self.c))
+        return tuple.__new__(cls, (_exponent((r,))[0], _exponent(beta), _exponent(c)))
 
     def __add__(self, other: "KClass") -> "KClass":
         return KClass(self.r + other.r,
@@ -83,9 +72,6 @@ class KClass:
 
     def vector(self) -> IntVec:
         return (self.r,) + self.beta + self.c
-
-    def sort_key(self):
-        return (self.r, self.beta, self.c)
 
 
 def _dot(row, vec) -> Fraction:

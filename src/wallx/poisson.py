@@ -65,7 +65,7 @@ class TorusElement(_Sparse):
         return self._context
 
     def items_sorted(self):
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self._terms.items())
 
     def __repr__(self):
         inner = ", ".join(f"t^{(cls.r, cls.beta, cls.c)}: {c}"
@@ -96,7 +96,7 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
             if w:
                 v = tuple(map(operator.add, v1, v2))
                 if v not in kept:
-                    total = KClass(v[0], v[1:split], v[split:])
+                    total = KClass._make((v[0], v[1:split], v[split:]))
                     kept[v] = total if trunc is None or trunc.contains(
                         spec, total) else None
                 if kept[v] is not None:

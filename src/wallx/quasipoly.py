@@ -52,9 +52,17 @@ class QuasiPolynomial:
             raise InputError("period must be at least 1")
         if self.vars < 0:
             raise InputError("variable count must be nonnegative")
-        expected = set(itertools.product(range(self.period), repeat=self.vars))
         table = dict(self.table)
-        if set(table) != expected:
+        # count before listing: when every key has vars entries, neither the
+        # power nor the period**vars residue tuples outgrow the table
+        keyed = all(isinstance(rho, tuple) and len(rho) == self.vars for rho in table)
+        size = 1
+        for _ in range(self.vars if keyed and table else 0):
+            size *= self.period
+            if size > len(table):
+                break
+        if not keyed or size != len(table) or set(table) != set(
+                itertools.product(range(self.period), repeat=self.vars)):
             raise InputError("residue table must cover every residue tuple exactly once")
         for rho, poly in table.items():
             if poly.nvars != self.vars:
@@ -233,6 +241,11 @@ def _interpolate(points) -> LaurentPolynomial:
     return total
 
 
+def _detect_budget_error() -> InputError:
+    return InputError(f"work budget exceeded: detection took "
+                      f"{_MAX_DETECT_STEPS} differenced entries")
+
+
 def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
                      max_degree: int = 6) -> QuasiPolynomial | None:
     """Smallest (period, degree) quasi-polynomial fitting the samples exactly.
@@ -264,8 +277,7 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
             for d in range(cap + 1):
                 work += len(column) - 1 - d
                 if work > _MAX_DETECT_STEPS:
-                    raise InputError(f"work budget exceeded: detection took "
-                                     f"{_MAX_DETECT_STEPS} differenced entries")
+                    raise _detect_budget_error()
                 _difference(column, range(len(column) - 1, d, -1), 1)
                 if not any(column[d + 1:]):  # the (d + 1)-th differences
                     degree = max(degree, d)
@@ -333,6 +345,8 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     for rep in reps:
         k_lo = math.ceil((s_minus.bound - L_minus(rep)) / down)
         k_hi = math.floor((s_plus.bound - L_plus(rep)) / up)
+        if k_hi - k_lo > _MAX_DETECT_STEPS:  # period 1, degree 0 alone differences more
+            raise _detect_budget_error()
         samples = {}
         for k in range(k_lo, k_hi + 1):
             e = tuple(x + k * y for x, y in zip(rep, c0))

@@ -43,6 +43,8 @@ from .series import (
     divide,
 )
 
+_MAX_WEIGHT_ENTRIES = 1_000_000  # exponent entries the group weights and sign table may take
+
 
 @dataclass(frozen=True)
 class WallDatum:
@@ -188,8 +190,18 @@ def _b_factor(group: GroupSpec) -> QuasiPolynomial:
     def unit(i):
         return tuple(1 if j == i else 0 for j in range(r))
 
+    work = 0
+
+    def spend(terms):  # each term carries r exponents
+        nonlocal work
+        work += terms * r
+        if work > _MAX_WEIGHT_ENTRIES:
+            raise InputError(f"work budget exceeded: resummation weights need "
+                             f"more than {_MAX_WEIGHT_ENTRIES} exponent entries")
+
     chis = []
     cur = group.alpha_prime
+    product = LaurentPolynomial.constant(r, 1)
     for i in range(r):
         terms = [((0,) * r, spec.euler_pairing(base[i], cur)),
                  (unit(i), spec.euler_pairing(steps[i], cur))]
@@ -200,12 +212,12 @@ def _b_factor(group: GroupSpec) -> QuasiPolynomial:
         # the constructor sums repeated exponents
         chis.append(LaurentPolynomial(terms, r))
         cur = cur + base[i]
-
-    product = LaurentPolynomial.constant(r, 1)
-    for chi in chis:
-        product = product * chi
+        spend(len(terms) * (1 + len(product.terms())))  # build chi_i, multiply it in
+        product = product * chis[-1]
     if spec.sigma == 1:
         return QuasiPolynomial(r, 1, {(0,) * r: product})
+    # per residue tuple: every chi evaluated, one signed copy of the product
+    spend((len(product.terms()) + sum(len(chi.terms()) for chi in chis)) << r)
     table = {}
     for rho in itertools.product((0, 1), repeat=r):
         sign = 1

@@ -31,6 +31,11 @@ _GEOMETRIC2 = {"numerator": _poly_obj([((0, 0), 1)]),
                "denominator": _poly_obj([((0, 0), 1), ((1, 0), -1)])}
 
 
+def _geometric_series_obj(functional, bound, coeffs):
+    return {"window": {"functional": functional, "bound": str(bound)},
+            "terms": [{"exponent": [m], "coeff": str(c)} for m, c in coeffs]}
+
+
 def _write_doc(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -240,6 +245,14 @@ def test_huge_fit_limits_answer_promptly(tmp_path, name, code, limit):
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
 
 
+def _group_doc(r):
+    """The resum_group golden with r positions of beta (1, 0), all on one wall."""
+    doc = json.loads((GOLDEN / "resum_group.json").read_text())
+    doc["group"].update(betas=[[1, 0]] * r, kappas=[[0]] * r,
+                        equalities=list(range(1, r)), J_values=["1"] * r)
+    return doc
+
+
 _HUGE_DOCS = {
     # an effective cone of 10**9 + 1 classes below the cap
     "beta_cap": ({"kind": "bracket", "lattice": model_lattice().to_obj(),
@@ -265,6 +278,21 @@ _HUGE_DOCS = {
     "decimal_exponent_mixed": ({"kind": "expand", "f": _GEOMETRIC, "window": {
         "functional": [1], "bound": "1e1" + "\u0660" * 9}},
                                "decimal exponent beyond 4300"),
+    # a coset of 10**9 + 9 samples, more than detection could ever difference
+    "reexpand_window": ({"kind": "reexpand", "f": _GEOMETRIC, "c0": [1],
+                         "s_minus": _geometric_series_obj(
+                             [-1], 8, [(m, -1) for m in range(-8, 0)]),
+                         "s_plus": _geometric_series_obj(
+                             [1], "1e9", [(m, 1) for m in range(4)])},
+                        "work budget exceeded: detection"),
+    # one table entry where 14**7, about 10**8, residue tuples are due
+    "residue_table": ({"kind": "resum", "monomials": [[1]] * 7, "grading": [1],
+                       "quasipoly": {"vars": 7, "period": 14, "table": [{
+                           "residues": [0] * 7,
+                           "poly": [{"exponent": [0] * 7, "coeff": "1"}]}]}},
+                      "residue table must cover every residue tuple"),
+    # 12 chain positions: a weight product of 4096 terms, signed 4096 times
+    "group_weights": (_group_doc(12), "work budget exceeded: resummation weights"),
 }
 
 
@@ -294,6 +322,42 @@ def test_huge_decimal_exponent_is_rejected_at_its_path(tmp_path, capsys):
     for bound in ("1e4300", "1e-4300", "1.5E+0_0300", "1e\u0664\u0663\u0660\u0660"):
         assert _run(tmp_path, capsys, dict(doc, window={
             "functional": [1], "bound": bound}), ("--window", "3"))[0] == 0
+
+
+def test_result_beyond_int_string_limit_exits_two(tmp_path, capsys):
+    # every coefficient is 10**4300, one digit more than str(int) will write
+    doc = {"kind": "expand", "window": {"functional": [1], "bound": "3"},
+           "f": dict(_GEOMETRIC, numerator=_poly_obj([((0,), "1e4300")]))}
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 2
+    assert json.loads(out)["error"] == {
+        "message": "result has a rational beyond Python's 4300-digit limit "
+                   "on integer strings", "path": None}
+    status, out = _run(tmp_path, capsys, dict(doc, f=dict(
+        _GEOMETRIC, numerator=_poly_obj([((0,), "1e4299")]))))
+    assert status == 0
+    assert _series_coeffs(json.loads(out))[(3,)] == "1" + "0" * 4299
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"kind": "expand", "x": ' + "7" * 5000 + "}", "invalid JSON: Exceeds the limit"),
+    ("[" * 100000, "invalid JSON: maximum recursion depth exceeded"),
+], ids=["long_int", "deep_nest"])
+def test_unreadable_json_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert cli.main(["--input", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["message"].startswith(message) and error["path"] == "document"
+
+
+def test_undecodable_input_exits_two(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"kind": "\xff"}')
+    assert cli.main(["--input", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["message"].startswith("cannot read input: 'utf-8' codec")
+    assert error["path"] == "--input"
 
 
 def test_closed_stdout_exits_three(tmp_path):
@@ -456,11 +520,6 @@ def test_dualize_family_pass_and_fail(tmp_path, capsys):
     assert report["all_ok"] is False
     assert report["entries"][0]["first_discrepancy"] == {
         "exponent": [0, 1], "coeff": "1"}
-
-
-def _geometric_series_obj(functional, bound, coeffs):
-    return {"window": {"functional": functional, "bound": str(bound)},
-            "terms": [{"exponent": [m], "coeff": str(c)} for m, c in coeffs]}
 
 
 def test_reexpand_confirms_geometric(tmp_path, capsys):

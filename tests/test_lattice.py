@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from wallx import lattice
 from wallx.errors import InputError
 from wallx.lattice import INF, KClass, LatticeSpec, lattice_from_obj
-from wallx.poisson import Truncation
+from wallx.poisson import TorusElement, Truncation
 from wallx.series import _exponent
 
 from conftest import fr, model_lattice, two_gen_lattice
@@ -207,6 +207,9 @@ def test_nu_slope_and_infinity_ordering():
     assert INF == INF
     assert not INF < INF
     assert (fr(3), fr(1)) < (INF, INF)
+    assert fr(5) <= INF and INF >= fr(5) and INF <= INF and INF >= INF
+    assert not INF <= fr(5) and not fr(5) >= INF and not INF > INF
+    assert sorted([INF, fr(2), fr(-1)]) == [fr(-1), fr(2), INF]
 
 
 def test_zeta_slope_lexicographic():
@@ -338,3 +341,25 @@ def test_kclass_keeps_integer_subclasses_as_ints():
     x = KClass(True, [1], (0, 2))
     assert x == KClass(1, (1,), (0, 2))
     assert type(x.r) is int and type(x.beta) is tuple
+
+
+def test_kclass_arithmetic_is_vector_arithmetic():
+    # a tuple's + concatenates and it has no - at all
+    x, y = KClass(-1, (2, 0), (1,)), KClass(0, (1, 3), (-4,))
+    for total, expected in ((x + y, KClass(-1, (3, 3), (-3,))),
+                            (x - y, KClass(-1, (1, -3), (5,))),
+                            (-x, KClass(1, (-2, 0), (-1,)))):
+        assert type(total) is KClass and total == expected
+    assert (x + y).vector() == (-1, 3, 3, -3)
+
+
+def test_kclass_sorts_by_rank_then_curve_then_point():
+    classes = [KClass(0, (1,), (0, 0)), KClass(-1, (2,), (5, 5)),
+               KClass(0, (0,), (9, 9)), KClass(0, (1,), (-1, 3))]
+    x = TorusElement(model_lattice(), [(cls, 1) for cls in classes])
+    assert [cls for cls, _ in x.items_sorted()] == [
+        classes[1], classes[2], classes[3], classes[0]]
+
+
+def test_kclass_repr():
+    assert repr(KClass(0, (1,), (0, 0))) == "KClass(r=0, beta=(1,), c=(0, 0))"

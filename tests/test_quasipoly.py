@@ -120,6 +120,23 @@ def test_qp_table_must_be_complete():
         QuasiPolynomial(1, 2, {(0,): _poly(1, {})})
 
 
+@pytest.mark.parametrize("key", [(0, 0), (2,), (-1,), "0", 0])
+def test_qp_table_keys_must_be_residue_tuples(key):
+    with pytest.raises(InputError, match="residue table"):
+        QuasiPolynomial(1, 2, {key: _poly(1, {}), (1,): _poly(1, {})})
+
+
+def test_qp_table_is_counted_not_enumerated():
+    # 14**9, about 2 * 10**10 residue tuples, are never built
+    with pytest.raises(InputError, match="residue table"):
+        QuasiPolynomial(9, 14, {(0,) * 9: _poly(9, {})})
+    with pytest.raises(InputError, match="residue table"):
+        QuasiPolynomial(1, 1, {})
+    # period 1 has one residue tuple at any arity, arity 0 one at any period
+    assert QuasiPolynomial(40, 1, {(0,) * 40: _poly(40, {})}).is_zero()
+    assert QuasiPolynomial(0, 5, {(): _poly(0, {(): 3})}).eval(()) == 3
+
+
 def test_zero_qp_degree_sentinel():
     a = _qp_const(1, 0)
     assert a.degree(0) == -1
@@ -441,6 +458,21 @@ def test_reexpand_geometric_constant_fit():
     fit = coset.fit
     assert fit.period == 1 and fit.degree(0) == 0
     assert fit.eval((17,)) == 1
+
+
+def test_reexpand_coset_longer_than_detection_budget(monkeypatch):
+    # 17 samples on the one coset: period 1, degree 0 differences 16 entries
+    f, s_minus, s_plus, down, up = _geom_expansions()
+    monkeypatch.setattr(quasipoly, "_MAX_DETECT_STEPS", 16)
+    assert reexpand_check(f, s_minus, s_plus, (1,), down, up).confirmed
+    monkeypatch.setattr(quasipoly, "_MAX_DETECT_STEPS", 15)
+
+    def never(*args):
+        raise AssertionError("the coset is sampled and handed to detection")
+
+    monkeypatch.setattr(quasipoly, "detect_quasipoly", never)
+    with pytest.raises(InputError, match="work budget exceeded: detection took 15"):
+        reexpand_check(f, s_minus, s_plus, (1,), down, up)
 
 
 def test_reexpand_rejects_wrong_direction():
