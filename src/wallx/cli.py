@@ -504,7 +504,10 @@ def main(argv=None) -> int:
         payload, status = _HANDLERS[kind](doc, opts)
         report = {"kind": kind, "tool": _tool_obj()}
         report.update(payload)
-        text = render_report(report, args.format)
+        try:
+            text = render_report(report, args.format)
+        except ValueError:  # json.dumps and str refuse an int that long
+            raise jsonio.digit_limit_error("an integer") from None
     except InputError as err:
         text, status = _dumps({"error": {"message": err.message, "path": err.path}}), 2
     except Exception as err:  # a defect, not bad input: still one JSON report

@@ -107,9 +107,14 @@ def format_rational(value: Fraction) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     except ValueError:  # parse_rational could not read the digits back either
-        raise InputError(f"result has a rational beyond Python's "
-                         f"{sys.get_int_max_str_digits()}-digit limit on "
-                         f"integer strings") from None
+        raise digit_limit_error("a rational") from None
+
+
+def digit_limit_error(what: str) -> InputError:
+    """The error for a result that str(int) refuses to write."""
+    return InputError(f"result has {what} beyond Python's "
+                      f"{sys.get_int_max_str_digits()}-digit limit on "
+                      f"integer strings")
 
 
 def parse_int(value, path: str) -> int:

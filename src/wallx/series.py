@@ -11,6 +11,7 @@ constructors and in the wire-format parsers.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import operator
@@ -163,6 +164,17 @@ def _accumulate(out: dict, pairs) -> dict:
         else:
             out.pop(key, None)
     return out
+
+
+def _dot(weights, e) -> int:
+    return sum(map(operator.mul, weights, e))
+
+
+def _int_functional(L: LinearFunctional, bound: Fraction):
+    """L times the lcm s of its denominators, as ints, and floor(bound * s):
+    L(e) <= bound exactly when the scaled L-value of e is at most that."""
+    s = math.lcm(*(c.denominator for c in L.coeffs))
+    return [int(c * s) for c in L.coeffs], math.floor(bound * s)
 
 
 def _products(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]):
@@ -452,18 +464,38 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
     den's unique L-minimal term (m0, c0) must be supplied.  Emits quotient
     terms with L-value at most bound; terms are processed in a monotone
     order so each quotient exponent is written exactly once.  It runs over
-    ints (L times the lcm s of its denominators, the remainder times the lcm
-    nd of num's) with steps (he - m0, hc/c0), which stay Fractions only
-    where c0 does not divide hc; each quotient term is r/(c0*nd)."""
-    s = math.lcm(*(c.denominator for c in L.coeffs))
-    ls = [int(c * s) for c in L.coeffs]
-    top = math.floor((bound + L(m0)) * s)
+    ints (L scaled by ``_int_functional``, the remainder times the lcm nd
+    of num's) with steps (he - m0, hc/c0), which stay Fractions only
+    where c0 does not divide hc; each quotient term is r/(c0*nd).
+
+    The remainder is keyed by quotient exponents (num's minus m0), each
+    packed into the int sum (x_i + M) * B**(n-1-i) with B = 2M + 1 and M
+    bounding every |x_i| that can arise: a step adds the packed step less
+    the packed zero, and keys order as exponents do in lex order.
+    Every step raises L (m0 is the unique minimum), so the steps are sorted
+    by L-value and none that would land past the bound is taken."""
+    ls, top = _int_functional(L, bound)
     nd = math.lcm(*(c.denominator for c in num.values()))
-    r = {e: c.numerator * (nd // c.denominator) for e, c in num.items()}
-    steps = [(d, sum(map(operator.mul, ls, d)), k.numerator if k.denominator == 1 else k)
-             for d, k in ((tuple(map(operator.sub, he, m0)), hc / c0)
-                          for he, hc in den.items() if he != m0)]
-    heap = [(sum(map(operator.mul, ls, e)), e) for e in r]
+
+    def shifted(terms):
+        return ((tuple(map(operator.sub, e, m0)), c) for e, c in terms.items())
+
+    r = {e: c.numerator * (nd // c.denominator)
+         for e, c in shifted(num) if _dot(ls, e) <= top}
+    steps = sorted((_dot(ls, d), d, c / c0) for d, c in shifted(den) if any(d))
+    # a term k steps deep has L-value at least min(r) + k * (least step) and
+    # at most top, and the budget allows no more than _MAX_DIVISION_STEPS steps
+    depth = min((top - min(_dot(ls, e) for e in r)) // steps[0][0],
+                _MAX_DIVISION_STEPS) if r and steps else 0
+    M = (max((abs(x) for e in r for x in e), default=0)
+         + depth * max((abs(x) for _, d, _ in steps for x in d), default=0))
+    n, B = len(m0), 2 * M + 1
+    weights = [B ** i for i in reversed(range(n))]
+    offset = M * sum(weights)
+    heap = [(_dot(ls, e), _dot(weights, e) + offset) for e in r]
+    r = {_dot(weights, e) + offset: c for e, c in r.items()}
+    steps = [(l_d, _dot(weights, d), k.numerator if k.denominator == 1 else k)
+             for l_d, d, k in steps]
     heapq.heapify(heap)
     out_num, out_den = c0.denominator, c0.numerator * nd
     out: dict[Exponent, Fraction] = {}
@@ -474,18 +506,20 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
         c = r.pop(e, 0)
         if not c:
             continue
-        if l_e > top:
-            return out
-        out[tuple(map(operator.sub, e, m0))] = Fraction(c * out_num, out_den)
-        for d, l_d, k in steps:
-            ne = tuple(map(operator.add, e, d))
-            acc = r.get(ne, 0) - c * k
-            if acc:
-                if ne not in r:
-                    heapq.heappush(heap, (l_e + l_d, ne))
+        out[tuple(e // w % B - M for w in weights)] = Fraction(c * out_num, out_den)
+        room = top - l_e
+        for l_d, d, k in steps:
+            if l_d > room:
+                break
+            ne = e + d
+            acc = r.get(ne)
+            if acc is None:
+                r[ne] = -c * k
+                heapq.heappush(heap, (l_e + l_d, ne))
+            elif acc := acc - c * k:
                 r[ne] = acc
             else:
-                r.pop(ne, None)
+                del r[ne]
     if heap:
         raise InputError(f"work budget exceeded: long division took "
                          f"{_MAX_DIVISION_STEPS} steps short of the window bound")
@@ -566,13 +600,15 @@ def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeri
 
 def _series_product(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction],
                     window: Window) -> LaurentSeries:
-    """The terms of a*b with L-value at most the (coset-free) window's bound,
-    tested once per merged exponent: a series times a polynomial has many
-    pairs of terms per exponent."""
-    L, bound = window.functional, window.bound
-    out = _accumulate({}, _products(a, b))
-    return LaurentSeries._make(
-        {e: c for e, c in out.items() if L(e) <= bound}, window)
+    """The terms of a*b with L-value at most the (coset-free) window's bound.
+    b is sorted by L-value once, and each term of a is paired only with the
+    prefix of b that keeps the product within the bound."""
+    ls, top = _int_functional(window.functional, window.bound)
+    by_l = sorted((_dot(ls, e), e, c) for e, c in b.items())
+    b_ls = [l for l, _, _ in by_l]
+    pairs = ((tuple(map(operator.add, ea, eb)), ca * cb) for ea, ca in a.items()
+             for _, eb, cb in by_l[:bisect.bisect_right(b_ls, top - _dot(ls, ea))])
+    return LaurentSeries._make(_accumulate({}, pairs), window)
 
 
 def verify_expansion(s: LaurentSeries, f: RationalFunction) -> bool:

@@ -11,7 +11,7 @@ import wallx
 from wallx import cli, poisson
 from wallx.a1model import build_a1
 
-from conftest import model_lattice
+from conftest import model_lattice, two_gen_lattice
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -337,6 +337,19 @@ def test_result_beyond_int_string_limit_exits_two(tmp_path, capsys):
         _GEOMETRIC, numerator=_poly_obj([((0,), "1e4299")]))))
     assert status == 0
     assert _series_coeffs(json.loads(out))[(3,)] == "1" + "0" * 4299
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_report_integer_beyond_int_string_limit_exits_two(tmp_path, capsys, fmt):
+    # each class component has 4,300 digits; their sum has 4,301
+    x = _element_obj((0, (0, 0), (10**4300 - 1,), 1))
+    doc = {"kind": "bracket", "operation": "naive",
+           "lattice": two_gen_lattice().to_obj(), "x": x, "y": x}
+    status, out = _run(tmp_path, capsys, doc, ("--format", fmt))
+    assert status == 2
+    assert json.loads(out)["error"] == {
+        "message": "result has an integer beyond Python's 4300-digit limit "
+                   "on integer strings", "path": None}
 
 
 @pytest.mark.parametrize("text, message", [

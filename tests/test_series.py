@@ -7,9 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wallx import series
 from wallx.errors import InputError
 from wallx.series import (
     _divide_terms,
+    _series_product,
     Coset,
     LaurentPolynomial,
     LaurentSeries,
@@ -357,6 +359,10 @@ def _assert_same_terms(got, want):
 @example({(-2, 1): fr(5, 3)}, {(-1, 0): fr(-2, 3), (0, 0): fr(4, 3),
                                (-1, 1): fr(-2)},
          LinearFunctional((fr(3, 2), fr(5, 6))), fr(2))
+# (1 + x^2) / (1 + x + x^2): the first pop cancels the remainder at x^2,
+# and the second writes it again, so x^2 is on the heap twice
+@example({(0, 0): fr(1), (2, 0): fr(1)}, {(0, 0): fr(1), (1, 0): fr(1), (2, 0): fr(1)},
+         LinearFunctional((fr(1), fr(1))), fr(3))
 @given(_div_terms, _div_terms, _div_L, _div_bound)
 @settings(deadline=None, max_examples=200)
 def test_integer_division_matches_fraction_reference(num, den, L, bound):
@@ -376,6 +382,106 @@ def test_integer_division_matches_fraction_reference(num, den, L, bound):
     q = divide(s1, s2, L)
     _assert_same_terms(q.terms(), _reference_divide(
         num, den, L, q.bound, m0, c0))
+
+
+_BIG = 10**12
+
+
+@st.composite
+def _wide_division(draw):
+    """Three variables, each operand a small cluster moved by up to 10**12
+    per component (so the packing base is large and m0 can be negative),
+    and a bound near the lowest quotient term, so that some steps from a
+    popped term stay within it and others land past it."""
+    L = LinearFunctional(draw(st.tuples(*[st.sampled_from(
+        [fr(1), fr(1, 2), fr(2, 3), fr(-1, 3), fr(3)])] * 3)))
+    small = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3), _div_coeff,
+                            min_size=1, max_size=4)
+
+    def moved(terms):
+        shift = draw(st.tuples(*[st.integers(-_BIG, _BIG)] * 3))
+        return {tuple(map(sum, zip(e, shift))): c for e, c in terms.items()}
+
+    num, den = moved(draw(small)), moved(draw(small))
+    m0, c0 = _unique_min(den, L)
+    low = min(map(L, num)) - L(m0)
+    bound = low + draw(st.fractions(min_value=-1, max_value=5, max_denominator=3))
+    return num, den, L, bound, m0, c0
+
+
+# num - m0 = (10**12, -2 * 10**12, 0) has L-value 0
+@example(({(0, -5 - 2 * _BIG, -_BIG): fr(2), (0, -4 - 2 * _BIG, -_BIG): fr(-1, 2)},
+          {(-_BIG, -5, -_BIG): fr(3), (1 - _BIG, -5, -_BIG): fr(1),
+           (-_BIG, -4, 1 - _BIG): fr(-2)},
+          LinearFunctional((fr(1), fr(1, 2), fr(2, 3))), fr(5, 2),
+          (-_BIG, -5, -_BIG), fr(3)))
+@given(_wide_division())
+@settings(deadline=None, max_examples=150)
+def test_integer_division_with_wide_exponents_matches_reference(case):
+    num, den, L, bound, m0, c0 = case
+    _assert_same_terms(_divide_terms(num, den, L, bound, m0, c0).items(),
+                       _reference_divide(num, den, L, bound, m0, c0))
+
+
+class _RecordingHeapq:
+    """Stands in for the heapq module and records every push."""
+
+    heapify, heappop = staticmethod(heapq.heapify), staticmethod(heapq.heappop)
+
+    def __init__(self):
+        self.pushed = []
+
+    def heappush(self, heap, item):
+        self.pushed.append(item)
+        heapq.heappush(heap, item)
+
+
+def test_division_pushes_nothing_past_the_bound(monkeypatch):
+    # 1 / (1 - x - y) to L-value 5 under L = (1, 1): s = 1 and m0 = 0, so
+    # a pushed entry's first field is its L-value
+    shim = _RecordingHeapq()
+    monkeypatch.setattr(series, "heapq", shim)
+    L = LinearFunctional((fr(1), fr(1)))
+    out = _divide_terms({(0, 0): fr(1)}, {(0, 0): fr(1), (1, 0): fr(-1), (0, 1): fr(-1)},
+                        L, fr(5), (0, 0), fr(1))
+    assert len(out) == 21 and out[(2, 3)] == 10
+    assert len(shim.pushed) == 20  # every exponent of L-value 1..5, once
+    assert max(l for l, _ in shim.pushed) == 5
+
+
+def test_division_budget(monkeypatch):
+    monkeypatch.setattr(series, "_MAX_DIVISION_STEPS", 50)
+    num, den = {(0,): fr(1)}, {(0,): fr(1), (1,): fr(-1)}
+    with pytest.raises(InputError, match="work budget exceeded: long division "
+                                         "took 50 steps"):
+        _divide_terms(num, den, L_UP, fr(1000), (0,), fr(1))
+    assert _divide_terms(num, den, L_UP, fr(40), (0,), fr(1)) == {
+        (m,): 1 for m in range(41)}
+
+
+# -- window-bounded products against the all-pairs product --------------------
+
+def _reference_product(a, b, L, bound):
+    """Every pair of terms, then the terms with L-value at most the bound:
+    the series product before it paired terms only up to the bound."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c and L(e) <= bound}
+
+
+@given(_div_terms, _div_terms, _div_L, st.fractions(min_value=0, max_value=1))
+@settings(deadline=None, max_examples=200)
+def test_series_product_matches_all_pairs(a, b, L, cut):
+    # cut 0 keeps only the lowest pair, cut 1 every pair; between, the bound
+    # falls inside both operands' L-ranges
+    lows, highs = [min(map(L, t)) for t in (a, b)], [max(map(L, t)) for t in (a, b)]
+    bound = sum(lows) + cut * (sum(highs) - sum(lows))
+    got = _series_product(a, b, Window(L, bound))
+    assert set(got.terms()) == set(_reference_product(a, b, L, bound).items())
+    assert all(type(c) is Fraction for _, c in got.terms())
 
 
 # -- the window invariant against a wider direct expansion --------------------
