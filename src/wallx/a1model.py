@@ -113,17 +113,6 @@ class A1Model:
         """Orbifold column minus resolution column; equals (-1)^m (3m - 9)."""
         return self.orbifold_column(m) - self.resolution_column(m)
 
-    def point_row_coefficient(self, m: int) -> Fraction:
-        if m < 0:
-            return Fraction(0)
-        return Fraction(_alt(m) * (m + 1))
-
-    def resolution_point_coefficient(self, m: int, n: int) -> Fraction:
-        """Resolution-side rank-zero table: identically zero for n <= 0."""
-        if n <= 0:
-            return Fraction(0)
-        raise InputError("resolution point counts are tabulated only for n <= 0")
-
 
 def build_a1() -> A1Model:
     """Materialize the worked model with all stored series data."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -46,10 +47,6 @@ SELFCHECK_SEED = 20260823
 class _Options:
     window: Fraction | None
     seed: int | None
-
-
-def _tool_obj():
-    return {"name": "wallx", "version": __version__}
 
 
 def _doc_lattice(doc) -> LatticeSpec:
@@ -476,7 +473,9 @@ def render_report(report, fmt: str) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared with main()."""
     parser = argparse.ArgumentParser(
         prog="wallx",
         description="Run one exact wall-crossing problem document.")
@@ -502,7 +501,7 @@ def main(argv=None) -> int:
             window = jsonio.parse_rational(args.window, "--window")
         opts = _Options(window=window, seed=args.seed)
         payload, status = _HANDLERS[kind](doc, opts)
-        report = {"kind": kind, "tool": _tool_obj()}
+        report = {"kind": kind, "tool": {"name": "wallx", "version": __version__}}
         report.update(payload)
         try:
             text = render_report(report, args.format)

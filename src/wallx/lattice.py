@@ -74,10 +74,6 @@ class KClass(collections.namedtuple("KClass", "r beta c")):
         return (self.r,) + self.beta + self.c
 
 
-def _dot(row, vec) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(row, vec)), Fraction(0))
-
-
 def _proportional(u: IntVec, v: IntVec) -> bool:
     n = len(u)
     for i in range(n):
@@ -169,14 +165,8 @@ class LatticeSpec:
     def l_of(self, beta) -> int:
         return sum(a * b for a, b in zip(self.l, beta))
 
-    def deg_pair(self, beta, c) -> int:
-        return sum(a * b for a, b in zip(self.deg, tuple(beta) + tuple(c)))
-
     def deg_point(self, c) -> int:
         return sum(a * b for a, b in zip(self.deg[self.rank1:], c))
-
-    def excdeg_point(self, c) -> Fraction:
-        return _dot(self.excdeg, c)
 
     def twist(self, beta) -> IntVec:
         return tuple(sum(row[j] * beta[j] for j in range(self.rank1))
@@ -246,10 +236,6 @@ class LatticeSpec:
         beta = self._curve(beta)
         return beta in self._cone_upto(self.l_of(beta))
 
-    def leq_effective(self, b1, b2) -> bool:
-        """b1 <= b2 in the effective order: both differences effective."""
-        return self._curve(b1) in self._below(self._curve(b2))
-
     def enumerate_below(self, beta) -> list[IntVec]:
         """All effective b' with b' <= beta, in lexicographic order."""
         below = self._below(self._curve(beta))
@@ -262,10 +248,9 @@ class LatticeSpec:
     def nu_slope(self, x: KClass):
         """deg/l slope of (beta, c); +oo on the point block."""
         l_val = self.l_of(x.beta)
-        d_val = self.deg_pair(x.beta, x.c)
         if l_val == 0:
             return INF
-        return Fraction(d_val, l_val)
+        return Fraction(sum(map(operator.mul, self.deg, x.beta + x.c)), l_val)
 
     def zeta_slope(self, x: KClass):
         """(zeta1, nu) ordered lexicographically; (+oo, +oo) on the point block."""
@@ -275,7 +260,7 @@ class LatticeSpec:
         denom = self.deg_point(tw)
         if denom == 0:
             raise InputError("degenerate twist: zeta slope undefined")
-        zeta1 = -self.excdeg_point(tw) / denom
+        zeta1 = -sum(map(operator.mul, self.excdeg, tw), Fraction(0)) / denom
         return (zeta1, self.nu_slope(x))
 
     def _wall_slopes(self, beta) -> list[tuple[Fraction, IntVec]]:

@@ -181,11 +181,3 @@ def truncation_from_obj(obj, path: str, spec: LatticeSpec) -> Truncation:
     if not spec.is_effective(beta_cap):
         raise InputError("truncation cap must be effective", f"{path}.beta_cap")
     return Truncation(beta_cap, deg_cap, frozenset({0, -1} if ranks is None else ranks))
-
-
-def truncation_to_obj(trunc: Truncation):
-    obj = {"beta_cap": list(trunc.beta_cap),
-           "ranks": sorted(trunc.rank_set)}
-    if trunc.deg_cap is not None:
-        obj["deg_cap"] = jsonio.format_rational(trunc.deg_cap)
-    return obj

@@ -30,6 +30,7 @@ from .series import (
     RationalFunction,
     _coefficient,
     _exponent,
+    _over_lcm,
     polynomial_to_obj,
     terms_from_obj,
     verify_expansion,
@@ -113,10 +114,9 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
     if math.prod(sizes) * sum(1 + d for d in degs) > _MAX_RESUM_STEPS:
         raise InputError(f"work budget exceeded: resummation box needs more "
                          f"than {_MAX_RESUM_STEPS} differenced entries")
-    den = math.lcm(*(c.denominator for poly in a.table.values()
-                     for _, c in poly.items()))
-    table = {rho: [(c.numerator * (den // c.denominator), e)
-                   for e, c in poly.items()]
+    nums, den = _over_lcm(c for poly in a.table.values() for _, c in poly.items())
+    nums = iter(nums)  # in the order of the table's terms
+    table = {rho: [(next(nums), e) for e, _ in poly.items()]
              for rho, poly in a.table.items()}
     box = list(itertools.product(*map(range, sizes)))
     values = [sum(c * math.prod(x ** k for x, k in zip(n, e))
@@ -266,8 +266,7 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
     if len(keys) < 2 or max_period < 1 or max_degree < 0:
         raise InputError("window too small")
     values = [_coefficient(samples[k]) for k in keys]
-    den = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (den // v.denominator) for v in values]
+    scaled, _ = _over_lcm(values)
     work = 0
     for period in range(1, min(max_period, len(keys) // 2) + 1):
         cap = min(max_degree, len(keys) // period - 2)

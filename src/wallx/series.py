@@ -45,9 +45,6 @@ class LinearFunctional:
                 f"functional arity {len(self.coeffs)}")
         return sum((c * e for c, e in zip(self.coeffs, exponent)), _ZERO)
 
-    def negated(self) -> "LinearFunctional":
-        return LinearFunctional(tuple(-c for c in self.coeffs))
-
     def to_obj(self):
         return [jsonio.format_rational(c) for c in self.coeffs]
 
@@ -170,11 +167,18 @@ def _dot(weights, e) -> int:
     return sum(map(operator.mul, weights, e))
 
 
+def _over_lcm(values) -> tuple[list[int], int]:
+    """Fractions as int numerators over their least common denominator."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _int_functional(L: LinearFunctional, bound: Fraction):
     """L times the lcm s of its denominators, as ints, and floor(bound * s):
     L(e) <= bound exactly when the scaled L-value of e is at most that."""
-    s = math.lcm(*(c.denominator for c in L.coeffs))
-    return [int(c * s) for c in L.coeffs], math.floor(bound * s)
+    ls, s = _over_lcm(L.coeffs)
+    return ls, math.floor(bound * s)
 
 
 def _products(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]):
@@ -278,9 +282,6 @@ class LaurentPolynomial(_Sparse):
 
     items = _Sparse.terms  # the polynomial spelling of terms()
 
-    def support_sorted(self) -> list[Exponent]:
-        return sorted(self._terms)
-
     def __hash__(self):
         return hash((self.nvars, frozenset(self._terms.items())))
 
@@ -339,13 +340,6 @@ class LaurentPolynomial(_Sparse):
         return LaurentPolynomial(
             ((fn(e), c) for e, c in self._terms.items()), nvars_out)
 
-    def l_min(self, functional: LinearFunctional):
-        """(value, exponents) attaining the minimal L-value, or (None, [])."""
-        return _unique_l_min(self._terms, functional)
-
-    def l_max(self, functional: LinearFunctional):
-        return max((functional(e) for e in self._terms), default=None)
-
     def __repr__(self):
         inner = ", ".join(f"{e}: {c}" for e, c in sorted(self._terms.items()))
         return f"LaurentPolynomial({{{inner}}})"
@@ -368,9 +362,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.numerator * other.denominator == other.numerator * self.denominator
-
-    def __hash__(self):
-        raise TypeError("rational functions are not hashable")
 
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
@@ -398,10 +389,6 @@ class LaurentSeries(_Sparse):
     @property
     def window(self) -> Window:
         return self._context
-
-    @property
-    def functional(self) -> LinearFunctional:
-        return self.window.functional
 
     @property
     def bound(self) -> Fraction:
@@ -475,13 +462,12 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
     Every step raises L (m0 is the unique minimum), so the steps are sorted
     by L-value and none that would land past the bound is taken."""
     ls, top = _int_functional(L, bound)
-    nd = math.lcm(*(c.denominator for c in num.values()))
+    nums, nd = _over_lcm(num.values())
 
     def shifted(terms):
         return ((tuple(map(operator.sub, e, m0)), c) for e, c in terms.items())
 
-    r = {e: c.numerator * (nd // c.denominator)
-         for e, c in shifted(num) if _dot(ls, e) <= top}
+    r = {e: n for (e, _), n in zip(shifted(num), nums) if _dot(ls, e) <= top}
     steps = sorted((_dot(ls, d), d, c / c0) for d, c in shifted(den) if any(d))
     # a term k steps deep has L-value at least min(r) + k * (least step) and
     # at most top, and the budget allows no more than _MAX_DIVISION_STEPS steps
@@ -647,8 +633,7 @@ def _coset_from_obj(obj, path: str) -> Coset:
     return Coset(base, generators)
 
 
-def terms_to_obj(items, sort_key=None):
-    items = sorted(items, key=sort_key if sort_key else lambda kv: kv[0])
+def terms_to_obj(items):
     return [{"exponent": list(e), "coeff": jsonio.format_rational(c)}
             for e, c in items]
 
@@ -664,9 +649,8 @@ def _term_from_obj(obj, path: str, nvars: int | None):
 
 
 def series_to_obj(s: LaurentSeries):
-    L = s.window.functional
     return {"window": window_to_obj(s.window),
-            "terms": terms_to_obj(s.terms(), lambda kv: (L(kv[0]), kv[0]))}
+            "terms": terms_to_obj(s.items_sorted())}
 
 
 def series_from_obj(obj, path: str, nvars: int | None = None) -> LaurentSeries:
@@ -676,7 +660,7 @@ def series_from_obj(obj, path: str, nvars: int | None = None) -> LaurentSeries:
 
 
 def polynomial_to_obj(p: LaurentPolynomial):
-    return terms_to_obj(p.items())
+    return terms_to_obj(sorted(p.items()))
 
 
 def polynomial_from_obj(obj, path: str, nvars: int | None = None) -> LaurentPolynomial:

@@ -18,7 +18,7 @@ from typing import Mapping
 
 from . import jsonio
 from .errors import InputError
-from .lattice import INF, IntVec, KClass, LatticeSpec, kclass_from_obj, kclass_to_obj
+from .lattice import INF, IntVec, KClass, LatticeSpec, kclass_from_obj
 from .poisson import (
     TorusElement,
     Truncation,
@@ -132,18 +132,6 @@ class GroupSpec:
     def r(self) -> int:
         return len(self.betas)
 
-    def total_beta(self) -> IntVec:
-        total = list(self.alpha_prime.beta)
-        for b in self.betas:
-            total = [x + y for x, y in zip(total, b)]
-        return tuple(total)
-
-
-def _chain_slopes(group: GroupSpec) -> list[Fraction]:
-    spec = group.context
-    return [spec.nu_slope(KClass(0, b, k))
-            for b, k in zip(group.betas, group.kappas)]
-
 
 def _validate_group(group: GroupSpec, trunc: Truncation | None):
     spec = group.context
@@ -159,9 +147,10 @@ def _validate_group(group: GroupSpec, trunc: Truncation | None):
             raise InputError("group curve classes must be effective")
         if spec.l_of(b) < 1:
             raise InputError("group curve classes must have positive l")
-    if trunc is not None and tuple(trunc.beta_cap) != group.total_beta():
+    total = tuple(map(sum, zip(group.alpha_prime.beta, *group.betas)))
+    if trunc is not None and tuple(trunc.beta_cap) != total:
         raise InputError("truncation cap must equal the total group class")
-    nus = _chain_slopes(group)
+    nus = [spec.nu_slope(KClass(0, b, k)) for b, k in zip(group.betas, group.kappas)]
     if r and not group.delta0 <= nus[0] < group.delta0 + 1:
         raise InputError("first representative is not minimal past the cutoff")
     for i in range(1, r):
@@ -262,8 +251,9 @@ def group_resum(group: GroupSpec, trunc: Truncation | None) -> RationalFunction:
 
 def dtpt_ratio(dt_beta: LaurentSeries, dt_zero: LaurentSeries,
                L: LinearFunctional) -> LaurentSeries:
-    leading = dt_zero.items_sorted()
-    if leading and leading[0][1] != 1:
+    L_zero = dt_zero.window.functional  # the (L, exponent)-least term leads
+    lead = min(((L_zero(e), e, c) for e, c in dt_zero.terms()), default=None)
+    if lead is not None and lead[2] != 1:
         raise InputError("rank-zero column must lead with coefficient 1")
     return divide(dt_beta, dt_zero, L)
 
@@ -315,7 +305,7 @@ def duality_check(f_by_beta: Mapping[IntVec, RationalFunction],
         if diff.is_zero():
             entries.append(DualityEntry(beta, img.beta, True, None))
         else:
-            first = diff.support_sorted()[0]
+            first = min(e for e, _ in diff.items())
             entries.append(DualityEntry(beta, img.beta, False,
                                         (first, diff.coeff(first))))
             all_ok = False
@@ -413,15 +403,3 @@ def group_from_obj(obj, path: str, spec: LatticeSpec) -> GroupSpec:
     delta0 = jsonio.field(obj, "delta0", path, jsonio.parse_rational)
     return GroupSpec(spec, alpha_prime, betas, kappas, frozenset(equalities),
                      j_values, dt_value, delta0)
-
-
-def group_to_obj(group: GroupSpec):
-    return {
-        "alpha_prime": kclass_to_obj(group.alpha_prime),
-        "betas": [list(b) for b in group.betas],
-        "kappas": [list(k) for k in group.kappas],
-        "equalities": sorted(group.equalities),
-        "J_values": [jsonio.format_rational(v) for v in group.J_values],
-        "DT_value": jsonio.format_rational(group.DT_value),
-        "delta0": jsonio.format_rational(group.delta0),
-    }

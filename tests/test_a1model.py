@@ -104,17 +104,8 @@ def test_point_row_first_terms():
 def test_point_row_matches_tabulated_values():
     model = build_a1()
     series = _expand_layer(model, model.point_row, 12)
-    for m in range(-3, 12):
-        assert series.coeff((m, 0)) == model.point_row_coefficient(m)
-
-
-def test_resolution_point_table_vanishes_for_nonpositive_n():
-    model = build_a1()
-    for m in range(-3, 4):
-        for n in range(-3, 1):
-            assert model.resolution_point_coefficient(m, n) == 0
-    with pytest.raises(InputError):
-        model.resolution_point_coefficient(0, 1)
+    assert [series.coeff((m, 0)) for m in range(-3, 13)] == [
+        0, 0, 0, 1, -2, 3, -4, 5, -6, 7, -8, 9, -10, 11, -12, 13]
 
 
 def test_raw_variant_is_flagged_and_disagrees_with_closed_form():

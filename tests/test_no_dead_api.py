@@ -1,0 +1,73 @@
+"""No dead API: every function, method and class defined in ``src/wallx``
+(dunders aside) is referenced by a name, an attribute or an import in the
+sources of ``src/wallx`` or of the benchmark modules in ``perfbench``,
+outside its own definition.  A name that only tests call is not part of
+what the program does, so it is deleted rather than kept for them."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import wallx
+
+SRC = Path(wallx.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# name -> why it stays although nothing in the program calls it
+ALLOWED = {
+    "cross_gamma_wall": (
+        "the paper's gamma-wall certificate; run_a1 cannot use it: on the model "
+        "lattice the wall at 1 crosses along c_gamma = (-2, 0) between L = (1/3, 5/3) "
+        "and (-1, 3), while the report re-expands along (1, 0) between (-1, 1) and "
+        "(1, 1), so routing it there would change the report"),
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _references(node) -> Counter:
+    """Every name, attribute name and imported name under node."""
+    found = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            found[child.name.rpartition(".")[2]] += 1
+    return found
+
+
+def _unreferenced(defining: dict, others: list):
+    """(label, line, name) for each non-dunder definition in the trees of
+    ``defining`` ({label: tree}) that neither those trees, outside the
+    definition itself, nor the trees in ``others`` refer to."""
+    everywhere = sum((_references(t) for t in [*defining.values(), *others]), Counter())
+    for label, tree in defining.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not _is_dunder(node.name)
+                    and everywhere[node.name] == _references(node)[node.name]):
+                yield label, node.lineno, node.name
+
+
+def test_guard_finds_only_the_unreferenced_definition():
+    source = ("def used():\n    return 1\n\n"
+              "def dead():\n    return dead()\n\n"
+              "class K:\n    def m(self):\n        return used()\n\n"
+              "    def __len__(self):\n        return 0\n")
+    caller = "from mod import K\nK().m()\n"
+    found = _unreferenced({"mod": ast.parse(source)}, [ast.parse(caller)])
+    assert list(found) == [("mod", 4, "dead")]
+
+
+def test_every_definition_in_wallx_is_used_by_the_program():
+    sources = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(p.read_text(), str(p)) for p in sorted(BENCH.glob("*.py"))]
+    assert sources and bench
+    found = {name: (label, line) for label, line, name in _unreferenced(sources, bench)}
+    dead = {name: where for name, where in found.items() if name not in ALLOWED}
+    assert not dead, f"defined but used only by tests, or not at all: {dead}"
+    assert set(found) == set(ALLOWED), "an allowed name is now used or gone"

@@ -213,8 +213,8 @@ def test_orthant_denominator_and_degree_drop():
             expected_h = expected_h * base ** (1 + a.degree(i))
         assert f.denominator == expected_h
         assert not f.numerator.is_zero() or True
-        g_top = f.numerator.l_max(G1)
-        h_top = f.denominator.l_max(G1)
+        g_top = max((G1(e) for e, _ in f.numerator.items()), default=None)
+        h_top = max(G1(e) for e, _ in f.denominator.items())
         if g_top is not None:
             assert g_top < h_top
 

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from wallx import series
 from wallx.errors import InputError
 from wallx.series import (
     _divide_terms,
+    _over_lcm,
     _series_product,
     Coset,
     LaurentPolynomial,
@@ -344,6 +346,16 @@ def _unique_min(terms, L):
     return lows[0], terms[lows[0]]
 
 
+@given(st.lists(st.fractions(max_denominator=60), max_size=6))
+def test_over_lcm_writes_fractions_over_their_least_common_denominator(values):
+    nums, den = _over_lcm(iter(values))
+    assert [Fraction(n, den) for n in nums] == values
+    assert all(type(n) is int for n in nums)
+    # a common denominator; the least exactly when no factor of it divides every numerator
+    assert den >= 1 and math.gcd(den, *nums) == 1
+    assert _over_lcm([]) == ([], 1)
+
+
 def _assert_same_terms(got, want):
     assert list(got) == list(want.items())
     assert all(type(c) is Fraction and c for _, c in got)
@@ -506,7 +518,8 @@ def _invariant_case(draw):
 
 def _low(f, L):
     """The L-value of f's leading term: lowest of g minus lowest of h."""
-    return f.numerator.l_min(L)[0] - f.denominator.l_min(L)[0]
+    return (min(L(e) for e, _ in f.numerator.items())
+            - min(L(e) for e, _ in f.denominator.items()))
 
 
 def _expand_past_low(f, L, extra, coset=None):
@@ -518,7 +531,7 @@ def _assert_window_invariant(s, f):
     direct expansion of f two past s's bound, and every exponent of a box
     around both supports that s's window admits but s does not store is
     zero there."""
-    L = s.functional
+    L = s.window.functional
     if f.numerator.is_zero():
         wide = LaurentSeries({}, Window(L, s.bound))
     else:

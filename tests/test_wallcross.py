@@ -12,6 +12,7 @@ from wallx.poisson import TorusElement, Truncation, bracket
 from wallx.series import (
     LaurentPolynomial,
     LaurentSeries,
+    LinearFunctional,
     RationalFunction,
     Window,
     expand,
@@ -27,7 +28,6 @@ from wallx.wallcross import (
     duality_check,
     group_from_obj,
     group_resum,
-    group_to_obj,
     iterate_walls,
 )
 
@@ -407,8 +407,11 @@ def test_group_json_round_trip():
     group = GroupSpec(spec, KClass(-1, (0,), (1, 0)), ((1,), (1,)),
                       ((0, 0), (0, 1)), frozenset(), (fr(1, 2), fr(-1, 3)),
                       fr(2), fr(0))
-    obj = group_to_obj(group)
-    assert obj["J_values"] == ["1/2", "-1/3"]
+    obj = {"alpha_prime": {"r": -1, "beta": [0], "c": [1, 0]},
+           "betas": [[1], [1]], "kappas": [[0, 0], [0, 1]], "equalities": [],
+           "J_values": ["1/2", "-1/3"], "DT_value": "2", "delta0": "0"}
+    assert group_from_obj(obj, "group", spec) == group
+    del obj["equalities"]  # optional, empty by default
     assert group_from_obj(obj, "group", spec) == group
 
 
@@ -459,7 +462,7 @@ def test_iterate_walls_matches_group_decomposition():
     L = spec.point_degree_functional()
     resummed = {}
     for group in groups:
-        total = group.total_beta()
+        total = tuple(map(sum, zip(group.alpha_prime.beta, *group.betas)))
         f = group_resum(group, Truncation(total))
         for e, c in _expand_coeffs(f, L, fr(deg_cap)).items():
             key = (total, e)
@@ -543,6 +546,19 @@ def test_dtpt_ratio_leading_coefficient_check():
                                   LaurentPolynomial.constant(2, 1)), L, window)
     with pytest.raises(InputError, match="coefficient 1"):
         dtpt_ratio(two, two, L)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ({(0, 0): 2, (1, 0): 1}, "lead with coefficient 1"),
+    # (0, 1) and (1, 0) tie at L = 1; the lexicographically smaller leads
+    ({(0, 1): 3, (1, 0): 1}, "lead with coefficient 1"),
+    ({(0, 1): 1, (1, 0): 3}, "not invertible with respect to L"),
+])
+def test_dtpt_ratio_checks_the_least_term_then_invertibility(terms, message):
+    L = LinearFunctional((fr(1), fr(1)))
+    dt_zero = LaurentSeries(terms, Window(L, fr(4)))
+    with pytest.raises(InputError, match=message):
+        dtpt_ratio(dt_zero, dt_zero, L)
 
 
 def test_dtpt_ratio_multiply_round_trip(rng):
