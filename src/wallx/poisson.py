@@ -6,11 +6,13 @@ sigma^chi * chi * t^(alpha1+alpha2) with chi the Euler pairing; the star
 product keeps only the sign, and the naive product drops both.  A
 truncation limits which monomials survive: ranks in a fixed set, curve
 parts effective and bounded by a cap, and optionally a degree window on
-the point part.
+the point part.  The kernel runs in ints over common denominators (exp_ad
+sums its rounds over K!); only output terms become Fractions.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,14 +21,15 @@ from typing import Callable, Mapping
 from . import jsonio
 from .errors import InputError
 from .lattice import KClass, LatticeSpec, kclass_from_obj, kclass_to_obj
-from .series import _Sparse, _accumulate, _coefficient, _exponent
+from .series import _Sparse, _accumulate, _coefficient, _exponent, _over_lcm
 
 _MAX_EXP_AD_ROUNDS = 10000
 
 
 @dataclass(frozen=True)
 class Truncation:
-    """Survival predicate for torus monomials."""
+    """Which torus monomials survive: rank in rank_set, curve part effective
+    with beta_cap minus it effective, and point degree at most deg_cap."""
 
     beta_cap: tuple[int, ...]
     deg_cap: Fraction | None = None
@@ -37,12 +40,6 @@ class Truncation:
         if self.deg_cap is not None:
             object.__setattr__(self, "deg_cap", _coefficient(self.deg_cap))
         object.__setattr__(self, "rank_set", frozenset(_exponent(self.rank_set)))
-
-    def contains(self, spec: LatticeSpec, alpha: KClass) -> bool:
-        return (alpha.r in self.rank_set
-                and alpha.beta in spec._below(self.beta_cap)
-                and (self.deg_cap is None
-                     or spec.deg_point(alpha.c) <= self.deg_cap))
 
 
 class TorusElement(_Sparse):
@@ -80,28 +77,43 @@ def _sigma_power(sigma: int, chi: int) -> int:
 def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
                weight: Callable[[int], int]) -> TorusElement:
     """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2), with
-    chi the row a1.pairing dotted with a2 and trunc tested once per sum."""
+    chi the row a1.pairing dotted with a2, summed in ints over the operands' common
+    denominators.  trunc is tested on the summed rank, point degree and curve part,
+    in that order, so the cone below its cap is built only when a pair needs it."""
     x._check_context(y)
     spec = x.context
     cols = list(zip(*spec.pairing))
     split = 1 + spec.rank1
-    ys = [(a2.vector(), c2) for a2, c2 in y._terms.items()]
-    kept: dict = {}  # summed vector -> its class, or None outside trunc
-    pairs = []
-    for a1, c1 in x._terms.items():
-        v1 = a1.vector()
+    deg = spec.deg[spec.rank1:]
+
+    def parts(z):  # (vector, r, beta, point degree, numerator) per term, and den
+        nums, den = _over_lcm(z._terms.values())
+        return [(a.vector(), a.r, a.beta, sum(map(operator.mul, deg, a.c)), n)
+                for a, n in zip(z._terms, nums)], den
+
+    (xs, dx), (ys, dy) = parts(x), parts(y)
+    if trunc is not None:
+        ranks, below = trunc.rank_set, None
+        cap = None if trunc.deg_cap is None else math.floor(trunc.deg_cap)
+    acc: dict = {}
+    for v1, r1, b1, d1, n1 in xs:
         row = [sum(map(operator.mul, v1, col)) for col in cols]
-        for v2, c2 in ys:
+        for v2, r2, b2, d2, n2 in ys:
             w = weight(sum(map(operator.mul, row, v2)))
-            if w:
-                v = tuple(map(operator.add, v1, v2))
-                if v not in kept:
-                    total = KClass._make((v[0], v[1:split], v[split:]))
-                    kept[v] = total if trunc is None or trunc.contains(
-                        spec, total) else None
-                if kept[v] is not None:
-                    pairs.append((kept[v], c1 * c2 * w))
-    return TorusElement._make(_accumulate({}, pairs), spec)
+            if not w:
+                continue
+            if trunc is not None:
+                if r1 + r2 not in ranks or (cap is not None and d1 + d2 > cap):
+                    continue
+                if below is None:
+                    below = spec._below(trunc.beta_cap)
+                if tuple(map(operator.add, b1, b2)) not in below:
+                    continue
+            v = tuple(map(operator.add, v1, v2))
+            acc[v] = acc.get(v, 0) + n1 * n2 * w
+    den = dx * dy
+    return TorusElement._make({KClass._make((v[0], v[1:split], v[split:])): Fraction(n, den)
+                               for v, n in acc.items() if n}, spec)
 
 
 def bracket(x: TorusElement, y: TorusElement,
@@ -131,6 +143,7 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
     part, or a curve part of zero with positive point degree; in the
     latter case the truncation must carry a degree cap, otherwise the
     adjoint action never becomes nilpotent.  The inverse is exp_ad(-w).
+    Rounds bracket the unscaled ad_w^k(x), summed once in ints over K! at the end.
     """
     if trunc is None:
         raise InputError("non-nilpotent adjoint under this truncation")
@@ -144,17 +157,22 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
                 raise InputError("non-nilpotent adjoint under this truncation")
         elif not spec.is_effective(cls.beta):
             raise InputError("non-nilpotent adjoint under this truncation")
-    acc = x
-    cur = x  # ad_w^k(x) / k! after round k
-    k = 1
-    while not cur.is_zero():
-        if k > _MAX_EXP_AD_ROUNDS:
+    rounds = [x]  # ad_w^k(x) for k = 0, 1, ..., without the 1/k!
+    while not rounds[-1].is_zero():
+        if len(rounds) > _MAX_EXP_AD_ROUNDS:
             raise InputError(f"work budget exceeded: exp_ad took "
                              f"{_MAX_EXP_AD_ROUNDS} rounds short of nilpotency")
-        cur = bracket(w, cur, trunc).scale(Fraction(1, k))
-        acc = acc + cur
-        k += 1
-    return acc
+        rounds.append(bracket(w, rounds[-1], trunc))
+    rounds = rounds[:-1] or rounds  # the last nonzero round is K
+    top = math.factorial(len(rounds) - 1)
+    scales = [top // math.factorial(k) for k in range(len(rounds))]
+    keys = [(cls, s) for z, s in zip(rounds, scales) for cls in z._terms]
+    nums, den = _over_lcm(c for z in rounds for c in z._terms.values())
+    total: dict = {}
+    for (cls, s), n in zip(keys, nums):
+        total[cls] = total.get(cls, 0) + n * s
+    return TorusElement._make(
+        {cls: Fraction(n, den * top) for cls, n in total.items() if n}, spec)
 
 
 # -- wire format --------------------------------------------------------------

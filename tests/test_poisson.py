@@ -1,14 +1,18 @@
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallx import poisson
 from wallx.errors import InputError
 from wallx.lattice import KClass
 from wallx.poisson import (
     TorusElement,
     Truncation,
+    _sigma_power,
     bracket,
     element_from_obj,
     element_to_obj,
@@ -17,6 +21,7 @@ from wallx.poisson import (
     star_product,
     truncation_from_obj,
 )
+from wallx.series import _accumulate
 
 from conftest import fr, model_lattice, two_gen_lattice
 
@@ -292,25 +297,161 @@ def test_exp_ad_non_effective_on_two_gen_lattice():
 # -- truncation predicate -----------------------------------------------------
 
 def test_truncation_contains():
+    # naive_product has weight 1, so its output is exactly the surviving sums
     spec = two_gen_lattice()
     trunc = Truncation((2, 1))
-    assert trunc.contains(spec, KClass(0, (1, 0), (0,)))
-    assert trunc.contains(spec, KClass(-1, (2, 1), (5,)))
-    # beta outside the cone
-    assert not trunc.contains(spec, KClass(0, (0, 1), (0,)))
-    # cap minus beta outside the cone
-    assert not trunc.contains(spec, KClass(0, (2, 2), (0,)))
-    # rank filter
-    assert not trunc.contains(spec, KClass(1, (1, 0), (0,)))
+    classes = [KClass(0, (1, 0), (0,)), KClass(-1, (2, 1), (5,)),
+               KClass(0, (0, 1), (0,)),  # beta outside the cone
+               KClass(0, (2, 2), (0,)),  # cap minus beta outside the cone
+               KClass(1, (1, 0), (0,))]  # rank filter
+    unit = _mono(spec, 0, (0, 0), (0,))
+    y = TorusElement(spec, {cls: 1 for cls in classes})
+    assert naive_product(unit, y, trunc) == TorusElement(spec, {cls: 1 for cls in classes[:2]})
+    # the survivor (-1, (2, 1), (5,)) as a sum of two classes that survive alone
+    x = _mono(spec, 0, (1, 0), (0,), 2)
+    z = _mono(spec, -1, (1, 1), (5,), fr(1, 3))
+    assert naive_product(x, z, trunc) == _mono(spec, -1, (2, 1), (5,), fr(2, 3))
 
 
 def test_truncation_degree_cap():
     spec = model_lattice()
+    unit = _mono(spec, 0, (0,), (0, 0))
+    y = _mono(spec, 0, (1,), (1, 0)) + _mono(spec, 0, (1,), (1, 1))
     trunc = Truncation((1,), deg_cap=fr(3, 2))
-    assert trunc.contains(spec, KClass(0, (1,), (1, 0)))
-    assert not trunc.contains(spec, KClass(0, (1,), (1, 1)))
+    assert naive_product(unit, y, trunc) == _mono(spec, 0, (1,), (1, 0))
+    # degree 1 + 1 = 2 lies above 3/2 although each part lies below it
+    half = _mono(spec, 0, (0,), (1, 0))
+    assert naive_product(half, _mono(spec, 0, (1,), (0, 1)), trunc).is_zero()
     no_cap = Truncation((1,))
-    assert no_cap.contains(spec, KClass(0, (1,), (7, 7)))
+    big = _mono(spec, 0, (1,), (7, 7))
+    assert naive_product(unit, big, no_cap) == big
+
+
+def test_products_that_need_no_cone_build_none():
+    # a cap of 10**9 would exceed the effective cone's work budget; no pair
+    # below needs the cone, so each product is zero without building it
+    spec = model_lattice()
+    trunc = Truncation((10**9,))
+    point = _mono(spec, 0, (0,), (1, 0))
+    assert bracket(point, point, trunc).is_zero()  # chi = 0
+    high = _mono(spec, 1, (0,), (1, 0))  # rank 1 + 1 lies outside {0, -1}
+    zero = TorusElement(spec, {})
+    for op in (bracket, star_product, naive_product):
+        assert op(high, high, trunc).is_zero()
+        assert op(zero, point, trunc).is_zero()
+
+
+# -- reference kernel ---------------------------------------------------------
+# The Fraction kernel that the int kernel replaced, kept as an oracle.
+
+def _reference_contains(trunc, spec, alpha):
+    return (alpha.r in trunc.rank_set
+            and alpha.beta in spec._below(trunc.beta_cap)
+            and (trunc.deg_cap is None
+                 or spec.deg_point(alpha.c) <= trunc.deg_cap))
+
+
+def _reference_binary_op(x, y, trunc, weight):
+    x._check_context(y)
+    spec = x.context
+    cols = list(zip(*spec.pairing))
+    split = 1 + spec.rank1
+    ys = [(a2.vector(), c2) for a2, c2 in y._terms.items()]
+    kept = {}
+    pairs = []
+    for a1, c1 in x._terms.items():
+        v1 = a1.vector()
+        row = [sum(map(operator.mul, v1, col)) for col in cols]
+        for v2, c2 in ys:
+            w = weight(sum(map(operator.mul, row, v2)))
+            if w:
+                v = tuple(map(operator.add, v1, v2))
+                if v not in kept:
+                    total = KClass._make((v[0], v[1:split], v[split:]))
+                    kept[v] = total if trunc is None or _reference_contains(
+                        trunc, spec, total) else None
+                if kept[v] is not None:
+                    pairs.append((kept[v], c1 * c2 * w))
+    return TorusElement._make(_accumulate({}, pairs), spec)
+
+
+def _reference_weights(spec):
+    sigma = spec.sigma
+    return {bracket: lambda chi: _sigma_power(sigma, chi) * chi,
+            star_product: lambda chi: _sigma_power(sigma, chi),
+            naive_product: lambda chi: 1}
+
+
+def _reference_exp_ad(w, x, trunc):
+    weight = _reference_weights(w.context)[bracket]
+    acc = x
+    cur = x
+    k = 1
+    while not cur.is_zero():
+        cur = _reference_binary_op(w, cur, trunc, weight).scale(Fraction(1, k))
+        acc = acc + cur
+        k += 1
+    return acc
+
+
+_SPECS = [model_lattice(), two_gen_lattice()]
+_MIXED = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _terms(spec, r, beta, c, min_size=0):
+    return st.dictionaries(
+        st.builds(KClass, r, st.tuples(*[beta] * spec.rank1),
+                  st.tuples(*[c] * spec.rank0)), _MIXED.filter(bool),
+        min_size=min_size, max_size=4)
+
+
+def _truncations(spec, cap):
+    return st.builds(Truncation, st.just(cap),
+                     st.sampled_from([None, fr(3), fr(7, 2), fr(-1, 2)]),
+                     st.sampled_from([frozenset({0, -1}), frozenset({-1})]))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_kernel_matches_reference(data):
+    spec = data.draw(st.sampled_from(_SPECS))
+    cap = (2,) if spec.rank1 == 1 else (2, 1)
+    small = st.integers(-2, 2)
+    x, y = (TorusElement(spec, data.draw(_terms(spec, st.integers(-1, 1), small, small)))
+            for _ in range(2))
+    trunc = data.draw(st.none() | _truncations(spec, cap))
+    for op, weight in _reference_weights(spec).items():
+        assert op(x, y, trunc) == _reference_binary_op(x, y, trunc, weight)
+    # curve walls, and point walls (beta 0, positive point degree) under a
+    # cap, on rank -1 terms low in the cone, so that rounds survive it
+    trunc = data.draw(_truncations(spec, cap).filter(lambda t: t.deg_cap is not None))
+    x = TorusElement(spec, data.draw(_terms(spec, st.just(-1), st.integers(0, 1), small, 1)))
+    walls = data.draw(st.one_of(
+        _terms(spec, st.just(0), st.integers(0, 1), small, 1),
+        _terms(spec, st.just(0), st.just(0), st.integers(0, 2), 1)))
+    w = TorusElement(spec, {cls: c for cls, c in walls.items()
+                            if (any(cls.beta) and spec.is_effective(cls.beta))
+                            or (not any(cls.beta) and spec.deg_point(cls.c) > 0)})
+    assert exp_ad(w, x, trunc) == _reference_exp_ad(w, x, trunc)
+
+
+def test_exp_ad_brackets_once_per_round(monkeypatch):
+    # the 40-round point wall of the CLI round-budget test: 40 nonzero
+    # rounds, then one that brackets to zero, each one call of bracket
+    spec = model_lattice()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(poisson, "bracket", counted)
+    w = _mono(spec, 0, (0,), (1, 0))
+    x = _mono(spec, -1, (0,), (0, 0))
+    out = exp_ad(w, x, Truncation((0,), fr(40)))
+    assert len(calls) == 41
+    assert len(out.terms()) == 41
+    assert out.coeff(KClass(-1, (0,), (40, 0))) == fr(1, math.factorial(40))
 
 
 # -- wire format --------------------------------------------------------------

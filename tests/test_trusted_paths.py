@@ -150,7 +150,8 @@ def test_division_results_hold_fractions(num, den, b1, b2):
 # -- torus elements -----------------------------------------------------------
 
 _SPEC = model_lattice()
-_TRUNC = Truncation((3,), fr(8))
+# the second floors a negative degree cap and keeps only rank -1
+_TRUNCS = [Truncation((3,), fr(8)), Truncation((3,), fr(-1, 2), frozenset({-1}))]
 _classes = st.builds(KClass, st.integers(-1, 1), st.tuples(st.integers(-2, 2)),
                      st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
 _element = st.dictionaries(_classes, _coeffs, max_size=4).map(
@@ -164,9 +165,11 @@ _wall = st.dictionaries(
 @given(_element, _element, _wall, _coeffs)
 @settings(deadline=None, max_examples=60)
 def test_torus_operations_stay_well_formed(x, y, w, factor):
-    results = [x + y, x - x, x.scale(factor), x.scale(0),
-               exp_ad(w, x, _TRUNC), exp_ad(w.scale(-1), x, _TRUNC)]
+    results = [x + y, x - x, x.scale(factor), x.scale(0)]
     for op in (bracket, star_product, naive_product):
-        results += [op(x, y), op(x, y, _TRUNC)]
+        results.append(op(x, y))
+    for trunc in _TRUNCS:
+        results += [exp_ad(w, x, trunc), exp_ad(w.scale(-1), x, trunc)]
+        results += [op(x, y, trunc) for op in (bracket, star_product, naive_product)]
     for z in results:
         _check_element(z)
