@@ -112,6 +112,12 @@ class LatticeSpec:
         n = 1 + self.rank1 + self.rank0
         if self.rank1 < 1 or self.rank0 < 1:
             raise InputError("rank1 and rank0 must be at least 1")
+        # integers only, as in KClass: 1.0 or 0.5 raise instead of passing through
+        for name in ("pairing", "twist_matrix", "duality", "effgens1"):
+            object.__setattr__(self, name, tuple(map(_exponent, getattr(self, name))))
+        object.__setattr__(self, "deg", _exponent(self.deg))
+        object.__setattr__(self, "l", _exponent(self.l))
+        object.__setattr__(self, "sigma", _exponent((self.sigma,))[0])
         if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
             raise InputError(f"pairing must be a {n}x{n} integer matrix")
         if len(self.deg) != self.rank1 + self.rank0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
@@ -47,6 +47,8 @@ class QuasiPolynomial:
     vars: int
     period: int
     table: Mapping[tuple[int, ...], LaurentPolynomial]
+    # each residue's (int numerator, exponent) terms over one denominator
+    _scaled: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.period < 1:
@@ -72,13 +74,24 @@ class QuasiPolynomial:
                 if any(k < 0 for k in e):
                     raise InputError("table polynomials must have nonnegative exponents")
         object.__setattr__(self, "table", table)
+        nums, den = _over_lcm(c for poly in table.values() for _, c in poly.items())
+        nums = iter(nums)  # in the order of the table's terms
+        object.__setattr__(self, "_scaled", ({rho: [(next(nums), e) for e, _ in poly.items()]
+                                              for rho, poly in table.items()}, den))
 
     def eval(self, n) -> Fraction:
         n = _exponent(n)
         if len(n) != self.vars:
             raise InputError("evaluation point arity mismatch")
-        rho = tuple(x % self.period for x in n)
-        return self.table[rho].evaluate(n)
+        values, den = self.scaled_values([n])
+        return Fraction(values[0], den)
+
+    def scaled_values(self, points) -> tuple[list[int], int]:
+        """a(n) at each integer point n, as int numerators over one denominator."""
+        p, (table, den) = self.period, self._scaled
+        return [sum(c * math.prod(x ** k for x, k in zip(n, e))
+                    for c, e in table[tuple(x % p for x in n)])
+                for n in points], den
 
     def degree(self, i: int) -> int:
         """Largest power of variable i across the table; -1 for the zero table."""
@@ -114,14 +127,8 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
     if math.prod(sizes) * sum(1 + d for d in degs) > _MAX_RESUM_STEPS:
         raise InputError(f"work budget exceeded: resummation box needs more "
                          f"than {_MAX_RESUM_STEPS} differenced entries")
-    nums, den = _over_lcm(c for poly in a.table.values() for _, c in poly.items())
-    nums = iter(nums)  # in the order of the table's terms
-    table = {rho: [(next(nums), e) for e, _ in poly.items()]
-             for rho, poly in a.table.items()}
     box = list(itertools.product(*map(range, sizes)))
-    values = [sum(c * math.prod(x ** k for x, k in zip(n, e))
-                  for c, e in table[tuple(x % p for x in n)])
-              for n in map(point, box)]
+    values, den = a.scaled_values(map(point, box))
     stride = 1
     for size, d in zip(reversed(sizes), reversed(degs)):
         inner = [i for i in reversed(range(len(values)))

@@ -15,7 +15,7 @@ import bisect
 import heapq
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -31,19 +31,26 @@ _MAX_DIVISION_STEPS = 100_000  # heap pops one long division may take
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Rational linear form on integer exponent vectors."""
+    """Rational linear form on integer exponent vectors; ``ints`` over ``den``
+    are its coefficients, so L(e) <= b exactly when _dot(ints, e) <= floor(b * den)."""
 
     coeffs: tuple[Fraction, ...]
+    ints: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    den: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_coefficient, self.coeffs)))
+        coeffs = tuple(map(_coefficient, self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+        ints, den = _over_lcm(coeffs)
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "den", den)
 
     def __call__(self, exponent) -> Fraction:
         if len(exponent) != len(self.coeffs):
             raise InputError(
                 f"exponent length {len(exponent)} does not match "
                 f"functional arity {len(self.coeffs)}")
-        return sum((c * e for c, e in zip(self.coeffs, exponent)), _ZERO)
+        return Fraction(_dot(self.ints, exponent), self.den)
 
     def to_obj(self):
         return [jsonio.format_rational(c) for c in self.coeffs]
@@ -129,6 +136,8 @@ class Window:
 
     def __post_init__(self):
         object.__setattr__(self, "bound", _coefficient(self.bound))
+        if self.coset is not None and len(self.coset.base) != len(self.functional.coeffs):
+            raise InputError("coset length does not match the functional arity")
 
     def admits(self, exponent) -> bool:
         if self.functional(exponent) > self.bound:
@@ -169,23 +178,27 @@ def _dot(weights, e) -> int:
 
 def _over_lcm(values) -> tuple[list[int], int]:
     """Fractions as int numerators over their least common denominator."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
 
-def _int_functional(L: LinearFunctional, bound: Fraction):
-    """L times the lcm s of its denominators, as ints, and floor(bound * s):
-    L(e) <= bound exactly when the scaled L-value of e is at most that."""
-    ls, s = _over_lcm(L.coeffs)
-    return ls, math.floor(bound * s)
-
-
-def _products(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction]):
-    """The (exponent, coeff) pairs of a product, one per pair of terms."""
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            yield tuple(map(operator.add, ea, eb)), ca * cb
+def _product(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction],
+             ls, top: int) -> dict:
+    """The terms of a*b whose exponents e have _dot(ls, e) <= top (every term
+    for ls = 0 and top = 0).  Each term of a meets only the prefix of b, sorted
+    once by L, that keeps within top; ints are summed over da * db."""
+    na, da = _over_lcm(a.values())
+    nb, db = _over_lcm(b.values())
+    by_l = sorted(zip([_dot(ls, e) for e in b], b, nb))
+    b_ls = [l for l, _, _ in by_l]
+    out: dict[Exponent, int] = {}
+    for ea, ca in zip(a, na):
+        for _, eb, cb in by_l[:bisect.bisect_right(b_ls, top - _dot(ls, ea))]:
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    den = da * db
+    return {e: Fraction(n, den) for e, n in out.items() if n}
 
 
 class _Sparse:
@@ -290,7 +303,7 @@ class LaurentPolynomial(_Sparse):
             return NotImplemented
         self._check_context(other)
         return LaurentPolynomial._make(
-            _accumulate({}, _products(self._terms, other._terms)), self.nvars)
+            _product(self._terms, other._terms, (0,) * self.nvars, 0), self.nvars)
 
     def shift(self, exponent) -> "LaurentPolynomial":
         exponent = _exponent(exponent)
@@ -395,13 +408,12 @@ class LaurentSeries(_Sparse):
         return self.window.bound
 
     def items_sorted(self) -> list[tuple[Exponent, Fraction]]:
-        L = self.window.functional
-        return sorted(self._terms.items(), key=lambda item: (L(item[0]), item[0]))
+        ls = self.window.functional.ints  # orders as L does
+        return sorted(self._terms.items(), key=lambda item: (_dot(ls, item[0]), item[0]))
 
-    def support_min(self):
-        """Smallest L-value present, or None for the empty series."""
-        L = self.window.functional
-        return min((L(e) for e in self._terms), default=None)
+    def support_min(self) -> Fraction:
+        """Smallest L-value present, or the bound for the empty series."""
+        return min(map(self.window.functional, self._terms), default=self.bound)
 
     def __add__(self, other):
         if type(other) is not LaurentSeries:
@@ -433,15 +445,10 @@ def _no_coset(*series: LaurentSeries):
 
 
 def _unique_l_min(terms: Mapping[Exponent, Fraction], L: LinearFunctional):
-    best = None
-    exps: list[Exponent] = []
-    for e in terms:
-        v = L(e)
-        if best is None or v < best:
-            best, exps = v, [e]
-        elif v == best:
-            exps.append(e)
-    return best, exps
+    """Least L-value of the terms (None if none) and the exponents at it."""
+    values = {e: L(e) for e in terms}
+    best = min(values.values(), default=None)
+    return best, [e for e, v in values.items() if v == best]
 
 
 def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fraction],
@@ -451,8 +458,8 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
     den's unique L-minimal term (m0, c0) must be supplied.  Emits quotient
     terms with L-value at most bound; terms are processed in a monotone
     order so each quotient exponent is written exactly once.  It runs over
-    ints (L scaled by ``_int_functional``, the remainder times the lcm nd
-    of num's) with steps (he - m0, hc/c0), which stay Fractions only
+    ints (L's ``ints`` against floor(bound * L.den), the remainder times the
+    lcm nd of num's) with steps (he - m0, hc/c0), which stay Fractions only
     where c0 does not divide hc; each quotient term is r/(c0*nd).
 
     The remainder is keyed by quotient exponents (num's minus m0), each
@@ -461,7 +468,7 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
     the packed zero, and keys order as exponents do in lex order.
     Every step raises L (m0 is the unique minimum), so the steps are sorted
     by L-value and none that would land past the bound is taken."""
-    ls, top = _int_functional(L, bound)
+    ls, top = L.ints, math.floor(bound * L.den)
     nums, nd = _over_lcm(num.values())
 
     def shifted(terms):
@@ -539,16 +546,8 @@ def multiply(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
     """Product series; the window shrinks by the operands' L-spreads."""
     _same_functional(s1, s2)
     _no_coset(s1, s2)
-    L = s1.window.functional
-    m1 = s1.support_min()
-    m2 = s2.support_min()
-    candidates = []
-    if m2 is not None:
-        candidates.append(s1.bound + m2)
-    if m1 is not None:
-        candidates.append(s2.bound + m1)
-    bound = min(candidates) if candidates else s1.bound + s2.bound
-    return _series_product(s1._terms, s2._terms, Window(L, bound))
+    bound = min(s1.bound + s2.support_min(), s2.bound + s1.support_min())
+    return _series_product(s1._terms, s2._terms, Window(s1.window.functional, bound))
 
 
 def divide(s1: LaurentSeries, s2: LaurentSeries, L: LinearFunctional) -> LaurentSeries:
@@ -566,10 +565,7 @@ def divide(s1: LaurentSeries, s2: LaurentSeries, L: LinearFunctional) -> Laurent
     m0 = exps[0]
     c0 = s2._terms[m0]
     l_m0 = L(m0)
-    m1 = s1.support_min()
-    if m1 is None:
-        m1 = s1.bound
-    bound = min(s1.bound - l_m0, m1 + s2.bound - 2 * l_m0)
+    bound = min(s1.bound - l_m0, s1.support_min() + s2.bound - 2 * l_m0)
     out = _divide_terms(s1._terms, s2._terms, L, bound, m0, c0)
     return LaurentSeries._make(out, Window(L, bound))
 
@@ -586,15 +582,10 @@ def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeri
 
 def _series_product(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction],
                     window: Window) -> LaurentSeries:
-    """The terms of a*b with L-value at most the (coset-free) window's bound.
-    b is sorted by L-value once, and each term of a is paired only with the
-    prefix of b that keeps the product within the bound."""
-    ls, top = _int_functional(window.functional, window.bound)
-    by_l = sorted((_dot(ls, e), e, c) for e, c in b.items())
-    b_ls = [l for l, _, _ in by_l]
-    pairs = ((tuple(map(operator.add, ea, eb)), ca * cb) for ea, ca in a.items()
-             for _, eb, cb in by_l[:bisect.bisect_right(b_ls, top - _dot(ls, ea))])
-    return LaurentSeries._make(_accumulate({}, pairs), window)
+    """The terms of a*b with L-value at most the (coset-free) window's bound."""
+    L = window.functional
+    return LaurentSeries._make(
+        _product(a, b, L.ints, math.floor(window.bound * L.den)), window)
 
 
 def verify_expansion(s: LaurentSeries, f: RationalFunction) -> bool:
@@ -622,7 +613,10 @@ def window_from_obj(obj, path: str) -> Window:
     functional = jsonio.field(obj, "functional", path, LinearFunctional.from_obj)
     bound = jsonio.field(obj, "bound", path, jsonio.parse_rational)
     coset = jsonio.field(obj, "coset", path, _coset_from_obj, default=None)
-    return Window(functional, bound, coset)
+    try:
+        return Window(functional, bound, coset)
+    except InputError as err:  # the parsed functional and bound are well formed
+        raise InputError(err.message, f"{path}.coset") from None
 
 
 def _coset_from_obj(obj, path: str) -> Coset:

@@ -73,6 +73,18 @@ def test_expand_window_flag_overrides_bound(tmp_path, capsys):
     assert _series_coeffs(json.loads(out)) == {(m,): "1" for m in range(9)}
 
 
+@pytest.mark.parametrize("base", [[0, 0, 0], [0]])
+def test_expand_coset_of_another_length_exits_two(tmp_path, capsys, base):
+    doc = {"kind": "expand", "f": _GEOMETRIC2,
+           "window": {"functional": [1, "1/2"], "bound": "4",
+                      "coset": {"base": base, "generators": [[1] + [0] * (len(base) - 1)]}}}
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 2
+    assert json.loads(out)["error"] == {
+        "message": "coset length does not match the functional arity",
+        "path": "document.window.coset"}
+
+
 def test_expand_output_is_byte_deterministic(tmp_path, capsys):
     doc = {"kind": "expand", "f": _GEOMETRIC,
            "window": {"functional": [1], "bound": "4"}}

@@ -2,7 +2,9 @@
 (dunders aside) is referenced by a name, an attribute or an import in the
 sources of ``src/wallx`` or of the benchmark modules in ``perfbench``,
 outside its own definition.  A name that only tests call is not part of
-what the program does, so it is deleted rather than kept for them."""
+what the program does, so it is deleted rather than kept for them.
+
+One int-scaling helper: ``math.lcm`` is called only in ``series._over_lcm``."""
 
 import ast
 from collections import Counter
@@ -71,3 +73,32 @@ def test_every_definition_in_wallx_is_used_by_the_program():
     dead = {name: where for name, where in found.items() if name not in ALLOWED}
     assert not dead, f"defined but used only by tests, or not at all: {dead}"
     assert set(found) == set(ALLOWED), "an allowed name is now used or gone"
+
+
+def _lcm_calls(tree):
+    """The name of the function around each math.lcm or bare lcm call
+    (None at module level)."""
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Attribute) and node.func.attr == "lcm"
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "math")
+                or (isinstance(node.func, ast.Name) and node.func.id == "lcm")):
+            yield owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+    return list(visit(tree, None))
+
+
+def test_lcm_guard_finds_each_call_and_its_function():
+    source = ("import math\nfrom math import lcm\nx = math.lcm(2, 3)\n"
+              "def f(v):\n    def g():\n        return lcm(*v)\n    return math.lcm(g())\n"
+              "def h(v):\n    return math.gcd(*v)\n")
+    assert _lcm_calls(ast.parse(source)) == [None, "g", "f"]
+
+
+def test_only_over_lcm_calls_lcm():
+    found = {(p.name, owner) for p in sorted(SRC.glob("*.py"))
+             for owner in _lcm_calls(ast.parse(p.read_text(), str(p)))}
+    assert found == {("series.py", "_over_lcm")}

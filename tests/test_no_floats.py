@@ -103,6 +103,16 @@ _FLOAT_CALLS = {
     "GroupSpec delta0": lambda: _group(delta0=0.5),
     "WallDatum slope": lambda: WallDatum(0.5, TorusElement(_SPEC, [])),
     "LatticeSpec excdeg": lambda: dataclasses.replace(_SPEC, excdeg=(-1.0, 1)),
+    "LatticeSpec pairing": lambda: dataclasses.replace(
+        _SPEC, pairing=tuple(tuple(map(float, row)) for row in _SPEC.pairing)),
+    "LatticeSpec deg": lambda: dataclasses.replace(_SPEC, deg=(0, 1.0, 1)),
+    "LatticeSpec l": lambda: dataclasses.replace(_SPEC, l=(2.0,)),
+    "LatticeSpec twist_matrix": lambda: dataclasses.replace(
+        _SPEC, twist_matrix=((2.0,), (0,))),
+    "LatticeSpec duality": lambda: dataclasses.replace(
+        _SPEC, duality=tuple(tuple(map(float, row)) for row in _SPEC.duality)),
+    "LatticeSpec effgens1": lambda: dataclasses.replace(_SPEC, effgens1=((1.0,),)),
+    "LatticeSpec sigma": lambda: dataclasses.replace(_SPEC, sigma=-1.0),
     "is_effective": lambda: _SPEC.is_effective((0.5,)),
     "enumerate_below": lambda: _SPEC.enumerate_below((1.5,)),
     "L_gamma": lambda: _SPEC.L_gamma(0.5),
@@ -126,3 +136,9 @@ def test_integral_and_rational_input_still_accepted():
     assert Truncation((2,), "1/2").deg_cap == Fraction(1, 2)
     assert _group(J_values=("2/3",)).J_values == (Fraction(2, 3),)
     assert detect_quasipoly({0: 1, 1: 1, 2: 1}).period == 1
+
+
+def test_lattice_spec_rows_are_read_as_int_tuples():
+    as_lists = dataclasses.replace(_SPEC, pairing=[list(row) for row in _SPEC.pairing],
+                                   deg=[0, 1, 1], effgens1=[[1]])
+    assert as_lists == _SPEC and as_lists.fingerprint() == _SPEC.fingerprint()

@@ -115,6 +115,29 @@ def test_qp_eval_uses_mathematical_mod():
     assert a.degree(0) == 1
 
 
+@st.composite
+def _qp_and_point(draw):
+    r, period = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * r)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    table = {rho: _poly(r, draw(st.dictionaries(exps, coeff, max_size=4)))
+             for rho in itertools.product(range(period), repeat=r)}
+    return QuasiPolynomial(r, period, table), draw(st.tuples(*[st.integers(-9, 9)] * r))
+
+
+@given(_qp_and_point())
+@settings(deadline=None, max_examples=150)
+def test_qp_eval_matches_the_residue_polynomial(case):
+    a, n = case
+    value = a.eval(n)
+    assert type(value) is Fraction
+    assert value == a.table[tuple(x % a.period for x in n)].evaluate(n)
+    # equality and repr see the table alone
+    twin = QuasiPolynomial(a.vars, a.period, dict(a.table))
+    assert twin == a and repr(twin) == (
+        f"QuasiPolynomial(vars={a.vars}, period={a.period}, table={a.table!r})")
+
+
 def test_qp_table_must_be_complete():
     with pytest.raises(InputError, match="residue table"):
         QuasiPolynomial(1, 2, {(0,): _poly(1, {})})

@@ -221,6 +221,14 @@ def test_coset_rejects_dependent_generators():
         Coset((0, 0), ((1, 1), (2, 2)))
 
 
+def test_window_refuses_a_coset_of_another_length():
+    L2 = LinearFunctional((fr(1), fr(1)))
+    for base in ((0,), (0, 0, 0)):
+        with pytest.raises(InputError, match="coset length does not match"):
+            Window(L2, fr(4), Coset(base, ()))
+    assert Window(L2, fr(4), Coset((0, 0), ((1, 1),))).coset.base == (0, 0)
+
+
 def test_window_coset_filters_series_terms():
     w = Window(L_UP, fr(6), Coset((0,), ((2,),)))
     s = LaurentSeries({(k,): fr(1) for k in range(7)}, w)
@@ -473,15 +481,16 @@ def test_division_budget(monkeypatch):
 
 # -- window-bounded products against the all-pairs product --------------------
 
-def _reference_product(a, b, L, bound):
-    """Every pair of terms, then the terms with L-value at most the bound:
-    the series product before it paired terms only up to the bound."""
+def _reference_product(a, b, L=None, bound=None):
+    """Every pair of terms summed in Fractions, then, when L is given, the
+    terms with L-value at most the bound: the polynomial product, and the
+    series product before it paired terms only up to the bound."""
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c and L(e) <= bound}
+    return {e: c for e, c in out.items() if c and (L is None or L(e) <= bound)}
 
 
 @given(_div_terms, _div_terms, _div_L, st.fractions(min_value=0, max_value=1))
@@ -494,6 +503,51 @@ def test_series_product_matches_all_pairs(a, b, L, cut):
     got = _series_product(a, b, Window(L, bound))
     assert set(got.terms()) == set(_reference_product(a, b, L, bound).items())
     assert all(type(c) is Fraction for _, c in got.terms())
+
+
+_prod_terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                              st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                              max_size=5)
+
+
+# x^2 - 1 = (x - 1)(x + 1): the x terms cancel
+@example({(0, 0): fr(1), (1, 0): fr(1)}, {(0, 0): fr(-1), (1, 0): fr(1)})
+@given(_prod_terms, _prod_terms)
+@settings(deadline=None, max_examples=200)
+def test_polynomial_product_matches_all_pairs(a, b):
+    got = LaurentPolynomial(a, 2) * LaurentPolynomial(b, 2)
+    assert dict(got.items()) == _reference_product(a, b)
+    assert all(type(c) is Fraction and c for _, c in got.items())
+
+
+@given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                min_size=1, max_size=4).flatmap(lambda cs: st.tuples(
+                    st.just(cs), st.tuples(*[st.integers(-10**6, 10**6)] * len(cs)))))
+def test_functional_matches_the_fraction_sum(case):
+    coeffs, e = case
+    L = LinearFunctional(coeffs)
+    value = L(e)
+    assert type(value) is Fraction
+    assert value == sum((c * x for c, x in zip(coeffs, e)), Fraction(0))
+    # equality, hash, repr and wire form see the coefficients alone
+    twin = LinearFunctional(tuple(str(c) for c in coeffs))
+    assert twin == L and hash(twin) == hash(L) and twin.to_obj() == L.to_obj()
+    assert repr(L) == f"LinearFunctional(coeffs={tuple(map(Fraction, coeffs))!r})"
+
+
+def test_products_and_quotients_with_an_empty_operand_keep_their_windows():
+    # an empty operand contributes its bound where a least L-value would go
+    L = LinearFunctional((fr(1), fr(1, 2)))
+    empty3, empty4 = (LaurentSeries({}, Window(L, fr(b))) for b in (3, 4))
+    s = LaurentSeries({(-2, 0): fr(1), (1, 2): fr(5, 2)}, Window(L, fr(4)))
+    assert multiply(empty3, s).window == Window(L, fr(1))  # 3 + (-2)
+    assert multiply(s, empty3).window == Window(L, fr(1))
+    assert multiply(empty3, empty4).window == Window(L, fr(7))
+    assert multiply(empty3, s).is_zero()
+    q = divide(empty3, s, L)  # min(3 - (-2), 3 + 4 - 2 * (-2))
+    assert q.window == Window(L, fr(5)) and q.is_zero()
+    with pytest.raises(InputError, match="not invertible"):
+        divide(s, empty3, L)
 
 
 # -- the window invariant against a wider direct expansion --------------------
