@@ -80,7 +80,6 @@ class A1Model:
     point_row: RationalFunction
     orbifold_layer: RationalFunction
     shared_layer: RationalFunction
-    curve_class: KClass
     identifications: dict
     raw_orbifold_variant: StoredVariant
     normalization: dict
@@ -145,7 +144,6 @@ def build_a1() -> A1Model:
         point_row=RationalFunction(one, square),
         orbifold_layer=RationalFunction(layer_top, square * square),
         shared_layer=RationalFunction(layer_top, square),
-        curve_class=KClass(0, (2,), (0, 0)),
         identifications={"C_h": KClass(0, (1,), (0, 1)),
                          "C_v": KClass(0, (0,), (0, 1)),
                          "p": KClass(0, (0,), (1, 1))},

@@ -5,7 +5,7 @@ operation and kind-specific payload fields next to it.  Reports are
 printed to standard output with sorted keys and a fixed indent, so equal
 documents always produce byte-identical output.  Exit status: 0 for
 success or a positive verification verdict, 1 for a negative verdict,
-2 for input or schema errors (every input error names the offending JSON
+2 for input or schema errors (one found while parsing names its JSON
 path), 3 for an internal error or a closed standard output.
 """
 from __future__ import annotations

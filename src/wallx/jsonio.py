@@ -4,7 +4,9 @@ All rationals travel as strings "p/q" (or "p" when the denominator is 1);
 ints are accepted on input wherever a rational is expected.  Floats are
 rejected everywhere.  Parsers take a ``path`` argument so schema errors can
 point at the offending entry.  Only this module extends a path (``field``
-with a key, ``parse_list`` with an index), so each key is named once.
+with a key, ``parse_list`` with an index), so each key is named once, and
+only these two locate errors: an ``InputError`` raised without a path
+while a field or list entry is parsed is raised again at its path.
 """
 
 from __future__ import annotations
@@ -37,7 +39,12 @@ def field(obj, key: str, path: str, parse, *args, default=_REQUIRED, **kwargs):
         if default is _REQUIRED:
             raise InputError(f"missing required key {key!r}", path)
         return default
-    return parse(obj[key], f"{path}.{key}", *args, **kwargs)
+    try:
+        return parse(obj[key], f"{path}.{key}", *args, **kwargs)
+    except InputError as err:
+        if err.path is not None:
+            raise
+        raise InputError(err.message, f"{path}.{key}") from None
 
 
 def parse_list(value, path: str, parse_item, *args, message: str) -> tuple:
@@ -47,7 +54,15 @@ def parse_list(value, path: str, parse_item, *args, message: str) -> tuple:
     """
     if not isinstance(value, list):
         raise InputError(message.format(type=type(value).__name__), path)
-    return tuple(parse_item(v, f"{path}[{i}]", *args) for i, v in enumerate(value))
+    out = []
+    for i, v in enumerate(value):
+        try:
+            out.append(parse_item(v, f"{path}[{i}]", *args))
+        except InputError as err:
+            if err.path is not None:
+                raise
+            raise InputError(err.message, f"{path}[{i}]") from None
+    return tuple(out)
 
 
 def parse_keyed(value, path: str, parse_entry, key: str, *args, message: str,

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jsonio
-from .errors import InputError
+from .errors import InputError, charge
 from .series import LinearFunctional, _coefficient, _exponent
 
 IntVec = tuple[int, ...]
-
-_MAX_CONE_CLASSES = 100_000  # effective classes one lattice may enumerate
 
 
 @functools.total_ordering
@@ -109,15 +107,16 @@ class LatticeSpec:
     sigma: int
 
     def __post_init__(self):
+        # integers only, as in KClass: 1.0 or 0.5 raise instead of passing through
+        for name in ("rank1", "rank0", "sigma"):
+            object.__setattr__(self, name, _exponent((getattr(self, name),))[0])
         n = 1 + self.rank1 + self.rank0
         if self.rank1 < 1 or self.rank0 < 1:
             raise InputError("rank1 and rank0 must be at least 1")
-        # integers only, as in KClass: 1.0 or 0.5 raise instead of passing through
         for name in ("pairing", "twist_matrix", "duality", "effgens1"):
             object.__setattr__(self, name, tuple(map(_exponent, getattr(self, name))))
         object.__setattr__(self, "deg", _exponent(self.deg))
         object.__setattr__(self, "l", _exponent(self.l))
-        object.__setattr__(self, "sigma", _exponent((self.sigma,))[0])
         if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
             raise InputError(f"pairing must be a {n}x{n} integer matrix")
         if len(self.deg) != self.rank1 + self.rank0:
@@ -213,9 +212,7 @@ class LatticeSpec:
         """
         cone, heap = self._cone, self._frontier
         while heap and heap[0][0] <= budget:
-            if len(cone) >= _MAX_CONE_CLASSES:
-                raise InputError(f"work budget exceeded: effective cone took "
-                                 f"{_MAX_CONE_CLASSES} classes short of l = {budget}")
+            charge("cone", len(cone) + 1, budget)  # the class about to be popped
             l_v, v = heapq.heappop(heap)
             if v not in cone:
                 cone[v] = l_v
@@ -339,12 +336,9 @@ def lattice_from_obj(obj, path: str = "lattice") -> LatticeSpec:
                         jsonio.parse_int_vector, rank1,
                         message="expected a list of generators")
     sigma = jsonio.field(obj, "sigma", path, jsonio.parse_int)
-    try:
-        return LatticeSpec(rank1=rank1, rank0=rank0, pairing=pairing, deg=deg,
-                           l=l_row, excdeg=excdeg, twist_matrix=twist,
-                           duality=duality, effgens1=gens, sigma=sigma)
-    except InputError as err:
-        raise InputError(err.message, path) from None
+    return LatticeSpec(rank1=rank1, rank0=rank0, pairing=pairing, deg=deg,
+                       l=l_row, excdeg=excdeg, twist_matrix=twist,
+                       duality=duality, effgens1=gens, sigma=sigma)
 
 
 def kclass_from_obj(obj, path: str, spec: LatticeSpec) -> KClass:

@@ -19,11 +19,9 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import jsonio
-from .errors import InputError
+from .errors import InputError, charge
 from .lattice import KClass, LatticeSpec, kclass_from_obj, kclass_to_obj
 from .series import _Sparse, _accumulate, _coefficient, _exponent, _over_lcm
-
-_MAX_EXP_AD_ROUNDS = 10000
 
 
 @dataclass(frozen=True)
@@ -159,9 +157,7 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
             raise InputError("non-nilpotent adjoint under this truncation")
     rounds = [x]  # ad_w^k(x) for k = 0, 1, ..., without the 1/k!
     while not rounds[-1].is_zero():
-        if len(rounds) > _MAX_EXP_AD_ROUNDS:
-            raise InputError(f"work budget exceeded: exp_ad took "
-                             f"{_MAX_EXP_AD_ROUNDS} rounds short of nilpotency")
+        charge("exp_ad", len(rounds))
         rounds.append(bracket(w, rounds[-1], trunc))
     rounds = rounds[:-1] or rounds  # the last nonzero round is K
     top = math.factorial(len(rounds) - 1)

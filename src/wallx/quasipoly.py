@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import jsonio
-from .errors import InputError
+from .errors import InputError, charge
 from .series import (
     Exponent,
     LaurentPolynomial,
@@ -35,9 +35,6 @@ from .series import (
     terms_from_obj,
     verify_expansion,
 )
-
-_MAX_DETECT_STEPS = 1_000_000  # differenced entries one detection may take
-_MAX_RESUM_STEPS = 1_000_000  # differenced entries one resummation box may take
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,7 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
     """
     p = a.period
     sizes = [p * (1 + d) for d in degs]
-    if math.prod(sizes) * sum(1 + d for d in degs) > _MAX_RESUM_STEPS:
-        raise InputError(f"work budget exceeded: resummation box needs more "
-                         f"than {_MAX_RESUM_STEPS} differenced entries")
+    charge("resummation", math.prod(sizes) * sum(1 + d for d in degs))
     box = list(itertools.product(*map(range, sizes)))
     values, den = a.scaled_values(map(point, box))
     stride = 1
@@ -248,11 +243,6 @@ def _interpolate(points) -> LaurentPolynomial:
     return total
 
 
-def _detect_budget_error() -> InputError:
-    return InputError(f"work budget exceeded: detection took "
-                      f"{_MAX_DETECT_STEPS} differenced entries")
-
-
 def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
                      max_degree: int = 6) -> QuasiPolynomial | None:
     """Smallest (period, degree) quasi-polynomial fitting the samples exactly.
@@ -265,7 +255,7 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
     the degree is the largest such order.  Every class keeps a held-out
     point, so period <= len / 2 and degree <= len / period - 2.  Returns
     None when no period fits; raises "window too small" when nothing could
-    be tried, and a work budget error past _MAX_DETECT_STEPS entries.
+    be tried, and the "detection" work-budget error past its differenced entries.
     """
     keys = sorted(_exponent(samples))
     if keys and keys != list(range(keys[0], keys[0] + len(keys))):
@@ -282,8 +272,7 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
             column = scaled[start::period]
             for d in range(cap + 1):
                 work += len(column) - 1 - d
-                if work > _MAX_DETECT_STEPS:
-                    raise _detect_budget_error()
+                charge("detection", work)
                 _difference(column, range(len(column) - 1, d, -1), 1)
                 if not any(column[d + 1:]):  # the (d + 1)-th differences
                     degree = max(degree, d)
@@ -351,8 +340,7 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     for rep in reps:
         k_lo = math.ceil((s_minus.bound - L_minus(rep)) / down)
         k_hi = math.floor((s_plus.bound - L_plus(rep)) / up)
-        if k_hi - k_lo > _MAX_DETECT_STEPS:  # period 1, degree 0 alone differences more
-            raise _detect_budget_error()
+        charge("detection", k_hi - k_lo)  # what period 1, degree 0 alone differences
         samples = {}
         for k in range(k_lo, k_hi + 1):
             e = tuple(x + k * y for x, y in zip(rep, c0))
@@ -385,7 +373,4 @@ def qp_from_obj(obj, path: str) -> QuasiPolynomial:
                          "residues", nvars,
                          message="expected a list of residue entries",
                          duplicate="duplicate residue tuple")
-    try:
-        return QuasiPolynomial(nvars, period, table)
-    except InputError as err:
-        raise InputError(err.message, path) from None
+    return QuasiPolynomial(nvars, period, table)

@@ -20,13 +20,11 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import jsonio
-from .errors import InputError
+from .errors import BUDGETS, InputError, charge
 
 Exponent = tuple[int, ...]
 
 _ZERO = Fraction(0)
-
-_MAX_DIVISION_STEPS = 100_000  # heap pops one long division may take
 
 
 @dataclass(frozen=True)
@@ -477,9 +475,10 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
     r = {e: n for (e, _), n in zip(shifted(num), nums) if _dot(ls, e) <= top}
     steps = sorted((_dot(ls, d), d, c / c0) for d, c in shifted(den) if any(d))
     # a term k steps deep has L-value at least min(r) + k * (least step) and
-    # at most top, and the budget allows no more than _MAX_DIVISION_STEPS steps
+    # at most top, and the division budget allows no more than its limit of steps
+    limit = BUDGETS["division"].limit
     depth = min((top - min(_dot(ls, e) for e in r)) // steps[0][0],
-                _MAX_DIVISION_STEPS) if r and steps else 0
+                limit) if r and steps else 0
     M = (max((abs(x) for e in r for x in e), default=0)
          + depth * max((abs(x) for _, d, _ in steps for x in d), default=0))
     n, B = len(m0), 2 * M + 1
@@ -492,7 +491,7 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
     heapq.heapify(heap)
     out_num, out_den = c0.denominator, c0.numerator * nd
     out: dict[Exponent, Fraction] = {}
-    for _ in range(_MAX_DIVISION_STEPS):
+    for _ in range(limit):
         if not heap:
             return out
         l_e, e = heapq.heappop(heap)
@@ -513,9 +512,7 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
                 r[ne] = acc
             else:
                 del r[ne]
-    if heap:
-        raise InputError(f"work budget exceeded: long division took "
-                         f"{_MAX_DIVISION_STEPS} steps short of the window bound")
+    charge("division", limit + len(heap))  # each entry left needs a step
     return out
 
 
@@ -612,19 +609,20 @@ def window_to_obj(w: Window):
 def window_from_obj(obj, path: str) -> Window:
     functional = jsonio.field(obj, "functional", path, LinearFunctional.from_obj)
     bound = jsonio.field(obj, "bound", path, jsonio.parse_rational)
-    coset = jsonio.field(obj, "coset", path, _coset_from_obj, default=None)
-    try:
-        return Window(functional, bound, coset)
-    except InputError as err:  # the parsed functional and bound are well formed
-        raise InputError(err.message, f"{path}.coset") from None
+    coset = jsonio.field(obj, "coset", path, _coset_from_obj,
+                         len(functional.coeffs), default=None)
+    return Window(functional, bound, coset)
 
 
-def _coset_from_obj(obj, path: str) -> Coset:
+def _coset_from_obj(obj, path: str, arity: int) -> Coset:
     base = jsonio.field(obj, "base", path, jsonio.parse_int_vector)
     generators = jsonio.field(obj, "generators", path, jsonio.parse_list,
                               jsonio.parse_int_vector, len(base),
                               message="expected a list of generators")
-    return Coset(base, generators)
+    coset = Coset(base, generators)
+    if len(base) != arity:  # Window's own check, located at the coset
+        raise InputError("coset length does not match the functional arity")
+    return coset
 
 
 def terms_to_obj(items):

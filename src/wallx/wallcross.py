@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import jsonio
-from .errors import InputError
+from .errors import InputError, charge
 from .lattice import INF, IntVec, KClass, LatticeSpec, kclass_from_obj
 from .poisson import (
     TorusElement,
@@ -42,8 +42,6 @@ from .series import (
     _exponent,
     divide,
 )
-
-_MAX_WEIGHT_ENTRIES = 1_000_000  # exponent entries the group weights and sign table may take
 
 
 @dataclass(frozen=True)
@@ -179,15 +177,7 @@ def _b_factor(group: GroupSpec) -> QuasiPolynomial:
     def unit(i):
         return tuple(1 if j == i else 0 for j in range(r))
 
-    work = 0
-
-    def spend(terms):  # each term carries r exponents
-        nonlocal work
-        work += terms * r
-        if work > _MAX_WEIGHT_ENTRIES:
-            raise InputError(f"work budget exceeded: resummation weights need "
-                             f"more than {_MAX_WEIGHT_ENTRIES} exponent entries")
-
+    work = 0  # exponent entries: r per term built
     chis = []
     cur = group.alpha_prime
     product = LaurentPolynomial.constant(r, 1)
@@ -201,12 +191,14 @@ def _b_factor(group: GroupSpec) -> QuasiPolynomial:
         # the constructor sums repeated exponents
         chis.append(LaurentPolynomial(terms, r))
         cur = cur + base[i]
-        spend(len(terms) * (1 + len(product.terms())))  # build chi_i, multiply it in
+        work += r * len(terms) * (1 + len(product.terms()))  # build chi_i, multiply it in
+        charge("weights", work)
         product = product * chis[-1]
     if spec.sigma == 1:
         return QuasiPolynomial(r, 1, {(0,) * r: product})
     # per residue tuple: every chi evaluated, one signed copy of the product
-    spend((len(product.terms()) + sum(len(chi.terms()) for chi in chis)) << r)
+    work += r * ((len(product.terms()) + sum(len(chi.terms()) for chi in chis)) << r)
+    charge("weights", work)
     table = {}
     for rho in itertools.product((0, 1), repeat=r):
         sign = 1
@@ -359,10 +351,7 @@ def cross_gamma_wall(f: RationalFunction, gamma, b,
 def wall_from_obj(obj, path: str, spec: LatticeSpec) -> WallDatum:
     slope = jsonio.field(obj, "slope", path, _parse_slope)
     element = jsonio.field(obj, "J", path, element_from_obj, spec)
-    try:
-        return WallDatum(slope, element)
-    except InputError as err:
-        raise InputError(err.message, err.path or path) from err
+    return WallDatum(slope, element)
 
 
 def _parse_slope(value, path: str):
@@ -372,10 +361,7 @@ def _parse_slope(value, path: str):
 def seed_from_obj(obj, path: str, spec: LatticeSpec) -> SeedSeries:
     element = jsonio.field(obj, "element", path, element_from_obj, spec)
     label = jsonio.field(obj, "label", path, _parse_label, default="seed")
-    try:
-        return SeedSeries(element, label)
-    except InputError as err:
-        raise InputError(err.message, err.path or path) from err
+    return SeedSeries(element, label)
 
 
 def _parse_label(value, path: str) -> str:

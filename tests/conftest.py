@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallx.errors import BUDGETS
 from wallx.lattice import LatticeSpec
 
 
@@ -60,3 +61,11 @@ def two_gen_lattice():
 def rng():
     import random
     return random.Random(20260823)
+
+
+@pytest.fixture
+def set_budget(monkeypatch):
+    """``set_budget(stage, limit)`` lowers one work budget for the test."""
+    def set_limit(stage, limit):
+        monkeypatch.setitem(BUDGETS, stage, BUDGETS[stage]._replace(limit=limit))
+    return set_limit

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wallx
-from wallx import cli, poisson
+from wallx import cli
 from wallx.a1model import build_a1
 
 from conftest import model_lattice, two_gen_lattice
@@ -318,6 +318,45 @@ def test_huge_documents_exit_two_promptly(tmp_path, name):
     assert json.loads(proc.stdout)["error"]["message"].startswith(message)
 
 
+# stage, a lowered limit, a document past it, and the whole error report
+_PAST_BUDGET = {
+    "division": ("division", 50, {"kind": "expand", "f": _GEOMETRIC,
+                                  "window": {"functional": [1], "bound": "1000"}},
+                 "long division took 50 steps short of the window bound", None),
+    "detection": ("detection", 500, {"kind": "detect", "max_period": 10 ** 9,
+                                     "max_degree": 10 ** 9, "samples": [
+                                         {"n": n, "value": int(n == 39)} for n in range(40)]},
+                  "detection took 500 differenced entries", None),
+    "detection_reexpand": ("detection", 15, _HUGE_DOCS["reexpand_window"][0],
+                           "detection took 15 differenced entries", None),
+    "resummation": ("resummation", 99, {
+        "kind": "resum", "monomials": [[1]], "grading": [1],
+        "quasipoly": {"vars": 1, "period": 1, "table": [{
+            "residues": [0], "poly": [{"exponent": [9], "coeff": "1"}]}]}},
+        "resummation box needs more than 99 differenced entries", None),
+    "cone": ("cone", 50, {"kind": "bracket", "lattice": model_lattice().to_obj(),
+                          "x": [], "y": [], "truncation": {"beta_cap": [100]}},
+             "effective cone took 50 classes short of l = 200", "document.truncation"),
+    "exp_ad": ("exp_ad", 5, {"kind": "exp-ad", "lattice": model_lattice().to_obj(),
+                             "w": _element_obj((0, (0,), (1, 0), 1)),
+                             "x": _element_obj((-1, (0,), (0, 0), 1)),
+                             "truncation": {"beta_cap": [0], "deg_cap": "40"}},
+               "exp_ad took 5 rounds short of nilpotency", None),
+    "weights": ("weights", 100, _group_doc(3),
+                "resummation weights need more than 100 exponent entries", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAST_BUDGET))
+def test_budget_error_reports_are_pinned(tmp_path, capsys, set_budget, name):
+    stage, limit, doc, message, path = _PAST_BUDGET[name]
+    set_budget(stage, limit)
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 2
+    assert json.loads(out)["error"] == {
+        "message": f"work budget exceeded: {message}", "path": path}
+
+
 def test_huge_decimal_exponent_is_rejected_at_its_path(tmp_path, capsys):
     doc, _ = _HUGE_DOCS["decimal_exponent"]
     status, out = _run(tmp_path, capsys, doc)
@@ -456,9 +495,9 @@ def test_exp_ad_requires_truncation(tmp_path, capsys):
     assert json.loads(out)["error"]["path"] == "document.truncation"
 
 
-def test_exp_ad_round_budget_exits_two(tmp_path, capsys, monkeypatch):
+def test_exp_ad_round_budget_exits_two(tmp_path, capsys, set_budget):
     # a point wall is nilpotent only through the degree cap: 40 rounds here
-    monkeypatch.setattr(poisson, "_MAX_EXP_AD_ROUNDS", 5)
+    set_budget("exp_ad", 5)
     doc = {"kind": "exp-ad", "lattice": model_lattice().to_obj(),
            "w": _element_obj((0, (0,), (1, 0), 1)),
            "x": _element_obj((-1, (0,), (0, 0), 1)),
@@ -467,7 +506,7 @@ def test_exp_ad_round_budget_exits_two(tmp_path, capsys, monkeypatch):
     assert status == 2
     assert json.loads(out)["error"]["message"].startswith("work budget exceeded")
     # 40 nonzero rounds, then one that brackets to zero
-    monkeypatch.setattr(poisson, "_MAX_EXP_AD_ROUNDS", 41)
+    set_budget("exp_ad", 41)
     status, out = _run(tmp_path, capsys, doc)
     assert status == 0
     element = json.loads(out)["element"]
@@ -651,6 +690,55 @@ def test_malformed_document_report_is_pinned(name, tmp_path, capsys):
     case = _MALFORMED[name]
     status, out = _run(tmp_path, capsys, case["document"])
     assert (status, out) == (case["exit"], case["stdout"])
+
+
+_SLOPED_WALL = {"slope": "1/2", "J": _element_obj((0, (1,), (1, 0), 2))}
+_WALLCROSS = {"kind": "wallcross", "lattice": model_lattice().to_obj(),
+              "seed": {"element": _element_obj((-1, (0,), (0, 0), 1))},
+              "walls": [_SLOPED_WALL], "truncation": {"beta_cap": [2]}}
+
+# An error raised while a field or list entry is parsed is located there,
+# whichever constructor raises it; one raised after parsing has no path.
+_LOCATED = {
+    "dependent_coset": ({"kind": "expand", "f": _GEOMETRIC2, "window": {
+        "functional": [1, "1/2"], "bound": "4",
+        "coset": {"base": [0, 0], "generators": [[1, 0], [2, 0]]}}},
+        "coset generators must be linearly independent", "document.window.coset"),
+    "zero_denominator": ({"kind": "expand", "f": dict(
+        _GEOMETRIC, denominator=_poly_obj([((0,), 0)])),
+        "window": {"functional": [1], "bound": "4"}},
+        "zero denominator", "document.f"),
+    "empty_denominator": ({"kind": "expand", "f": dict(_GEOMETRIC, denominator=[]),
+                           "window": {"functional": [1], "bound": "4"}},
+                          "zero denominator", "document.f"),
+    "series_arity": ({"kind": "verify", "f": _GEOMETRIC,
+                      "series": _geometric_series_obj([1, 1], 4, [(0, 1)])},
+                     "exponent length 1 does not match functional arity 2",
+                     "document.series"),
+    "lattice_sigma": ({"kind": "dualize", "lattice": dict(
+        model_lattice().to_obj(), sigma=2), "class": {"r": 0, "beta": [0], "c": [0, 0]}},
+        "sigma must be +1 or -1", "document.lattice"),
+    "residue_table": ({"kind": "resum", "monomials": [[1]], "grading": [1],
+                       "quasipoly": dict(_constant_qp_obj(), period=2)},
+                      "residue table must cover every residue tuple exactly once",
+                      "document.quasipoly"),
+    "wall_slope": (dict(_WALLCROSS, walls=[dict(_SLOPED_WALL, slope="1/3")]),
+                   "wall term slope does not match the wall", "document.walls[0]"),
+    "seed_rank": (dict(_WALLCROSS, seed={"element": _element_obj((0, (0,), (0, 0), 1))}),
+                  "seed terms must have rank -1", "document.seed"),
+    "wall_order": (dict(_WALLCROSS, walls=[_SLOPED_WALL, _SLOPED_WALL]),
+                   "walls must have strictly increasing slopes", None),
+    "appendix_window": ({"kind": "appendix-a", "window": 7},
+                        "report window must be at least 8", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOCATED))
+def test_errors_are_located_at_the_field_being_parsed(tmp_path, capsys, name):
+    doc, message, path = _LOCATED[name]
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 2
+    assert json.loads(out)["error"] == {"message": message, "path": path}
 
 
 @pytest.mark.parametrize("doc, path", [

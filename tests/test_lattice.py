@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallx import lattice
 from wallx.errors import InputError
 from wallx.lattice import INF, KClass, LatticeSpec, lattice_from_obj
 from wallx.poisson import TorusElement, Truncation, naive_product
@@ -62,8 +61,8 @@ def test_effective_cone_deep_class_does_not_recurse():
     assert model_lattice().is_effective((5000,))
 
 
-def test_effective_cone_work_budget(monkeypatch):
-    monkeypatch.setattr(lattice, "_MAX_CONE_CLASSES", 50)
+def test_effective_cone_work_budget(set_budget):
+    set_budget("cone", 50)
     spec = model_lattice()
     with pytest.raises(InputError, match="work budget exceeded: effective cone"):
         spec.is_effective((100,))
@@ -73,6 +72,14 @@ def test_effective_cone_work_budget(monkeypatch):
     # the classes found before the error stay sound
     assert spec.is_effective((40,)) and not spec.is_effective((-1,))
     assert spec.enumerate_below((40,)) == [(k,) for k in range(41)]
+
+
+def test_effective_cone_budget_boundary(set_budget):
+    # 50 classes hold (0,) ... (49,); (50,) is the 51st
+    set_budget("cone", 50)
+    assert model_lattice().is_effective((49,))
+    with pytest.raises(InputError, match="effective cone took 50 classes short of l = 100"):
+        model_lattice().is_effective((50,))
 
 
 def _reference_is_effective(spec, beta, cache):

@@ -4,7 +4,10 @@ sources of ``src/wallx`` or of the benchmark modules in ``perfbench``,
 outside its own definition.  A name that only tests call is not part of
 what the program does, so it is deleted rather than kept for them.
 
-One int-scaling helper: ``math.lcm`` is called only in ``series._over_lcm``."""
+One int-scaling helper: ``math.lcm`` is called only in ``series._over_lcm``.
+One home for each error policy: only ``jsonio`` (which locates errors) and
+``cli`` (which reports them) catch ``InputError``, and only ``errors`` words
+a work-budget message."""
 
 import ast
 from collections import Counter
@@ -102,3 +105,37 @@ def test_only_over_lcm_calls_lcm():
     found = {(p.name, owner) for p in sorted(SRC.glob("*.py"))
              for owner in _lcm_calls(ast.parse(p.read_text(), str(p)))}
     assert found == {("series.py", "_over_lcm")}
+
+
+def _input_error_handlers(tree):
+    """The line of each ``except`` clause that catches InputError."""
+    def names(node):
+        if isinstance(node, ast.Tuple):
+            return [n for elt in node.elts for n in names(elt)]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        return [node.id] if isinstance(node, ast.Name) else []
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "InputError" in names(node.type)]
+
+
+def test_input_error_guard_finds_each_handler():
+    source = ("try:\n    f()\nexcept InputError:\n    pass\n"
+              "try:\n    f()\nexcept (KeyError, errors.InputError) as err:\n    pass\n"
+              "try:\n    f()\nexcept ValueError:\n    pass\nexcept:\n    pass\n")
+    assert _input_error_handlers(ast.parse(source)) == [3, 7]
+
+
+def test_only_jsonio_and_cli_catch_input_errors():
+    # jsonio locates errors at the parsed path; cli reports them
+    found = {p.name for p in sorted(SRC.glob("*.py"))
+             if _input_error_handlers(ast.parse(p.read_text(), str(p)))}
+    assert found == {"jsonio.py", "cli.py"}
+
+
+def test_only_errors_words_budget_messages():
+    # every work budget raises through errors.charge and its one table
+    found = {p.name for p in sorted(SRC.glob("*.py"))
+             if "work budget exceeded" in p.read_text()}
+    assert found == {"errors.py"}

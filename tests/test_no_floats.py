@@ -113,6 +113,8 @@ _FLOAT_CALLS = {
         _SPEC, duality=tuple(tuple(map(float, row)) for row in _SPEC.duality)),
     "LatticeSpec effgens1": lambda: dataclasses.replace(_SPEC, effgens1=((1.0,),)),
     "LatticeSpec sigma": lambda: dataclasses.replace(_SPEC, sigma=-1.0),
+    "LatticeSpec rank0": lambda: dataclasses.replace(_SPEC, rank0=2.0),
+    "LatticeSpec rank1": lambda: dataclasses.replace(_SPEC, rank1=1.0),
     "is_effective": lambda: _SPEC.is_effective((0.5,)),
     "enumerate_below": lambda: _SPEC.enumerate_below((1.5,)),
     "L_gamma": lambda: _SPEC.L_gamma(0.5),

@@ -454,6 +454,18 @@ def test_exp_ad_brackets_once_per_round(monkeypatch):
     assert out.coeff(KClass(-1, (0,), (40, 0))) == fr(1, math.factorial(40))
 
 
+def test_exp_ad_round_budget_boundary(set_budget):
+    # the same wall: the 41st bracket is charged as round 41 and gives zero
+    spec = model_lattice()
+    w = _mono(spec, 0, (0,), (1, 0))
+    x = _mono(spec, -1, (0,), (0, 0))
+    set_budget("exp_ad", 41)
+    assert len(exp_ad(w, x, Truncation((0,), fr(40))).terms()) == 41
+    set_budget("exp_ad", 40)
+    with pytest.raises(InputError, match="exp_ad took 40 rounds short of nilpotency"):
+        exp_ad(w, x, Truncation((0,), fr(40)))
+
+
 # -- wire format --------------------------------------------------------------
 
 def test_element_json_round_trip():

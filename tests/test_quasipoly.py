@@ -438,24 +438,24 @@ def test_detect_huge_limits_are_bounded_by_the_samples():
     assert detect_quasipoly(quartic, 10 ** 9, 10 ** 9) is None
 
 
-def test_detect_work_budget(monkeypatch):
+def test_detect_work_budget(set_budget):
     # zeros but for the last sample: every period differences that
     # sample's class up to the degree cap
     samples = {n: fr(n == 39) for n in range(40)}
     assert detect_quasipoly(samples, 10 ** 9, 10 ** 9) is None
-    monkeypatch.setattr(quasipoly, "_MAX_DETECT_STEPS", 500)
+    set_budget("detection", 500)
     with pytest.raises(InputError, match="work budget exceeded"):
         detect_quasipoly(samples, 10 ** 9, 10 ** 9)
     assert detect_quasipoly({n: fr(n) for n in range(40)}, 4, 6) is not None
 
 
-def test_resum_work_budget(monkeypatch):
+def test_resum_work_budget(set_budget):
     # one table term n^30: a box of 31 points, differenced 31 times
     a = QuasiPolynomial(1, 1, {(0,): _poly(1, {(30,): 1})})
     chain = ChainPattern(1, frozenset())
-    monkeypatch.setattr(quasipoly, "_MAX_RESUM_STEPS", 31 * 31)
+    set_budget("resummation", 31 * 31)
     assert resum_orthant(a, [(1,)], G1) == resum_chain(a, chain, [(1,)], G1)
-    monkeypatch.setattr(quasipoly, "_MAX_RESUM_STEPS", 31 * 31 - 1)
+    set_budget("resummation", 31 * 31 - 1)
     with pytest.raises(InputError, match="work budget exceeded: resummation"):
         resum_orthant(a, [(1,)], G1)
     with pytest.raises(InputError, match="work budget exceeded: resummation"):
@@ -483,12 +483,12 @@ def test_reexpand_geometric_constant_fit():
     assert fit.eval((17,)) == 1
 
 
-def test_reexpand_coset_longer_than_detection_budget(monkeypatch):
+def test_reexpand_coset_longer_than_detection_budget(monkeypatch, set_budget):
     # 17 samples on the one coset: period 1, degree 0 differences 16 entries
     f, s_minus, s_plus, down, up = _geom_expansions()
-    monkeypatch.setattr(quasipoly, "_MAX_DETECT_STEPS", 16)
+    set_budget("detection", 16)
     assert reexpand_check(f, s_minus, s_plus, (1,), down, up).confirmed
-    monkeypatch.setattr(quasipoly, "_MAX_DETECT_STEPS", 15)
+    set_budget("detection", 15)
 
     def never(*args):
         raise AssertionError("the coset is sampled and handed to detection")

@@ -469,8 +469,8 @@ def test_division_pushes_nothing_past_the_bound(monkeypatch):
     assert max(l for l, _ in shim.pushed) == 5
 
 
-def test_division_budget(monkeypatch):
-    monkeypatch.setattr(series, "_MAX_DIVISION_STEPS", 50)
+def test_division_budget(set_budget):
+    set_budget("division", 50)
     num, den = {(0,): fr(1)}, {(0,): fr(1), (1,): fr(-1)}
     with pytest.raises(InputError, match="work budget exceeded: long division "
                                          "took 50 steps"):

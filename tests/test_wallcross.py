@@ -5,7 +5,6 @@ from itertools import product as iproduct
 
 import pytest
 
-from wallx import wallcross
 from wallx.errors import InputError
 from wallx.lattice import INF, KClass, LatticeSpec
 from wallx.poisson import TorusElement, Truncation, bracket
@@ -319,16 +318,16 @@ def test_group_resum_linear_weight_r1():
     _check_group_against_brute(group, a_max=20)
 
 
-def test_group_weight_work_budget(monkeypatch):
+def test_group_weight_work_budget(monkeypatch, set_budget):
     # chi = 1 + 2a in one variable: 2 terms built and multiplied into 1,
     # then 2 residue tuples that each evaluate chi (2 terms) and sign the
     # product (2 terms)
     spec = model_lattice()
     group = GroupSpec(spec, KClass(-1, (0,), (0, 0)), ((1,),), ((0, 0),),
                       frozenset(), (fr(1),), fr(1), fr(0))
-    monkeypatch.setattr(wallcross, "_MAX_WEIGHT_ENTRIES", 2 * 2 + 2 * 4)
+    set_budget("weights", 2 * 2 + 2 * 4)
     expected = group_resum(group, None)
-    monkeypatch.setattr(wallcross, "_MAX_WEIGHT_ENTRIES", 2 * 2 + 2 * 4 - 1)
+    set_budget("weights", 2 * 2 + 2 * 4 - 1)
     with pytest.raises(InputError, match="work budget exceeded: resummation weights"):
         group_resum(group, None)
     monkeypatch.undo()
