@@ -98,17 +98,17 @@ class A1Model:
 
     # -- tabulated column values (the ground truth for the report) ------------
 
-    def orbifold_column(self, m: int) -> Fraction:
+    def orbifold_column(self, m: int) -> int:
         if m <= 3:
-            return Fraction(0)
-        return Fraction(_alt(m) * (3 * m - 9))
+            return 0
+        return _alt(m) * (3 * m - 9)
 
-    def resolution_column(self, m: int) -> Fraction:
+    def resolution_column(self, m: int) -> int:
         if m >= 3:
-            return Fraction(0)
-        return Fraction(-_alt(m) * (3 * m - 9))
+            return 0
+        return -_alt(m) * (3 * m - 9)
 
-    def column_difference(self, m: int) -> Fraction:
+    def column_difference(self, m: int) -> int:
         """Orbifold column minus resolution column; equals (-1)^m (3m - 9)."""
         return self.orbifold_column(m) - self.resolution_column(m)
 
@@ -232,14 +232,11 @@ def run_a1(report_window: int) -> dict:
 
     behrend_pairs = []
     for m in range(0, w + 5):
-        behrend_pairs.append((m, Fraction(behrend_smooth([m])),
-                              point_series.coeff((m, 0))))
+        behrend_pairs.append((m, behrend_smooth([m]), point_series.coeff((m, 0))))
     for m in ms:
-        expected = (Fraction(behrend_smooth([2, m - 4])) if m >= 4
-                    else Fraction(0))
+        expected = behrend_smooth([2, m - 4]) if m >= 4 else 0
         behrend_pairs.append((m, expected, orb[m]))
-        expected = (Fraction(behrend_smooth([2, 2 - m])) if m <= 2
-                    else Fraction(0))
+        expected = behrend_smooth([2, 2 - m]) if m <= 2 else 0
         behrend_pairs.append((m, expected, res[m]))
     add_step("behrend cross-check", _first_divergence(behrend_pairs),
              checked=len(behrend_pairs))

@@ -275,10 +275,10 @@ def _selfcheck_lattice() -> LatticeSpec:
     return dataclasses.replace(build_a1().lattice, duality=swapped)
 
 
-def _random_poly(rng, max_exp=4):
+def _random_poly(rng):
     terms = {}
     for _ in range(rng.randint(0, 3)):
-        terms[(rng.randint(1, max_exp),)] = Fraction(rng.randint(-3, 3))
+        terms[(rng.randint(1, 4),)] = Fraction(rng.randint(-3, 3))
     return LaurentPolynomial(terms, 1)
 
 
@@ -287,9 +287,9 @@ def _random_unit_poly(rng):
     return poly + LaurentPolynomial.constant(1, rng.choice((1, -1, 2)))
 
 
-def _random_element(rng, spec, ranks, count=2):
+def _random_element(rng, spec, ranks):
     terms = []
-    for _ in range(rng.randint(1, count)):
+    for _ in range(rng.randint(1, 2)):
         cls = KClass(rng.choice(ranks), (rng.randint(0, 2),),
                      (rng.randint(-2, 2), rng.randint(-2, 2)))
         terms.append((cls, Fraction(rng.randint(-3, 3))))

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .errors import InputError, charge
-from .series import LinearFunctional, _coefficient, _exponent
+from .series import LinearFunctional, _coefficient, _echelon, _exponent
 
 IntVec = tuple[int, ...]
 
@@ -70,15 +70,6 @@ class KClass(collections.namedtuple("KClass", "r beta c")):
 
     def vector(self) -> IntVec:
         return (self.r,) + self.beta + self.c
-
-
-def _proportional(u: IntVec, v: IntVec) -> bool:
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -288,7 +279,7 @@ class LatticeSpec:
             raise InputError("not a wall")
         best = min(matches, key=lambda v: (self.l_of(v), v))
         for other in matches:
-            if not _proportional(best, other):
+            if len(_echelon((best, other))) == 2:
                 raise InputError("non-generic functionals")
         return best
 

@@ -9,7 +9,10 @@ prod_t [0, p(1 + d_t)) of values after that separable difference
 operator (Stanley, EC1 4.4).  A chain sum is the orthant sum over its
 increments, with tail degrees as the exponents.  Detection in sample
 sequences applies the same difference operator to each residue class.
-This module also checks re-expansion claims across a wall of gradings.
+This module also checks re-expansion claims across a wall of gradings,
+one coset of Z c0 at a time; each coset is named by its point e with
+floor(e[i] / c0[i]) == 0 at c0's first nonzero entry i (the one pivot of
+``Coset.representative``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Mapping
 from . import jsonio
 from .errors import InputError, charge
 from .series import (
+    Coset,
     Exponent,
     LaurentPolynomial,
     LaurentSeries,
@@ -328,14 +332,9 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     if not verify_expansion(s_minus, f):
         raise InputError("s_minus is not an expansion of the rational function")
 
-    pivot = next(j for j, x in enumerate(c0) if x)
-
-    def rep_of(e: Exponent) -> Exponent:
-        steps = e[pivot] // c0[pivot]
-        return tuple(x - steps * y for x, y in zip(e, c0))
-
-    reps = sorted({rep_of(e) for e, _ in s_minus.terms()}
-                  | {rep_of(e) for e, _ in s_plus.terms()})
+    z_c0 = Coset((0,) * len(c0), (c0,))
+    reps = sorted({z_c0.representative(e) for e, _ in s_minus.terms()}
+                  | {z_c0.representative(e) for e, _ in s_plus.terms()})
     cosets = []
     for rep in reps:
         k_lo = math.ceil((s_minus.bound - L_minus(rep)) / down)

@@ -58,48 +58,34 @@ class LinearFunctional:
         return cls(jsonio.parse_rational_vector(obj, path))
 
 
-def _solve_rational(columns: list[tuple[Fraction, ...]], target: list[Fraction]):
-    """Solve sum_j x_j * columns[j] = target for rational x, or return None.
-
-    The columns are required to be linearly independent, so a solution is
-    unique when it exists.
-    """
-    rows = len(target)
-    ncols = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(rows)]
-    pivot_cols = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, rows) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = aug[r][col]
-        aug[r] = [v / scale for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-    if len(pivot_cols) != ncols:
-        raise InputError("coset generators must be linearly independent")
-    for i in range(r, rows):
-        if aug[i][ncols]:
-            return None
-    sol = [_ZERO] * ncols
-    for row, col in enumerate(pivot_cols):
-        sol[col] = aug[row][ncols]
-    return sol
+def _echelon(rows) -> tuple[tuple[int, Exponent], ...]:
+    """(pivot column, row) pairs of an integer echelon basis of the rows'
+    Z-span, pivots rising: Euclid runs down each column, each row keeps its
+    own sign, and rows that reduce to zero are dropped."""
+    rows = [list(r) for r in rows]
+    basis = []
+    for col in range(len(rows[0]) if rows else 0):
+        rows = [r for r in rows if any(r)]
+        while len(live := [r for r in rows if r[col]]) > 1:
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[:] = [x - q * y for x, y in zip(r, p)]
+        if live:
+            basis.append((col, tuple(live[0])))
+            rows = [r for r in rows if r is not live[0]]
+    return tuple(basis)
 
 
 @dataclass(frozen=True)
 class Coset:
-    """Affine sublattice base + Z-span(generators)."""
+    """Affine sublattice base + Z-span(generators).  ``echelon`` is their
+    integer echelon basis, reduced once and left out of equality, hash and repr."""
 
     base: Exponent
     generators: tuple[Exponent, ...]
+    echelon: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "base", _exponent(self.base))
@@ -108,20 +94,25 @@ class Coset:
         for gen in self.generators:
             if len(gen) != len(self.base):
                 raise InputError("coset generator length does not match base")
-        # force the independence check once, on a solvable system
-        _solve_rational(
-            [tuple(Fraction(g) for g in gen) for gen in self.generators],
-            [_ZERO] * len(self.base))
+        echelon = _echelon(self.generators)
+        if len(echelon) != len(self.generators):
+            raise InputError("coset generators must be linearly independent")
+        object.__setattr__(self, "echelon", echelon)
+
+    def representative(self, exponent) -> Exponent:
+        """exponent + Z-span(generators) reduced at each pivot of ``echelon``, in
+        column order: floor(t[col] / row[col]) times the row comes off t, the
+        offset from base.  For an exponent of the base's length; it is base
+        exactly when the exponent lies on the coset."""
+        t = list(map(operator.sub, _exponent(exponent), self.base))
+        for col, row in self.echelon:
+            if q := t[col] // row[col]:
+                t = [x - q * y for x, y in zip(t, row)]
+        return tuple(map(operator.add, t, self.base))
 
     def contains(self, exponent) -> bool:
-        if len(exponent) != len(self.base):
-            return False
-        if not self.generators:
-            return tuple(exponent) == self.base
-        target = [Fraction(e - b) for e, b in zip(exponent, self.base)]
-        sol = _solve_rational(
-            [tuple(Fraction(g) for g in gen) for gen in self.generators], target)
-        return sol is not None and all(x.denominator == 1 for x in sol)
+        return (len(exponent) == len(self.base)
+                and self.representative(exponent) == self.base)
 
 
 @dataclass(frozen=True)
@@ -328,22 +319,6 @@ class LaurentPolynomial(_Sparse):
         if not self._terms:
             return -1
         return max(e[i] for e in self._terms)
-
-    def evaluate(self, point) -> Fraction:
-        point = tuple(map(_coefficient, point))
-        if len(point) != self.nvars:
-            raise InputError("evaluation point arity mismatch")
-        total = _ZERO
-        for e, c in self._terms.items():
-            val = c
-            for p, k in zip(point, e):
-                if k == 0:
-                    continue
-                if p == 0 and k < 0:
-                    raise InputError("evaluating a negative power at zero")
-                val *= p ** k
-            total += val
-        return total
 
     def map_exponents(self, fn: Callable[[Exponent], Exponent],
                       nvars_out: int) -> "LaurentPolynomial":
@@ -630,14 +605,19 @@ def terms_to_obj(items):
             for e, c in items]
 
 
-def terms_from_obj(obj, path: str, nvars: int | None = None):
-    return jsonio.parse_list(obj, path, _term_from_obj, nvars,
+def terms_from_obj(obj, path: str, nvars: int | None = None,
+                   functional: LinearFunctional | None = None):
+    return jsonio.parse_list(obj, path, _term_from_obj, nvars, functional,
                              message="expected a list of terms")
 
 
-def _term_from_obj(obj, path: str, nvars: int | None):
-    return (jsonio.field(obj, "exponent", path, jsonio.parse_int_vector, nvars),
-            jsonio.field(obj, "coeff", path, jsonio.parse_rational))
+def _term_from_obj(obj, path: str, nvars: int | None,
+                   functional: LinearFunctional | None):
+    exponent = jsonio.field(obj, "exponent", path, jsonio.parse_int_vector, nvars)
+    coeff = jsonio.field(obj, "coeff", path, jsonio.parse_rational)
+    if functional is not None:  # a series term must fit its window's arity
+        functional(exponent)
+    return exponent, coeff
 
 
 def series_to_obj(s: LaurentSeries):
@@ -647,7 +627,7 @@ def series_to_obj(s: LaurentSeries):
 
 def series_from_obj(obj, path: str, nvars: int | None = None) -> LaurentSeries:
     window = jsonio.field(obj, "window", path, window_from_obj)
-    terms = jsonio.field(obj, "terms", path, terms_from_obj, nvars)
+    terms = jsonio.field(obj, "terms", path, terms_from_obj, nvars, window.functional)
     return LaurentSeries(terms, window)
 
 

@@ -199,14 +199,12 @@ def _b_factor(group: GroupSpec) -> QuasiPolynomial:
     # per residue tuple: every chi evaluated, one signed copy of the product
     work += r * ((len(product.terms()) + sum(len(chi.terms()) for chi in chis)) << r)
     charge("weights", work)
-    table = {}
-    for rho in itertools.product((0, 1), repeat=r):
-        sign = 1
-        for chi in chis:
-            if int(chi.evaluate(rho)) % 2:
-                sign = -sign
-        table[rho] = product.scale(sign)
-    return QuasiPolynomial(r, 2, table)
+    rhos = list(itertools.product((0, 1), repeat=r))
+    # sigma^(chi_1 + ... + chi_r); the chi are integral, so their denominator is 1
+    chi_sum = QuasiPolynomial(r, 1, {(0,) * r: sum(chis, LaurentPolynomial({}, r))})
+    values, _ = chi_sum.scaled_values(rhos)
+    return QuasiPolynomial(r, 2, {rho: product.scale(-1 if v % 2 else 1)
+                                  for rho, v in zip(rhos, values)})
 
 
 def _exponential_factor(group: GroupSpec) -> Fraction:

@@ -10,6 +10,21 @@ def fr(a, b=1):
     return Fraction(a, b)
 
 
+def evaluate(poly, point) -> Fraction:
+    """A Laurent polynomial's value at a rational point, one Fraction power
+    per variable and term: the reference for the integer evaluators."""
+    point = tuple(map(Fraction, point))
+    assert len(point) == poly.nvars
+    total = Fraction(0)
+    for e, c in poly.items():
+        val = c
+        for p, k in zip(point, e):
+            if k:
+                val *= p ** k
+        total += val
+    return total
+
+
 def model_lattice():
     """Rank (1+1+2) lattice: one curve generator, two point classes.
 

@@ -714,7 +714,17 @@ _LOCATED = {
     "series_arity": ({"kind": "verify", "f": _GEOMETRIC,
                       "series": _geometric_series_obj([1, 1], 4, [(0, 1)])},
                      "exponent length 1 does not match functional arity 2",
-                     "document.series"),
+                     "document.series.terms[0]"),
+    "series_arity_wide": ({"kind": "verify", "f": _GEOMETRIC2, "series": {
+        "window": {"functional": [1], "bound": "4"},
+        "terms": [{"exponent": [0, 0], "coeff": "1"}]}},
+        "exponent length 2 does not match functional arity 1",
+        "document.series.terms[0]"),
+    "reexpand_arity": ({"kind": "reexpand", "f": _GEOMETRIC, "c0": [1],
+                        "s_minus": _geometric_series_obj([-1], 4, [(-1, -1)]),
+                        "s_plus": _geometric_series_obj([1, 0], 4, [(0, 1), (1, 1)])},
+                       "exponent length 1 does not match functional arity 2",
+                       "document.s_plus.terms[0]"),
     "lattice_sigma": ({"kind": "dualize", "lattice": dict(
         model_lattice().to_obj(), sigma=2), "class": {"r": 0, "beta": [0], "c": [0, 0]}},
         "sigma must be +1 or -1", "document.lattice"),

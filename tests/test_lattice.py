@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallx.errors import InputError
 from wallx.lattice import INF, KClass, LatticeSpec, lattice_from_obj
 from wallx.poisson import TorusElement, Truncation, naive_product
-from wallx.series import _exponent
+from wallx.series import _echelon, _exponent
 
 from conftest import fr, model_lattice, two_gen_lattice
 
@@ -234,6 +234,24 @@ def test_zeta_slope_lexicographic():
 def test_gamma_walls_single_wall():
     spec = model_lattice()
     assert spec.gamma_walls((2,)) == [fr(1)]
+
+
+def _reference_proportional(u, v) -> bool:
+    """Every 2x2 minor of the rows u, v vanishes."""
+    n = len(u)
+    return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    *[st.tuples(*[st.integers(-4, 4)] * n)] * 2)))
+@settings(deadline=None, max_examples=300)
+@example(((0, 0), (1, 2)))
+@example(((2, -4, 6), (-1, 2, -3)))
+@example(((3, 0), (0, 3)))
+def test_echelon_has_two_rows_exactly_when_not_proportional(pair):
+    # distinguished_class's genericity test against the 2x2 minors it replaced
+    u, v = pair
+    assert (len(_echelon(pair)) == 2) == (not _reference_proportional(u, v))
 
 
 def test_distinguished_class_minimal_and_errors():

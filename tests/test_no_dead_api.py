@@ -1,8 +1,10 @@
 """No dead API: every function, method and class defined in ``src/wallx``
 (dunders aside) is referenced by a name, an attribute or an import in the
 sources of ``src/wallx`` or of the benchmark modules in ``perfbench``,
-outside its own definition.  A name that only tests call is not part of
-what the program does, so it is deleted rather than kept for them.
+outside its own definition; in ``perfbench``, which names the methods its
+tracer wraps as strings, a string constant counts too.  A name that only
+tests call is not part of what the program does, so it is deleted rather
+than kept for them.
 
 One int-scaling helper: ``math.lcm`` is called only in ``series._over_lcm``.
 One home for each error policy: only ``jsonio`` (which locates errors) and
@@ -32,8 +34,9 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _references(node) -> Counter:
-    """Every name, attribute name and imported name under node."""
+def _references(node, strings: bool = False) -> Counter:
+    """Every name, attribute name and imported name under node, and with
+    ``strings`` every string constant."""
     found = Counter()
     for child in ast.walk(node):
         if isinstance(child, ast.Name):
@@ -42,14 +45,18 @@ def _references(node) -> Counter:
             found[child.attr] += 1
         elif isinstance(child, ast.alias):
             found[child.name.rpartition(".")[2]] += 1
+        elif strings and isinstance(child, ast.Constant) and isinstance(child.value, str):
+            found[child.value] += 1
     return found
 
 
 def _unreferenced(defining: dict, others: list):
     """(label, line, name) for each non-dunder definition in the trees of
     ``defining`` ({label: tree}) that neither those trees, outside the
-    definition itself, nor the trees in ``others`` refer to."""
-    everywhere = sum((_references(t) for t in [*defining.values(), *others]), Counter())
+    definition itself, nor the trees in ``others``, string constants
+    included, refer to."""
+    everywhere = sum((_references(t) for t in defining.values()), Counter())
+    everywhere += sum((_references(t, strings=True) for t in others), Counter())
     for label, tree in defining.items():
         for node in ast.walk(tree):
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -66,6 +73,16 @@ def test_guard_finds_only_the_unreferenced_definition():
     caller = "from mod import K\nK().m()\n"
     found = _unreferenced({"mod": ast.parse(source)}, [ast.parse(caller)])
     assert list(found) == [("mod", 4, "dead")]
+
+
+def test_guard_counts_strings_in_the_other_trees_only():
+    # a tracer that wraps a method by name, as perfbench/tracing.py does;
+    # a string in the defining tree itself (a docstring, a message) is no use
+    source = ("class K:\n    def wrapped(self):\n        return 1\n\n"
+              "    def named(self):\n        return 'named'\n")
+    tracer = "METHODS = [('mod', 'K', 'wrapped')]\n"
+    found = _unreferenced({"mod": ast.parse(source)}, [ast.parse(tracer)])
+    assert list(found) == [("mod", 5, "named")]
 
 
 def test_every_definition_in_wallx_is_used_by_the_program():

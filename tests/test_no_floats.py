@@ -92,6 +92,8 @@ _FLOAT_CALLS = {
     "Window bound": lambda: Window(_ONE, 0.1),
     "Coset base": lambda: Coset((0.7,), ()),
     "Coset generator": lambda: Coset((0,), ((2.0,),)),
+    "Coset.representative": lambda: Coset((0,), ((2,),)).representative((1.5,)),
+    "Coset.contains": lambda: Coset((0,), ((2,),)).contains((1.5,)),
     "Truncation beta_cap": lambda: Truncation((2.7,), 1),
     "Truncation deg_cap": lambda: Truncation((2,), 0.1),
     "Truncation rank": lambda: Truncation((2,), 1, {-1.0}),
@@ -121,7 +123,6 @@ _FLOAT_CALLS = {
     "distinguished_class": lambda: _SPEC.distinguished_class(1.0, (2,)),
     "duality_check family beta": lambda: duality_check({(1.5,): _POINT}, _SPEC),
     "behrend_smooth": lambda: behrend_smooth([1.5]),
-    "LaurentPolynomial.evaluate": lambda: _X.evaluate((0.5,)),
     "run_a1 window": lambda: run_a1(8.5),
 }
 

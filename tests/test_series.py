@@ -221,6 +221,120 @@ def test_coset_rejects_dependent_generators():
         Coset((0, 0), ((1, 1), (2, 2)))
 
 
+def test_coset_echelon_is_left_out_of_equality_hash_and_repr():
+    c = Coset((1, 0), ((2, 2), (0, 3)))
+    assert c.echelon == ((0, (2, 2)), (1, (0, 3)))
+    assert repr(c) == "Coset(base=(1, 0), generators=((2, 2), (0, 3)))"
+    same = Coset((1, 0), ((2, 2), (0, 3)))
+    assert c == same and hash(c) == hash(same)
+    assert c != Coset((1, 0), ((0, 3), (2, 2)))  # the generators as given
+
+
+# -- the Fraction Gauss-Jordan and the one-generator rep_of, as references ----
+
+def _reference_solve(columns, target):
+    """Solve sum_j x_j * columns[j] = target for rational x, or return None;
+    raises for linearly dependent columns."""
+    rows = len(target)
+    ncols = len(columns)
+    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
+           for i in range(rows)]
+    pivot_cols = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, rows) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        scale = aug[r][col]
+        aug[r] = [v / scale for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][col]:
+                factor = aug[i][col]
+                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+        pivot_cols.append(col)
+        r += 1
+    if len(pivot_cols) != ncols:
+        raise InputError("coset generators must be linearly independent")
+    for i in range(r, rows):
+        if aug[i][ncols]:
+            return None
+    sol = [Fraction(0)] * ncols
+    for row, col in enumerate(pivot_cols):
+        sol[col] = aug[row][ncols]
+    return sol
+
+
+def _reference_contains(base, generators, exponent):
+    if len(exponent) != len(base):
+        return False
+    if not generators:
+        return tuple(exponent) == base
+    sol = _reference_solve(generators, [e - b for e, b in zip(exponent, base)])
+    return sol is not None and all(x.denominator == 1 for x in sol)
+
+
+def _reference_rep_of(c0, e):
+    pivot = next(j for j, x in enumerate(c0) if x)
+    steps = e[pivot] // c0[pivot]
+    return tuple(x - steps * y for x, y in zip(e, c0))
+
+
+@st.composite
+def _coset_case(draw):
+    """k <= n + 1 generators with entries in [-4, 4], dependent, zero and
+    repeated ones included, and exponents of the base's length or not."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-4, 4)] * n)
+    gens = draw(st.lists(vec, max_size=n + 1))
+    if gens and draw(st.booleans()):  # an integer combination of the others
+        ks = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+        gens.append(tuple(sum(k * g[i] for k, g in zip(ks, gens)) for i in range(n)))
+    points = draw(st.lists(st.one_of(vec, st.tuples(*[st.integers(-6, 6)] * n),
+                                     st.lists(st.integers(-2, 2), max_size=4).map(tuple)),
+                           min_size=1, max_size=6))
+    return draw(vec), tuple(gens), points
+
+
+@given(_coset_case())
+@settings(deadline=None, max_examples=400)
+@example(((0, 0), ((1, 1), (2, 2)), [(3, 3)]))
+@example(((0,), ((0,),), [(1,)]))
+@example(((1, 0), ((2, 2), (0, 3), (1, 1)), [(0, 0)]))
+@example(((0, 0), ((-2, 3), (4, -1)), [(5, -7), (2, 2), (0,)]))
+def test_coset_matches_the_fraction_reference(case):
+    base, gens, points = case
+    try:
+        _reference_solve(gens, [0] * len(base))
+    except InputError as err:
+        with pytest.raises(InputError, match=err.message):
+            Coset(base, gens)
+        return
+    coset = Coset(base, gens)
+    for e in points:
+        assert coset.contains(e) == _reference_contains(base, gens, e)
+        if len(e) != len(base):
+            continue
+        rep = coset.representative(e)
+        # rep is on e's class, is fixed by the reduction and names the class
+        assert _reference_contains(rep, gens, e)
+        assert coset.representative(rep) == rep
+        moved = tuple(x + sum(gen[i] for gen in gens) * 3 for i, x in enumerate(e))
+        assert coset.representative(moved) == rep
+        assert (rep == base) == coset.contains(e)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.tuples(*[st.integers(-5, 5)] * n).filter(any),
+    st.tuples(*[st.integers(-30, 30)] * n))))
+@settings(deadline=None, max_examples=400)
+@example(((-3, 2), (7, 1)))
+@example(((0, -2, 5), (-5, -5, 0)))
+def test_one_generator_representative_is_the_old_rep_of(case):
+    c0, e = case
+    assert Coset((0,) * len(c0), (c0,)).representative(e) == _reference_rep_of(c0, e)
+
+
 def test_window_refuses_a_coset_of_another_length():
     L2 = LinearFunctional((fr(1), fr(1)))
     for base in ((0,), (0, 0, 0)):
@@ -277,13 +391,10 @@ def test_polynomial_power_and_degree():
     assert LaurentPolynomial({}, 1).degree_in_var(0) == -1
 
 
-def test_evaluate_and_shift_reject_wrong_arity():
+def test_shift_rejects_wrong_arity():
     p = LaurentPolynomial({(1, 1): 1}, 2)
-    assert p.evaluate((2, 3)) == 6
     assert p.shift((1, -1)) == LaurentPolynomial({(2, 0): 1}, 2)
     for point in [(2,), (2, 3, 4)]:
-        with pytest.raises(InputError, match="arity"):
-            p.evaluate(point)
         with pytest.raises(InputError):
             p.shift(point)
 

@@ -17,10 +17,12 @@ from wallx.series import (
     expand,
     multiply,
 )
+from wallx.quasipoly import QuasiPolynomial
 from wallx.wallcross import (
     GroupSpec,
     SeedSeries,
     WallDatum,
+    _b_factor,
     cross_gamma_wall,
     cross_wall,
     dtpt_ratio,
@@ -30,7 +32,7 @@ from wallx.wallcross import (
     iterate_walls,
 )
 
-from conftest import fr, model_lattice, two_gen_lattice
+from conftest import evaluate, fr, model_lattice, two_gen_lattice
 
 
 def _mono(spec, r, beta, c, coeff=1):
@@ -332,6 +334,57 @@ def test_group_weight_work_budget(monkeypatch, set_budget):
         group_resum(group, None)
     monkeypatch.undo()
     assert group_resum(group, None) == expected
+
+
+def _reference_b_factor(group):
+    """The bracket-weight table with each sign read off chi_i evaluated at
+    the residue tuple, one chi at a time."""
+    spec, r = group.context, group.r
+    base = [KClass(0, b, k) for b, k in zip(group.betas, group.kappas)]
+    steps = [KClass(0, (0,) * spec.rank1, spec.twist(b)) for b in group.betas]
+
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(r))
+
+    chis, cur = [], group.alpha_prime
+    product = LaurentPolynomial.constant(r, 1)
+    for i in range(r):
+        terms = [((0,) * r, spec.euler_pairing(base[i], cur)),
+                 (unit(i), spec.euler_pairing(steps[i], cur))]
+        for j in range(i):
+            e_ij = tuple(x + y for x, y in zip(unit(i), unit(j)))
+            terms += [(unit(j), spec.euler_pairing(base[i], steps[j])),
+                      (e_ij, spec.euler_pairing(steps[i], steps[j]))]
+        chis.append(LaurentPolynomial(terms, r))
+        cur = cur + base[i]
+        product = product * chis[-1]
+    if spec.sigma == 1:
+        return QuasiPolynomial(r, 1, {(0,) * r: product})
+    table = {}
+    for rho in iproduct((0, 1), repeat=r):
+        sign = 1
+        for chi in chis:
+            if int(evaluate(chi, rho)) % 2:
+                sign = -sign
+        table[rho] = product.scale(sign)
+    return QuasiPolynomial(r, 2, table)
+
+
+@pytest.mark.parametrize("lattice", [model_lattice, two_gen_lattice])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_b_factor_matches_the_evaluated_sign_loop(rng, lattice, sigma):
+    spec = dataclasses.replace(lattice(), sigma=sigma)
+    for r in range(6):
+        for _ in range(20):
+            group = GroupSpec(
+                spec, KClass(-1, tuple(rng.randint(-2, 2) for _ in range(spec.rank1)),
+                             tuple(rng.randint(-3, 3) for _ in range(spec.rank0))),
+                tuple(tuple(rng.randint(0, 2) for _ in range(spec.rank1))
+                      for _ in range(r)),
+                tuple(tuple(rng.randint(-3, 3) for _ in range(spec.rank0))
+                      for _ in range(r)),
+                frozenset(), (fr(1),) * r, fr(1), fr(0))
+            assert _b_factor(group) == _reference_b_factor(group)
 
 
 def test_group_resum_random_groups_match_bracket_oracle(rng):
