@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .errors import InputError, charge
-from .series import LinearFunctional, _coefficient, _echelon, _exponent
+from .series import LinearFunctional, _coefficient, _exponent
 
 IntVec = tuple[int, ...]
 
@@ -230,13 +230,6 @@ class LatticeSpec:
         beta = self._curve(beta)
         return beta in self._cone_upto(self.l_of(beta))
 
-    def enumerate_below(self, beta) -> list[IntVec]:
-        """All effective b' with b' <= beta, in lexicographic order."""
-        below = self._below(self._curve(beta))
-        if not below:
-            raise InputError("class is not effective")
-        return sorted(below)
-
     # -- slopes and walls -----------------------------------------------------
 
     def nu_slope(self, x: KClass):
@@ -246,51 +239,17 @@ class LatticeSpec:
             return INF
         return Fraction(sum(map(operator.mul, self.deg, x.beta + x.c)), l_val)
 
-    def zeta_slope(self, x: KClass):
-        """(zeta1, nu) ordered lexicographically; (+oo, +oo) on the point block."""
-        if all(b == 0 for b in x.beta):
-            return (INF, INF)
-        tw = self.twist(x.beta)
-        denom = self.deg_point(tw)
-        if denom == 0:
-            raise InputError("degenerate twist: zeta slope undefined")
-        zeta1 = -sum(map(operator.mul, self.excdeg, tw), Fraction(0)) / denom
-        return (zeta1, self.nu_slope(x))
-
-    def _wall_slopes(self, beta) -> list[tuple[Fraction, IntVec]]:
-        """(zeta1, b') over the nonzero effective b' <= beta, b' in lex order."""
-        zero_c = (0,) * self.rank0
-        return [(self.zeta_slope(KClass(0, bp, zero_c))[0], bp)
-                for bp in self.enumerate_below(beta) if any(bp)]
-
     def gamma_walls(self, beta) -> list[Fraction]:
-        """Positive zeta1 values over nonzero effective classes below beta."""
-        return sorted({z1 for z1, _ in self._wall_slopes(beta) if z1 > 0})
+        """Positive values of -excdeg(twist b) / l(b) over nonzero effective b below beta.
 
-    def distinguished_class(self, gamma: Fraction, beta) -> IntVec:
-        """The l-minimal effective class below beta with zeta1 equal to gamma.
-
-        All matching classes must be mutually proportional, otherwise the
-        configured functionals cannot separate them.
+        deg(twist b) = l(b) by construction, and l(b) >= 1 for every nonzero effective b.
         """
-        gamma = _coefficient(gamma)
-        matches = [bp for z1, bp in self._wall_slopes(beta) if z1 == gamma]
-        if not matches:
-            raise InputError("not a wall")
-        best = min(matches, key=lambda v: (self.l_of(v), v))
-        for other in matches:
-            if len(_echelon((best, other))) == 2:
-                raise InputError("non-generic functionals")
-        return best
-
-    def L_gamma(self, gamma: Fraction) -> LinearFunctional:
-        """deg + gamma^-1 excdeg on the point block."""
-        gamma = _coefficient(gamma)
-        if gamma <= 0:
-            raise InputError("gamma must be positive")
-        return LinearFunctional(tuple(
-            Fraction(self.deg[self.rank1 + i]) + self.excdeg[i] / gamma
-            for i in range(self.rank0)))
+        below = self._below(self._curve(beta))
+        if not below:
+            raise InputError("class is not effective")
+        walls = {-sum(map(operator.mul, self.excdeg, self.twist(b)), Fraction(0)) / self.l_of(b)
+                 for b in below if any(b)}
+        return sorted(w for w in walls if w > 0)
 
     # -- serialization --------------------------------------------------------
 

@@ -4,8 +4,8 @@ Walls carry rank-0 torus elements of a single slope; crossing a wall
 applies the adjoint exponential, and an ascending sweep folds the walls
 left to right.  Groups of wall classes sharing a slope-chain pattern
 resum to closed-form rational functions; the remaining operations divide
-rank-0 layers, check a family of layer fractions against the configured
-duality, and certify re-expansions across a gamma wall.
+rank-0 layers and check a family of layer fractions against the configured
+duality.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .poisson import (
 from .quasipoly import (
     ChainPattern,
     QuasiPolynomial,
-    ReexpandVerdict,
-    reexpand_check,
     resum_chain,
 )
 from .series import (
@@ -300,48 +298,6 @@ def duality_check(f_by_beta: Mapping[IntVec, RationalFunction],
                                         (first, diff.coeff(first))))
             all_ok = False
     return DualityReport(tuple(entries), all_ok)
-
-
-# -- gamma-wall crossing ------------------------------------------------------
-
-@dataclass(frozen=True)
-class GammaCrossing:
-    gamma: Fraction
-    beta_gamma: IntVec
-    c_gamma: IntVec
-    epsilon: Fraction
-    verdict: ReexpandVerdict
-
-
-def cross_gamma_wall(f: RationalFunction, gamma, b,
-                     s_plus_side: LaurentSeries, s_minus_side: LaurentSeries,
-                     spec: LatticeSpec, max_period: int = 4,
-                     max_degree: int = 6) -> GammaCrossing:
-    """Certify the two one-sided expansions of f across the wall at gamma.
-
-    s_plus_side is the verified expansion for the functional just above
-    gamma, s_minus_side the candidate for just below; their difference
-    must be quasi-polynomial along the crossing direction c_gamma, which
-    points into the region where the above-gamma functional is negative.
-    """
-    gamma = _coefficient(gamma)
-    walls = spec.gamma_walls(b)
-    if gamma not in walls:
-        raise InputError("not a wall")
-    others = [w for w in walls if w != gamma] + [Fraction(0)]
-    gap = min(abs(gamma - w) for w in others)
-    if gap == 0:
-        raise InputError("non-generic")
-    eps = gap / 2
-    beta_gamma = spec.distinguished_class(gamma, b)
-    c_gamma = tuple(-x for x in spec.twist(beta_gamma))
-    l_above = spec.L_gamma(gamma + eps)
-    l_below = spec.L_gamma(gamma - eps)
-    if not l_above(c_gamma) < 0 < l_below(c_gamma):
-        raise InputError("non-generic")
-    verdict = reexpand_check(f, s_plus_side, s_minus_side, c_gamma,
-                             l_above, l_below, max_period, max_degree)
-    return GammaCrossing(gamma, beta_gamma, c_gamma, eps, verdict)
 
 
 # -- wire format --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,7 @@ def test_effective_cone_work_budget(set_budget):
                       TorusElement(spec, {KClass(0, (0,), (0, 0)): 1}), Truncation((100,)))
     # the classes found before the error stay sound
     assert spec.is_effective((40,)) and not spec.is_effective((-1,))
-    assert spec.enumerate_below((40,)) == [(k,) for k in range(41)]
+    assert sorted(spec._below((40,))) == [(k,) for k in range(41)]
 
 
 def test_effective_cone_budget_boundary(set_budget):
@@ -137,6 +138,17 @@ def _reference_enumerate_below(spec, beta, cache):
         spec, tuple(a - b for a, b in zip(beta, v)), cache))
 
 
+def _reference_gamma_walls(spec, beta, cache):
+    """-excdeg(twist b) / deg_point(twist b) over the nonzero b below beta, as
+    gamma_walls read it through the zeta slope before it divided by l(b)."""
+    walls = set()
+    for b in _reference_enumerate_below(spec, beta, cache):
+        if any(b):
+            tw = spec.twist(b)
+            walls.add(-sum(e * t for e, t in zip(spec.excdeg, tw)) / spec.deg_point(tw))
+    return sorted(w for w in walls if w > 0)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -163,8 +175,8 @@ def test_effective_cone_matches_reference(gens, order):
         assert spec.is_effective(beta) == _reference_is_effective(spec, beta, cache)
         assert ((prev in spec._below(beta))
                 == _reference_leq_effective(spec, prev, beta, cache))
-        assert (_outcome(spec.enumerate_below, beta)
-                == _outcome(_reference_enumerate_below, spec, beta, cache))
+        assert sorted(spec._below(beta)) == (
+            _reference_enumerate_below(spec, beta, cache) if spec.is_effective(beta) else [])
         alpha = TorusElement(spec, {KClass(-1, prev, (beta[0],)): 1})
         kept = naive_product(alpha, unit, Truncation(beta, fr(2)))
         assert (kept == alpha) == (
@@ -173,7 +185,7 @@ def test_effective_cone_matches_reference(gens, order):
         prev = beta
     for bad in [(1,), (1, 2, 3), (0.5, 0)]:
         for ours, ref in [(spec.is_effective, _reference_is_effective),
-                          (spec.enumerate_below, _reference_enumerate_below)]:
+                          (spec.gamma_walls, _reference_gamma_walls)]:
             assert _outcome(ours, bad) == _outcome(ref, spec, bad, cache)
 
 
@@ -192,13 +204,14 @@ def test_enumerate_below_against_bruteforce():
                     out.append(v)
         return sorted(out)
 
-    assert spec.enumerate_below(target) == brute()
+    assert sorted(spec._below(target)) == brute()
 
 
 def test_enumerate_below_requires_effective_input():
     spec = two_gen_lattice()
-    with pytest.raises(InputError, match="not effective"):
-        spec.enumerate_below((0, 1))
+    assert not spec._below((0, 1))
+    with pytest.raises(InputError, match="class is not effective"):
+        spec.gamma_walls((0, 1))
 
 
 def test_leq_effective():
@@ -223,17 +236,32 @@ def test_nu_slope_and_infinity_ordering():
     assert sorted([INF, fr(2), fr(-1)]) == [fr(-1), fr(2), INF]
 
 
-def test_zeta_slope_lexicographic():
-    spec = model_lattice()
-    z_curve = spec.zeta_slope(KClass(0, (1,), (0, 0)))
-    assert z_curve == (fr(1), fr(0))
-    assert spec.zeta_slope(_pt(spec, (2, 0))) == (INF, INF)
-    assert z_curve < spec.zeta_slope(_pt(spec, (1, 1)))
-
-
 def test_gamma_walls_single_wall():
     spec = model_lattice()
     assert spec.gamma_walls((2,)) == [fr(1)]
+    assert two_gen_lattice().gamma_walls((2, 1)) == [fr(1, 2)]
+    no_wall = dataclasses.replace(spec, excdeg=(fr(1), fr(1)))
+    assert no_wall.gamma_walls((2,)) == []
+    with pytest.raises(InputError, match="class is not effective"):
+        spec.gamma_walls((-1,))
+
+
+@settings(deadline=None, max_examples=50)
+@given(gens=_GENERATORS, twist=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       excdeg=st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 2))
+def test_gamma_walls_match_reference(gens, twist, excdeg):
+    # l = (1, 1) and point degrees (1, 2): the twist columns (1 - 2a, a) keep
+    # deg(twist b) = l(b), while excdeg(twist b) / l(b) varies with b
+    a, b = twist
+    spec = LatticeSpec(
+        rank1=2, rank0=2, pairing=((0,) * 5,) * 5, deg=(1, 1, 1, 2), l=(1, 1),
+        excdeg=excdeg, twist_matrix=((1 - 2 * a, 1 - 2 * b), (a, b)),
+        duality=tuple(tuple(int(i == j) for j in range(5)) for i in range(5)),
+        effgens1=tuple(gens), sigma=1)
+    cache = {}
+    for beta in _CLASSES:
+        assert (_outcome(spec.gamma_walls, beta)
+                == _outcome(_reference_gamma_walls, spec, beta, cache))
 
 
 def _reference_proportional(u, v) -> bool:
@@ -249,29 +277,9 @@ def _reference_proportional(u, v) -> bool:
 @example(((2, -4, 6), (-1, 2, -3)))
 @example(((3, 0), (0, 3)))
 def test_echelon_has_two_rows_exactly_when_not_proportional(pair):
-    # distinguished_class's genericity test against the 2x2 minors it replaced
+    # the rank test behind Coset's independence check, against the 2x2 minors
     u, v = pair
     assert (len(_echelon(pair)) == 2) == (not _reference_proportional(u, v))
-
-
-def test_distinguished_class_minimal_and_errors():
-    spec = model_lattice()
-    assert spec.distinguished_class(fr(1), (2,)) == (1,)
-    with pytest.raises(InputError, match="not a wall"):
-        spec.distinguished_class(fr(7), (2,))
-
-    crowded = two_gen_lattice()
-    with pytest.raises(InputError, match="non-generic functionals"):
-        crowded.distinguished_class(fr(1, 2), (2, 1))
-
-
-def test_L_gamma_values():
-    spec = model_lattice()
-    assert spec.L_gamma(fr(1)).coeffs == (fr(0), fr(2))
-    assert spec.L_gamma(fr(1, 2)).coeffs == (fr(-1), fr(3))
-    assert spec.L_gamma(fr(3, 2)).coeffs == (fr(1, 3), fr(5, 3))
-    with pytest.raises(InputError, match="gamma must be positive"):
-        spec.L_gamma(fr(-1))
 
 
 def test_dualize_is_involution(rng):

@@ -4,7 +4,9 @@ sources of ``src/wallx`` or of the benchmark modules in ``perfbench``,
 outside its own definition; in ``perfbench``, which names the methods its
 tracer wraps as strings, a string constant counts too.  A name that only
 tests call is not part of what the program does, so it is deleted rather
-than kept for them.
+than kept for them; no name is exempt.  Conversely, every function and
+method that the benchmark's tracer wraps by name is defined where the tracer
+looks for it.
 
 One int-scaling helper: ``math.lcm`` is called only in ``series._over_lcm``.
 One home for each error policy: only ``jsonio`` (which locates errors) and
@@ -12,6 +14,7 @@ One home for each error policy: only ``jsonio`` (which locates errors) and
 a work-budget message."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -19,15 +22,6 @@ import wallx
 
 SRC = Path(wallx.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-# name -> why it stays although nothing in the program calls it
-ALLOWED = {
-    "cross_gamma_wall": (
-        "the paper's gamma-wall certificate; run_a1 cannot use it: on the model "
-        "lattice the wall at 1 crosses along c_gamma = (-2, 0) between L = (1/3, 5/3) "
-        "and (-1, 3), while the report re-expands along (1, 0) between (-1, 1) and "
-        "(1, 1), so routing it there would change the report"),
-}
 
 
 def _is_dunder(name: str) -> bool:
@@ -90,9 +84,28 @@ def test_every_definition_in_wallx_is_used_by_the_program():
     bench = [ast.parse(p.read_text(), str(p)) for p in sorted(BENCH.glob("*.py"))]
     assert sources and bench
     found = {name: (label, line) for label, line, name in _unreferenced(sources, bench)}
-    dead = {name: where for name, where in found.items() if name not in ALLOWED}
-    assert not dead, f"defined but used only by tests, or not at all: {dead}"
-    assert set(found) == set(ALLOWED), "an allowed name is now used or gone"
+    assert not found, f"defined but used only by tests, or not at all: {found}"
+
+
+def _tracer_names():
+    """FUNCTIONS and METHODS of perfbench/tracing.py, read without importing it."""
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("FUNCTIONS", "METHODS")}
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # Tracer.installed looks functions up with getattr and methods in the
+    # class's own __dict__, so a deleted or inherited one breaks a traced run
+    names = _tracer_names()
+    assert names["FUNCTIONS"] and names["METHODS"]
+    missing = [(mod, attr) for mod, attr in names["FUNCTIONS"]
+               if not hasattr(importlib.import_module(f"wallx.{mod}"), attr)]
+    missing += [(mod, cls, attr) for mod, cls, attr in names["METHODS"]
+                if attr not in vars(getattr(importlib.import_module(f"wallx.{mod}"), cls))]
+    assert not missing, f"wrapped by perfbench/tracing.py but not defined: {missing}"
 
 
 def _lcm_calls(tree):

@@ -118,9 +118,7 @@ _FLOAT_CALLS = {
     "LatticeSpec rank0": lambda: dataclasses.replace(_SPEC, rank0=2.0),
     "LatticeSpec rank1": lambda: dataclasses.replace(_SPEC, rank1=1.0),
     "is_effective": lambda: _SPEC.is_effective((0.5,)),
-    "enumerate_below": lambda: _SPEC.enumerate_below((1.5,)),
-    "L_gamma": lambda: _SPEC.L_gamma(0.5),
-    "distinguished_class": lambda: _SPEC.distinguished_class(1.0, (2,)),
+    "gamma_walls": lambda: _SPEC.gamma_walls((1.5,)),
     "duality_check family beta": lambda: duality_check({(1.5,): _POINT}, _SPEC),
     "behrend_smooth": lambda: behrend_smooth([1.5]),
     "run_a1 window": lambda: run_a1(8.5),

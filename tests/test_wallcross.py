@@ -17,13 +17,12 @@ from wallx.series import (
     expand,
     multiply,
 )
-from wallx.quasipoly import QuasiPolynomial
+from wallx.quasipoly import QuasiPolynomial, reexpand_check
 from wallx.wallcross import (
     GroupSpec,
     SeedSeries,
     WallDatum,
     _b_factor,
-    cross_gamma_wall,
     cross_wall,
     dtpt_ratio,
     duality_check,
@@ -559,11 +558,18 @@ def _exact_quotient(num, den, L):
     return q if q * den == num else None
 
 
+# The model lattice's gamma wall at 1 (class (1,)) is crossed along the
+# negated twist c = (-2, 0), between the point-block functionals
+# deg + excdeg / gamma at gamma = 3/2 (above) and gamma = 1/2 (below).
+_C_GAMMA = (-2, 0)
+_L_ABOVE = LinearFunctional((fr(1, 3), fr(5, 3)))
+_L_BELOW = LinearFunctional((fr(-1), fr(3)))
+
+
 # -- DT/PT division -----------------------------------------------------------
 
 def test_dtpt_ratio_trivial_cases():
-    spec = model_lattice()
-    L = spec.L_gamma(fr(3, 2))
+    L = _L_ABOVE
     window = Window(L, fr(6))
     one = expand(RationalFunction(LaurentPolynomial.constant(2, 1),
                                   LaurentPolynomial.constant(2, 1)), L, window)
@@ -576,8 +582,7 @@ def test_dtpt_ratio_trivial_cases():
 
 
 def test_dtpt_ratio_two_variable_layer():
-    spec = model_lattice()
-    L = spec.L_gamma(fr(3, 2))
+    L = _L_ABOVE
     den2 = _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2
     num = _poly({(4, 4): 3}, 2)
     dt_beta = expand(RationalFunction(num, den2 ** 2), L, Window(L, fr(16)))
@@ -591,8 +596,7 @@ def test_dtpt_ratio_two_variable_layer():
 
 
 def test_dtpt_ratio_leading_coefficient_check():
-    spec = model_lattice()
-    L = spec.L_gamma(fr(3, 2))
+    L = _L_ABOVE
     window = Window(L, fr(6))
     two = expand(RationalFunction(LaurentPolynomial.constant(2, 2),
                                   LaurentPolynomial.constant(2, 1)), L, window)
@@ -614,8 +618,7 @@ def test_dtpt_ratio_checks_the_least_term_then_invertibility(terms, message):
 
 
 def test_dtpt_ratio_multiply_round_trip(rng):
-    spec = model_lattice()
-    L = spec.L_gamma(fr(3, 2))
+    L = _L_ABOVE
     den = _poly({(0, 0): 1, (1, 0): 1}, 2)
     for _ in range(8):
         g1 = _poly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(1, 3),
@@ -701,18 +704,17 @@ def test_duality_with_point_shift():
 
 def test_cross_gamma_wall_geometric():
     spec = model_lattice()
+    assert spec.gamma_walls((1,)) == [fr(1)]
+    assert tuple(-x for x in spec.twist((1,))) == _C_GAMMA
+    for gamma, L in [(fr(3, 2), _L_ABOVE), (fr(1, 2), _L_BELOW)]:
+        assert L.coeffs == tuple(d + e / gamma for d, e in zip(spec.deg[1:], spec.excdeg))
     f = RationalFunction(LaurentPolynomial.constant(2, 1),
                          _poly({(0, 0): 1, (-2, 0): -1}, 2))
-    l_up = spec.L_gamma(fr(3, 2))
-    l_down = spec.L_gamma(fr(1, 2))
-    s_up = expand(f, l_up, Window(l_up, fr(4)))
-    s_down = expand(f, l_down, Window(l_down, fr(12)))
-    crossing = cross_gamma_wall(f, fr(1), (1,), s_up, s_down, spec)
-    assert crossing.beta_gamma == (1,)
-    assert crossing.c_gamma == (-2, 0)
-    assert crossing.epsilon == fr(1, 2)
-    assert crossing.verdict.confirmed
-    (coset,) = crossing.verdict.cosets
+    s_up = expand(f, _L_ABOVE, Window(_L_ABOVE, fr(4)))
+    s_down = expand(f, _L_BELOW, Window(_L_BELOW, fr(12)))
+    verdict = reexpand_check(f, s_up, s_down, _C_GAMMA, _L_ABOVE, _L_BELOW)
+    assert verdict.confirmed
+    (coset,) = verdict.cosets
     assert coset.fit is not None
     assert coset.fit.period == 1
     assert coset.fit.degree(0) == 0
@@ -720,19 +722,19 @@ def test_cross_gamma_wall_geometric():
         assert coset.fit.eval((k,)) == 1
 
 
-def test_cross_gamma_wall_model_layer():
-    spec = model_lattice()
+def _model_layer_expansions():
     f = RationalFunction(_poly({(4, 4): 3}, 2),
                          _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2)
-    l_up = spec.L_gamma(fr(3, 2))
-    l_down = spec.L_gamma(fr(1, 2))
-    s_up = expand(f, l_up, Window(l_up, fr(11)))
-    s_down = expand(f, l_down, Window(l_down, fr(20)))
-    crossing = cross_gamma_wall(f, fr(1), (2,), s_up, s_down, spec)
-    assert crossing.c_gamma == (-2, 0)
-    assert crossing.verdict.confirmed
-    fits = {coset.representative: coset.fit
-            for coset in crossing.verdict.cosets}
+    s_up = expand(f, _L_ABOVE, Window(_L_ABOVE, fr(11)))
+    s_down = expand(f, _L_BELOW, Window(_L_BELOW, fr(20)))
+    return f, s_up, s_down
+
+
+def test_cross_gamma_wall_model_layer():
+    f, s_up, s_down = _model_layer_expansions()
+    verdict = reexpand_check(f, s_up, s_down, _C_GAMMA, _L_ABOVE, _L_BELOW)
+    assert verdict.confirmed
+    fits = {coset.representative: coset.fit for coset in verdict.cosets}
     assert set(fits) == {(0, 4), (-1, 4)}
     even = fits[(0, 4)]
     odd = fits[(-1, 4)]
@@ -742,35 +744,11 @@ def test_cross_gamma_wall_model_layer():
         assert odd.eval((k,)) == -12 - 6 * k
 
 
-def test_cross_gamma_wall_rejects_non_walls():
-    spec = model_lattice()
-    f = RationalFunction(LaurentPolynomial.constant(2, 1),
-                         _poly({(0, 0): 1, (-2, 0): -1}, 2))
-    l_up = spec.L_gamma(fr(3, 2))
-    s_up = expand(f, l_up, Window(l_up, fr(4)))
-    with pytest.raises(InputError, match="not a wall"):
-        cross_gamma_wall(f, fr(1, 2), (1,), s_up, s_up, spec)
-    no_wall = LatticeSpec(
-        rank1=1, rank0=2,
-        pairing=spec.pairing, deg=spec.deg, l=spec.l,
-        excdeg=(fr(1), fr(1)), twist_matrix=spec.twist_matrix,
-        duality=spec.duality, effgens1=spec.effgens1, sigma=spec.sigma)
-    assert no_wall.gamma_walls((2,)) == []
-    with pytest.raises(InputError, match="not a wall"):
-        cross_gamma_wall(f, fr(1), (2,), s_up, s_up, no_wall)
-
-
 def test_cross_gamma_wall_detects_corruption():
-    spec = model_lattice()
-    f = RationalFunction(_poly({(4, 4): 3}, 2),
-                         _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2)
-    l_up = spec.L_gamma(fr(3, 2))
-    l_down = spec.L_gamma(fr(1, 2))
-    s_up = expand(f, l_up, Window(l_up, fr(11)))
-    s_down = expand(f, l_down, Window(l_down, fr(20)))
+    f, s_up, s_down = _model_layer_expansions()
     broken_terms = dict(s_down.terms())
     broken_terms[(-3, 0)] = Fraction(1)
     broken = LaurentSeries(broken_terms, s_down.window)
-    crossing = cross_gamma_wall(f, fr(1), (2,), s_up, broken, spec)
-    assert not crossing.verdict.all_fit
-    assert not crossing.verdict.confirmed
+    verdict = reexpand_check(f, s_up, broken, _C_GAMMA, _L_ABOVE, _L_BELOW)
+    assert not verdict.all_fit
+    assert not verdict.confirmed
