@@ -182,13 +182,10 @@ def run_a1(report_window: int) -> dict:
     m_lo, m_hi = -w, w + 4
     ms = range(m_lo, m_hi + 1)
 
-    point_series = expand(model.point_row, model.l_plus,
-                          Window(model.l_plus, w + 8))
+    point_series = expand(model.point_row, Window(model.l_plus, w + 8))
     orbifold_series = dtpt_ratio(
-        expand(model.orbifold_layer, model.l_plus, Window(model.l_plus, w + 8)),
-        point_series, model.l_plus)
-    resolution_series = expand(model.shared_layer, model.l_minus,
-                               Window(model.l_minus, w + 4))
+        expand(model.orbifold_layer, Window(model.l_plus, w + 8)), point_series)
+    resolution_series = expand(model.shared_layer, Window(model.l_minus, w + 4))
     orb = {m: orbifold_series.coeff((m, 4)) for m in ms}
     res = {m: resolution_series.coeff((m, 4)) for m in ms}
 
@@ -223,8 +220,7 @@ def run_a1(report_window: int) -> dict:
     add_step("difference quasi-polynomial", fit_div, **fit_detail)
 
     verdict = reexpand_check(model.shared_layer, resolution_series,
-                             orbifold_series, model.point_plus_exponent(),
-                             model.l_minus, model.l_plus)
+                             orbifold_series, model.point_plus_exponent())
     add_step("re-expansion certificate",
              None if verdict.confirmed else
              {"m": m_lo, "expected": "confirmed", "actual": "not confirmed"},

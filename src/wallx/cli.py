@@ -79,7 +79,7 @@ def _doc_fit_limits(doc) -> tuple[int, int]:
 def _run_expand(doc, opts):
     f = jsonio.field(doc, "f", "document", rational_function_from_obj)
     window = _doc_window(doc, opts)
-    series = expand(f, window.functional, window)
+    series = expand(f, window)
     return {"series": series_to_obj(series)}, 0
 
 
@@ -175,8 +175,7 @@ def _run_dtpt(doc, opts):
     dt = jsonio.field(doc, "dt", "document", rational_function_from_obj)
     dt_zero = jsonio.field(doc, "dt_zero", "document", rational_function_from_obj)
     window = _doc_window(doc, opts)
-    L = window.functional
-    ratio = dtpt_ratio(expand(dt, L, window), expand(dt_zero, L, window), L)
+    ratio = dtpt_ratio(expand(dt, window), expand(dt_zero, window))
     return {"series": series_to_obj(ratio)}, 0
 
 
@@ -217,9 +216,7 @@ def _run_reexpand(doc, opts):
     s_minus = jsonio.field(doc, "s_minus", "document", series_from_obj, nvars)
     s_plus = jsonio.field(doc, "s_plus", "document", series_from_obj, nvars)
     c0 = jsonio.field(doc, "c0", "document", jsonio.parse_int_vector, nvars)
-    verdict = reexpand_check(f, s_minus, s_plus, c0,
-                             s_minus.window.functional,
-                             s_plus.window.functional, *_doc_fit_limits(doc))
+    verdict = reexpand_check(f, s_minus, s_plus, c0, *_doc_fit_limits(doc))
     cosets = [{"representative": list(coset.representative),
                "k_lo": coset.k_lo, "k_hi": coset.k_hi,
                "fit": None if coset.fit is None else qp_to_obj(coset.fit)}
@@ -308,15 +305,15 @@ def _selfcheck(seed: int) -> dict:
     ok = True
     for _ in range(25):
         f = RationalFunction(_random_poly(rng), _random_unit_poly(rng))
-        ok = ok and verify_expansion(expand(f, deg1, Window(deg1, 12)), f)
+        ok = ok and verify_expansion(expand(f, Window(deg1, 12)), f)
     record("series expansion verifies against its source", 25, ok)
 
     ok = True
     for _ in range(15):
         f = RationalFunction(_random_poly(rng), _random_unit_poly(rng))
         g = RationalFunction(_random_poly(rng), _random_unit_poly(rng))
-        prod = multiply(expand(f, deg1, Window(deg1, 12)),
-                        expand(g, deg1, Window(deg1, 12)))
+        prod = multiply(expand(f, Window(deg1, 12)),
+                        expand(g, Window(deg1, 12)))
         ok = ok and verify_expansion(prod, f * g)
     record("series products match source products", 15, ok)
 
@@ -344,7 +341,7 @@ def _selfcheck(seed: int) -> dict:
         a = QuasiPolynomial(1, period, table)
         step = rng.randint(1, 3)
         out = resum_orthant(a, [(step,)], deg1)
-        series = expand(out, deg1, Window(deg1, 12))
+        series = expand(out, Window(deg1, 12))
         for j in range(13):
             expected = (a.eval((j // step,))
                         if j % step == 0 else Fraction(0))
@@ -387,10 +384,9 @@ def _selfcheck(seed: int) -> dict:
 
     one = LaurentPolynomial.constant(1, 1)
     geom = RationalFunction(one, one - LaurentPolynomial.monomial((1,)))
-    l_minus = LinearFunctional((-1,))
-    s_plus = expand(geom, deg1, Window(deg1, 8))
-    s_minus = expand(geom, l_minus, Window(l_minus, 8))
-    verdict = reexpand_check(geom, s_minus, s_plus, (1,), l_minus, deg1)
+    s_plus = expand(geom, Window(deg1, 8))
+    s_minus = expand(geom, Window(LinearFunctional((-1,)), 8))
+    verdict = reexpand_check(geom, s_minus, s_plus, (1,))
     fit = verdict.cosets[0].fit
     ok = verdict.confirmed and fit is not None and fit.period == 1 \
         and all(fit.eval((k,)) == 1 for k in range(-4, 5))

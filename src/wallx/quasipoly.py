@@ -310,10 +310,11 @@ class ReexpandVerdict:
 
 
 def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
-                   s_plus: LaurentSeries, c0, L_minus: LinearFunctional,
-                   L_plus: LinearFunctional, max_period: int = 4,
+                   s_plus: LaurentSeries, c0, max_period: int = 4,
                    max_degree: int = 6) -> ReexpandVerdict:
-    """Certify s_plus as the L_plus re-expansion of f across the c0 direction.
+    """Certify s_plus as the L_plus re-expansion of f across the c0 direction,
+    where L_minus and L_plus are the functionals of s_minus's and s_plus's
+    windows.
 
     s_minus must already be the (verified) L_minus expansion.  On every
     coset of Z c0 meeting either support, the difference s_plus - s_minus
@@ -323,12 +324,11 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     c0 = _exponent(c0)
     if all(x == 0 for x in c0):
         raise InputError("re-expansion direction must be nonzero")
+    L_minus, L_plus = s_minus.window.functional, s_plus.window.functional
     down = L_minus(c0)
     up = L_plus(c0)
     if not (down < 0 < up):
         raise InputError("re-expansion direction must have L_minus(c0) < 0 < L_plus(c0)")
-    if s_minus.window.functional != L_minus or s_plus.window.functional != L_plus:
-        raise InputError("window functional mismatch")
     if not verify_expansion(s_minus, f):
         raise InputError("s_minus is not an expansion of the rational function")
 

@@ -417,11 +417,16 @@ def _no_coset(*series: LaurentSeries):
         raise InputError("products of coset-window series are not supported")
 
 
-def _unique_l_min(terms: Mapping[Exponent, Fraction], L: LinearFunctional):
-    """Least L-value of the terms (None if none) and the exponents at it."""
+def _lead(terms: Mapping[Exponent, Fraction], L: LinearFunctional,
+          message: str) -> tuple[Exponent, Fraction]:
+    """The unique L-minimal term (m0, c0); raises message when there is no
+    term or more than one exponent reaches the least L-value."""
     values = {e: L(e) for e in terms}
-    best = min(values.values(), default=None)
-    return best, [e for e, v in values.items() if v == best]
+    least = min(values.values(), default=None)
+    exps = [e for e, v in values.items() if v == least]
+    if len(exps) != 1:
+        raise InputError(message)
+    return exps[0], terms[exps[0]]
 
 
 def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fraction],
@@ -491,19 +496,15 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
     return out
 
 
-def expand(f: RationalFunction, L: LinearFunctional, window: Window) -> LaurentSeries:
-    """Laurent-expand f = g/h with respect to L, truncated to the window.
+def expand(f: RationalFunction, window: Window) -> LaurentSeries:
+    """Laurent-expand f = g/h with respect to the window's functional L,
+    truncated to the window.
 
     All reported coefficients are final.  The denominator must have a unique
     L-minimal monomial for the expansion direction to be well defined.
     """
-    if window.functional != L:
-        raise InputError("window functional mismatch")
-    _, exps = _unique_l_min(f.denominator._terms, L)
-    if len(exps) != 1:
-        raise InputError("functional not generic for denominator")
-    m0 = exps[0]
-    c0 = f.denominator.coeff(m0)
+    L = window.functional
+    m0, c0 = _lead(f.denominator._terms, L, "functional not generic for denominator")
     out = _divide_terms(f.numerator._terms, f.denominator._terms,
                         L, window.bound, m0, c0)
     if not out and not f.numerator.is_zero():
@@ -522,20 +523,16 @@ def multiply(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
     return _series_product(s1._terms, s2._terms, Window(s1.window.functional, bound))
 
 
-def divide(s1: LaurentSeries, s2: LaurentSeries, L: LinearFunctional) -> LaurentSeries:
-    """Series quotient s1/s2 with respect to L.
+def divide(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
+    """Series quotient s1/s2 with respect to their windows' functional L.
 
     s2 needs a unique L-minimal known term; the result window accounts for
     both operands' unknown tails, so every reported coefficient is final.
     """
-    if s1.window.functional != L or s2.window.functional != L:
-        raise InputError("window functional mismatch")
+    _same_functional(s1, s2)
     _no_coset(s1, s2)
-    _, exps = _unique_l_min(s2._terms, L)
-    if len(exps) != 1:
-        raise InputError("not invertible with respect to L")
-    m0 = exps[0]
-    c0 = s2._terms[m0]
+    L = s1.window.functional
+    m0, c0 = _lead(s2._terms, L, "not invertible with respect to L")
     l_m0 = L(m0)
     bound = min(s1.bound - l_m0, s1.support_min() + s2.bound - 2 * l_m0)
     out = _divide_terms(s1._terms, s2._terms, L, bound, m0, c0)
@@ -548,8 +545,8 @@ def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeri
     L = s.window.functional
     if p.is_zero():
         return LaurentSeries._make({}, s.window)
-    min_l, _ = _unique_l_min(p._terms, L)
-    return _series_product(s._terms, p._terms, Window(L, s.bound + min_l))
+    return _series_product(s._terms, p._terms,
+                           Window(L, s.bound + min(map(L, p._terms))))
 
 
 def _series_product(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction],

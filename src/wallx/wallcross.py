@@ -34,7 +34,6 @@ from .quasipoly import (
 from .series import (
     LaurentPolynomial,
     LaurentSeries,
-    LinearFunctional,
     RationalFunction,
     _coefficient,
     _exponent,
@@ -237,13 +236,12 @@ def group_resum(group: GroupSpec, trunc: Truncation | None) -> RationalFunction:
 
 # -- DT/PT division -----------------------------------------------------------
 
-def dtpt_ratio(dt_beta: LaurentSeries, dt_zero: LaurentSeries,
-               L: LinearFunctional) -> LaurentSeries:
-    L_zero = dt_zero.window.functional  # the (L, exponent)-least term leads
-    lead = min(((L_zero(e), e, c) for e, c in dt_zero.terms()), default=None)
+def dtpt_ratio(dt_beta: LaurentSeries, dt_zero: LaurentSeries) -> LaurentSeries:
+    L = dt_zero.window.functional  # the (L, exponent)-least term leads
+    lead = min(((L(e), e, c) for e, c in dt_zero.terms()), default=None)
     if lead is not None and lead[2] != 1:
         raise InputError("rank-zero column must lead with coefficient 1")
-    return divide(dt_beta, dt_zero, L)
+    return divide(dt_beta, dt_zero)
 
 
 # -- duality ------------------------------------------------------------------

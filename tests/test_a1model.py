@@ -19,7 +19,7 @@ def _alt(m):
 
 
 def _expand_layer(model, f, bound):
-    return expand(f, model.l_plus, Window(model.l_plus, bound))
+    return expand(f, Window(model.l_plus, bound))
 
 
 # -- behrend weights ----------------------------------------------------------

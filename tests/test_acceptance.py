@@ -78,7 +78,7 @@ def test_criterion_01_point_row_coefficients():
     start = time.monotonic()
     model = build_a1()
     L = model.l_plus
-    series = expand(model.point_row, L, Window(L, 14))
+    series = expand(model.point_row, Window(L, 14))
     for m in range(11):
         assert series.coeff((m, 0)) == _alt(m) * (m + 1)
     elapsed = time.monotonic() - start
@@ -94,8 +94,8 @@ def test_criterion_02_orbifold_column_from_ratio():
     model = build_a1()
     L = model.l_plus
     win = Window(L, 20)
-    ratio = dtpt_ratio(expand(model.orbifold_layer, L, win),
-                       expand(model.point_row, L, win), L)
+    ratio = dtpt_ratio(expand(model.orbifold_layer, win),
+                       expand(model.point_row, win))
     for m in range(-8, 4):
         assert ratio.window.admits((m, 4))
         assert ratio.coeff((m, 4)) == 0
@@ -112,7 +112,7 @@ def test_criterion_02_orbifold_column_from_ratio():
 def test_criterion_03_resolution_column_and_smooth_weights():
     model = build_a1()
     L = model.l_minus
-    series = expand(model.shared_layer, L, Window(L, 12))
+    series = expand(model.shared_layer, Window(L, 12))
     for m in range(3, 13):
         assert series.coeff((m, 4)) == 0
     for m in range(-8, 3):
@@ -130,9 +130,9 @@ def test_criterion_04_column_difference_fit_and_reexpansion(tmp_path):
     model = build_a1()
     lp, lm = model.l_plus, model.l_minus
     win = Window(lp, 20)
-    plus = dtpt_ratio(expand(model.orbifold_layer, lp, win),
-                      expand(model.point_row, lp, win), lp)
-    minus = expand(model.shared_layer, lm, Window(lm, 12))
+    plus = dtpt_ratio(expand(model.orbifold_layer, win),
+                      expand(model.point_row, win))
+    minus = expand(model.shared_layer, Window(lm, 12))
     samples = {m: plus.coeff((m, 4)) - minus.coeff((m, 4))
                for m in range(-8, 13)}
     fit = detect_quasipoly(samples)
@@ -141,7 +141,7 @@ def test_criterion_04_column_difference_fit_and_reexpansion(tmp_path):
     assert fit.degree(0) == 1
     for m in list(range(13, 21)) + list(range(-16, -8)):
         assert fit.eval((m,)) == _alt(m) * (3 * m - 9)
-    verdict = reexpand_check(model.shared_layer, minus, plus, (1, 0), lm, lp)
+    verdict = reexpand_check(model.shared_layer, minus, plus, (1, 0))
     assert verdict.confirmed
 
     doc = tmp_path / "worked_model.json"
@@ -165,11 +165,11 @@ def test_criterion_05_geometric_series_both_expansions():
     f = RationalFunction(one, one - LaurentPolynomial.monomial((1,)))
     lp = LinearFunctional((fr(1),))
     lm = LinearFunctional((fr(-1),))
-    s_plus = expand(f, lp, Window(lp, 10))
-    s_minus = expand(f, lm, Window(lm, 10))
+    s_plus = expand(f, Window(lp, 10))
+    s_minus = expand(f, Window(lm, 10))
     assert dict(s_plus.terms()) == {(m,): Fraction(1) for m in range(11)}
     assert dict(s_minus.terms()) == {(m,): Fraction(-1) for m in range(-10, 0)}
-    verdict = reexpand_check(f, s_minus, s_plus, (1,), lm, lp)
+    verdict = reexpand_check(f, s_minus, s_plus, (1,))
     assert verdict.confirmed
     fit = verdict.cosets[0].fit
     assert fit.period == 1

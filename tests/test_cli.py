@@ -725,6 +725,14 @@ _LOCATED = {
                         "s_plus": _geometric_series_obj([1, 0], 4, [(0, 1), (1, 1)])},
                        "exponent length 1 does not match functional arity 2",
                        "document.s_plus.terms[0]"),
+    # the leading term of f's denominator is found by L-values, whose
+    # LinearFunctional call refuses an exponent of another length
+    "expand_arity": ({"kind": "expand", "f": _GEOMETRIC,
+                      "window": {"functional": [1, 1], "bound": "4"}},
+                     "exponent length 1 does not match functional arity 2", None),
+    "dtpt_arity": ({"kind": "dtpt", "dt": _GEOMETRIC, "dt_zero": _GEOMETRIC,
+                    "window": {"functional": [1, 1], "bound": "4"}},
+                   "exponent length 1 does not match functional arity 2", None),
     "lattice_sigma": ({"kind": "dualize", "lattice": dict(
         model_lattice().to_obj(), sigma=2), "class": {"r": 0, "beta": [0], "c": [0, 0]}},
         "sigma must be +1 or -1", "document.lattice"),

@@ -8,6 +8,14 @@ than kept for them; no name is exempt.  Conversely, every function and
 method that the benchmark's tracer wraps by name is defined where the tracer
 looks for it.
 
+No unused import: a module reads every name it imports, unless its
+``__all__`` exports it.  Without this an import alone, which the dead-API
+guard counts as a reference, could keep a dead definition alive.
+
+One home for L: a series or a window carries its functional, so no public
+function takes a ``LinearFunctional`` parameter beside a ``LaurentSeries`` or
+``Window`` one, which could only repeat it.
+
 One int-scaling helper: ``math.lcm`` is called only in ``series._over_lcm``.
 One home for each error policy: only ``jsonio`` (which locates errors) and
 ``cli`` (which reports them) catch ``InputError``, and only ``errors`` words
@@ -15,6 +23,7 @@ a work-budget message."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -106,6 +115,73 @@ def test_every_name_the_tracer_wraps_exists():
     missing += [(mod, cls, attr) for mod, cls, attr in names["METHODS"]
                 if attr not in vars(getattr(importlib.import_module(f"wallx.{mod}"), cls))]
     assert not missing, f"wrapped by perfbench/tracing.py but not defined: {missing}"
+
+
+def _unused_imports(tree):
+    """(line, name) for each name the module imports but never reads; a name
+    listed in its ``__all__`` is exported, so it counts as read."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [(node.lineno, alias.asname or alias.name.partition(".")[0])
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.partition(".")[0]) not in read]
+
+
+def test_unused_import_guard_finds_only_the_unread_name():
+    source = ("from __future__ import annotations\nimport math\nimport os.path\n"
+              "from .series import Window, LinearFunctional as LF, expand\n"
+              "from .errors import InputError\n__all__ = ['InputError']\n"
+              "def f(w: Window):\n    return expand(os.path.join(math.pi))\n")
+    assert _unused_imports(ast.parse(source)) == [(4, "LF")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {(p.name, line, name) for p in sorted(SRC.glob("*.py"))
+             for line, name in _unused_imports(ast.parse(p.read_text(), str(p)))}
+    assert not found, f"imported but never used: {sorted(found)}"
+
+
+def _functional_beside_series(tree):
+    """The name of each public function or method that has a parameter
+    annotated ``LinearFunctional`` and one annotated ``LaurentSeries`` or
+    ``Window``; an annotation is read as written, quoted or not."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")):
+            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            types = [set(re.findall(r"\w+", ast.unparse(a.annotation)))
+                     for a in params if a.annotation is not None]
+            if (any("LinearFunctional" in t for t in types)
+                    and any(t & {"LaurentSeries", "Window"} for t in types)):
+                found.append(node.name)
+    return found
+
+
+def test_functional_guard_finds_L_beside_a_series_or_window():
+    source = ("def ok(s: LaurentSeries, n: int):\n    pass\n"
+              "def grading(a, L: LinearFunctional | None = None):\n    pass\n"
+              "def bad(f, L: series.LinearFunctional, window: Window):\n    pass\n"
+              "def _private(s: 'LaurentSeries', L: LinearFunctional):\n    pass\n"
+              "class K:\n"
+              "    def m(self, s: 'LaurentSeries | None', *, L: LinearFunctional):\n"
+              "        pass\n")
+    assert _functional_beside_series(ast.parse(source)) == ["bad", "m"]
+
+
+def test_no_public_function_takes_L_beside_a_series_or_window():
+    # a series or a window carries its functional; a second copy of it could
+    # only disagree
+    found = {(p.name, name) for p in sorted(SRC.glob("*.py"))
+             for name in _functional_beside_series(ast.parse(p.read_text(), str(p)))}
+    assert not found, f"takes L beside a series or a window: {sorted(found)}"
 
 
 def _lcm_calls(tree):

@@ -70,9 +70,9 @@ _POINT = RationalFunction(LaurentPolynomial.constant(2, 1),
 
 def _reexpand(c0):
     down = LinearFunctional((-1,))
-    s_minus = expand(_GEOMETRIC, down, Window(down, 8))
-    s_plus = expand(_GEOMETRIC, _ONE, Window(_ONE, 8))
-    return reexpand_check(_GEOMETRIC, s_minus, s_plus, c0, down, _ONE)
+    s_minus = expand(_GEOMETRIC, Window(down, 8))
+    s_plus = expand(_GEOMETRIC, Window(_ONE, 8))
+    return reexpand_check(_GEOMETRIC, s_minus, s_plus, c0)
 
 
 def _group(**changes):

@@ -99,7 +99,7 @@ def _brute_chain(a, pattern, monos, grading, cap):
 
 
 def _expand_coeffs(f, grading, cap):
-    s = expand(f, grading, Window(grading, Fraction(cap)))
+    s = expand(f, Window(grading, Fraction(cap)))
     return dict(s.terms())
 
 
@@ -466,14 +466,14 @@ def _geom_expansions(bound_each=8):
     up = LinearFunctional((fr(1),))
     down = LinearFunctional((fr(-1),))
     f = RationalFunction(_poly(1, {(0,): 1}), _poly(1, {(0,): 1, (1,): -1}))
-    s_plus = expand(f, up, Window(up, fr(bound_each)))
-    s_minus = expand(f, down, Window(down, fr(bound_each)))
-    return f, s_minus, s_plus, down, up
+    s_plus = expand(f, Window(up, fr(bound_each)))
+    s_minus = expand(f, Window(down, fr(bound_each)))
+    return f, s_minus, s_plus
 
 
 def test_reexpand_geometric_constant_fit():
-    f, s_minus, s_plus, down, up = _geom_expansions()
-    verdict = reexpand_check(f, s_minus, s_plus, (1,), down, up)
+    f, s_minus, s_plus = _geom_expansions()
+    verdict = reexpand_check(f, s_minus, s_plus, (1,))
     assert verdict.confirmed and verdict.all_fit
     assert len(verdict.cosets) == 1
     coset = verdict.cosets[0]
@@ -485,9 +485,9 @@ def test_reexpand_geometric_constant_fit():
 
 def test_reexpand_coset_longer_than_detection_budget(monkeypatch, set_budget):
     # 17 samples on the one coset: period 1, degree 0 differences 16 entries
-    f, s_minus, s_plus, down, up = _geom_expansions()
+    f, s_minus, s_plus = _geom_expansions()
     set_budget("detection", 16)
-    assert reexpand_check(f, s_minus, s_plus, (1,), down, up).confirmed
+    assert reexpand_check(f, s_minus, s_plus, (1,)).confirmed
     set_budget("detection", 15)
 
     def never(*args):
@@ -495,32 +495,32 @@ def test_reexpand_coset_longer_than_detection_budget(monkeypatch, set_budget):
 
     monkeypatch.setattr(quasipoly, "detect_quasipoly", never)
     with pytest.raises(InputError, match="work budget exceeded: detection took 15"):
-        reexpand_check(f, s_minus, s_plus, (1,), down, up)
+        reexpand_check(f, s_minus, s_plus, (1,))
 
 
 def test_reexpand_rejects_wrong_direction():
-    f, s_minus, s_plus, down, up = _geom_expansions()
+    f, s_minus, s_plus = _geom_expansions()
     with pytest.raises(InputError, match="L_minus"):
-        reexpand_check(f, s_minus, s_plus, (-1,), down, up)
+        reexpand_check(f, s_minus, s_plus, (-1,))
 
 
 def test_reexpand_requires_verified_minus_side():
-    f, s_minus, s_plus, down, up = _geom_expansions()
+    f, s_minus, s_plus = _geom_expansions()
     broken = dict(s_minus.terms())
     broken[(-2,)] = fr(5)
     from wallx.series import LaurentSeries
     s_bad = LaurentSeries(broken, s_minus.window)
     with pytest.raises(InputError, match="s_minus is not an expansion"):
-        reexpand_check(f, s_bad, s_plus, (1,), down, up)
+        reexpand_check(f, s_bad, s_plus, (1,))
 
 
 def test_reexpand_detects_candidate_corruption():
-    f, s_minus, s_plus, down, up = _geom_expansions()
+    f, s_minus, s_plus = _geom_expansions()
     broken = dict(s_plus.terms())
     broken[(3,)] = fr(9)
     from wallx.series import LaurentSeries
     s_bad = LaurentSeries(broken, s_plus.window)
-    verdict = reexpand_check(f, s_minus, s_bad, (1,), down, up)
+    verdict = reexpand_check(f, s_minus, s_bad, (1,))
     assert not verdict.all_fit
     assert not verdict.confirmed
 
@@ -533,11 +533,11 @@ def test_reexpand_two_variable_layer():
     f = RationalFunction(
         _poly(2, {(4, 4): 3}),
         _poly(2, {(0, 0): 1, (1, 0): 2, (2, 0): 1}))
-    s_plus = expand(f, up, Window(up, fr(16)))
-    s_minus = expand(f, down, Window(down, fr(12)))
+    s_plus = expand(f, Window(up, fr(16)))
+    s_minus = expand(f, Window(down, fr(12)))
     for m in range(-8, 3):
         assert s_minus.coeff((m, 4)) == _alt(m + 1) * (3 * m - 9)
-    verdict = reexpand_check(f, s_minus, s_plus, (1, 0), down, up,
+    verdict = reexpand_check(f, s_minus, s_plus, (1, 0),
                              max_period=4, max_degree=3)
     assert verdict.confirmed
     assert [c.representative for c in verdict.cosets] == [(0, 4)]

@@ -48,17 +48,17 @@ L_DOWN = LinearFunctional((fr(-1),))
 
 def test_geometric_series_two_expansions():
     """1/(1-q) expands one way per grading direction, with frozen coefficients."""
-    s_up = expand(_geom(), L_UP, Window(L_UP, fr(5)))
+    s_up = expand(_geom(), Window(L_UP, fr(5)))
     assert {e[0]: c for e, c in s_up.terms()} == {n: 1 for n in range(6)}
 
-    s_down = expand(_geom(), L_DOWN, Window(L_DOWN, fr(6)))
+    s_down = expand(_geom(), Window(L_DOWN, fr(6)))
     assert {e[0]: c for e, c in s_down.terms()} == {-n: -1 for n in range(1, 7)}
 
 
 def test_point_layer_inverse_square_coefficients():
     # (1+q)^-2 -> (-1)^m (m+1)
     f = RationalFunction(_poly1({0: 1}), _poly1({0: 1, 1: 2, 2: 1}))
-    s = expand(f, L_UP, Window(L_UP, fr(10)))
+    s = expand(f, Window(L_UP, fr(10)))
     for m in range(11):
         assert s.coeff((m,)) == (-1) ** m * (m + 1)
 
@@ -66,7 +66,7 @@ def test_point_layer_inverse_square_coefficients():
 def test_shifted_layer_coefficients():
     # 3 q^4/(1+q)^2 -> 0 below 4, then (-1)^m (3m-9)
     f = RationalFunction(_poly1({4: 3}), _poly1({0: 1, 1: 2, 2: 1}))
-    s = expand(f, L_UP, Window(L_UP, fr(12)))
+    s = expand(f, Window(L_UP, fr(12)))
     for m in range(4):
         assert s.coeff((m,)) == 0
     for m in range(4, 13):
@@ -79,29 +79,24 @@ def test_expand_requires_generic_functional():
         LaurentPolynomial({(1, 0): fr(1), (0, 1): fr(1)}, 2))
     L = LinearFunctional((fr(1), fr(1)))
     with pytest.raises(InputError, match="functional not generic for denominator"):
-        expand(f, L, Window(L, fr(4)))
+        expand(f, Window(L, fr(4)))
 
 
 def test_expand_empty_window():
     f = RationalFunction(_poly1({5: 1}), _poly1({0: 1, 1: -1}))
     with pytest.raises(InputError, match="empty window"):
-        expand(f, L_UP, Window(L_UP, fr(2)))
-
-
-def test_expand_window_functional_must_match():
-    with pytest.raises(InputError, match="window functional mismatch"):
-        expand(_geom(), L_UP, Window(L_DOWN, fr(3)))
+        expand(f, Window(L_UP, fr(2)))
 
 
 def test_zero_numerator_expands_to_zero():
     f = RationalFunction(LaurentPolynomial({}, 1), _poly1({0: 1, 1: -1}))
-    s = expand(f, L_UP, Window(L_UP, fr(3)))
+    s = expand(f, Window(L_UP, fr(3)))
     assert s.is_zero()
 
 
 def test_verify_expansion_accepts_truth_and_rejects_perturbation():
     f = _geom()
-    s = expand(f, L_UP, Window(L_UP, fr(8)))
+    s = expand(f, Window(L_UP, fr(8)))
     assert verify_expansion(s, f)
 
     bad_terms = dict(s.terms())
@@ -113,7 +108,7 @@ def test_verify_expansion_accepts_truth_and_rejects_perturbation():
 def test_verify_expansion_checks_only_final_region():
     """Dropping a term beyond the window is not a verification failure."""
     f = _geom()
-    s = expand(f, L_UP, Window(L_UP, fr(8)))
+    s = expand(f, Window(L_UP, fr(8)))
     trimmed = LaurentSeries({e: c for e, c in s.terms() if e[0] <= 4},
                             Window(L_UP, fr(4)))
     assert verify_expansion(trimmed, f)
@@ -121,9 +116,9 @@ def test_verify_expansion_checks_only_final_region():
 
 def test_series_multiplication_window_shrinks_by_spread():
     f = _geom()
-    s = expand(f, L_UP, Window(L_UP, fr(6)))
+    s = expand(f, Window(L_UP, fr(6)))
     t = expand(RationalFunction(_poly1({2: 1}), _poly1({0: 1, 1: -1})),
-               L_UP, Window(L_UP, fr(9)))
+               Window(L_UP, fr(9)))
     prod = multiply(s, t)
     # t's support starts at 2, s's at 0: final through min(6+2, 9+0) = 8
     assert prod.bound == 8
@@ -136,10 +131,10 @@ def test_series_division_recovers_quotient():
     g = RationalFunction(_poly1({0: 1, 2: 5}), _poly1({0: 1, 1: 1}))
     L = L_UP
     b = fr(14)
-    s_fg = expand(f_num * g, L, Window(L, b))
-    s_g = expand(g, L, Window(L, b))
-    quot = divide(s_fg, s_g, L)
-    direct = expand(f_num, L, Window(L, quot.bound))
+    s_fg = expand(f_num * g, Window(L, b))
+    s_g = expand(g, Window(L, b))
+    quot = divide(s_fg, s_g)
+    direct = expand(f_num, Window(L, quot.bound))
     assert quot == direct
 
 
@@ -149,7 +144,14 @@ def test_series_division_requires_unique_minimum():
     s1 = LaurentSeries({(0, 0): fr(1)}, w)
     s2 = LaurentSeries({(1, 0): fr(1), (0, 1): fr(1)}, w)
     with pytest.raises(InputError, match="not invertible with respect to L"):
-        divide(s1, s2, L)
+        divide(s1, s2)
+
+
+def test_series_division_requires_same_functional():
+    s1 = LaurentSeries({(0,): fr(1)}, Window(L_UP, fr(3)))
+    s2 = LaurentSeries({(0,): fr(1)}, Window(L_DOWN, fr(3)))
+    with pytest.raises(InputError, match="window functional mismatch"):
+        divide(s1, s2)
 
 
 def test_divide_window_accounts_for_unknown_tails():
@@ -162,15 +164,15 @@ def test_divide_window_accounts_for_unknown_tails():
     f = RationalFunction(_poly1({0: 1, 1: 4}), _poly1({0: 1, 1: -2}))
     g = RationalFunction(_poly1({0: 1, 1: 1}), _poly1({0: 1, 2: -3}))
     b1, b2 = fr(9), fr(7)
-    s1 = expand(f, L, Window(L, b1))
-    s2 = expand(g, L, Window(L, b2))
-    base = divide(s1, s2, L)
+    s1 = expand(f, Window(L, b1))
+    s2 = expand(g, Window(L, b2))
+    base = divide(s1, s2)
 
     s1_tail = LaurentSeries(dict(s1.terms()) | {(30,): fr(11)}, Window(L, fr(40)))
     s2_tail = LaurentSeries(dict(s2.terms()) | {(30,): fr(-7)}, Window(L, fr(40)))
     for alt1, alt2 in [(s1_tail, s2), (s1, s2_tail), (s1_tail, s2_tail)]:
         alt = divide(LaurentSeries(dict(alt1.terms()), Window(L, b1)),
-                     LaurentSeries(dict(alt2.terms()), Window(L, b2)), L)
+                     LaurentSeries(dict(alt2.terms()), Window(L, b2)))
         for e, c in base.terms():
             assert alt.coeff(e) == c
 
@@ -187,10 +189,10 @@ def test_random_divide_multiply_roundtrip():
         if num.is_zero():
             continue
         f = RationalFunction(num, den)
-        s = expand(f, L, Window(L, fr(12)))
+        s = expand(f, Window(L, fr(12)))
         one = expand(RationalFunction(_poly1({0: 1}), _poly1({0: 1})),
-                     L, Window(L, fr(12)))
-        back = divide(multiply(s, one), s, L)
+                     Window(L, fr(12)))
+        back = divide(multiply(s, one), s)
         for e, c in back.terms():
             assert c == (1 if e == (0,) else 0)
 
@@ -354,20 +356,20 @@ def test_sum_keeps_coset_window_and_products_reject_it():
     f = RationalFunction(LaurentPolynomial.constant(2, 1),
                          LaurentPolynomial({(0, 0): 1, (1, 0): -1}, 2))
     diagonal = Coset((0, 0), ((1, 1),))
-    s = expand(f, L, Window(L, fr(6), diagonal))
+    s = expand(f, Window(L, fr(6), diagonal))
     total = s + s
     # (1, 0) is off the coset: its true coefficient 2 must not read as a known zero
     assert not total.window.admits((1, 0))
     assert total.window == Window(L, fr(6), diagonal)
     assert dict(total.terms()) == {(0, 0): 2}
-    plain = expand(f, L, Window(L, fr(4)))
+    plain = expand(f, Window(L, fr(4)))
     assert (s + plain).window == Window(L, fr(4), diagonal)
     assert (plain - s).window == Window(L, fr(4), diagonal)
-    shifted = expand(f, L, Window(L, fr(6), Coset((1, 0), ((1, 1),))))
+    shifted = expand(f, Window(L, fr(6), Coset((1, 0), ((1, 1),))))
     with pytest.raises(InputError, match="cosets differ"):
         s + shifted
     for op in (lambda: multiply(s, plain), lambda: multiply(plain, s),
-               lambda: divide(s, plain, L), lambda: divide(plain, s, L),
+               lambda: divide(s, plain), lambda: divide(plain, s),
                lambda: mul_series_polynomial(s, f.denominator),
                lambda: verify_expansion(s, f)):
         with pytest.raises(InputError, match="coset"):
@@ -376,7 +378,7 @@ def test_sum_keeps_coset_window_and_products_reject_it():
 
 def test_series_json_roundtrip_is_canonical():
     f = RationalFunction(_poly1({0: 2, 3: -5}), _poly1({0: 1, 1: 7}))
-    s = expand(f, L_UP, Window(L_UP, fr(6)))
+    s = expand(f, Window(L_UP, fr(6)))
     obj = series_to_obj(s)
     exps = [tuple(t["exponent"]) for t in obj["terms"]]
     assert exps == sorted(exps)
@@ -503,14 +505,14 @@ def test_integer_division_matches_fraction_reference(num, den, L, bound):
 
     f = RationalFunction(LaurentPolynomial(num, 2), LaurentPolynomial(den, 2))
     if want:
-        _assert_same_terms(expand(f, L, Window(L, bound)).terms(), want)
+        _assert_same_terms(expand(f, Window(L, bound)).terms(), want)
     else:
         with pytest.raises(InputError, match="empty window"):
-            expand(f, L, Window(L, bound))
+            expand(f, Window(L, bound))
 
     s1 = LaurentSeries(num, Window(L, L(max(num, key=L)) + 1))
     s2 = LaurentSeries(den, Window(L, L(m0) + abs(bound)))
-    q = divide(s1, s2, L)
+    q = divide(s1, s2)
     _assert_same_terms(q.terms(), _reference_divide(
         num, den, L, q.bound, m0, c0))
 
@@ -655,10 +657,10 @@ def test_products_and_quotients_with_an_empty_operand_keep_their_windows():
     assert multiply(s, empty3).window == Window(L, fr(1))
     assert multiply(empty3, empty4).window == Window(L, fr(7))
     assert multiply(empty3, s).is_zero()
-    q = divide(empty3, s, L)  # min(3 - (-2), 3 + 4 - 2 * (-2))
+    q = divide(empty3, s)  # min(3 - (-2), 3 + 4 - 2 * (-2))
     assert q.window == Window(L, fr(5)) and q.is_zero()
     with pytest.raises(InputError, match="not invertible"):
-        divide(s, empty3, L)
+        divide(s, empty3)
 
 
 # -- the window invariant against a wider direct expansion --------------------
@@ -688,7 +690,7 @@ def _low(f, L):
 
 
 def _expand_past_low(f, L, extra, coset=None):
-    return expand(f, L, Window(L, _low(f, L) + extra, coset))
+    return expand(f, Window(L, _low(f, L) + extra, coset))
 
 
 def _assert_window_invariant(s, f):
@@ -700,7 +702,7 @@ def _assert_window_invariant(s, f):
     if f.numerator.is_zero():
         wide = LaurentSeries({}, Window(L, s.bound))
     else:
-        wide = expand(f, L, Window(L, max(s.bound, _low(f, L)) + 2))
+        wide = expand(f, Window(L, max(s.bound, _low(f, L)) + 2))
     for e, c in s.terms():
         assert s.window.admits(e) and wide.coeff(e) == c
     support = [e for e, _ in s.terms()] + [e for e, _ in wide.terms()]
@@ -721,7 +723,7 @@ def test_operations_keep_the_window_invariant(case):
     c1 = _expand_past_low(f1, L, k1, _INV_COSETS[len(L.coeffs)])
     f_sum = RationalFunction(g1 * h2 + g2 * h1, h1 * h2)
     cases = [(s1, f1), (s2, f2), (s1 + s2, f_sum), (multiply(s1, s2), f1 * f2),
-             (divide(s1, s2, L), RationalFunction(g1 * h2, h1 * g2)),
+             (divide(s1, s2), RationalFunction(g1 * h2, h1 * g2)),
              (c1, f1), (c1 + s2, f_sum), (s2 + c1, f_sum)]
     for s, f in cases:
         _assert_window_invariant(s, f)

@@ -42,7 +42,7 @@ def test_expand_matches_sympy_series(g, h, sign, extra):
     L = LinearFunctional((Fraction(sign),))
     low_g, low_h = (min(L(e) for e, _ in p.items()) for p in (g, h))
     top = int(low_g - low_h) + extra
-    s = expand(RationalFunction(g, h), L, Window(L, top))
+    s = expand(RationalFunction(g, h), Window(L, top))
     g, h = (p.map_exponents(lambda e: (sign * e[0],), 1) for p in (g, h))
     want = _sympy_coeffs(g, h, top)
     assert {j: s.coeff((sign * j,)) for j in want} == want

@@ -254,7 +254,7 @@ def _check_group_against_brute(group, a_max=8):
                        for j, c in enumerate(group.alpha_prime.c))
     min_l = min(spec.l_of(b) for b in group.betas)
     bound = L(base_shift) + (a_max + 1) * min_l - 1
-    s = expand(f, L, Window(L, bound))
+    s = expand(f, Window(L, bound))
     keys = {e for e in brute if L(e) <= bound} | {e for e, _ in s.terms()}
     for e in keys:
         assert s.coeff(e) == brute.get(e, Fraction(0))
@@ -469,7 +469,7 @@ def test_group_json_round_trip():
 # -- full sweep vs group decomposition ----------------------------------------
 
 def _expand_coeffs(f, L, bound):
-    s = expand(f, L, Window(L, bound))
+    s = expand(f, Window(L, bound))
     return dict(s.terms())
 
 
@@ -553,7 +553,7 @@ def _reference_product(spec, betas, equalities):
 
 def _exact_quotient(num, den, L):
     bound = max((L(e) for e, _ in num.items()), default=Fraction(0))
-    s = expand(RationalFunction(num, den), L, Window(L, bound))
+    s = expand(RationalFunction(num, den), Window(L, bound))
     q = LaurentPolynomial(dict(s.terms()), num.nvars)
     return q if q * den == num else None
 
@@ -572,12 +572,12 @@ def test_dtpt_ratio_trivial_cases():
     L = _L_ABOVE
     window = Window(L, fr(6))
     one = expand(RationalFunction(LaurentPolynomial.constant(2, 1),
-                                  LaurentPolynomial.constant(2, 1)), L, window)
+                                  LaurentPolynomial.constant(2, 1)), window)
     dt0 = expand(RationalFunction(
         LaurentPolynomial.constant(2, 1),
-        _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2), L, window)
-    assert dtpt_ratio(dt0, one, L).terms() == dt0.terms()
-    ratio = dtpt_ratio(dt0, dt0, L)
+        _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2), window)
+    assert dtpt_ratio(dt0, one).terms() == dt0.terms()
+    ratio = dtpt_ratio(dt0, dt0)
     assert dict(ratio.terms()) == {(0, 0): Fraction(1)}
 
 
@@ -585,10 +585,10 @@ def test_dtpt_ratio_two_variable_layer():
     L = _L_ABOVE
     den2 = _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2
     num = _poly({(4, 4): 3}, 2)
-    dt_beta = expand(RationalFunction(num, den2 ** 2), L, Window(L, fr(16)))
+    dt_beta = expand(RationalFunction(num, den2 ** 2), Window(L, fr(16)))
     dt_zero = expand(RationalFunction(LaurentPolynomial.constant(2, 1), den2),
-                     L, Window(L, fr(8)))
-    pt = dtpt_ratio(dt_beta, dt_zero, L)
+                     Window(L, fr(8)))
+    pt = dtpt_ratio(dt_beta, dt_zero)
     for m in range(4, 9):
         expected = 3 * (m - 3) * (1 if m % 2 == 0 else -1)
         assert pt.coeff((m, 4)) == expected
@@ -599,9 +599,9 @@ def test_dtpt_ratio_leading_coefficient_check():
     L = _L_ABOVE
     window = Window(L, fr(6))
     two = expand(RationalFunction(LaurentPolynomial.constant(2, 2),
-                                  LaurentPolynomial.constant(2, 1)), L, window)
+                                  LaurentPolynomial.constant(2, 1)), window)
     with pytest.raises(InputError, match="coefficient 1"):
-        dtpt_ratio(two, two, L)
+        dtpt_ratio(two, two)
 
 
 @pytest.mark.parametrize("terms, message", [
@@ -614,7 +614,7 @@ def test_dtpt_ratio_checks_the_least_term_then_invertibility(terms, message):
     L = LinearFunctional((fr(1), fr(1)))
     dt_zero = LaurentSeries(terms, Window(L, fr(4)))
     with pytest.raises(InputError, match=message):
-        dtpt_ratio(dt_zero, dt_zero, L)
+        dtpt_ratio(dt_zero, dt_zero)
 
 
 def test_dtpt_ratio_multiply_round_trip(rng):
@@ -623,10 +623,10 @@ def test_dtpt_ratio_multiply_round_trip(rng):
     for _ in range(8):
         g1 = _poly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(1, 3),
                     (rng.randint(3, 4), 0): rng.randint(-3, -1)}, 2)
-        a = expand(RationalFunction(g1, den), L, Window(L, fr(10)))
+        a = expand(RationalFunction(g1, den), Window(L, fr(10)))
         b = expand(RationalFunction(LaurentPolynomial.constant(2, 1), den),
-                   L, Window(L, fr(10)))
-        ratio = dtpt_ratio(a, b, L)
+                   Window(L, fr(10)))
+        ratio = dtpt_ratio(a, b)
         back = multiply(ratio, b)
         for e, c in back.terms():
             assert a.coeff(e) == c
@@ -710,9 +710,9 @@ def test_cross_gamma_wall_geometric():
         assert L.coeffs == tuple(d + e / gamma for d, e in zip(spec.deg[1:], spec.excdeg))
     f = RationalFunction(LaurentPolynomial.constant(2, 1),
                          _poly({(0, 0): 1, (-2, 0): -1}, 2))
-    s_up = expand(f, _L_ABOVE, Window(_L_ABOVE, fr(4)))
-    s_down = expand(f, _L_BELOW, Window(_L_BELOW, fr(12)))
-    verdict = reexpand_check(f, s_up, s_down, _C_GAMMA, _L_ABOVE, _L_BELOW)
+    s_up = expand(f, Window(_L_ABOVE, fr(4)))
+    s_down = expand(f, Window(_L_BELOW, fr(12)))
+    verdict = reexpand_check(f, s_up, s_down, _C_GAMMA)
     assert verdict.confirmed
     (coset,) = verdict.cosets
     assert coset.fit is not None
@@ -725,14 +725,14 @@ def test_cross_gamma_wall_geometric():
 def _model_layer_expansions():
     f = RationalFunction(_poly({(4, 4): 3}, 2),
                          _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2)
-    s_up = expand(f, _L_ABOVE, Window(_L_ABOVE, fr(11)))
-    s_down = expand(f, _L_BELOW, Window(_L_BELOW, fr(20)))
+    s_up = expand(f, Window(_L_ABOVE, fr(11)))
+    s_down = expand(f, Window(_L_BELOW, fr(20)))
     return f, s_up, s_down
 
 
 def test_cross_gamma_wall_model_layer():
     f, s_up, s_down = _model_layer_expansions()
-    verdict = reexpand_check(f, s_up, s_down, _C_GAMMA, _L_ABOVE, _L_BELOW)
+    verdict = reexpand_check(f, s_up, s_down, _C_GAMMA)
     assert verdict.confirmed
     fits = {coset.representative: coset.fit for coset in verdict.cosets}
     assert set(fits) == {(0, 4), (-1, 4)}
@@ -749,6 +749,6 @@ def test_cross_gamma_wall_detects_corruption():
     broken_terms = dict(s_down.terms())
     broken_terms[(-3, 0)] = Fraction(1)
     broken = LaurentSeries(broken_terms, s_down.window)
-    verdict = reexpand_check(f, s_up, broken, _C_GAMMA, _L_ABOVE, _L_BELOW)
+    verdict = reexpand_check(f, s_up, broken, _C_GAMMA)
     assert not verdict.all_fit
     assert not verdict.confirmed
