@@ -8,7 +8,8 @@ prod_t (1 - x_t^p)^(1 + d_t), and the numerator is the box
 prod_t [0, p(1 + d_t)) of values after that separable difference
 operator (Stanley, EC1 4.4).  A chain sum is the orthant sum over its
 increments, with tail degrees as the exponents.  Detection in sample
-sequences applies the same difference operator to each residue class.
+sequences applies the same difference operator to each residue class and
+reads the class's polynomial off those differences in Newton's form.
 This module also checks re-expansion claims across a wall of gradings,
 one coset of Z c0 at a time; each coset is named by its point e with
 floor(e[i] / c0[i]) == 0 at c0's first nonzero entry i (the one pivot of
@@ -232,18 +233,16 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
 
 # -- detection ----------------------------------------------------------------
 
-def _interpolate(points) -> LaurentPolynomial:
-    """Exact Lagrange interpolation through (x, y) pairs, one variable;
-    detection runs it once per residue class of the accepted fit."""
-    x_var = LaurentPolynomial({(1,): Fraction(1)}, 1)
-    total = LaurentPolynomial({}, 1)
-    for xi, yi in points:
-        term = LaurentPolynomial.constant(1, yi)
-        for xj, _ in points:
-            if xj != xi:
-                term = term * (x_var - LaurentPolynomial.constant(1, xj)).scale(
-                    Fraction(1, xi - xj))
-        total = total + term
+def _newton(start: int, step: int, diffs, den: int) -> LaurentPolynomial:
+    """Newton's forward form: the sum over k of diffs[k] / den times
+    C((n - start) / step, k), one variable."""
+    basis = LaurentPolynomial.constant(1, Fraction(1, den))
+    total = basis.scale(diffs[0])
+    n = LaurentPolynomial.monomial((1,))
+    for k, diff in enumerate(diffs[1:]):
+        basis = basis * (n - LaurentPolynomial.constant(1, start + k * step)).scale(
+            Fraction(1, (k + 1) * step))
+        total = total + basis.scale(diff)
     return total
 
 
@@ -256,38 +255,36 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
     on every residue class mod p: (1 - x^p)^(1 + d) times the generating
     function is a polynomial (Stanley, EC1 4.4).  Periods rise from 1; each
     class is differenced, in integers, up to its first vanishing order, and
-    the degree is the largest such order.  Every class keeps a held-out
-    point, so period <= len / 2 and degree <= len / period - 2.  Returns
-    None when no period fits; raises "window too small" when nothing could
-    be tried, and the "detection" work-budget error past its differenced entries.
+    its polynomial is read off those differences in Newton's form, so the
+    samples are not fitted again.  Every class keeps a held-out point, so
+    period <= len / 2 and degree <= len / period - 2.  Returns None when no
+    period fits; raises "window too small" when nothing could be tried, and
+    the "detection" work-budget error past its differenced entries.
     """
     keys = sorted(_exponent(samples))
     if keys and keys != list(range(keys[0], keys[0] + len(keys))):
         raise InputError("samples must cover a contiguous integer range")
     if len(keys) < 2 or max_period < 1 or max_degree < 0:
         raise InputError("window too small")
-    values = [_coefficient(samples[k]) for k in keys]
-    scaled, _ = _over_lcm(values)
+    scaled, den = _over_lcm(_coefficient(samples[k]) for k in keys)
     work = 0
-    for period in range(1, min(max_period, len(keys) // 2) + 1):
-        cap = min(max_degree, len(keys) // period - 2)
-        degree = 0
-        for start in range(period):
-            column = scaled[start::period]
+    for p in range(1, min(max_period, len(keys) // 2) + 1):
+        cap = min(max_degree, len(keys) // p - 2)
+        columns = [scaled[s::p] for s in range(p)]
+        for column in columns:
             for d in range(cap + 1):
                 work += len(column) - 1 - d
                 charge("detection", work)
                 _difference(column, range(len(column) - 1, d, -1), 1)
                 if not any(column[d + 1:]):  # the (d + 1)-th differences
-                    degree = max(degree, d)
+                    del column[d + 1:]
                     break
             else:  # this class needs a degree above cap: next period
                 break
         else:  # every class fits
-            points = list(zip(keys, values))
-            return QuasiPolynomial(1, period, {
-                (rho,): _interpolate(points[(rho - keys[0]) % period::period][:degree + 1])
-                for rho in range(period)})
+            return QuasiPolynomial(1, p, {
+                ((keys[0] + s) % p,): _newton(keys[0] + s, p, column, den)
+                for s, column in enumerate(columns)})
     return None
 
 

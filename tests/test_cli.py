@@ -257,6 +257,21 @@ def test_huge_fit_limits_answer_promptly(tmp_path, name, code, limit):
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
 
 
+def test_long_linear_detect_answers_promptly(tmp_path):
+    # a class's polynomial is built from its first d + 1 differences only,
+    # not from one per sample
+    doc = {"kind": "detect",
+           "samples": [{"n": n, "value": str(3 * n - 9)} for n in range(40000)]}
+    proc = subprocess.run([sys.executable, "-m", "wallx", "--input",
+                           _write_doc(tmp_path, doc)], env=_child_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    fit = json.loads(proc.stdout)["fit"]
+    assert fit["period"] == 1
+    assert fit["table"] == [{"residues": [0], "poly": [
+        {"exponent": [0], "coeff": "-9"}, {"exponent": [1], "coeff": "3"}]}]
+
+
 def _group_doc(r):
     """The resum_group golden with r positions of beta (1, 0), all on one wall."""
     doc = json.loads((GOLDEN / "resum_group.json").read_text())

@@ -389,7 +389,8 @@ def _outcome(search, samples, max_period, max_degree):
         return "error", err.message
     if fit is None:
         return None
-    return fit.period, [(rho, list(poly.items())) for rho, poly in fit.table.items()]
+    # term and residue order is not part of the result: every reader sorts
+    return fit.period, sorted((rho, sorted(poly.items())) for rho, poly in fit.table.items())
 
 
 _qp_coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -412,9 +413,11 @@ def _detect_case(draw):
     return samples, draw(st.integers(-1, 6)), draw(st.integers(-1, 6))
 
 
-# period 3 from a start that is not 0 mod 3; period 2 with a quadratic
-# class before a constant one
+# period 3 from a start that is not 0 mod 3; period 3 with classes of
+# degrees 3, 0 and 1 from a start that is not 0 mod 3; period 2 with a
+# quadratic class before a constant one
 @example(({n: fr(n * n, 3) + (n % 3) for n in range(-7, 8)}, 3, 2))
+@example(({n: [fr(n ** 3, 2), fr(5), fr(2 * n - 1, 3)][n % 3] for n in range(-5, 13)}, 3, 3))
 @example(({n: fr(n * n if n % 2 == 0 else 1) for n in range(-6, 8)}, 4, 6))
 @example(({n: fr(0) for n in range(-2, 3)}, 100000, 1))
 @example(({}, 2, 2))
