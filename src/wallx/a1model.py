@@ -207,8 +207,7 @@ def run_a1(report_window: int) -> dict:
                                for m in ms),
              checked=len(res))
 
-    fit = detect_quasipoly({m: orb[m] - res[m] for m in ms},
-                           max_period=4, max_degree=6)
+    fit = detect_quasipoly({m: orb[m] - res[m] for m in ms})
     if fit is None:
         fit_div = {"m": m_lo, "expected": "quasi-polynomial fit",
                    "actual": "no fit"}
@@ -222,9 +221,9 @@ def run_a1(report_window: int) -> dict:
     verdict = reexpand_check(model.shared_layer, resolution_series,
                              orbifold_series, model.point_plus_exponent())
     add_step("re-expansion certificate",
-             None if verdict.confirmed else
+             None if verdict["confirmed"] else
              {"m": m_lo, "expected": "confirmed", "actual": "not confirmed"},
-             cosets=len(verdict.cosets))
+             cosets=len(verdict["cosets"]))
 
     behrend_pairs = []
     for m in range(0, w + 5):

@@ -13,7 +13,8 @@ reads the class's polynomial off those differences in Newton's form.
 This module also checks re-expansion claims across a wall of gradings,
 one coset of Z c0 at a time; each coset is named by its point e with
 floor(e[i] / c0[i]) == 0 at c0's first nonzero entry i (the one pivot of
-``Coset.representative``).
+``Coset.representative``).  The detection budget is charged once for
+the summed sample ranges of all cosets, before any coset is sampled.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from . import jsonio
 from .errors import InputError, charge
 from .series import (
     Coset,
-    Exponent,
     LaurentPolynomial,
     LaurentSeries,
     LinearFunctional,
@@ -233,6 +233,8 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
 
 # -- detection ----------------------------------------------------------------
 
+MAX_PERIOD, MAX_DEGREE = 4, 6  # the default detection search box
+
 def _newton(start: int, step: int, diffs, den: int) -> LaurentPolynomial:
     """Newton's forward form: the sum over k of diffs[k] / den times
     C((n - start) / step, k), one variable."""
@@ -246,8 +248,8 @@ def _newton(start: int, step: int, diffs, den: int) -> LaurentPolynomial:
     return total
 
 
-def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
-                     max_degree: int = 6) -> QuasiPolynomial | None:
+def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = MAX_PERIOD,
+                     max_degree: int = MAX_DEGREE) -> QuasiPolynomial | None:
     """Smallest (period, degree) quasi-polynomial fitting the samples exactly.
 
     Samples must cover a contiguous integer range (negative indices are
@@ -290,33 +292,18 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = 4,
 
 # -- re-expansion -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CosetFit:
-    representative: Exponent
-    k_lo: int
-    k_hi: int
-    fit: QuasiPolynomial | None
-
-
-@dataclass(frozen=True)
-class ReexpandVerdict:
-    c0: Exponent
-    cosets: tuple[CosetFit, ...]
-    all_fit: bool
-    confirmed: bool
-
-
 def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
-                   s_plus: LaurentSeries, c0, max_period: int = 4,
-                   max_degree: int = 6) -> ReexpandVerdict:
+                   s_plus: LaurentSeries, c0, max_period: int = MAX_PERIOD,
+                   max_degree: int = MAX_DEGREE) -> dict:
     """Certify s_plus as the L_plus re-expansion of f across the c0 direction,
     where L_minus and L_plus are the functionals of s_minus's and s_plus's
     windows.
 
     s_minus must already be the (verified) L_minus expansion.  On every
     coset of Z c0 meeting either support, the difference s_plus - s_minus
-    sampled along c0 must be quasi-polynomial; when every coset fits and
-    s_plus passes direct verification the verdict is confirmed.
+    sampled along c0 must fit a quasi-polynomial ("all_fit"), and s_plus
+    must pass direct verification ("confirmed").  Returns the CLI's report:
+    "c0" and "cosets", each with "representative", "k_lo", "k_hi" and "fit".
     """
     c0 = _exponent(c0)
     if all(x == 0 for x in c0):
@@ -332,20 +319,22 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     z_c0 = Coset((0,) * len(c0), (c0,))
     reps = sorted({z_c0.representative(e) for e, _ in s_minus.terms()}
                   | {z_c0.representative(e) for e, _ in s_plus.terms()})
+    ranges = [(rep, math.ceil((s_minus.bound - L_minus(rep)) / down),
+               math.floor((s_plus.bound - L_plus(rep)) / up)) for rep in reps]
+    # what period 1, degree 0 alone differences, over every coset at once
+    charge("detection", sum(max(k_hi - k_lo, 0) for _, k_lo, k_hi in ranges))
     cosets = []
-    for rep in reps:
-        k_lo = math.ceil((s_minus.bound - L_minus(rep)) / down)
-        k_hi = math.floor((s_plus.bound - L_plus(rep)) / up)
-        charge("detection", k_hi - k_lo)  # what period 1, degree 0 alone differences
+    for rep, k_lo, k_hi in ranges:
         samples = {}
         for k in range(k_lo, k_hi + 1):
             e = tuple(x + k * y for x, y in zip(rep, c0))
             samples[k] = s_plus.coeff(e) - s_minus.coeff(e)
-        cosets.append(CosetFit(rep, k_lo, k_hi,
-                               detect_quasipoly(samples, max_period, max_degree)))
-    all_fit = all(coset.fit is not None for coset in cosets)
-    confirmed = all_fit and verify_expansion(s_plus, f)
-    return ReexpandVerdict(c0, tuple(cosets), all_fit, confirmed)
+        fit = detect_quasipoly(samples, max_period, max_degree)
+        cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
+                       "fit": None if fit is None else qp_to_obj(fit)})
+    all_fit = all(coset["fit"] is not None for coset in cosets)
+    return {"c0": list(c0), "cosets": cosets, "all_fit": all_fit,
+            "confirmed": all_fit and verify_expansion(s_plus, f)}
 
 
 # -- wire format --------------------------------------------------------------

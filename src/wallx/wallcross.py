@@ -246,27 +246,15 @@ def dtpt_ratio(dt_beta: LaurentSeries, dt_zero: LaurentSeries) -> LaurentSeries:
 
 # -- duality ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DualityEntry:
-    beta: IntVec
-    image: IntVec
-    ok: bool
-    first_discrepancy: tuple | None
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    entries: tuple[DualityEntry, ...]
-    all_ok: bool
-
-
 def duality_check(f_by_beta: Mapping[IntVec, RationalFunction],
-                  spec: LatticeSpec) -> DualityReport:
+                  spec: LatticeSpec) -> dict:
     """Check a family of point-variable fractions against the duality.
 
     Applying the duality to the monomials of z^beta f_beta must reproduce
     z^(D beta) f_(D beta); equality is verified by cross-multiplication,
-    so no truncation of the fractions is needed.
+    so no truncation of the fractions is needed.  Returns the CLI's report:
+    "all_ok" and "entries": per "beta", its "image", "ok" and, when not ok,
+    "first_discrepancy", the least term of the cross-multiplied difference.
     """
     family = {_exponent(b): f for b, f in f_by_beta.items()}
     n0 = spec.rank0
@@ -276,7 +264,6 @@ def duality_check(f_by_beta: Mapping[IntVec, RationalFunction],
         return spec.dualize(KClass(0, zero_beta, e)).c
 
     entries = []
-    all_ok = True
     for beta in sorted(family):
         f = family[beta]
         img = spec.dualize(KClass(0, beta, zero_c))
@@ -288,14 +275,13 @@ def duality_check(f_by_beta: Mapping[IntVec, RationalFunction],
         num_t = f.numerator.map_exponents(c_image, n0).shift(img.c)
         den_t = f.denominator.map_exponents(c_image, n0)
         diff = num_t * g.denominator - g.numerator * den_t
-        if diff.is_zero():
-            entries.append(DualityEntry(beta, img.beta, True, None))
-        else:
+        entry = {"beta": list(beta), "image": list(img.beta), "ok": diff.is_zero()}
+        if not entry["ok"]:
             first = min(e for e, _ in diff.items())
-            entries.append(DualityEntry(beta, img.beta, False,
-                                        (first, diff.coeff(first))))
-            all_ok = False
-    return DualityReport(tuple(entries), all_ok)
+            entry["first_discrepancy"] = {"exponent": list(first),
+                                          "coeff": jsonio.format_rational(diff.coeff(first))}
+        entries.append(entry)
+    return {"entries": entries, "all_ok": all(e["ok"] for e in entries)}
 
 
 # -- wire format --------------------------------------------------------------

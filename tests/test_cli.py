@@ -227,12 +227,16 @@ _FIT_GOLDEN = [("detect_fit", 0), ("detect_nofit", 1),
                ("reexpand_confirmed", 0), ("reexpand_rejected", 1)]
 
 
-@pytest.mark.parametrize("name, code", _FIT_GOLDEN)
+@pytest.mark.parametrize("name, code", _FIT_GOLDEN + [("dualize_family", 1)])
 def test_detect_output_bytes_are_pinned(name, code, capsys):
     # detect_fit: period 3, degree 2, samples from n = -7 with rational
     # values; detect_nofit: no fit; reexpand_confirmed: two cosets whose
     # differences fit period 2; reexpand_rejected: one corrupted coefficient,
-    # so its coset fits nothing.  The .out files are the full stdout.
+    # so its coset fits nothing; dualize_family: on the selfcheck lattice,
+    # beta [1] is (q1/2 + q2/2)/(1 - q1 q2/3), which passes and has no
+    # first_discrepancy key, and beta [2] is (3/4 q1^2 q2 - 5/4 q1 q2^2)/
+    # (1 - q1^2 q2^2), which fails first at exponent [1, 2].  The .out
+    # files are the full stdout.
     status = cli.main(["--input", str(GOLDEN / f"{name}.json")])
     assert status == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
@@ -280,6 +284,20 @@ def _group_doc(r):
     return doc
 
 
+def _column_cosets_doc(n):
+    """reexpand of the sum of q2^k over k < n: n cosets of Z (1, 0), each
+    sampled at about 200,000 points."""
+    terms = [{"exponent": [0, k], "coeff": "1"} for k in range(n)]
+
+    def series(functional):
+        return {"window": {"functional": functional, "bound": "100000"},
+                "terms": terms}
+
+    return {"kind": "reexpand", "c0": [1, 0],
+            "f": {"numerator": terms, "denominator": _poly_obj([((0, 0), 1)])},
+            "s_minus": series([-1, "1/1000"]), "s_plus": series([1, "1/1000"])}
+
+
 _HUGE_DOCS = {
     # an effective cone of 10**9 + 1 classes below the cap
     "beta_cap": ({"kind": "bracket", "lattice": model_lattice().to_obj(),
@@ -312,6 +330,9 @@ _HUGE_DOCS = {
                          "s_plus": _geometric_series_obj(
                              [1], "1e9", [(m, 1) for m in range(4)])},
                         "work budget exceeded: detection"),
+    # 100 cosets of about 200,000 samples each, within budget one at a time
+    "reexpand_cosets": (_column_cosets_doc(100),
+                        "work budget exceeded: detection took 1000000"),
     # one table entry where 14**7, about 10**8, residue tuples are due
     "residue_table": ({"kind": "resum", "monomials": [[1]] * 7, "grading": [1],
                        "quasipoly": {"vars": 7, "period": 14, "table": [{

@@ -477,11 +477,11 @@ def _geom_expansions(bound_each=8):
 def test_reexpand_geometric_constant_fit():
     f, s_minus, s_plus = _geom_expansions()
     verdict = reexpand_check(f, s_minus, s_plus, (1,))
-    assert verdict.confirmed and verdict.all_fit
-    assert len(verdict.cosets) == 1
-    coset = verdict.cosets[0]
-    assert (coset.k_lo, coset.k_hi) == (-8, 8)
-    fit = coset.fit
+    assert verdict["confirmed"] and verdict["all_fit"]
+    assert len(verdict["cosets"]) == 1
+    coset = verdict["cosets"][0]
+    assert (coset["k_lo"], coset["k_hi"]) == (-8, 8)
+    fit = qp_from_obj(coset["fit"], "fit")
     assert fit.period == 1 and fit.degree(0) == 0
     assert fit.eval((17,)) == 1
 
@@ -490,7 +490,7 @@ def test_reexpand_coset_longer_than_detection_budget(monkeypatch, set_budget):
     # 17 samples on the one coset: period 1, degree 0 differences 16 entries
     f, s_minus, s_plus = _geom_expansions()
     set_budget("detection", 16)
-    assert reexpand_check(f, s_minus, s_plus, (1,)).confirmed
+    assert reexpand_check(f, s_minus, s_plus, (1,))["confirmed"]
     set_budget("detection", 15)
 
     def never(*args):
@@ -499,6 +499,28 @@ def test_reexpand_coset_longer_than_detection_budget(monkeypatch, set_budget):
     monkeypatch.setattr(quasipoly, "detect_quasipoly", never)
     with pytest.raises(InputError, match="work budget exceeded: detection took 15"):
         reexpand_check(f, s_minus, s_plus, (1,))
+
+
+def test_reexpand_cosets_share_one_detection_budget(monkeypatch, set_budget):
+    # (1 + y)/(1 - x) along x: the cosets of y^0 and y^1 take 16 and 14
+    # differenced entries, each within a limit of 29 but not together
+    f = RationalFunction(_poly(2, {(0, 0): 1, (0, 1): 1}),
+                         _poly(2, {(0, 0): 1, (1, 0): -1}))
+    s_plus = expand(f, Window(LinearFunctional((fr(1), fr(1))), fr(8)))
+    s_minus = expand(f, Window(LinearFunctional((fr(-1), fr(1))), fr(8)))
+    set_budget("detection", 30)
+    verdict = reexpand_check(f, s_minus, s_plus, (1, 0))
+    assert verdict["confirmed"]
+    assert [(c["representative"], c["k_hi"] - c["k_lo"]) for c in verdict["cosets"]] \
+        == [([0, 0], 16), ([0, 1], 14)]
+    set_budget("detection", 29)
+
+    def never(*args):
+        raise AssertionError("a coset is sampled and handed to detection")
+
+    monkeypatch.setattr(quasipoly, "detect_quasipoly", never)
+    with pytest.raises(InputError, match="work budget exceeded: detection took 29"):
+        reexpand_check(f, s_minus, s_plus, (1, 0))
 
 
 def test_reexpand_rejects_wrong_direction():
@@ -524,8 +546,8 @@ def test_reexpand_detects_candidate_corruption():
     from wallx.series import LaurentSeries
     s_bad = LaurentSeries(broken, s_plus.window)
     verdict = reexpand_check(f, s_minus, s_bad, (1,))
-    assert not verdict.all_fit
-    assert not verdict.confirmed
+    assert not verdict["all_fit"]
+    assert not verdict["confirmed"]
 
 
 def test_reexpand_two_variable_layer():
@@ -542,9 +564,9 @@ def test_reexpand_two_variable_layer():
         assert s_minus.coeff((m, 4)) == _alt(m + 1) * (3 * m - 9)
     verdict = reexpand_check(f, s_minus, s_plus, (1, 0),
                              max_period=4, max_degree=3)
-    assert verdict.confirmed
-    assert [c.representative for c in verdict.cosets] == [(0, 4)]
-    fit = verdict.cosets[0].fit
+    assert verdict["confirmed"]
+    assert [c["representative"] for c in verdict["cosets"]] == [[0, 4]]
+    fit = qp_from_obj(verdict["cosets"][0]["fit"], "fit")
     assert fit.period == 2 and fit.degree(0) == 1
     for m in range(-8, 13):
         assert fit.eval((m,)) == _alt(m) * (3 * m - 9)

@@ -17,7 +17,7 @@ from wallx.series import (
     expand,
     multiply,
 )
-from wallx.quasipoly import QuasiPolynomial, reexpand_check
+from wallx.quasipoly import QuasiPolynomial, qp_from_obj, reexpand_check
 from wallx.wallcross import (
     GroupSpec,
     SeedSeries,
@@ -648,8 +648,8 @@ def test_duality_identity_always_passes():
     spec = model_lattice()
     f = RationalFunction(_poly({(1, 0): 2}, 2), _poly({(0, 0): 1, (1, 1): -1}, 2))
     report = duality_check({(0,): f, (1,): f}, spec)
-    assert report.all_ok
-    assert all(e.ok and e.first_discrepancy is None for e in report.entries)
+    assert report["all_ok"]
+    assert all(e["ok"] and "first_discrepancy" not in e for e in report["entries"])
 
 
 def test_duality_swap_palindromic_family():
@@ -657,14 +657,14 @@ def test_duality_swap_palindromic_family():
     sym = RationalFunction(_poly({(1, 0): 1, (0, 1): 1}, 2),
                            _poly({(0, 0): 1, (1, 1): -1}, 2))
     report = duality_check({(1,): sym}, spec)
-    assert report.all_ok
+    assert report["all_ok"]
 
     skew = RationalFunction(_poly({(1, 0): 2, (0, 1): 1}, 2),
                             _poly({(0, 0): 1, (1, 1): -1}, 2))
     report = duality_check({(1,): skew}, spec)
-    assert not report.all_ok
-    entry = report.entries[0]
-    assert entry.first_discrepancy == ((0, 1), Fraction(1))
+    assert not report["all_ok"]
+    entry = report["entries"][0]
+    assert entry["first_discrepancy"] == {"exponent": [0, 1], "coeff": "1"}
 
 
 def test_duality_missing_member():
@@ -680,7 +680,7 @@ def test_duality_missing_member():
     with pytest.raises(InputError, match="incomplete family"):
         duality_check({(1, 0): f}, spec)
     report = duality_check({(1, 0): f, (0, 1): f}, spec)
-    assert report.all_ok
+    assert report["all_ok"]
 
 
 def test_duality_with_point_shift():
@@ -695,9 +695,9 @@ def test_duality_with_point_shift():
     f = RationalFunction(LaurentPolynomial.constant(1, 1),
                          _poly({(0,): 1, (1,): -1}, 1))
     qf = RationalFunction(_poly({(1,): 1}, 1), _poly({(0,): 1, (1,): -1}, 1))
-    assert duality_check({(1,): f, (-1,): qf}, spec).all_ok
+    assert duality_check({(1,): f, (-1,): qf}, spec)["all_ok"]
     report = duality_check({(1,): f, (-1,): f}, spec)
-    assert not report.all_ok
+    assert not report["all_ok"]
 
 
 # -- gamma wall crossing ------------------------------------------------------
@@ -713,13 +713,14 @@ def test_cross_gamma_wall_geometric():
     s_up = expand(f, Window(_L_ABOVE, fr(4)))
     s_down = expand(f, Window(_L_BELOW, fr(12)))
     verdict = reexpand_check(f, s_up, s_down, _C_GAMMA)
-    assert verdict.confirmed
-    (coset,) = verdict.cosets
-    assert coset.fit is not None
-    assert coset.fit.period == 1
-    assert coset.fit.degree(0) == 0
-    for k in range(coset.k_lo, coset.k_hi + 1):
-        assert coset.fit.eval((k,)) == 1
+    assert verdict["confirmed"]
+    (coset,) = verdict["cosets"]
+    assert coset["fit"] is not None
+    fit = qp_from_obj(coset["fit"], "fit")
+    assert fit.period == 1
+    assert fit.degree(0) == 0
+    for k in range(coset["k_lo"], coset["k_hi"] + 1):
+        assert fit.eval((k,)) == 1
 
 
 def _model_layer_expansions():
@@ -733,8 +734,9 @@ def _model_layer_expansions():
 def test_cross_gamma_wall_model_layer():
     f, s_up, s_down = _model_layer_expansions()
     verdict = reexpand_check(f, s_up, s_down, _C_GAMMA)
-    assert verdict.confirmed
-    fits = {coset.representative: coset.fit for coset in verdict.cosets}
+    assert verdict["confirmed"]
+    fits = {tuple(coset["representative"]): qp_from_obj(coset["fit"], "fit")
+            for coset in verdict["cosets"]}
     assert set(fits) == {(0, 4), (-1, 4)}
     even = fits[(0, 4)]
     odd = fits[(-1, 4)]
@@ -750,5 +752,5 @@ def test_cross_gamma_wall_detects_corruption():
     broken_terms[(-3, 0)] = Fraction(1)
     broken = LaurentSeries(broken_terms, s_down.window)
     verdict = reexpand_check(f, s_up, broken, _C_GAMMA)
-    assert not verdict.all_fit
-    assert not verdict.confirmed
+    assert not verdict["all_fit"]
+    assert not verdict["confirmed"]
