@@ -11,16 +11,19 @@ curve variable is constant across each row and is omitted.
 curve-row rational function, fits the quasi-polynomial column difference,
 certifies the re-expansion across the first point class, and cross-checks
 every table entry against the smooth-moduli Behrend weight.
+
+The source also tabulates an orbifold row 3 * C(m + 3, 3) for m = 4 ... 8
+(105, 168, 252, 360, 495).  It disagrees with the expansion of the stored
+closed form from m = 4 on (3 there), so it is used nowhere.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .jsonio import format_rational
-from .lattice import KClass, LatticeSpec
+from .lattice import LatticeSpec
 from .quasipoly import detect_quasipoly, reexpand_check
 from .series import (LaurentPolynomial, LinearFunctional, RationalFunction,
                      Window, _exponent, expand)
@@ -48,20 +51,6 @@ def _alt(m: int) -> int:
 
 
 @dataclass(frozen=True)
-class StoredVariant:
-    """A source coefficient table kept verbatim for the record.
-
-    ``suspect`` marks a table that disagrees with the closed form it
-    accompanies.  Suspect tables are never used as oracles and are never
-    silently corrected; the note records the first disagreement.
-    """
-
-    coefficients: tuple[tuple[int, int], ...]
-    suspect: bool
-    note: str
-
-
-@dataclass(frozen=True)
 class A1Model:
     """The worked model: lattice, expansion functionals, and series data.
 
@@ -69,9 +58,12 @@ class A1Model:
     (-1)^m (m + 1).  ``orbifold_layer`` is the curve-row data on one side
     and ``shared_layer`` is the common rational function whose two
     one-sided expansions are the report columns; the other side's curve
-    row equals ``shared_layer`` directly.  ``identifications`` records the
-    images of the resolution-side curve and point classes in (d, (m, n))
-    coordinates, for documentation only.
+    row equals ``shared_layer`` directly.
+
+    The resolution-side classes (r, beta, (m, n)) are C_h = (0, (1,), (0, 1)),
+    C_v = (0, (0,), (0, 1)) and p = (0, (0,), (1, 1)).  p - C_v is the first
+    point class: its point part ``point_plus_exponent()`` is the direction
+    along which ``run_a1`` re-expands.
     """
 
     lattice: LatticeSpec
@@ -80,18 +72,7 @@ class A1Model:
     point_row: RationalFunction
     orbifold_layer: RationalFunction
     shared_layer: RationalFunction
-    identifications: dict
-    raw_orbifold_variant: StoredVariant
     normalization: dict
-
-    def __post_init__(self):
-        names = ("C_h", "C_v", "p")
-        classes = [self.identifications[name] for name in names]
-        if len(set(classes)) != len(classes):
-            raise InputError("identification classes must be pairwise distinct")
-        diff = self.identifications["p"] - self.identifications["C_v"]
-        if diff != KClass(0, (0,) * self.lattice.rank1, self.point_plus_exponent()):
-            raise InputError("p minus C_v must be the first point class")
 
     def point_plus_exponent(self):
         return (1,) + (0,) * (self.lattice.rank0 - 1)
@@ -136,7 +117,6 @@ def build_a1() -> A1Model:
     one_plus_q = one + LaurentPolynomial.monomial((1, 0))
     square = one_plus_q * one_plus_q
     layer_top = LaurentPolynomial.monomial((4, 4), 3)
-    raw = tuple((m, 3 * math.comb(m + 3, 3)) for m in range(4, 9))
     return A1Model(
         lattice=lattice,
         l_plus=LinearFunctional((1, 1)),
@@ -144,16 +124,6 @@ def build_a1() -> A1Model:
         point_row=RationalFunction(one, square),
         orbifold_layer=RationalFunction(layer_top, square * square),
         shared_layer=RationalFunction(layer_top, square),
-        identifications={"C_h": KClass(0, (1,), (0, 1)),
-                         "C_v": KClass(0, (0,), (0, 1)),
-                         "p": KClass(0, (0,), (1, 1))},
-        raw_orbifold_variant=StoredVariant(
-            coefficients=raw,
-            suspect=True,
-            note=("table disagrees with the expansion of the stored closed "
-                  "form starting at m = 4 (table 105, expansion 3); kept "
-                  "verbatim and excluded from every oracle"),
-        ),
         normalization={"deg_point_plus": 1, "deg_point_minus": 1, "l_curve": 2},
     )
 

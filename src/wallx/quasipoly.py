@@ -13,14 +13,15 @@ reads the class's polynomial off those differences in Newton's form.
 This module also checks re-expansion claims across a wall of gradings,
 one coset of Z c0 at a time; each coset is named by its point e with
 floor(e[i] / c0[i]) == 0 at c0's first nonzero entry i (the one pivot of
-``Coset.representative``).  The detection budget is charged once for
-the summed sample ranges of all cosets, before any coset is sampled.
+``Coset.representative``).  Differences come off the stored terms, and
+one detection charge covers all cosets' sample ranges before any fit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -317,18 +318,20 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
         raise InputError("s_minus is not an expansion of the rational function")
 
     z_c0 = Coset((0,) * len(c0), (c0,))
-    reps = sorted({z_c0.representative(e) for e, _ in s_minus.terms()}
-                  | {z_c0.representative(e) for e, _ in s_plus.terms()})
-    ranges = [(rep, math.ceil((s_minus.bound - L_minus(rep)) / down),
-               math.floor((s_plus.bound - L_plus(rep)) / up)) for rep in reps]
+    (col, _), = z_c0.echelon
+    diffs = defaultdict(Counter)  # {rep: {k: s_plus - s_minus at rep + k c0}}
+    for s in (-s_minus, s_plus):
+        for e, c in s.terms():
+            rep = z_c0.representative(e)
+            diffs[rep][(e[col] - rep[col]) // c0[col]] += c
+    ranges = [(rep, diff, math.ceil((s_minus.bound - L_minus(rep)) / down),
+               math.floor((s_plus.bound - L_plus(rep)) / up))
+              for rep, diff in sorted(diffs.items())]
     # what period 1, degree 0 alone differences, over every coset at once
-    charge("detection", sum(max(k_hi - k_lo, 0) for _, k_lo, k_hi in ranges))
+    charge("detection", sum(max(k_hi - k_lo, 0) for _, _, k_lo, k_hi in ranges))
     cosets = []
-    for rep, k_lo, k_hi in ranges:
-        samples = {}
-        for k in range(k_lo, k_hi + 1):
-            e = tuple(x + k * y for x, y in zip(rep, c0))
-            samples[k] = s_plus.coeff(e) - s_minus.coeff(e)
+    for rep, diff, k_lo, k_hi in ranges:
+        samples = {k: diff[k] for k in range(k_lo, k_hi + 1)}
         fit = detect_quasipoly(samples, max_period, max_degree)
         cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
                        "fit": None if fit is None else qp_to_obj(fit)})

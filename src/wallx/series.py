@@ -284,9 +284,6 @@ class LaurentPolynomial(_Sparse):
 
     items = _Sparse.terms  # the polynomial spelling of terms()
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self._terms.items())))
-
     def __mul__(self, other):
         if type(other) is not LaurentPolynomial:
             return NotImplemented

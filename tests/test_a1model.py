@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,24 +75,11 @@ def test_build_a1_walls_validate():
     assert spec.gamma_walls((2,)) == [fr(1)]
 
 
-def test_identifications_frozen_values():
-    model = build_a1()
-    assert model.identifications["C_h"] == KClass(0, (1,), (0, 1))
-    assert model.identifications["C_v"] == KClass(0, (0,), (0, 1))
-    assert model.identifications["p"] == KClass(0, (0,), (1, 1))
-
-
 def test_identification_difference_is_first_point_class():
-    model = build_a1()
-    diff = model.identifications["p"] - model.identifications["C_v"]
-    assert diff == KClass(0, (0,), (1, 0))
-
-
-def test_inconsistent_identifications_rejected():
-    model = build_a1()
-    bad = dict(model.identifications, p=model.identifications["C_v"])
-    with pytest.raises(InputError):
-        dataclasses.replace(model, identifications=bad)
+    # p - C_v, as the A1Model docstring gives them, is the direction run_a1
+    # re-expands along
+    assert (KClass(0, (0,), (1, 1)) - KClass(0, (0,), (0, 1))
+            == KClass(0, (0,), build_a1().point_plus_exponent()))
 
 
 def test_point_row_first_terms():
@@ -108,16 +96,14 @@ def test_point_row_matches_tabulated_values():
         0, 0, 0, 1, -2, 3, -4, 5, -6, 7, -8, 9, -10, 11, -12, 13]
 
 
-def test_raw_variant_is_flagged_and_disagrees_with_closed_form():
+def test_tabulated_orbifold_row_disagrees_with_closed_form():
+    # the source's row 3 * C(m + 3, 3), which the module docstring records
+    table = {4: 105, 5: 168, 6: 252, 7: 360, 8: 495}
+    assert table == {m: 3 * math.comb(m + 3, 3) for m in range(4, 9)}
     model = build_a1()
-    variant = model.raw_orbifold_variant
-    assert variant.suspect
-    assert variant.coefficients == ((4, 105), (5, 168), (6, 252), (7, 360),
-                                    (8, 495))
     series = _expand_layer(model, model.orbifold_layer, 16)
     assert series.coeff((4, 4)) == 3
-    assert all(series.coeff((m, 4)) != value
-               for m, value in variant.coefficients)
+    assert all(series.coeff((m, 4)) != value for m, value in table.items())
 
 
 def test_orbifold_layer_expansion_first_terms():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wallx
-from wallx import cli
+from wallx import cli, series
 from wallx.a1model import build_a1
 
 from conftest import model_lattice, two_gen_lattice
@@ -240,6 +240,18 @@ def test_detect_output_bytes_are_pinned(name, code, capsys):
     status = cli.main(["--input", str(GOLDEN / f"{name}.json")])
     assert status == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_reexpand_looks_up_no_coefficient(monkeypatch, capsys):
+    # each coset's differences come from one pass over both series' stored
+    # terms, not from a lookup per sample
+    def coeff(self, key):
+        raise AssertionError("coeff called")
+
+    monkeypatch.setattr(series._Sparse, "coeff", coeff)
+    status = cli.main(["--input", str(GOLDEN / "reexpand_confirmed.json")])
+    assert status == 0
+    assert capsys.readouterr().out == (GOLDEN / "reexpand_confirmed.out").read_text()
 
 
 def _child_env():

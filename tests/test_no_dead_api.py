@@ -8,6 +8,13 @@ than kept for them; no name is exempt.  Conversely, every function and
 method that the benchmark's tracer wraps by name is defined where the tracer
 looks for it.
 
+No record-only data: every field of an ``@dataclass`` class in ``src/wallx``
+is read by an attribute load in those sources or in ``perfbench``, outside
+the class's own ``__post_init__`` (namedtuples are read by unpacking, so
+they are left out).  Like the definition guard, this one matches by bare
+name, so a dead field or method whose name is also read on some other
+object passes it.
+
 No unused import: a module reads every name it imports, unless its
 ``__all__`` exports it.  Without this an import alone, which the dead-API
 guard counts as a reference, could keep a dead definition alive.
@@ -94,6 +101,60 @@ def test_every_definition_in_wallx_is_used_by_the_program():
     assert sources and bench
     found = {name: (label, line) for label, line, name in _unreferenced(sources, bench)}
     assert not found, f"defined but used only by tests, or not at all: {found}"
+
+
+def _is_dataclass(node) -> bool:
+    def name(expr):
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
+    return any(name(d) == "dataclass" for d in node.decorator_list)
+
+
+def _attribute_loads(node) -> Counter:
+    return Counter(child.attr for child in ast.walk(node)
+                   if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load))
+
+
+def _unread_fields(defining: dict, others: list):
+    """(label, line, "Class.field") for each annotated field of an ``@dataclass``
+    class in the trees of ``defining`` ({label: tree}) that no attribute load
+    in those trees or in ``others`` reads, the class's own ``__post_init__``
+    aside."""
+    loads = sum((_attribute_loads(t) for t in [*defining.values(), *others]), Counter())
+    for label, tree in defining.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            own = sum((_attribute_loads(f) for f in cls.body
+                       if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"),
+                      Counter())
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and loads[stmt.target.id] == own[stmt.target.id]):
+                    yield label, stmt.lineno, f"{cls.name}.{stmt.target.id}"
+
+
+def test_field_guard_finds_only_the_unread_fields():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass A:\n"
+              "    read: int\n    checked: int\n    unread: int\n"
+              "    def __post_init__(self):\n        assert self.checked > 0\n"
+              "@dataclass\nclass B:\n    stored: int\n"
+              "class Plain:\n    ignored: int\n"
+              "B(stored=1).stored = 2\n")
+    caller = "print(A(read=1, checked=2, unread=3).read)\n"
+    found = _unread_fields({"mod": ast.parse(source)}, [ast.parse(caller)])
+    assert list(found) == [("mod", 5, "A.checked"), ("mod", 6, "A.unread"),
+                           ("mod", 11, "B.stored")]
+
+
+def test_every_dataclass_field_in_wallx_is_read_by_the_program():
+    # a field that only tests or its own validator read is data nothing
+    # computes with; namedtuples are read by unpacking, so they are not asked
+    sources = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(p.read_text(), str(p)) for p in sorted(BENCH.glob("*.py"))]
+    found = sorted(_unread_fields(sources, bench))
+    assert not found, f"dataclass fields nothing reads: {found}"
 
 
 def _tracer_names():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallx import quasipoly
-from wallx.errors import InputError
+from wallx.errors import InputError, charge
 from wallx.quasipoly import (
     ChainPattern,
     QuasiPolynomial,
@@ -19,11 +20,14 @@ from wallx.quasipoly import (
     resum_orthant,
 )
 from wallx.series import (
+    Coset,
     LaurentPolynomial,
+    LaurentSeries,
     LinearFunctional,
     RationalFunction,
     Window,
     expand,
+    verify_expansion,
 )
 
 from conftest import evaluate, fr
@@ -533,7 +537,6 @@ def test_reexpand_requires_verified_minus_side():
     f, s_minus, s_plus = _geom_expansions()
     broken = dict(s_minus.terms())
     broken[(-2,)] = fr(5)
-    from wallx.series import LaurentSeries
     s_bad = LaurentSeries(broken, s_minus.window)
     with pytest.raises(InputError, match="s_minus is not an expansion"):
         reexpand_check(f, s_bad, s_plus, (1,))
@@ -543,7 +546,6 @@ def test_reexpand_detects_candidate_corruption():
     f, s_minus, s_plus = _geom_expansions()
     broken = dict(s_plus.terms())
     broken[(3,)] = fr(9)
-    from wallx.series import LaurentSeries
     s_bad = LaurentSeries(broken, s_plus.window)
     verdict = reexpand_check(f, s_minus, s_bad, (1,))
     assert not verdict["all_fit"]
@@ -570,6 +572,93 @@ def test_reexpand_two_variable_layer():
     assert fit.period == 2 and fit.degree(0) == 1
     for m in range(-8, 13):
         assert fit.eval((m,)) == _alt(m) * (3 * m - 9)
+
+
+# -- the per-k probing re-expansion check, as a reference --------------------
+
+def _reference_reexpand(f, s_minus, s_plus, c0, max_period, max_degree):
+    """reexpand_check as it was before it read each coset's differences off
+    the stored terms: every k of every coset is looked up in both series."""
+    c0 = tuple(c0)
+    if all(x == 0 for x in c0):
+        raise InputError("re-expansion direction must be nonzero")
+    L_minus, L_plus = s_minus.window.functional, s_plus.window.functional
+    down = L_minus(c0)
+    up = L_plus(c0)
+    if not (down < 0 < up):
+        raise InputError("re-expansion direction must have L_minus(c0) < 0 < L_plus(c0)")
+    if not verify_expansion(s_minus, f):
+        raise InputError("s_minus is not an expansion of the rational function")
+    z_c0 = Coset((0,) * len(c0), (c0,))
+    reps = sorted({z_c0.representative(e) for e, _ in s_minus.terms()}
+                  | {z_c0.representative(e) for e, _ in s_plus.terms()})
+    ranges = [(rep, math.ceil((s_minus.bound - L_minus(rep)) / down),
+               math.floor((s_plus.bound - L_plus(rep)) / up)) for rep in reps]
+    charge("detection", sum(max(k_hi - k_lo, 0) for _, k_lo, k_hi in ranges))
+    cosets = []
+    for rep, k_lo, k_hi in ranges:
+        samples = {}
+        for k in range(k_lo, k_hi + 1):
+            e = tuple(x + k * y for x, y in zip(rep, c0))
+            samples[k] = s_plus.coeff(e) - s_minus.coeff(e)
+        fit = detect_quasipoly(samples, max_period, max_degree)
+        cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
+                       "fit": None if fit is None else qp_to_obj(fit)})
+    all_fit = all(coset["fit"] is not None for coset in cosets)
+    return {"c0": list(c0), "cosets": cosets, "all_fit": all_fit,
+            "confirmed": all_fit and verify_expansion(s_plus, f)}
+
+
+@st.composite
+def _reexpand_case(draw):
+    """g / (1 - x^v) in one or two variables, its L_minus expansion and a
+    perturbed L_plus one, along a c0 with negative and zero entries; the
+    window bounds cut through both supports."""
+    n = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    c0 = draw(exps.filter(any))
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+    def oriented(sign):  # L moved along c0 until sign * L(c0) > 0
+        L = draw(st.tuples(*[coeffs] * n))
+        target = sign * draw(st.fractions(min_value=fr(1, 3), max_value=2,
+                                          max_denominator=3))
+        t = (target - sum(a * x for a, x in zip(L, c0))) / sum(x * x for x in c0)
+        return LinearFunctional(tuple(a + t * x for a, x in zip(L, c0)))
+
+    L_minus, L_plus = oriented(-1), oriented(1)
+    zero = (0,) * n
+    v = draw(st.sampled_from([zero, c0, tuple(2 * x for x in c0)]) | exps)
+    h = {zero: 1}
+    if L_minus(v) != 0 and L_plus(v) != 0:
+        h[v] = -1
+    g = draw(st.dictionaries(exps, _qp_coeff.filter(bool), min_size=1, max_size=4))
+    f = RationalFunction(LaurentPolynomial(g, n), LaurentPolynomial(h, n))
+    noise = st.dictionaries(exps, _qp_coeff, max_size=3)
+
+    def expansion(L, perturb):
+        window = Window(L, draw(st.fractions(min_value=0, max_value=8,
+                                             max_denominator=2)))
+        try:
+            terms = dict(expand(f, window).terms())
+        except InputError:  # the window holds no term
+            terms = {}
+        return LaurentSeries({**terms, **(draw(noise) if perturb else {})}, window)
+
+    s_minus = expansion(L_minus, draw(st.integers(0, 3)) == 0)
+    s_plus = expansion(L_plus, True)
+    return f, s_minus, s_plus, c0, draw(st.integers(1, 4)), draw(st.integers(0, 6))
+
+
+@given(_reexpand_case())
+@settings(deadline=None, max_examples=300)
+def test_reexpand_matches_the_probing_reference(case):
+    def outcome(check):
+        try:
+            return check(*case)
+        except InputError as err:
+            return "error", err.message
+    assert outcome(reexpand_check) == outcome(_reference_reexpand)
 
 
 def test_qp_json_roundtrip():

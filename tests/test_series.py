@@ -208,6 +208,10 @@ def test_series_constructor_truncates_and_strips():
     w = Window(L_UP, fr(2))
     s = LaurentSeries({(0,): fr(1), (5,): fr(9), (1,): fr(0)}, w)
     assert dict(s.terms()) == {(0,): 1}
+    # like torus elements, neither series nor polynomials are hashable
+    for unhashable in (s, LaurentPolynomial({(0,): 1}, 1)):
+        with pytest.raises(TypeError):
+            hash(unhashable)
 
 
 def test_coset_membership():
