@@ -61,13 +61,6 @@ class KClass(collections.namedtuple("KClass", "r beta c")):
                       tuple(a + b for a, b in zip(self.beta, other.beta)),
                       tuple(a + b for a, b in zip(self.c, other.c)))
 
-    def __sub__(self, other: "KClass") -> "KClass":
-        return self + (-other)
-
-    def __neg__(self) -> "KClass":
-        return KClass(-self.r, tuple(-b for b in self.beta),
-                      tuple(-x for x in self.c))
-
     def vector(self) -> IntVec:
         return (self.r,) + self.beta + self.c
 

@@ -302,9 +302,10 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
 
     s_minus must already be the (verified) L_minus expansion.  On every
     coset of Z c0 meeting either support, the difference s_plus - s_minus
-    sampled along c0 must fit a quasi-polynomial ("all_fit"), and s_plus
-    must pass direct verification ("confirmed").  Returns the CLI's report:
-    "c0" and "cosets", each with "representative", "k_lo", "k_hi" and "fit".
+    sampled along c0 must fit a quasi-polynomial ("all_fit"; a coset with
+    fewer than two samples fits none), and s_plus must pass direct
+    verification ("confirmed").  Returns the CLI's report: "c0" and
+    "cosets", each with "representative", "k_lo", "k_hi" and "fit".
     """
     c0 = _exponent(c0)
     if all(x == 0 for x in c0):
@@ -331,8 +332,8 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     charge("detection", sum(max(k_hi - k_lo, 0) for _, _, k_lo, k_hi in ranges))
     cosets = []
     for rep, diff, k_lo, k_hi in ranges:
-        samples = {k: diff[k] for k in range(k_lo, k_hi + 1)}
-        fit = detect_quasipoly(samples, max_period, max_degree)
+        fit = None if k_hi <= k_lo else detect_quasipoly(
+            {k: diff[k] for k in range(k_lo, k_hi + 1)}, max_period, max_degree)
         cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
                        "fit": None if fit is None else qp_to_obj(fit)})
     all_fit = all(coset["fit"] is not None for coset in cosets)

@@ -361,6 +361,7 @@ class LaurentSeries(_Sparse):
     admitted by the window but not stored has coefficient zero."""
 
     __slots__ = ()
+    _mismatch = "series windows differ"
 
     def __init__(self, terms, window: Window):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -384,19 +385,6 @@ class LaurentSeries(_Sparse):
     def support_min(self) -> Fraction:
         """Smallest L-value present, or the bound for the empty series."""
         return min(map(self.window.functional, self._terms), default=self.bound)
-
-    def __add__(self, other):
-        if type(other) is not LaurentSeries:
-            return NotImplemented
-        _same_functional(self, other)
-        c1, c2 = self.window.coset, other.window.coset
-        if c1 is not None and c2 is not None and c1 != c2:
-            raise InputError("window cosets differ")
-        window = Window(self.window.functional, min(self.bound, other.bound),
-                        c1 or c2)
-        # the admitting constructor drops what the smaller window excludes
-        return LaurentSeries(
-            _accumulate(dict(self._terms), other._terms.items()), window)
 
     def __repr__(self):
         inner = ", ".join(f"{e}: {c}" for e, c in self.items_sorted())

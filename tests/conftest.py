@@ -1,9 +1,65 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wallx.errors import BUDGETS
 from wallx.lattice import LatticeSpec
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# One entry per pinned run: the document in GOLDEN, extra argv, the expected
+# exit and the .out file, which holds the full stdout of the CLI.
+GOLDEN_RUNS = [
+    # r=2, p=2, degree 2
+    ("resum_orthant", (), 0, "resum_orthant"),
+    # r=3 with n1 == n2 and no table entry of the joint top degree
+    ("resum_chain", (), 0, "resum_chain"),
+    # two classes on the two-generator lattice
+    ("resum_group", (), 0, "resum_group"),
+    # long-division consumers: run_a1 at window 200; expand with a rational
+    # functional and a leading denominator coefficient of -3, whose ratios
+    # to the other coefficients are partly non-integral; a dtpt ratio
+    ("appendix_a_200", ("--window", "200"), 0, "appendix_a_200"),
+    ("expand_rational", (), 0, "expand_rational"),
+    ("dtpt", (), 0, "dtpt"),
+    # the series table of the same expansion
+    ("expand_rational", ("--format", "table"), 0, "expand_rational_table"),
+    # 1/(1 - x - y) on the coset (0, 0) + Z (1, 1) of L = (1, 1)
+    ("expand_coset", (), 0, "expand_coset"),
+    # a window bound whose decimal exponent is past 4300
+    ("expand_huge_exponent", (), 2, "expand_huge_exponent"),
+    # every coefficient 10**4300, one digit more than str(int) will write
+    ("expand_digit_limit", (), 2, "expand_digit_limit"),
+    # period 3, degree 2, samples from n = -7 with rational values
+    ("detect_fit", (), 0, "detect_fit"),
+    ("detect_nofit", (), 1, "detect_nofit"),
+    # two cosets whose differences fit period 2
+    ("reexpand_confirmed", (), 0, "reexpand_confirmed"),
+    # one corrupted coefficient, so its coset fits nothing
+    ("reexpand_rejected", (), 1, "reexpand_rejected"),
+    # on the selfcheck lattice, beta [1] is (q1/2 + q2/2)/(1 - q1 q2/3), which
+    # passes and has no first_discrepancy key, and beta [2] is (3/4 q1^2 q2 -
+    # 5/4 q1 q2^2)/(1 - q1^2 q2^2), which fails first at exponent [1, 2]
+    ("dualize_family", (), 1, "dualize_family"),
+    # rank-0 x against a rank -1 y on the two-generator lattice under
+    # beta_cap [2, 1] and deg_cap 5
+    ("bracket", (), 0, "bracket"),
+    # the untruncated naive product on the same lattice, as a flat table
+    ("bracket_naive", ("--format", "table"), 0, "bracket_naive"),
+    # the signed product on the model lattice with an explicit rank set
+    ("star", (), 0, "star"),
+    # a three-term wall acting on a rank -1 element, nilpotent through
+    # beta_cap [3] and deg_cap 6
+    ("exp_ad", (), 0, "exp_ad"),
+    # three curve walls and a point wall swept over a labelled rank -1 seed
+    ("wallcross", (), 0, "wallcross"),
+    # the README's two smoke tests: the randomized sweep at its default seed
+    # and the worked-model table
+    ("selfcheck", (), 0, "selfcheck"),
+    ("selfcheck", ("--format", "table"), 0, "selfcheck_table"),
+    ("appendix_a_table", ("--format", "table"), 0, "appendix_a_table"),
+]
 
 
 def fr(a, b=1):

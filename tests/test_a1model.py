@@ -77,9 +77,9 @@ def test_build_a1_walls_validate():
 
 def test_identification_difference_is_first_point_class():
     # p - C_v, as the A1Model docstring gives them, is the direction run_a1
-    # re-expands along
-    assert (KClass(0, (0,), (1, 1)) - KClass(0, (0,), (0, 1))
-            == KClass(0, (0,), build_a1().point_plus_exponent()))
+    # re-expands along: C_v plus that direction is p
+    assert (KClass(0, (0,), (0, 1)) + KClass(0, (0,), build_a1().point_plus_exponent())
+            == KClass(0, (0,), (1, 1)))
 
 
 def test_point_row_first_terms():

@@ -11,9 +11,7 @@ import wallx
 from wallx import cli, series
 from wallx.a1model import build_a1
 
-from conftest import model_lattice, two_gen_lattice
-
-GOLDEN = Path(__file__).parent / "golden"
+from conftest import GOLDEN, GOLDEN_RUNS, model_lattice, two_gen_lattice
 
 
 def _poly_obj(terms):
@@ -50,6 +48,16 @@ def _run(tmp_path, capsys, doc, extra=()):
 def _series_coeffs(report):
     return {tuple(t["exponent"]): t["coeff"]
             for t in report["series"]["terms"]}
+
+
+# -- golden documents ---------------------------------------------------------
+
+@pytest.mark.parametrize("name, argv, code, out", GOLDEN_RUNS,
+                         ids=[run[3] for run in GOLDEN_RUNS])
+def test_golden_output_bytes_are_pinned(name, argv, code, out, capsys):
+    status = cli.main(["--input", str(GOLDEN / f"{name}.json"), *argv])
+    assert status == code
+    assert capsys.readouterr().out == (GOLDEN / f"{out}.out").read_text()
 
 
 # -- expand / verify ----------------------------------------------------------
@@ -158,30 +166,6 @@ def test_resum_group_document(tmp_path, capsys):
     assert rf["denominator"] == [{"exponent": [0, 0], "coeff": "1"}]
 
 
-@pytest.mark.parametrize("name", ["orthant", "chain", "group"])
-def test_resum_output_bytes_are_pinned(name, capsys):
-    # orthant: r=2, p=2, degree 2; chain: r=3 with n1 == n2 and no table
-    # entry of the joint top degree; group: two classes on the two-generator
-    # lattice.  The .out files are the full stdout of the CLI.
-    status = cli.main(["--input", str(GOLDEN / f"resum_{name}.json")])
-    assert status == 0
-    assert capsys.readouterr().out == (GOLDEN / f"resum_{name}.out").read_text()
-
-
-@pytest.mark.parametrize("name, extra", [
-    ("appendix_a_200", ("--window", "200")),
-    ("expand_rational", ()),
-    ("dtpt", ()),
-])
-def test_division_output_bytes_are_pinned(name, extra, capsys):
-    # long-division consumers: run_a1 at window 200; expand with a rational
-    # functional and a leading denominator coefficient of -3, whose ratios
-    # to the other coefficients are partly non-integral; a dtpt ratio.
-    status = cli.main(["--input", str(GOLDEN / f"{name}.json"), *extra])
-    assert status == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
-
-
 @pytest.mark.parametrize("poly, path, message", [
     ([{"exponent": [0, 1], "coeff": "1"}],
      "document.quasipoly.table[0].poly[0].exponent", "expected 1 entries, got 2"),
@@ -225,21 +209,6 @@ def test_detect_no_fit_exits_one(tmp_path, capsys):
 
 _FIT_GOLDEN = [("detect_fit", 0), ("detect_nofit", 1),
                ("reexpand_confirmed", 0), ("reexpand_rejected", 1)]
-
-
-@pytest.mark.parametrize("name, code", _FIT_GOLDEN + [("dualize_family", 1)])
-def test_detect_output_bytes_are_pinned(name, code, capsys):
-    # detect_fit: period 3, degree 2, samples from n = -7 with rational
-    # values; detect_nofit: no fit; reexpand_confirmed: two cosets whose
-    # differences fit period 2; reexpand_rejected: one corrupted coefficient,
-    # so its coset fits nothing; dualize_family: on the selfcheck lattice,
-    # beta [1] is (q1/2 + q2/2)/(1 - q1 q2/3), which passes and has no
-    # first_discrepancy key, and beta [2] is (3/4 q1^2 q2 - 5/4 q1 q2^2)/
-    # (1 - q1^2 q2^2), which fails first at exponent [1, 2].  The .out
-    # files are the full stdout.
-    status = cli.main(["--input", str(GOLDEN / f"{name}.json")])
-    assert status == code
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
 def test_reexpand_looks_up_no_coefficient(monkeypatch, capsys):
@@ -576,20 +545,6 @@ def test_wallcross_document(tmp_path, capsys):
         (-1, (0,), (0, 0), 1), (-1, (1,), (1, 0), 4))
 
 
-@pytest.mark.parametrize("name", ["bracket", "star", "exp_ad", "wallcross"])
-def test_torus_output_bytes_are_pinned(name, capsys):
-    # bracket: rank-0 x against a rank -1 y on the two-generator lattice under
-    # beta_cap [2, 1] and deg_cap 5; star: the signed product on the model
-    # lattice with an explicit rank set; exp_ad: a three-term wall acting on a
-    # rank -1 element, nilpotent through beta_cap [3] and deg_cap 6;
-    # wallcross: three curve walls and a point wall swept over a labelled
-    # rank -1 seed.  Coefficients are rational; the .out files are the full
-    # stdout of the CLI.
-    status = cli.main(["--input", str(GOLDEN / f"{name}.json")])
-    assert status == 0
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
-
-
 # -- dtpt / dualize / reexpand ------------------------------------------------
 
 def test_dtpt_document_reproduces_ratio(tmp_path, capsys):
@@ -662,6 +617,28 @@ def test_reexpand_rejects_corrupted_candidate(tmp_path, capsys):
     status, out = _run(tmp_path, capsys, doc)
     assert status == 1
     assert json.loads(out)["confirmed"] is False
+
+
+def test_reexpand_coset_of_one_sample_fits_nothing(tmp_path, capsys):
+    # 1/(1 - x) in two variables plus a stray 7 at [0, 4], whose coset of
+    # Z (1, 0) holds the one sample k = 0: unconfirmed, not "window too small"
+    def series(functional, ms, extra=()):
+        return {"window": {"functional": functional, "bound": "4"},
+                "terms": _poly_obj([((m, 0), c) for m, c in ms] + list(extra))}
+
+    doc = {"kind": "reexpand", "c0": [1, 0], "f": _GEOMETRIC2,
+           "s_minus": series([-1, 1], [(m, -1) for m in range(-4, 0)]),
+           "s_plus": series([1, 1], [(m, 1) for m in range(5)], [((0, 4), 7)])}
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 1
+    report = json.loads(out)
+    assert [(c["representative"], c["k_lo"], c["k_hi"], c["fit"] is None)
+            for c in report["cosets"]] == [([0, 0], -4, 4, False), ([0, 4], 0, 0, True)]
+    assert report["all_fit"] is False and report["confirmed"] is False
+    # a search box that admits no period still fails where there is a table
+    status, out = _run(tmp_path, capsys, dict(doc, max_period=0))
+    assert status == 2
+    assert json.loads(out)["error"] == {"message": "window too small", "path": None}
 
 
 # -- appendix-a / selfcheck ---------------------------------------------------

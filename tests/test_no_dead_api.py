@@ -1,23 +1,24 @@
-"""No dead API: every function, method and class defined in ``src/wallx``
-(dunders aside) is referenced by a name, an attribute or an import in the
-sources of ``src/wallx`` or of the benchmark modules in ``perfbench``,
-outside its own definition; in ``perfbench``, which names the methods its
-tracer wraps as strings, a string constant counts too.  A name that only
-tests call is not part of what the program does, so it is deleted rather
-than kept for them; no name is exempt.  Conversely, every function and
-method that the benchmark's tracer wraps by name is defined where the tracer
-looks for it.
+"""No dead API: every function and method defined in ``src/wallx``, nested
+ones included, is called when the pinned golden documents run: each
+``GOLDEN_RUNS`` entry and each ``malformed.json`` entry goes through
+``cli.main`` in process, as its pinning test runs it, under
+``sys.setprofile``.  A function that only tests call is not part of what
+the program does, so it is deleted rather than kept for them; a live one
+that no document reaches gets a golden document.  ``__repr__``, ``__eq__``
+and ``__hash__`` are exempt by rule.  The only other exemption is computed:
+a method that the benchmark's tracer wraps by name and that no document
+reaches.  That set is pinned to ``LatticeSpec.gamma_walls``, which waits
+for the tracer to drop it.  Conversely, every function and method that
+the tracer wraps by name is defined where the tracer looks for it.
 
 No record-only data: every field of an ``@dataclass`` class in ``src/wallx``
 is read by an attribute load in those sources or in ``perfbench``, outside
 the class's own ``__post_init__`` (namedtuples are read by unpacking, so
-they are left out).  Like the definition guard, this one matches by bare
-name, so a dead field or method whose name is also read on some other
-object passes it.
+they are left out).  This guard matches by bare name, so a dead field whose
+name is also read on some other object passes it.
 
 No unused import: a module reads every name it imports, unless its
-``__all__`` exports it.  Without this an import alone, which the dead-API
-guard counts as a reference, could keep a dead definition alive.
+``__all__`` exports it.
 
 One home for L: a series or a window carries its functional, so no public
 function takes a ``LinearFunctional`` parameter beside a ``LaurentSeries`` or
@@ -30,77 +31,106 @@ a work-budget message."""
 
 import ast
 import importlib
+import importlib.util
+import json
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import wallx
+from wallx import cli
+
+from conftest import GOLDEN, GOLDEN_RUNS
 
 SRC = Path(wallx.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EXEMPT_DUNDERS = {"__repr__", "__eq__", "__hash__"}
 
 
-def _is_dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
+def _definitions(path: Path) -> dict:
+    """{(path, first line): qualified name} for every function and method in
+    the file, nested ones included.  A decorated one starts at its first
+    decorator, as its code object's ``co_firstlineno`` does."""
+    found = {}
 
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    line = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                    found[(path, line)] = name
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
 
-def _references(node, strings: bool = False) -> Counter:
-    """Every name, attribute name and imported name under node, and with
-    ``strings`` every string constant."""
-    found = Counter()
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            found[child.id] += 1
-        elif isinstance(child, ast.Attribute):
-            found[child.attr] += 1
-        elif isinstance(child, ast.alias):
-            found[child.name.rpartition(".")[2]] += 1
-        elif strings and isinstance(child, ast.Constant) and isinstance(child.value, str):
-            found[child.value] += 1
+    path = path.resolve()
+    visit(ast.parse(path.read_text(), str(path)), "")
     return found
 
 
-def _unreferenced(defining: dict, others: list):
-    """(label, line, name) for each non-dunder definition in the trees of
-    ``defining`` ({label: tree}) that neither those trees, outside the
-    definition itself, nor the trees in ``others``, string constants
-    included, refer to."""
-    everywhere = sum((_references(t) for t in defining.values()), Counter())
-    everywhere += sum((_references(t, strings=True) for t in others), Counter())
-    for label, tree in defining.items():
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not _is_dunder(node.name)
-                    and everywhere[node.name] == _references(node)[node.name]):
-                yield label, node.lineno, node.name
+def _uncalled(paths, run) -> dict:
+    """The definitions in the files ``paths`` (as ``_definitions`` gives
+    them) whose code ``run()`` never calls."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    called = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in codes}
+    return {key: name for p in paths for key, name in _definitions(p).items()
+            if key not in called}
 
 
-def test_guard_finds_only_the_unreferenced_definition():
-    source = ("def used():\n    return 1\n\n"
-              "def dead():\n    return dead()\n\n"
-              "class K:\n    def m(self):\n        return used()\n\n"
-              "    def __len__(self):\n        return 0\n")
-    caller = "from mod import K\nK().m()\n"
-    found = _unreferenced({"mod": ast.parse(source)}, [ast.parse(caller)])
-    assert list(found) == [("mod", 4, "dead")]
+def test_call_map_finds_only_the_uncalled_function(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text("import functools\n\n"
+                    "@functools.cache\ndef called():\n"
+                    "    def inner():\n        return 1\n    return inner()\n\n"
+                    "def uncalled():\n    return 2\n")
+    spec = importlib.util.spec_from_file_location("synthetic", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert _uncalled([path], module.called) == {(path.resolve(), 9): "uncalled"}
 
 
-def test_guard_counts_strings_in_the_other_trees_only():
-    # a tracer that wraps a method by name, as perfbench/tracing.py does;
-    # a string in the defining tree itself (a docstring, a message) is no use
-    source = ("class K:\n    def wrapped(self):\n        return 1\n\n"
-              "    def named(self):\n        return 'named'\n")
-    tracer = "METHODS = [('mod', 'K', 'wrapped')]\n"
-    found = _unreferenced({"mod": ast.parse(source)}, [ast.parse(tracer)])
-    assert list(found) == [("mod", 5, "named")]
+def _run_golden_documents(tmp_path):
+    """Every pinned golden run and malformed document through cli.main, each
+    with the exit its pinning test expects.  A memoized function runs only
+    on its first call in the process, so each module-level functools cache
+    in wallx is emptied first."""
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "wallx":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    for name, argv, code, _ in GOLDEN_RUNS:
+        assert cli.main(["--input", str(GOLDEN / f"{name}.json"), *argv]) == code, name
+    doc = tmp_path / "doc.json"
+    for name, case in json.loads((GOLDEN / "malformed.json").read_text()).items():
+        doc.write_text(json.dumps(case["document"]))
+        assert cli.main(["--input", str(doc)]) == case["exit"], name
 
 
-def test_every_definition_in_wallx_is_used_by_the_program():
-    sources = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
-    bench = [ast.parse(p.read_text(), str(p)) for p in sorted(BENCH.glob("*.py"))]
-    assert sources and bench
-    found = {name: (label, line) for label, line, name in _unreferenced(sources, bench)}
-    assert not found, f"defined but used only by tests, or not at all: {found}"
+def test_every_definition_in_wallx_is_used_by_the_program(tmp_path, capsys):
+    uncalled = _uncalled(sorted(SRC.glob("*.py")), lambda: _run_golden_documents(tmp_path))
+    capsys.readouterr()
+    found = {(key[0].name, name) for key, name in uncalled.items()
+             if name.rpartition(".")[2] not in EXEMPT_DUNDERS}
+    names = _tracer_names()
+    traced = {(f"{mod}.py", attr) for mod, attr in names["FUNCTIONS"]}
+    traced |= {(f"{mod}.py", f"{cls}.{attr}") for mod, cls, attr in names["METHODS"]}
+    # kept only while the tracer wraps it; dropping it from METHODS fails
+    # this until the method is deleted
+    assert found & traced == {("lattice.py", "LatticeSpec.gamma_walls")}
+    assert not found - traced, f"no golden document calls: {sorted(found - traced)}"
 
 
 def _is_dataclass(node) -> bool:

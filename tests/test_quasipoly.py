@@ -601,7 +601,7 @@ def _reference_reexpand(f, s_minus, s_plus, c0, max_period, max_degree):
         for k in range(k_lo, k_hi + 1):
             e = tuple(x + k * y for x, y in zip(rep, c0))
             samples[k] = s_plus.coeff(e) - s_minus.coeff(e)
-        fit = detect_quasipoly(samples, max_period, max_degree)
+        fit = detect_quasipoly(samples, max_period, max_degree) if len(samples) > 1 else None
         cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
                        "fit": None if fit is None else qp_to_obj(fit)})
     all_fit = all(coset["fit"] is not None for coset in cosets)

@@ -200,8 +200,11 @@ def test_random_divide_multiply_roundtrip():
 def test_series_addition_requires_same_functional():
     a = LaurentSeries({(0,): fr(1)}, Window(L_UP, fr(3)))
     b = LaurentSeries({(0,): fr(1)}, Window(L_DOWN, fr(3)))
-    with pytest.raises(InputError, match="window functional mismatch"):
-        a + b
+    # a sum or difference of series needs one window, bound included
+    for other in (b, LaurentSeries({(0,): fr(1)}, Window(L_UP, fr(2)))):
+        for op in (lambda: a + other, lambda: a - other):
+            with pytest.raises(InputError, match="series windows differ"):
+                op()
 
 
 def test_series_constructor_truncates_and_strips():
@@ -367,11 +370,10 @@ def test_sum_keeps_coset_window_and_products_reject_it():
     assert total.window == Window(L, fr(6), diagonal)
     assert dict(total.terms()) == {(0, 0): 2}
     plain = expand(f, Window(L, fr(4)))
-    assert (s + plain).window == Window(L, fr(4), diagonal)
-    assert (plain - s).window == Window(L, fr(4), diagonal)
     shifted = expand(f, Window(L, fr(6), Coset((1, 0), ((1, 1),))))
-    with pytest.raises(InputError, match="cosets differ"):
-        s + shifted
+    for other in (plain, shifted):
+        with pytest.raises(InputError, match="series windows differ"):
+            s + other
     for op in (lambda: multiply(s, plain), lambda: multiply(plain, s),
                lambda: divide(s, plain), lambda: divide(plain, s),
                lambda: mul_series_polynomial(s, f.denominator),
@@ -726,8 +728,13 @@ def test_operations_keep_the_window_invariant(case):
     s1, s2 = _expand_past_low(f1, L, k1), _expand_past_low(f2, L, k2)
     c1 = _expand_past_low(f1, L, k1, _INV_COSETS[len(L.coeffs)])
     f_sum = RationalFunction(g1 * h2 + g2 * h1, h1 * h2)
-    cases = [(s1, f1), (s2, f2), (s1 + s2, f_sum), (multiply(s1, s2), f1 * f2),
+    # a sum needs one window: both operands cut to the smaller one
+    low = Window(L, min(s1.bound, s2.bound))
+    on_coset = Window(L, min(c1.bound, s2.bound), c1.window.coset)
+    r1, r2 = (LaurentSeries(dict(s.terms()), low) for s in (s1, s2))
+    d1, d2 = (LaurentSeries(dict(s.terms()), on_coset) for s in (c1, s2))
+    cases = [(s1, f1), (s2, f2), (r1 + r2, f_sum), (multiply(s1, s2), f1 * f2),
              (divide(s1, s2), RationalFunction(g1 * h2, h1 * g2)),
-             (c1, f1), (c1 + s2, f_sum), (s2 + c1, f_sum)]
+             (c1, f1), (d1 + d2, f_sum), (d2 + d1, f_sum)]
     for s, f in cases:
         _assert_window_invariant(s, f)

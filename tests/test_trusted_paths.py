@@ -116,13 +116,19 @@ def test_series_operations_stay_well_formed(f, g, p, b1, b2):
     except InputError:  # every term beyond the window
         assume(False)
     diagonal = Coset((0, 0), ((1, 1),))
-    results = [s1, s2, s1 + s2, s1 - s1, s1.scale(0), -s1,
+
+    def cut(window, *series):  # a sum needs one window
+        return [LaurentSeries(dict(s.terms()), window) for s in series]
+
+    t1, t2 = cut(Window(_L, min(b1, b2)), s1, s2)
+    results = [s1, s2, t1 + t2, t1 - t2, s1 - s1, s1.scale(0), -s1,
                multiply(s1, s2), mul_series_polynomial(s1, p)]
     if s2.terms():
         results.append(divide(s1, s2))
     try:
         c1, c2 = _expand(f, b1, diagonal), _expand(g, b2, diagonal)
-        results += [c1, c2, c1 + c2, c1 + s2]
+        d1, d2, d3 = cut(Window(_L, min(b1, b2), diagonal), c1, c2, s2)
+        results += [c1, c2, d1 + d2, d1 + d3]
     except InputError:  # the coset window keeps no term
         pass
     for s in results:
