@@ -27,11 +27,20 @@ GOLDEN_RUNS = [
     ("expand_rational", ("--format", "table"), 0, "expand_rational_table"),
     # 1/(1 - x - y) on the coset (0, 0) + Z (1, 1) of L = (1, 1)
     ("expand_coset", (), 0, "expand_coset"),
+    # the same function on the coset lattice spanned by (2, 0) and (1, 1),
+    # whose echelon form needs a Euclid step
+    ("expand_coset_two_generators", (), 0, "expand_coset_two_generators"),
+    # the --window flag overriding a document's rational bound
+    ("expand_rational", ("--window", "3"), 0, "expand_rational_window"),
     # a window bound whose decimal exponent is past 4300
     ("expand_huge_exponent", (), 2, "expand_huge_exponent"),
     # every coefficient 10**4300, one digit more than str(int) will write
     ("expand_digit_limit", (), 2, "expand_digit_limit"),
     # period 3, degree 2, samples from n = -7 with rational values
+    # 1/(1 - x) against its expansion at L = (1), bound 4, and against the
+    # same terms with the coefficient at [3] set to 2
+    ("verify_confirmed", (), 0, "verify_confirmed"),
+    ("verify_refuted", (), 1, "verify_refuted"),
     ("detect_fit", (), 0, "detect_fit"),
     ("detect_nofit", (), 1, "detect_nofit"),
     # two cosets whose differences fit period 2
@@ -42,6 +51,8 @@ GOLDEN_RUNS = [
     # passes and has no first_discrepancy key, and beta [2] is (3/4 q1^2 q2 -
     # 5/4 q1 q2^2)/(1 - q1^2 q2^2), which fails first at exponent [1, 2]
     ("dualize_family", (), 1, "dualize_family"),
+    # one class on the same lattice, whose duality swaps the point coordinates
+    ("dualize_class", (), 0, "dualize_class"),
     # rank-0 x against a rank -1 y on the two-generator lattice under
     # beta_cap [2, 1] and deg_cap 5
     ("bracket", (), 0, "bracket"),
@@ -58,6 +69,8 @@ GOLDEN_RUNS = [
     # and the worked-model table
     ("selfcheck", (), 0, "selfcheck"),
     ("selfcheck", ("--format", "table"), 0, "selfcheck_table"),
+    # the --seed flag overriding the default seed
+    ("selfcheck", ("--seed", "7"), 0, "selfcheck_seed"),
     ("appendix_a_table", ("--format", "table"), 0, "appendix_a_table"),
 ]
 
