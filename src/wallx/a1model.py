@@ -58,7 +58,8 @@ class A1Model:
     (-1)^m (m + 1).  ``orbifold_layer`` is the curve-row data on one side
     and ``shared_layer`` is the common rational function whose two
     one-sided expansions are the report columns; the other side's curve
-    row equals ``shared_layer`` directly.
+    row equals ``shared_layer`` directly.  The report's normalization (the
+    two point degrees and l of the curve) is read off ``lattice``.
 
     The resolution-side classes (r, beta, (m, n)) are C_h = (0, (1,), (0, 1)),
     C_v = (0, (0,), (0, 1)) and p = (0, (0,), (1, 1)).  p - C_v is the first
@@ -72,7 +73,6 @@ class A1Model:
     point_row: RationalFunction
     orbifold_layer: RationalFunction
     shared_layer: RationalFunction
-    normalization: dict
 
     def point_plus_exponent(self):
         return (1,) + (0,) * (self.lattice.rank0 - 1)
@@ -124,7 +124,6 @@ def build_a1() -> A1Model:
         point_row=RationalFunction(one, square),
         orbifold_layer=RationalFunction(layer_top, square * square),
         shared_layer=RationalFunction(layer_top, square),
-        normalization={"deg_point_plus": 1, "deg_point_minus": 1, "l_curve": 2},
     )
 
 
@@ -210,7 +209,9 @@ def run_a1(report_window: int) -> dict:
     report = {
         "model": "transverse-a1",
         "window": w,
-        "normalization": dict(model.normalization),
+        "normalization": {"deg_point_plus": model.lattice.deg[1],
+                          "deg_point_minus": model.lattice.deg[2],
+                          "l_curve": model.lattice.l[0]},
         "lattice_fingerprint": model.lattice.fingerprint(),
         "steps": steps,
         "table": [{"m": m,

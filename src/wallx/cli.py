@@ -4,9 +4,10 @@ A problem document is a JSON object with a ``kind`` field naming the
 operation and kind-specific payload fields next to it.  Reports are
 printed to standard output with sorted keys and a fixed indent, so equal
 documents always produce byte-identical output.  Exit status: 0 for
-success or a positive verification verdict, 1 for a negative verdict,
-2 for input or schema errors (one found while parsing names its JSON
-path), 3 for an internal error or a closed standard output.
+success or a positive verification verdict, 1 for a negative verdict
+(a report whose key in ``VERDICTS`` is false), 2 for input or schema
+errors (one found while parsing names its JSON path, a bad flag the path
+"argv"), 3 for an internal error or a closed standard output.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, jsonio
@@ -41,12 +41,8 @@ from .wallcross import (SeedSeries, WallDatum, cross_wall, dtpt_ratio,
                         wall_from_obj)
 
 SELFCHECK_SEED = 20260823
-
-
-@dataclass(frozen=True)
-class _Options:
-    window: Fraction | None
-    seed: int | None
+# a report holding one of these keys as false is a negative verdict: exit 1
+VERDICTS = ("found", "verified", "all_ok", "confirmed", "ok")
 
 
 def _doc_lattice(doc) -> LatticeSpec:
@@ -61,10 +57,10 @@ def _doc_truncation(doc, spec, required: bool):
     return trunc
 
 
-def _doc_window(doc, opts: _Options) -> Window:
+def _doc_window(doc, args) -> Window:
     window = jsonio.field(doc, "window", "document", window_from_obj)
-    if opts.window is not None:
-        window = Window(window.functional, opts.window, window.coset)
+    if args.window is not None:
+        window = Window(window.functional, args.window, window.coset)
     return window
 
 
@@ -76,29 +72,28 @@ def _doc_fit_limits(doc) -> tuple[int, int]:
 
 # -- handlers, one per document kind ------------------------------------------
 
-def _run_expand(doc, opts):
+def _run_expand(doc, args):
     f = jsonio.field(doc, "f", "document", rational_function_from_obj)
-    window = _doc_window(doc, opts)
+    window = _doc_window(doc, args)
     series = expand(f, window)
-    return {"series": series_to_obj(series)}, 0
+    return {"series": series_to_obj(series)}
 
 
-def _run_verify(doc, opts):
+def _run_verify(doc, args):
     f = jsonio.field(doc, "f", "document", rational_function_from_obj)
     series = jsonio.field(doc, "series", "document", series_from_obj,
                           f.numerator.nvars)
-    verified = verify_expansion(series, f)
-    return {"verified": verified}, 0 if verified else 1
+    return {"verified": verify_expansion(series, f)}
 
 
-def _run_resum(doc, opts):
+def _run_resum(doc, args):
     if "group" in doc:
         spec = _doc_lattice(doc)
         group = jsonio.field(doc, "group", "document", group_from_obj, spec)
         trunc = _doc_truncation(doc, spec, required=False)
         out = group_resum(group, trunc)
         return {"lattice_fingerprint": spec.fingerprint(),
-                "rational_function": rational_function_to_obj(out)}, 0
+                "rational_function": rational_function_to_obj(out)}
     a = jsonio.field(doc, "quasipoly", "document", qp_from_obj)
     monos = jsonio.field(doc, "monomials", "document", jsonio.parse_list,
                          jsonio.parse_int_vector,
@@ -111,7 +106,7 @@ def _run_resum(doc, opts):
     else:
         out = resum_chain(a, ChainPattern(a.vars, frozenset(equalities)),
                           monos, grading)
-    return {"rational_function": rational_function_to_obj(out)}, 0
+    return {"rational_function": rational_function_to_obj(out)}
 
 
 def _pattern_equalities(obj, path):
@@ -123,20 +118,19 @@ def _sample(obj, path):
             jsonio.field(obj, "value", path, jsonio.parse_rational))
 
 
-def _run_detect(doc, opts):
+def _run_detect(doc, args):
     samples = jsonio.field(doc, "samples", "document", jsonio.parse_keyed,
                            _sample, "n", message="samples must be a list",
                            duplicate="duplicate sample n")
     fit = detect_quasipoly(samples, *_doc_fit_limits(doc))
-    report = {"found": fit is not None,
-              "fit": None if fit is None else qp_to_obj(fit)}
-    return report, 0 if fit is not None else 1
+    return {"found": fit is not None,
+            "fit": None if fit is None else qp_to_obj(fit)}
 
 
 _PRODUCTS = {"bracket": bracket, "star": star_product, "naive": naive_product}
 
 
-def _run_bracket(doc, opts):
+def _run_bracket(doc, args):
     spec = _doc_lattice(doc)
     x = jsonio.field(doc, "x", "document", element_from_obj, spec)
     y = jsonio.field(doc, "y", "document", element_from_obj, spec)
@@ -147,20 +141,20 @@ def _run_bracket(doc, opts):
     trunc = _doc_truncation(doc, spec, required=False)
     out = _PRODUCTS[operation](x, y, trunc)
     return {"lattice_fingerprint": spec.fingerprint(),
-            "operation": operation, "element": element_to_obj(out)}, 0
+            "operation": operation, "element": element_to_obj(out)}
 
 
-def _run_exp_ad(doc, opts):
+def _run_exp_ad(doc, args):
     spec = _doc_lattice(doc)
     w = jsonio.field(doc, "w", "document", element_from_obj, spec)
     x = jsonio.field(doc, "x", "document", element_from_obj, spec)
     trunc = _doc_truncation(doc, spec, required=True)
     out = exp_ad(w, x, trunc)
     return {"lattice_fingerprint": spec.fingerprint(),
-            "element": element_to_obj(out)}, 0
+            "element": element_to_obj(out)}
 
 
-def _run_wallcross(doc, opts):
+def _run_wallcross(doc, args):
     spec = _doc_lattice(doc)
     seed = jsonio.field(doc, "seed", "document", seed_from_obj, spec)
     walls = jsonio.field(doc, "walls", "document", jsonio.parse_list,
@@ -168,15 +162,15 @@ def _run_wallcross(doc, opts):
     trunc = _doc_truncation(doc, spec, required=True)
     final = iterate_walls(seed, walls, trunc)
     return {"lattice_fingerprint": spec.fingerprint(),
-            "seed": seed_to_obj(final)}, 0
+            "seed": seed_to_obj(final)}
 
 
-def _run_dtpt(doc, opts):
+def _run_dtpt(doc, args):
     dt = jsonio.field(doc, "dt", "document", rational_function_from_obj)
     dt_zero = jsonio.field(doc, "dt_zero", "document", rational_function_from_obj)
-    window = _doc_window(doc, opts)
+    window = _doc_window(doc, args)
     ratio = dtpt_ratio(expand(dt, window), expand(dt_zero, window))
-    return {"series": series_to_obj(ratio)}, 0
+    return {"series": series_to_obj(ratio)}
 
 
 def _family_member(obj, path, spec):
@@ -184,7 +178,7 @@ def _family_member(obj, path, spec):
             jsonio.field(obj, "f", path, rational_function_from_obj, spec.rank0))
 
 
-def _run_dualize(doc, opts):
+def _run_dualize(doc, args):
     spec = _doc_lattice(doc)
     report = {"lattice_fingerprint": spec.fingerprint()}
     if "family" in doc:
@@ -193,42 +187,36 @@ def _run_dualize(doc, opts):
                               message="family must be a list",
                               duplicate="duplicate family beta")
         report.update(duality_check(family, spec))
-        return report, 0 if report["all_ok"] else 1
+        return report
     x = jsonio.field(doc, "class", "document", kclass_from_obj, spec)
     report["image"] = kclass_to_obj(spec.dualize(x))
-    return report, 0
+    return report
 
 
-def _run_reexpand(doc, opts):
+def _run_reexpand(doc, args):
     f = jsonio.field(doc, "f", "document", rational_function_from_obj)
     nvars = f.numerator.nvars
     s_minus = jsonio.field(doc, "s_minus", "document", series_from_obj, nvars)
     s_plus = jsonio.field(doc, "s_plus", "document", series_from_obj, nvars)
     c0 = jsonio.field(doc, "c0", "document", jsonio.parse_int_vector, nvars)
-    report = reexpand_check(f, s_minus, s_plus, c0, *_doc_fit_limits(doc))
-    return report, 0 if report["confirmed"] else 1
+    return reexpand_check(f, s_minus, s_plus, c0, *_doc_fit_limits(doc))
 
 
-def _run_appendix_a(doc, opts):
-    if opts.window is not None:
-        if opts.window.denominator != 1:
-            raise InputError("report window must be an integer", "--window")
-        window = int(opts.window)
-    else:
-        window = jsonio.field(doc, "window", "document", jsonio.parse_int,
-                              default=10)
-    report = run_a1(window)
-    return report, 0 if report["ok"] else 1
+def _run_appendix_a(doc, args):
+    if args.window is None:
+        return run_a1(jsonio.field(doc, "window", "document", jsonio.parse_int,
+                                   default=10))
+    if args.window.denominator != 1:
+        raise InputError("report window must be an integer", "--window")
+    return run_a1(int(args.window))
 
 
-def _run_selfcheck(doc, opts):
-    if opts.seed is not None:
-        seed = opts.seed
-    else:
+def _run_selfcheck(doc, args):
+    seed = args.seed
+    if seed is None:
         seed = jsonio.field(doc, "seed", "document", jsonio.parse_int,
                             default=SELFCHECK_SEED)
-    report = _selfcheck(seed)
-    return report, 0 if report["ok"] else 1
+    return _selfcheck(seed)
 
 
 _HANDLERS = {
@@ -451,10 +439,15 @@ def render_report(report, fmt: str) -> str:
     return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad flag gets a JSON report, not usage
+        raise InputError(message, "argv")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared with main()."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wallx",
         description="Run one exact wall-crossing problem document.")
     parser.add_argument("--input", metavar="FILE",
@@ -469,18 +462,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         doc = _load_document(args.input)
         kind = jsonio.field(doc, "kind", "document", jsonio.parse_choice,
                             _HANDLERS, "unknown document kind")
-        window = None
         if args.window is not None:
-            window = jsonio.parse_rational(args.window, "--window")
-        opts = _Options(window=window, seed=args.seed)
-        payload, status = _HANDLERS[kind](doc, opts)
+            args.window = jsonio.parse_rational(args.window, "--window")
         report = {"kind": kind, "tool": {"name": "wallx", "version": __version__}}
-        report.update(payload)
+        report.update(_HANDLERS[kind](doc, args))
+        status = 1 if any(not report.get(key, True) for key in VERDICTS) else 0
         try:
             text = render_report(report, args.format)
         except ValueError:  # json.dumps and str refuse an int that long

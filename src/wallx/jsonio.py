@@ -5,8 +5,8 @@ ints are accepted on input wherever a rational is expected.  Floats are
 rejected everywhere.  Parsers take a ``path`` argument so schema errors can
 point at the offending entry.  Only this module extends a path (``field``
 with a key, ``parse_list`` with an index), so each key is named once, and
-only these two locate errors: an ``InputError`` raised without a path
-while a field or list entry is parsed is raised again at its path.
+errors are located in one place, ``_at``: an ``InputError`` raised without
+a path while a field or list entry is parsed is raised again at its path.
 """
 
 from __future__ import annotations
@@ -26,6 +26,16 @@ _MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
 
 
+def _at(path: str, parse, value, *args, **kwargs):
+    """``parse(value, path, ...)``, with an unlocated error raised again at ``path``."""
+    try:
+        return parse(value, path, *args, **kwargs)
+    except InputError as err:
+        if err.path is not None:
+            raise
+        raise InputError(err.message, path) from None
+
+
 def field(obj, key: str, path: str, parse, *args, default=_REQUIRED, **kwargs):
     """Parse ``obj[key]`` at the path ``<path>.<key>``.
 
@@ -39,12 +49,7 @@ def field(obj, key: str, path: str, parse, *args, default=_REQUIRED, **kwargs):
         if default is _REQUIRED:
             raise InputError(f"missing required key {key!r}", path)
         return default
-    try:
-        return parse(obj[key], f"{path}.{key}", *args, **kwargs)
-    except InputError as err:
-        if err.path is not None:
-            raise
-        raise InputError(err.message, f"{path}.{key}") from None
+    return _at(f"{path}.{key}", parse, obj[key], *args, **kwargs)
 
 
 def parse_list(value, path: str, parse_item, *args, message: str) -> tuple:
@@ -54,15 +59,7 @@ def parse_list(value, path: str, parse_item, *args, message: str) -> tuple:
     """
     if not isinstance(value, list):
         raise InputError(message.format(type=type(value).__name__), path)
-    out = []
-    for i, v in enumerate(value):
-        try:
-            out.append(parse_item(v, f"{path}[{i}]", *args))
-        except InputError as err:
-            if err.path is not None:
-                raise
-            raise InputError(err.message, f"{path}[{i}]") from None
-    return tuple(out)
+    return tuple(_at(f"{path}[{i}]", parse_item, v, *args) for i, v in enumerate(value))
 
 
 def parse_keyed(value, path: str, parse_entry, key: str, *args, message: str,

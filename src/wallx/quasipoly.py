@@ -100,10 +100,11 @@ class QuasiPolynomial:
         """Largest power of variable i across the table; -1 for the zero table."""
         if not 0 <= i < self.vars:
             raise InputError("variable index out of range")
-        return max(poly.degree_in_var(i) for poly in self.table.values())
+        return max((e[i] for terms in self._scaled[0].values() for _, e in terms),
+                   default=-1)
 
     def is_zero(self) -> bool:
-        return all(poly.is_zero() for poly in self.table.values())
+        return not any(self._scaled[0].values())
 
 
 def _difference(values: list, indices, step: int) -> None:

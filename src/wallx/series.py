@@ -311,12 +311,6 @@ class LaurentPolynomial(_Sparse):
             n >>= 1
         return out
 
-    def degree_in_var(self, i: int) -> int:
-        """Largest exponent of variable i, or -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(e[i] for e in self._terms)
-
     def map_exponents(self, fn: Callable[[Exponent], Exponent],
                       nvars_out: int) -> "LaurentPolynomial":
         """Push exponents through fn, summing collisions."""

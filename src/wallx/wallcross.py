@@ -128,15 +128,14 @@ class GroupSpec:
         return len(self.betas)
 
 
-def _validate_group(group: GroupSpec, trunc: Truncation | None):
+def _validate_group(group: GroupSpec, trunc: Truncation | None) -> ChainPattern:
     spec = group.context
     r = group.r
     if len(group.kappas) != r or len(group.J_values) != r:
         raise InputError("group position lists must have equal length")
     if group.alpha_prime.r != -1:
         raise InputError("group seed class must have rank -1")
-    if not group.equalities <= set(range(1, r)):
-        raise InputError("equality positions must lie strictly inside the chain")
+    pattern = ChainPattern(r, group.equalities)
     for b in group.betas:
         if not spec.is_effective(b):
             raise InputError("group curve classes must be effective")
@@ -154,6 +153,7 @@ def _validate_group(group: GroupSpec, trunc: Truncation | None):
                 raise InputError("equal-slope positions must have equal slopes")
         elif not nus[i - 1] - 1 < nus[i] <= nus[i - 1]:
             raise InputError("representative is not minimal for the slope chain")
+    return pattern
 
 
 def _b_factor(group: GroupSpec) -> QuasiPolynomial:
@@ -218,7 +218,7 @@ def _exponential_factor(group: GroupSpec) -> Fraction:
 def group_resum(group: GroupSpec, trunc: Truncation | None) -> RationalFunction:
     """Closed form of the group's total contribution as g/h in the point
     variables, at the fixed output class alpha' + sum alpha_i."""
-    _validate_group(group, trunc)
+    pattern = _validate_group(group, trunc)
     spec = group.context
     base_shift = tuple(
         c + sum(k[j] for k in group.kappas)
@@ -227,7 +227,6 @@ def group_resum(group: GroupSpec, trunc: Truncation | None) -> RationalFunction:
     for v in group.J_values:
         scalar *= v
     qp = _b_factor(group)
-    pattern = ChainPattern(group.r, group.equalities)
     monos = [spec.twist(b) for b in group.betas]
     inner = resum_chain(qp, pattern, monos, spec.point_degree_functional())
     g = inner.numerator.shift(base_shift).scale(scalar)

@@ -71,6 +71,8 @@ GOLDEN_RUNS = [
     ("selfcheck", ("--format", "table"), 0, "selfcheck_table"),
     # the --seed flag overriding the default seed
     ("selfcheck", ("--seed", "7"), 0, "selfcheck_seed"),
+    # a flag argparse refuses is a JSON error at the path "argv"
+    ("selfcheck", ("--seed", "abc"), 2, "selfcheck_bad_seed"),
     ("appendix_a_table", ("--format", "table"), 0, "appendix_a_table"),
 ]
 

@@ -847,6 +847,33 @@ def test_non_object_document_exits_two(tmp_path, capsys):
     assert json.loads(out)["error"]["path"] == "document"
 
 
+@pytest.mark.parametrize("argv, flag", [(("--format", "xml"), "--format"),
+                                        (("--bogus",), "--bogus")])
+def test_bad_flag_is_a_json_error_at_argv(tmp_path, capsys, argv, flag):
+    # argparse words a choice error differently across Python versions, so
+    # these reports are not byte-pinned
+    status, out = _run(tmp_path, capsys, {"kind": "selfcheck"}, argv)
+    assert status == 2
+    error = json.loads(out)["error"]
+    assert error["path"] == "argv" and flag in error["message"]
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: wallx")
+
+
+@pytest.mark.parametrize("key", cli.VERDICTS)
+def test_any_false_verdict_key_exits_one(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.setitem(cli._HANDLERS, "selfcheck", lambda doc, args: {key: False})
+    status, out = _run(tmp_path, capsys, {"kind": "selfcheck"})
+    assert status == 1 and json.loads(out)[key] is False
+    monkeypatch.setitem(cli._HANDLERS, "selfcheck", lambda doc, args: {key: True})
+    assert _run(tmp_path, capsys, {"kind": "selfcheck"})[0] == 0
+
+
 def test_module_entry_point_subprocess(tmp_path):
     doc = {"kind": "expand", "f": _GEOMETRIC,
            "window": {"functional": [1], "bound": "3"}}

@@ -170,6 +170,31 @@ def test_zero_qp_degree_sentinel():
     assert a.is_zero()
 
 
+@st.composite
+def _sparse_qp(draw):
+    """Period <= 3 in up to 3 variables; some residue classes, or all of
+    them, are zero, and a drawn zero coefficient leaves no term."""
+    r, period = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    everywhere_zero = draw(st.booleans())
+    exps = st.tuples(*[st.integers(0, 4)] * r)
+    coeff = st.sampled_from([0, 1, -2, fr(3, 5)])
+    table = {rho: _poly(r, {} if everywhere_zero or draw(st.booleans())
+                        else draw(st.dictionaries(exps, coeff, max_size=3)))
+             for rho in itertools.product(range(period), repeat=r)}
+    return QuasiPolynomial(r, period, table)
+
+
+@given(_sparse_qp())
+@settings(deadline=None, max_examples=150)
+def test_degree_and_is_zero_match_the_table_walk(a):
+    # the reference reads the LaurentPolynomial table: per residue class the
+    # largest exponent of variable i (-1 when the class is zero)
+    for i in range(a.vars):
+        assert a.degree(i) == max(max((e[i] for e, _ in poly.items()), default=-1)
+                                  for poly in a.table.values())
+    assert a.is_zero() == all(poly.is_zero() for poly in a.table.values())
+
+
 def test_orthant_geometric_closed_form():
     a = _qp_const(1, 1)
     f = resum_orthant(a, [(1,)], G1)
