@@ -27,7 +27,6 @@ from .lattice import LatticeSpec
 from .quasipoly import detect_quasipoly, reexpand_check
 from .series import (LaurentPolynomial, LinearFunctional, RationalFunction,
                      Window, _exponent, expand)
-from .wallcross import dtpt_ratio
 
 
 def behrend_smooth(dims) -> int:
@@ -152,11 +151,14 @@ def run_a1(report_window: int) -> dict:
     ms = range(m_lo, m_hi + 1)
 
     point_series = expand(model.point_row, Window(model.l_plus, w + 8))
-    orbifold_series = dtpt_ratio(
-        expand(model.orbifold_layer, Window(model.l_plus, w + 8)), point_series)
+    # DT/PT as one expansion of the quotient; reexpand_check reads its bound w + 8
+    orbifold_series = expand(model.orbifold_layer * RationalFunction(
+        model.point_row.denominator, model.point_row.numerator),
+        Window(model.l_plus, w + 8))
     resolution_series = expand(model.shared_layer, Window(model.l_minus, w + 4))
     orb = {m: orbifold_series.coeff((m, 4)) for m in ms}
     res = {m: resolution_series.coeff((m, 4)) for m in ms}
+    diff = {m: orb[m] - res[m] for m in ms}
 
     steps = []
 
@@ -176,14 +178,16 @@ def run_a1(report_window: int) -> dict:
                                for m in ms),
              checked=len(res))
 
-    fit = detect_quasipoly({m: orb[m] - res[m] for m in ms})
+    fit = detect_quasipoly(diff)
     if fit is None:
         fit_div = {"m": m_lo, "expected": "quasi-polynomial fit",
                    "actual": "no fit"}
         fit_detail = {}
-    else:
-        fit_div = _first_divergence((m, model.column_difference(m),
-                                     fit.eval((m,))) for m in ms)
+    else:  # the fit's int numerators against the closed form times den
+        values, den = fit.scaled_values([(m,) for m in ms])
+        fit_div = _first_divergence((m, model.column_difference(m), Fraction(v, den))
+                                    for m, v in zip(ms, values)
+                                    if v != model.column_difference(m) * den)
         fit_detail = {"period": fit.period, "degree": fit.degree(0)}
     add_step("difference quasi-polynomial", fit_div, **fit_detail)
 
@@ -217,7 +221,7 @@ def run_a1(report_window: int) -> dict:
         "table": [{"m": m,
                    "orbifold": format_rational(orb[m]),
                    "resolution": format_rational(res[m]),
-                   "difference": format_rational(orb[m] - res[m])}
+                   "difference": format_rational(diff[m])}
                   for m in ms],
         "point_row": [{"m": m, "value": format_rational(point_series.coeff((m, 0)))}
                       for m in range(0, w + 5)],

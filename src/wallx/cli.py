@@ -233,6 +233,8 @@ _HANDLERS = {
     "appendix-a": _run_appendix_a,
     "selfcheck": _run_selfcheck,
 }
+# the kinds whose handlers read each flag; any other kind refuses it (exit 2)
+_FLAG_KINDS = {"window": ("expand", "dtpt", "appendix-a"), "seed": ("selfcheck",)}
 
 
 # -- the selfcheck property suite ---------------------------------------------
@@ -467,6 +469,9 @@ def main(argv=None) -> int:
         doc = _load_document(args.input)
         kind = jsonio.field(doc, "kind", "document", jsonio.parse_choice,
                             _HANDLERS, "unknown document kind")
+        for flag, kinds in _FLAG_KINDS.items():
+            if getattr(args, flag) is not None and kind not in kinds:
+                raise InputError(f"--{flag} does not apply to kind '{kind}'", f"--{flag}")
         if args.window is not None:
             args.window = jsonio.parse_rational(args.window, "--window")
         report = {"kind": kind, "tool": {"name": "wallx", "version": __version__}}

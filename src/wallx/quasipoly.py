@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -321,11 +321,12 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
 
     z_c0 = Coset((0,) * len(c0), (c0,))
     (col, _), = z_c0.echelon
-    diffs = defaultdict(Counter)  # {rep: {k: s_plus - s_minus at rep + k c0}}
+    diffs = defaultdict(dict)  # {rep: {k: s_plus - s_minus at rep + k c0}}
     for s in (-s_minus, s_plus):
         for e, c in s.terms():
             rep = z_c0.representative(e)
-            diffs[rep][(e[col] - rep[col]) // c0[col]] += c
+            diff, k = diffs[rep], (e[col] - rep[col]) // c0[col]
+            diff[k] = diff[k] + c if k in diff else c
     ranges = [(rep, diff, math.ceil((s_minus.bound - L_minus(rep)) / down),
                math.floor((s_plus.bound - L_plus(rep)) / up))
               for rep, diff in sorted(diffs.items())]
@@ -334,7 +335,7 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     cosets = []
     for rep, diff, k_lo, k_hi in ranges:
         fit = None if k_hi <= k_lo else detect_quasipoly(
-            {k: diff[k] for k in range(k_lo, k_hi + 1)}, max_period, max_degree)
+            {k: diff.get(k, 0) for k in range(k_lo, k_hi + 1)}, max_period, max_degree)
         cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
                        "fit": None if fit is None else qp_to_obj(fit)})
     all_fit = all(coset["fit"] is not None for coset in cosets)

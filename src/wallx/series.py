@@ -146,7 +146,7 @@ def _exponent(exp) -> Exponent:
 def _coefficient(value) -> Fraction:
     if isinstance(value, float):  # not read as a binary fraction: no floats
         raise InputError(f"floats are not accepted as coefficients, got {value!r}")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)  # immutable: no copy
 
 
 def _accumulate(out: dict, pairs) -> dict:

@@ -43,6 +43,9 @@ GOLDEN_RUNS = [
     ("verify_refuted", (), 1, "verify_refuted"),
     ("detect_fit", (), 0, "detect_fit"),
     ("detect_nofit", (), 1, "detect_nofit"),
+    # --window and --seed on a kind whose handler reads neither: exit 2 at
+    # the first flag, not the unflagged report
+    ("detect_fit", ("--window", "3", "--seed", "5"), 2, "detect_fit_flags"),
     # two cosets whose differences fit period 2
     ("reexpand_confirmed", (), 0, "reexpand_confirmed"),
     # one corrupted coefficient, so its coset fits nothing

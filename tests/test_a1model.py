@@ -10,7 +10,9 @@ from wallx.a1model import (A1Model, behrend_smooth, build_a1, render_a1_table,
                            run_a1)
 from wallx.errors import InputError
 from wallx.lattice import KClass
+from wallx.quasipoly import detect_quasipoly
 from wallx.series import LaurentPolynomial, RationalFunction, Window, expand
+from wallx.wallcross import dtpt_ratio
 
 from conftest import fr
 
@@ -220,3 +222,78 @@ def test_run_a1_failure_report_names_first_divergence(monkeypatch):
     assert report["first_divergence"]["actual"] != "33"
     assert report["steps"][0]["ok"] is True
     assert report["steps"][1]["ok"] is False
+
+
+# -- DT/PT as one expansion ---------------------------------------------------
+
+@pytest.mark.parametrize("w", [*range(8, 41), 200])
+def test_orbifold_series_equals_the_divided_layer(monkeypatch, w):
+    """run_a1 expands the DT/PT quotient once; the reference divides the
+    layer's expansion by the point row's, as dtpt_ratio does.  Series
+    equality includes the window, so this pins the bound w + 8 as well."""
+    model, expanded = build_a1(), []
+
+    def spy(f, window):
+        expanded.append((f, window, expand(f, window)))
+        return expanded[-1][2]
+
+    monkeypatch.setattr(a1model, "expand", spy)
+    assert run_a1(w)["ok"] is True
+    (f, orbifold), = [(f, s) for f, window, s in expanded
+                      if window.functional == model.l_plus and f != model.point_row]
+    # the DT/PT quotient itself, not shared_layer, its equal as a function
+    assert (f.numerator, f.denominator) == (
+        model.orbifold_layer.numerator * model.point_row.denominator,
+        model.orbifold_layer.denominator * model.point_row.numerator)
+    point_series = _expand_layer(model, model.point_row, w + 8)
+    assert orbifold == dtpt_ratio(
+        _expand_layer(model, model.orbifold_layer, w + 8), point_series)
+
+
+def test_point_row_leads_with_one():
+    # the model fact that replaces dtpt_ratio's rank-zero check on this path
+    model = build_a1()
+    point_series = _expand_layer(model, model.point_row, 8)
+    lead = min(point_series.terms(),
+               key=lambda term: (model.l_plus(term[0]), term[0]))
+    assert lead == ((0, 0), 1)
+
+
+def test_run_a1_neither_divides_nor_calls_dtpt_ratio(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run_a1 divided a series")
+
+    assert not hasattr(a1model, "dtpt_ratio")
+    for target in ("wallx.series.divide", "wallx.wallcross.divide",
+                   "wallx.wallcross.dtpt_ratio"):
+        monkeypatch.setattr(target, refuse)
+    assert run_a1(20)["ok"] is True
+
+
+# -- the integer fit check ----------------------------------------------------
+
+def _reference_fit_step(model, report):
+    """The difference step as the per-m QuasiPolynomial.eval built it."""
+    ms = [entry["m"] for entry in report["table"]]
+    fit = detect_quasipoly({entry["m"]: Fraction(entry["difference"])
+                            for entry in report["table"]})
+    divergence = a1model._first_divergence(
+        (m, model.column_difference(m), fit.eval((m,))) for m in ms)
+    step = {"name": "difference quasi-polynomial", "ok": divergence is None}
+    if divergence is not None:
+        step["first_divergence"] = divergence
+    return dict(step, period=fit.period, degree=fit.degree(0))
+
+
+@pytest.mark.parametrize("bad, offset", [(None, 0), (3, 1), (-8, -2),
+                                         (12, fr(1, 2)), (0, fr(-7, 3))])
+def test_integer_fit_check_reports_what_eval_did(monkeypatch, bad, offset):
+    closed_form = A1Model.column_difference
+    monkeypatch.setattr(A1Model, "column_difference", lambda self, m: (
+        closed_form(self, m) + (offset if m == bad else 0)))
+    report = run_a1(8)
+    step = report["steps"][2]
+    assert step == _reference_fit_step(build_a1(), report)
+    assert step["ok"] is (bad is None) and report["ok"] is (bad is None)
+    if bad is not None:
+        assert step["first_divergence"]["m"] == bad

@@ -686,6 +686,24 @@ def test_reexpand_matches_the_probing_reference(case):
     assert outcome(reexpand_check) == outcome(_reference_reexpand)
 
 
+def test_reexpand_coset_with_equal_terms_matches_the_reference():
+    # 1/(1 - x)^2 plus 5/x: both expansions store 5 at x^-1, so the
+    # difference k + 1 is a stored 0 there, not a missing term
+    x = LaurentPolynomial.monomial((1,))
+    g = LaurentPolynomial.constant(1, 1) + LaurentPolynomial({(-1,): 5}, 1) * (
+        LaurentPolynomial.constant(1, 1) - x) ** 2
+    f = RationalFunction(g, (LaurentPolynomial.constant(1, 1) - x) ** 2)
+    s_minus = expand(f, Window(LinearFunctional((-1,)), 5))
+    s_plus = expand(f, Window(LinearFunctional((1,)), 4))
+    assert s_minus.coeff((-1,)) == s_plus.coeff((-1,)) == 5
+    report = reexpand_check(f, s_minus, s_plus, (1,))
+    assert report == _reference_reexpand(f, s_minus, s_plus, (1,), 4, 6)
+    assert report["confirmed"] is True
+    assert [coset["fit"]["table"] for coset in report["cosets"]] == [
+        [{"residues": [0], "poly": [{"exponent": [0], "coeff": "1"},
+                                     {"exponent": [1], "coeff": "1"}]}]]
+
+
 def test_qp_json_roundtrip():
     a = QuasiPolynomial(1, 2, {(0,): _poly(1, {(1,): fr(1, 2)}),
                                (1,): _poly(1, {(0,): -3})})

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wallx import series
 from wallx.errors import InputError
 from wallx.series import (
+    _coefficient,
     _divide_terms,
     _over_lcm,
     _series_product,
@@ -421,6 +422,20 @@ def test_constructors_reject_floats_and_fractional_exponents():
         LaurentPolynomial.monomial((1.0,))
     with pytest.raises(InputError, match="integer"):
         _poly1({0: 1}).shift((0.5,))
+
+
+def test_coefficient_keeps_a_fraction_and_converts_the_rest():
+    class Sub(Fraction):
+        pass
+
+    x = fr(-3, 7)
+    assert _coefficient(x) is x  # immutable, so not copied
+    with pytest.raises(InputError, match="float"):
+        _coefficient(1.5)
+    for value, want in [(2, fr(2)), (True, fr(1)), ("-3/4", fr(-3, 4)),
+                        (Sub(5, 2), fr(5, 2))]:
+        got = _coefficient(value)
+        assert type(got) is Fraction and got == want
 
 
 # -- the integer long-division kernel against a plain-Fraction reference -----
