@@ -6,15 +6,18 @@ combinations) over an orthant or a chain it closes up into a rational
 function.  With degree d_t in variable t the denominator is
 prod_t (1 - x_t^p)^(1 + d_t), and the numerator is the box
 prod_t [0, p(1 + d_t)) of values after that separable difference
-operator (Stanley, EC1 4.4).  A chain sum is the orthant sum over its
-increments, with tail degrees as the exponents.  Detection in sample
-sequences applies the same difference operator to each residue class and
-reads the class's polynomial off those differences in Newton's form.
-This module also checks re-expansion claims across a wall of gradings,
-one coset of Z c0 at a time; each coset is named by its point e with
-floor(e[i] / c0[i]) == 0 at c0's first nonzero entry i (the one pivot of
-``Coset.representative``).  Differences come off the stored terms, and
-one detection charge covers all cosets' sample ranges before any fit.
+operator (Stanley, EC1 4.4).  Each residue's polynomial is kept as one
+nested Horner table of int numerators over the table's one denominator,
+so a value is a run of integer multiply-adds.  A chain sum is the
+orthant sum over its increments, with tail degrees as the exponents.
+Detection in sample sequences applies the same difference operator to
+each residue class and reads the class's polynomial off those
+differences in Newton's form.  This module also checks re-expansion
+claims across a wall of gradings, one coset of Z c0 at a time; each
+coset is named by its point e with floor(e[i] / c0[i]) == 0 at c0's
+first nonzero entry i (the one pivot of ``Coset.representative``).
+Differences come off the stored terms, and one detection charge covers
+all cosets' sample ranges before any fit.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ class QuasiPolynomial:
     vars: int
     period: int
     table: Mapping[tuple[int, ...], LaurentPolynomial]
-    # each residue's (int numerator, exponent) terms over one denominator
-    _scaled: tuple = field(init=False, compare=False, repr=False)
+    # per residue a Horner table of int numerators (``_nest``), and their
+    # one denominator
+    _horner: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.period < 1:
@@ -73,14 +77,15 @@ class QuasiPolynomial:
         for rho, poly in table.items():
             if poly.nvars != self.vars:
                 raise InputError("table polynomial arity must match the variable count")
-            for e, _ in poly.items():
-                if any(k < 0 for k in e):
-                    raise InputError("table polynomials must have nonnegative exponents")
+            if any(k < 0 for e, _ in poly.items() for k in e):
+                raise InputError("table polynomials must have nonnegative exponents")
         object.__setattr__(self, "table", table)
         nums, den = _over_lcm(c for poly in table.values() for _, c in poly.items())
         nums = iter(nums)  # in the order of the table's terms
-        object.__setattr__(self, "_scaled", ({rho: [(next(nums), e) for e, _ in poly.items()]
-                                              for rho, poly in table.items()}, den))
+        tables = {rho: _nest(sorted([(e, next(nums)) for e, _ in poly.items()], reverse=True),
+                             0, self.vars)
+                  for rho, poly in table.items()}
+        object.__setattr__(self, "_horner", (tables, den))
 
     def eval(self, n) -> Fraction:
         n = _exponent(n)
@@ -91,20 +96,57 @@ class QuasiPolynomial:
 
     def scaled_values(self, points) -> tuple[list[int], int]:
         """a(n) at each integer point n, as int numerators over one denominator."""
-        p, (table, den) = self.period, self._scaled
-        return [sum(c * math.prod(x ** k for x, k in zip(n, e))
-                    for c, e in table[tuple(x % p for x in n)])
-                for n in points], den
+        p, (tables, den), last = self.period, self._horner, self.vars - 1
+        if last < 0:  # no variables: each table is its constant
+            return [tables[()] for _ in points], den
+        return [_evaluate(tables[tuple(x % p for x in n)], n, 0, last) for n in points], den
 
     def degree(self, i: int) -> int:
         """Largest power of variable i across the table; -1 for the zero table."""
         if not 0 <= i < self.vars:
             raise InputError("variable index out of range")
-        return max((e[i] for terms in self._scaled[0].values() for _, e in terms),
-                   default=-1)
+        *_, level = _levels(self._horner[0].values(), i + 1)
+        return max(map(len, level), default=0) - 1
 
     def is_zero(self) -> bool:
-        return not any(self._scaled[0].values())
+        return not any(self._horner[0].values())
+
+
+def _nest(terms, i: int, r: int):
+    """Horner table in variables i..r-1 of the terms (e, c), highest e first:
+    rows by power of x_i from the top one down to 0, each the table of its
+    coefficient; [] when zero, and an int when i == r (no variables)."""
+    if i == r:
+        return sum(c for _, c in terms)  # at most one term
+    top = terms[0][0][i] if terms else -1  # the exponents share e[:i]
+    if i == r - 1:  # the last variable's ints
+        rows = [0] * (1 + top)
+        for e, c in terms:
+            rows[top - e[i]] = c
+        return rows
+    rows = [[] for _ in range(1 + top)]
+    for e, c in terms:
+        rows[top - e[i]].append((e, c))
+    return [_nest(row, i + 1, r) for row in rows]
+
+
+def _levels(tables, depth: int):
+    """The rows of the given Horner tables at each of their top ``depth`` levels."""
+    for _ in range(depth):
+        yield tables
+        tables = [row for rows in tables for row in rows]
+
+
+def _evaluate(rows, n, i: int, last: int) -> int:
+    """A Horner table of variables i..last at the point n, by multiply-adds."""
+    x, acc = n[i], 0
+    if i == last:  # the last variable's ints, inline
+        for c in rows:
+            acc = acc * x + c
+    else:
+        for row in rows:
+            acc = acc * x + _evaluate(row, n, i + 1, last)
+    return acc
 
 
 def _difference(values: list, indices, step: int) -> None:
@@ -122,13 +164,17 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
     sum_j b(j) x^j is supported on the box prod_t [0, p(1 + degs[t])),
     since a (1 + d)-th difference of step p kills a degree-d polynomial on
     each residue class.  So g is the box of values b(j), taken as integers
-    over the lcm of the table's denominators, after the separable
-    difference (1 - x_t^p)^(1 + degs[t]) is applied one axis at a time;
-    then x_t becomes q^monos[t].
+    over the lcm of the table's denominators from its Horner tables, after
+    the separable difference (1 - x_t^p)^(1 + degs[t]) is applied one axis
+    at a time; then x_t becomes q^monos[t].  One resummation charge, made
+    before any point is evaluated, counts each box point's multiply-adds
+    in the largest residue table plus its sum(1 + degs[t]) differences.
     """
     p = a.period
+    steps = max(sum(sum(map(len, level)) for level in _levels([rows], a.vars))
+                for rows in a._horner[0].values())  # the largest table's multiply-adds
     sizes = [p * (1 + d) for d in degs]
-    charge("resummation", math.prod(sizes) * sum(1 + d for d in degs))
+    charge("resummation", math.prod(sizes) * (steps + sum(1 + d for d in degs)))
     box = list(itertools.product(*map(range, sizes)))
     values, den = a.scaled_values(map(point, box))
     stride = 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -314,6 +315,14 @@ _HUGE_DOCS = {
     # 100 cosets of about 200,000 samples each, within budget one at a time
     "reexpand_cosets": (_column_cosets_doc(100),
                         "work budget exceeded: detection took 1000000"),
+    # 9,261 terms, dense to degree 20 in 3 variables: 21**3 box points
+    # that each cost the 9,723 multiply-adds of the table's Horner form
+    "resum_evaluation": ({"kind": "resum", "monomials": [[1]] * 3, "grading": [1],
+                          "quasipoly": {"vars": 3, "period": 1, "table": [{
+                              "residues": [0, 0, 0],
+                              "poly": [{"exponent": list(e), "coeff": "1"}
+                                       for e in itertools.product(range(21), repeat=3)]}]}},
+                         "work budget exceeded: resummation"),
     # one table entry where 14**7, about 10**8, residue tuples are due
     "residue_table": ({"kind": "resum", "monomials": [[1]] * 7, "grading": [1],
                        "quasipoly": {"vars": 7, "period": 14, "table": [{

@@ -26,6 +26,7 @@ from wallx.series import (
     LinearFunctional,
     RationalFunction,
     Window,
+    _over_lcm,
     expand,
     verify_expansion,
 )
@@ -186,6 +187,13 @@ def _sparse_qp(draw):
 
 @given(_sparse_qp())
 @settings(deadline=None, max_examples=150)
+# x^2 y^3 + 1: the row of x^1 is empty below the nonzero row of x^2
+@example(QuasiPolynomial(2, 1, {(0, 0): _poly(2, {(2, 3): 1, (0, 0): 1})}))
+@example(QuasiPolynomial(0, 3, {(): _poly(0, {(): fr(2, 3)})}))
+@example(QuasiPolynomial(0, 1, {(): _poly(0, {})}))
+# the class (1, 0) mod 2 is zero, the other three are not
+@example(QuasiPolynomial(2, 2, {rho: _poly(2, {} if rho == (1, 0) else {(0, 4): rho[1] - 2})
+                                for rho in itertools.product(range(2), repeat=2)}))
 def test_degree_and_is_zero_match_the_table_walk(a):
     # the reference reads the LaurentPolynomial table: per residue class the
     # largest exponent of variable i (-1 when the class is zero)
@@ -193,6 +201,44 @@ def test_degree_and_is_zero_match_the_table_walk(a):
         assert a.degree(i) == max(max((e[i] for e, _ in poly.items()), default=-1)
                                   for poly in a.table.values())
     assert a.is_zero() == all(poly.is_zero() for poly in a.table.values())
+
+
+def _reference_scaled_values(a, points):
+    """The per-term evaluator that the Horner tables replaced, verbatim."""
+    nums, den = _over_lcm(c for poly in a.table.values() for _, c in poly.items())
+    nums = iter(nums)  # in the order of the table's terms
+    table = {rho: [(next(nums), e) for e, _ in poly.items()] for rho, poly in a.table.items()}
+    p = a.period
+    return [sum(c * math.prod(x ** k for x, k in zip(n, e))
+                for c, e in table[tuple(x % p for x in n)])
+            for n in points], den
+
+
+@st.composite
+def _qp_and_points(draw):
+    """Up to 3 variables and period 3, sparse terms of degree up to 7 and
+    some zero residue classes, at points with negative entries."""
+    r, period = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 7)] * r)
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    table = {rho: _poly(r, {} if draw(st.booleans())
+                        else draw(st.dictionaries(exps, coeff, max_size=4)))
+             for rho in itertools.product(range(period), repeat=r)}
+    points = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * r), max_size=6))
+    return QuasiPolynomial(r, period, table), points
+
+
+@given(_qp_and_points())
+@settings(deadline=None, max_examples=300)
+# only x^7 y^0 z^5, beside a zero class
+@example((QuasiPolynomial(3, 2, {rho: _poly(3, {(7, 0, 5): fr(-3, 4)} if rho == (1, 0, 1) else {})
+                                 for rho in itertools.product(range(2), repeat=3)}),
+          [(1, 2, 3), (-3, 0, -1), (-1, 4, 5), (0, 0, 0)]))
+@example((QuasiPolynomial(0, 2, {(): _poly(0, {(): fr(5, 3)})}), [(), ()]))
+def test_scaled_values_match_the_per_term_reference(case):
+    a, points = case
+    assert a.scaled_values(points) == _reference_scaled_values(a, points)
+    assert a.scaled_values(iter(points)) == _reference_scaled_values(a, points)
 
 
 def test_orthant_geometric_closed_form():
@@ -482,12 +528,13 @@ def test_detect_work_budget(set_budget):
 
 
 def test_resum_work_budget(set_budget):
-    # one table term n^30: a box of 31 points, differenced 31 times
+    # one table term n^30: a box of 31 points, each evaluated by the
+    # 31 multiply-adds of its Horner row and differenced 31 times
     a = QuasiPolynomial(1, 1, {(0,): _poly(1, {(30,): 1})})
     chain = ChainPattern(1, frozenset())
-    set_budget("resummation", 31 * 31)
+    set_budget("resummation", 31 * 62)
     assert resum_orthant(a, [(1,)], G1) == resum_chain(a, chain, [(1,)], G1)
-    set_budget("resummation", 31 * 31 - 1)
+    set_budget("resummation", 31 * 62 - 1)
     with pytest.raises(InputError, match="work budget exceeded: resummation"):
         resum_orthant(a, [(1,)], G1)
     with pytest.raises(InputError, match="work budget exceeded: resummation"):
