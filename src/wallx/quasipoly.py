@@ -6,18 +6,16 @@ combinations) over an orthant or a chain it closes up into a rational
 function.  With degree d_t in variable t the denominator is
 prod_t (1 - x_t^p)^(1 + d_t), and the numerator is the box
 prod_t [0, p(1 + d_t)) of values after that separable difference
-operator (Stanley, EC1 4.4).  Each residue's polynomial is kept as one
-nested Horner table of int numerators over the table's one denominator,
-so a value is a run of integer multiply-adds.  A chain sum is the
-orthant sum over its increments, with tail degrees as the exponents.
-Detection in sample sequences applies the same difference operator to
-each residue class and reads the class's polynomial off those
-differences in Newton's form.  This module also checks re-expansion
-claims across a wall of gradings, one coset of Z c0 at a time; each
-coset is named by its point e with floor(e[i] / c0[i]) == 0 at c0's
-first nonzero entry i (the one pivot of ``Coset.representative``).
-Differences come off the stored terms, and one detection charge covers
-all cosets' sample ranges before any fit.
+operator (Stanley, EC1 4.4).  Values come from one Horner table of int
+numerators per residue class.  A chain sum is the orthant sum over its
+increments, with tail degrees as the exponents.  Detection in sample
+sequences applies the same difference operator to each residue class and
+reads the class's polynomial off those differences in Newton's form.
+This module also checks re-expansion claims across a wall of gradings,
+one coset of Z c0 at a time; each coset is named by its point e with
+floor(e[i] / c0[i]) == 0 at c0's first nonzero entry i (the one pivot of
+``Coset.representative``).  Differences come off the stored terms, and
+one detection charge covers all cosets' sample ranges before any fit.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ class QuasiPolynomial:
     vars: int
     period: int
     table: Mapping[tuple[int, ...], LaurentPolynomial]
-    # per residue a Horner table of int numerators (``_nest``), and their
-    # one denominator
+    # per residue a Horner table of int numerators (``_nest``), their one
+    # denominator, and the largest table's multiply-adds
     _horner: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -83,9 +81,9 @@ class QuasiPolynomial:
         nums, den = _over_lcm(c for poly in table.values() for _, c in poly.items())
         nums = iter(nums)  # in the order of the table's terms
         tables = {rho: _nest(sorted([(e, next(nums)) for e, _ in poly.items()], reverse=True),
-                             0, self.vars)
-                  for rho, poly in table.items()}
-        object.__setattr__(self, "_horner", (tables, den))
+                             0, self.vars) for rho, poly in table.items()}
+        steps = max(_rows(rows, self.vars) for rows in tables.values())
+        object.__setattr__(self, "_horner", (tables, den, steps))
 
     def eval(self, n) -> Fraction:
         n = _exponent(n)
@@ -96,7 +94,7 @@ class QuasiPolynomial:
 
     def scaled_values(self, points) -> tuple[list[int], int]:
         """a(n) at each integer point n, as int numerators over one denominator."""
-        p, (tables, den), last = self.period, self._horner, self.vars - 1
+        p, (tables, den, _), last = self.period, self._horner, self.vars - 1
         if last < 0:  # no variables: each table is its constant
             return [tables[()] for _ in points], den
         return [_evaluate(tables[tuple(x % p for x in n)], n, 0, last) for n in points], den
@@ -105,8 +103,7 @@ class QuasiPolynomial:
         """Largest power of variable i across the table; -1 for the zero table."""
         if not 0 <= i < self.vars:
             raise InputError("variable index out of range")
-        *_, level = _levels(self._horner[0].values(), i + 1)
-        return max(map(len, level), default=0) - 1
+        return max((e[i] for poly in self.table.values() for e, _ in poly.items()), default=-1)
 
     def is_zero(self) -> bool:
         return not any(self._horner[0].values())
@@ -114,38 +111,34 @@ class QuasiPolynomial:
 
 def _nest(terms, i: int, r: int):
     """Horner table in variables i..r-1 of the terms (e, c), highest e first:
-    rows by power of x_i from the top one down to 0, each the table of its
-    coefficient; [] when zero, and an int when i == r (no variables)."""
+    per power of x_i that occurs, from the top one down, a row of its
+    coefficient's table and the gap down to the next power (to 0 after the
+    last); [] when zero, and an int when i == r (no variables)."""
     if i == r:
         return sum(c for _, c in terms)  # at most one term
-    top = terms[0][0][i] if terms else -1  # the exponents share e[:i]
-    if i == r - 1:  # the last variable's ints
-        rows = [0] * (1 + top)
-        for e, c in terms:
-            rows[top - e[i]] = c
-        return rows
-    rows = [[] for _ in range(1 + top)]
-    for e, c in terms:
-        rows[top - e[i]].append((e, c))
-    return [_nest(row, i + 1, r) for row in rows]
+    if i == r - 1:  # the last variable: a row per term, its int inline
+        return [(c, e[i] - f[i]) for (e, c), (f, _) in zip(terms, terms[1:] + [((0,) * r, 0)])]
+    rows = [(k, _nest(list(group), i + 1, r))
+            for k, group in itertools.groupby(terms, lambda t: t[0][i])]
+    return [(row, k - low) for (k, row), (low, _) in zip(rows, rows[1:] + [(0, 0)])]
 
 
-def _levels(tables, depth: int):
-    """The rows of the given Horner tables at each of their top ``depth`` levels."""
-    for _ in range(depth):
-        yield tables
-        tables = [row for rows in tables for row in rows]
+def _rows(rows, depth: int) -> int:
+    """Multiply-adds of a Horner table of ``depth`` variables: one per row."""
+    if depth < 2:
+        return depth and len(rows)
+    return len(rows) + sum(_rows(row, depth - 1) for row, _ in rows)
 
 
 def _evaluate(rows, n, i: int, last: int) -> int:
     """A Horner table of variables i..last at the point n, by multiply-adds."""
     x, acc = n[i], 0
     if i == last:  # the last variable's ints, inline
-        for c in rows:
-            acc = acc * x + c
+        for c, gap in rows:
+            acc = (acc + c) * x ** gap
     else:
-        for row in rows:
-            acc = acc * x + _evaluate(row, n, i + 1, last)
+        for row, gap in rows:
+            acc = (acc + _evaluate(row, n, i + 1, last)) * x ** gap
     return acc
 
 
@@ -164,17 +157,14 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
     sum_j b(j) x^j is supported on the box prod_t [0, p(1 + degs[t])),
     since a (1 + d)-th difference of step p kills a degree-d polynomial on
     each residue class.  So g is the box of values b(j), taken as integers
-    over the lcm of the table's denominators from its Horner tables, after
-    the separable difference (1 - x_t^p)^(1 + degs[t]) is applied one axis
-    at a time; then x_t becomes q^monos[t].  One resummation charge, made
-    before any point is evaluated, counts each box point's multiply-adds
-    in the largest residue table plus its sum(1 + degs[t]) differences.
+    over the lcm of the table's denominators, after the separable
+    difference (1 - x_t^p)^(1 + degs[t]) is applied one axis at a time;
+    then x_t becomes q^monos[t].  The one charge counts per box point the
+    largest table's multiply-adds and the sum(1 + degs[t]) differences.
     """
     p = a.period
-    steps = max(sum(sum(map(len, level)) for level in _levels([rows], a.vars))
-                for rows in a._horner[0].values())  # the largest table's multiply-adds
     sizes = [p * (1 + d) for d in degs]
-    charge("resummation", math.prod(sizes) * (steps + sum(1 + d for d in degs)))
+    charge("resummation", math.prod(sizes) * (a._horner[2] + sum(1 + d for d in degs)))
     box = list(itertools.product(*map(range, sizes)))
     values, den = a.scaled_values(map(point, box))
     stride = 1

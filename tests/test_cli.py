@@ -315,6 +315,18 @@ _HUGE_DOCS = {
     # 100 cosets of about 200,000 samples each, within budget one at a time
     "reexpand_cosets": (_column_cosets_doc(100),
                         "work budget exceeded: detection took 1000000"),
+    # a billion-point box, and a Horner table of one row either way
+    "resum_exponent": ({"kind": "resum", "monomials": [[1]], "grading": [1],
+                        "quasipoly": {"vars": 1, "period": 1, "table": [{
+                            "residues": [0],
+                            "poly": [{"exponent": [10 ** 9], "coeff": "1"}]}]}},
+                       "work budget exceeded: resummation"),
+    "resum_exponent_two_vars": ({"kind": "resum", "monomials": [[1]] * 2, "grading": [1],
+                                 "quasipoly": {"vars": 2, "period": 1, "table": [{
+                                     "residues": [0, 0],
+                                     "poly": [{"exponent": [10 ** 20, 0], "coeff": "1"},
+                                              {"exponent": [0, 10 ** 20], "coeff": "1"}]}]}},
+                                "work budget exceeded: resummation"),
     # 9,261 terms, dense to degree 20 in 3 variables: 21**3 box points
     # that each cost the 9,723 multiply-adds of the table's Horner form
     "resum_evaluation": ({"kind": "resum", "monomials": [[1]] * 3, "grading": [1],

@@ -528,17 +528,26 @@ def test_detect_work_budget(set_budget):
 
 
 def test_resum_work_budget(set_budget):
-    # one table term n^30: a box of 31 points, each evaluated by the
-    # 31 multiply-adds of its Horner row and differenced 31 times
+    # one table term n^30: a box of 31 points, each evaluated by the one
+    # multiply-add of its Horner row and differenced 31 times
     a = QuasiPolynomial(1, 1, {(0,): _poly(1, {(30,): 1})})
     chain = ChainPattern(1, frozenset())
-    set_budget("resummation", 31 * 62)
+    set_budget("resummation", 31 * 32)
     assert resum_orthant(a, [(1,)], G1) == resum_chain(a, chain, [(1,)], G1)
-    set_budget("resummation", 31 * 62 - 1)
+    set_budget("resummation", 31 * 32 - 1)
     with pytest.raises(InputError, match="work budget exceeded: resummation"):
         resum_orthant(a, [(1,)], G1)
     with pytest.raises(InputError, match="work budget exceeded: resummation"):
         resum_chain(a, chain, [(1,)], G1)
+    # x^2 y + x^2 + y^3: a box of 3 * 4 points, each evaluated by 5 Horner
+    # rows (x^2 and x^0; y and 1 under x^2, y^3 under x^0) and differenced
+    # 3 + 4 times
+    b = QuasiPolynomial(2, 1, {(0, 0): _poly(2, {(2, 1): 1, (2, 0): 1, (0, 3): 1})})
+    set_budget("resummation", 12 * 12)
+    resum_orthant(b, [(1,), (2,)], G1)
+    set_budget("resummation", 12 * 12 - 1)
+    with pytest.raises(InputError, match="work budget exceeded: resummation"):
+        resum_orthant(b, [(1,), (2,)], G1)
 
 
 def _geom_expansions(bound_each=8):
