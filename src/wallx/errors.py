@@ -28,7 +28,8 @@ Budget = collections.namedtuple("Budget", "limit message")
 BUDGETS = {
     "division": Budget(100_000, "long division took {} steps short of the window bound"),
     "detection": Budget(1_000_000, "detection took {} differenced entries"),
-    "resummation": Budget(1_000_000, "resummation box needs more than {} differenced entries"),
+    "resummation": Budget(1_000_000, "resummation box needs more than {} "
+                                     "multiply-adds and differenced entries"),
     "cone": Budget(100_000, "effective cone took {} classes short of l = {}"),
     "exp_ad": Budget(10_000, "exp_ad took {} rounds short of nilpotency"),
     "weights": Budget(1_000_000, "resummation weights need more than {} exponent entries"),

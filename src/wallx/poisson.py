@@ -6,8 +6,8 @@ sigma^chi * chi * t^(alpha1+alpha2) with chi the Euler pairing; the star
 product keeps only the sign, and the naive product drops both.  A
 truncation limits which monomials survive: ranks in a fixed set, curve
 parts effective and bounded by a cap, and optionally a degree window on
-the point part.  The kernel runs in ints over common denominators (exp_ad
-sums its rounds over K!); only output terms become Fractions.
+the point part.  The kernel runs in ints over common denominators, and
+exp_ad's rounds stay in ints; only output terms become Fractions.
 """
 
 from __future__ import annotations
@@ -68,6 +68,12 @@ class TorusElement(_Sparse):
         return f"TorusElement({{{inner}}})"
 
 
+class _Numerators(TorusElement):
+    """exp_ad's rounds: int numerators over a denominator that exp_ad keeps."""
+
+    __slots__ = ()
+
+
 def _sigma_power(sigma: int, chi: int) -> int:
     return -1 if sigma == -1 and chi % 2 else 1
 
@@ -77,15 +83,17 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
     """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2), with
     chi the row a1.pairing dotted with a2, summed in ints over the operands' common
     denominators.  trunc is tested on the summed rank, point degree and curve part,
-    in that order, so the cone below its cap is built only when a pair needs it."""
+    in that order, so the cone below its cap is built only when a pair needs it.
+    Two _Numerators give the _Numerators of the int sums; anything else, Fractions."""
     x._check_context(y)
     spec = x.context
     cols = list(zip(*spec.pairing))
     split = 1 + spec.rank1
     deg = spec.deg[spec.rank1:]
+    ints = type(x) is type(y) is _Numerators
 
     def parts(z):  # (vector, r, beta, point degree, numerator) per term, and den
-        nums, den = _over_lcm(z._terms.values())
+        nums, den = (z._terms.values(), 1) if ints else _over_lcm(z._terms.values())
         return [(a.vector(), a.r, a.beta, sum(map(operator.mul, deg, a.c)), n)
                 for a, n in zip(z._terms, nums)], den
 
@@ -110,8 +118,9 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
             v = tuple(map(operator.add, v1, v2))
             acc[v] = acc.get(v, 0) + n1 * n2 * w
     den = dx * dy
-    return TorusElement._make({KClass._make((v[0], v[1:split], v[split:])): Fraction(n, den)
-                               for v, n in acc.items() if n}, spec)
+    return (_Numerators if ints else TorusElement)._make(
+        {KClass._make((v[0], v[1:split], v[split:])): n if ints else Fraction(n, den)
+         for v, n in acc.items() if n}, spec)
 
 
 def bracket(x: TorusElement, y: TorusElement,
@@ -141,7 +150,8 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
     part, or a curve part of zero with positive point degree; in the
     latter case the truncation must carry a degree cap, otherwise the
     adjoint action never becomes nilpotent.  The inverse is exp_ad(-w).
-    Rounds bracket the unscaled ad_w^k(x), summed once in ints over K! at the end.
+    Round k brackets int numerators into dx dw^k ad_w^k(x), with dw and dx
+    the denominators of w and x; the rounds are summed once over dx dw^K K!.
     """
     if trunc is None:
         raise InputError("non-nilpotent adjoint under this truncation")
@@ -155,20 +165,23 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
                 raise InputError("non-nilpotent adjoint under this truncation")
         elif not spec.is_effective(cls.beta):
             raise InputError("non-nilpotent adjoint under this truncation")
-    rounds = [x]  # ad_w^k(x) for k = 0, 1, ..., without the 1/k!
+    ws, dw = _over_lcm(w._terms.values())
+    xs, dx = _over_lcm(x._terms.values())
+    w = _Numerators._make(dict(zip(w._terms, ws)), spec)
+    rounds = [_Numerators._make(dict(zip(x._terms, xs)), spec)]  # k = 0, 1, ...
     while not rounds[-1].is_zero():
         charge("exp_ad", len(rounds))
         rounds.append(bracket(w, rounds[-1], trunc))
     rounds = rounds[:-1] or rounds  # the last nonzero round is K
-    top = math.factorial(len(rounds) - 1)
-    scales = [top // math.factorial(k) for k in range(len(rounds))]
-    keys = [(cls, s) for z, s in zip(rounds, scales) for cls in z._terms]
-    nums, den = _over_lcm(c for z in rounds for c in z._terms.values())
+    top = len(rounds) - 1
+    fact = math.factorial(top)
     total: dict = {}
-    for (cls, s), n in zip(keys, nums):
-        total[cls] = total.get(cls, 0) + n * s
-    return TorusElement._make(
-        {cls: Fraction(n, den * top) for cls, n in total.items() if n}, spec)
+    for k, z in enumerate(rounds):
+        s = dw ** (top - k) * (fact // math.factorial(k))
+        for cls, n in z._terms.items():
+            total[cls] = total.get(cls, 0) + n * s
+    den = dx * dw ** top * fact
+    return TorusElement._make({cls: Fraction(n, den) for cls, n in total.items() if n}, spec)
 
 
 # -- wire format --------------------------------------------------------------

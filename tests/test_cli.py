@@ -371,7 +371,7 @@ _PAST_BUDGET = {
         "kind": "resum", "monomials": [[1]], "grading": [1],
         "quasipoly": {"vars": 1, "period": 1, "table": [{
             "residues": [0], "poly": [{"exponent": [9], "coeff": "1"}]}]}},
-        "resummation box needs more than 99 differenced entries", None),
+        "resummation box needs more than 99 multiply-adds and differenced entries", None),
     "cone": ("cone", 50, {"kind": "bracket", "lattice": model_lattice().to_obj(),
                           "x": [], "y": [], "truncation": {"beta_cap": [100]}},
              "effective cone took 50 classes short of l = 200", "document.truncation"),

@@ -1,5 +1,7 @@
+import json
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallx import poisson
-from wallx.errors import InputError
-from wallx.lattice import KClass
+from wallx.errors import InputError, charge
+from wallx.lattice import KClass, lattice_from_obj
 from wallx.poisson import (
     TorusElement,
     Truncation,
+    _Numerators,
     _sigma_power,
     bracket,
     element_from_obj,
@@ -21,9 +24,10 @@ from wallx.poisson import (
     star_product,
     truncation_from_obj,
 )
-from wallx.series import _accumulate
+from wallx.series import _accumulate, _over_lcm
+from wallx.wallcross import SeedSeries, WallDatum, iterate_walls
 
-from conftest import fr, model_lattice, two_gen_lattice
+from conftest import GOLDEN, fr, model_lattice, two_gen_lattice
 
 
 def _mono(spec, r, beta, c, coeff=1):
@@ -394,6 +398,47 @@ def _reference_exp_ad(w, x, trunc):
     return acc
 
 
+def _parent_exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
+    """exp({w, -}) applied to x inside the truncation.
+
+    Every w-term must have rank 0 and either a nonzero effective curve
+    part, or a curve part of zero with positive point degree; in the
+    latter case the truncation must carry a degree cap, otherwise the
+    adjoint action never becomes nilpotent.  The inverse is exp_ad(-w).
+    Rounds bracket the unscaled ad_w^k(x), summed once in ints over K! at the end.
+    """
+    if trunc is None:
+        raise InputError("non-nilpotent adjoint under this truncation")
+    spec = w.context
+    w._check_context(x)
+    for cls, _ in w.terms():
+        if cls.r != 0:
+            raise InputError("wall data must have rank zero")
+        if all(b == 0 for b in cls.beta):
+            if spec.deg_point(cls.c) <= 0 or trunc.deg_cap is None:
+                raise InputError("non-nilpotent adjoint under this truncation")
+        elif not spec.is_effective(cls.beta):
+            raise InputError("non-nilpotent adjoint under this truncation")
+    rounds = [x]  # ad_w^k(x) for k = 0, 1, ..., without the 1/k!
+    while not rounds[-1].is_zero():
+        charge("exp_ad", len(rounds))
+        rounds.append(bracket(w, rounds[-1], trunc))
+    rounds = rounds[:-1] or rounds  # the last nonzero round is K
+    top = math.factorial(len(rounds) - 1)
+    scales = [top // math.factorial(k) for k in range(len(rounds))]
+    keys = [(cls, s) for z, s in zip(rounds, scales) for cls in z._terms]
+    nums, den = _over_lcm(c for z in rounds for c in z._terms.values())
+    total: dict = {}
+    for (cls, s), n in zip(keys, nums):
+        total[cls] = total.get(cls, 0) + n * s
+    return TorusElement._make(
+        {cls: Fraction(n, den * top) for cls, n in total.items() if n}, spec)
+
+
+def _den(z):
+    return _over_lcm(z._terms.values())[1]
+
+
 _SPECS = [model_lattice(), two_gen_lattice()]
 _MIXED = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -432,24 +477,100 @@ def test_kernel_matches_reference(data):
     w = TorusElement(spec, {cls: c for cls, c in walls.items()
                             if (any(cls.beta) and spec.is_effective(cls.beta))
                             or (not any(cls.beta) and spec.deg_point(cls.c) > 0)})
-    assert exp_ad(w, x, trunc) == _reference_exp_ad(w, x, trunc)
+    # over primes that no drawn numerator shares, so that dw > 1 and dx > 1
+    scaled = (w.scale(fr(1, 29)), x.scale(fr(5, 31)))
+    assert scaled[0].is_zero() or _den(scaled[0]) > 1
+    assert _den(scaled[1]) > 1
+    for w, x in ((w, x), scaled):
+        out = exp_ad(w, x, trunc)
+        assert out == _parent_exp_ad(w, x, trunc) == _reference_exp_ad(w, x, trunc)
+
+
+def _golden_exp_ad():
+    # the exp_ad golden document: w is 1/2, -2 and 1/3 over dw = 6, x over dx = 4
+    doc = json.loads((GOLDEN / "exp_ad.json").read_text())
+    spec = lattice_from_obj(doc["lattice"])
+    w, x = (element_from_obj(doc[k], k, spec) for k in "wx")
+    assert sorted(c for _, c in w.terms()) == [fr(-2), fr(1, 3), fr(1, 2)]
+    assert (_den(w), _den(x)) == (6, 4)
+    return w, x, truncation_from_obj(doc["truncation"], "truncation", spec)
+
+
+def _exp_ad_edge_cases():
+    w, x, trunc = _golden_exp_ad()
+    zero = TorusElement(w.context, {})
+    return {"golden": (w, x, trunc), "zero w": (zero, x, trunc),
+            "zero x": (w, zero, trunc), "both zero": (zero, zero, trunc)}
+
+
+@pytest.mark.parametrize("name", sorted(_exp_ad_edge_cases()))
+def test_exp_ad_edge_cases_match_parent(name):
+    w, x, trunc = _exp_ad_edge_cases()[name]
+    out = exp_ad(w, x, trunc)
+    assert out == _parent_exp_ad(w, x, trunc) == _reference_exp_ad(w, x, trunc)
+    if w.is_zero() or x.is_zero():
+        assert out == x
+    assert all(type(c) is Fraction for _, c in out.terms())
+
+
+def test_no_int_coefficient_escapes():
+    # integral inputs (every den is 1), so a kernel that handed back its int
+    # numerators would show here
+    for spec in _SPECS:
+        b0, c0 = (0,) * spec.rank1, (0,) * spec.rank0
+        b1, c1 = (1,) + b0[1:], (1,) + c0[1:]
+        trunc = Truncation((2,) * spec.rank1, deg_cap=fr(4))
+        # a curve wall and a point wall
+        w = TorusElement(spec, {KClass(0, b1, c1): 2, KClass(0, b0, c1): -1})
+        x = TorusElement(spec, {KClass(-1, b0, c0): 3, KClass(0, b1, c0): 1})
+        assert _den(w) == _den(x) == 1
+        outs = [op(w, x, t) for op in (bracket, star_product, naive_product)
+                for t in (None, trunc)]
+        outs += [exp_ad(w, x, trunc), exp_ad(TorusElement(spec, {}), x, trunc)]  # K = 0
+        walls = [WallDatum(spec.nu_slope(cls), TorusElement(spec, {cls: c}))
+                 for cls, c in sorted(w.terms(), key=lambda t: spec.nu_slope(t[0]))]
+        seed = SeedSeries(TorusElement(spec, {KClass(-1, b0, c0): 1}))
+        outs.append(iterate_walls(seed, walls, trunc).element)
+        for out in outs:
+            assert type(out) is TorusElement and not out.is_zero()
+            assert all(type(c) is Fraction for _, c in out.terms())
+
+
+def _counted_rounds(monkeypatch, module, run, w, x, trunc):
+    """The (len w, len round, len result) of each bracket call that run makes,
+    looking bracket up in module, and the operands of each call."""
+    calls = []
+    real = poisson.bracket
+
+    def counted(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "bracket", counted)
+        out = run(w, x, trunc)
+    shapes = [(len(a[0].terms()), len(a[1].terms()), len(o.terms())) for a, o in calls]
+    return out, shapes, [a[:2] for a, _ in calls]
 
 
 def test_exp_ad_brackets_once_per_round(monkeypatch):
-    # the 40-round point wall of the CLI round-budget test: 40 nonzero
-    # rounds, then one that brackets to zero, each one call of bracket
     spec = model_lattice()
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return bracket(*args)
-
-    monkeypatch.setattr(poisson, "bracket", counted)
-    w = _mono(spec, 0, (0,), (1, 0))
-    x = _mono(spec, -1, (0,), (0, 0))
-    out = exp_ad(w, x, Truncation((0,), fr(40)))
-    assert len(calls) == 41
+    # the 40-round point wall of the CLI round-budget test
+    point = (_mono(spec, 0, (0,), (1, 0)), _mono(spec, -1, (0,), (0, 0)),
+             Truncation((0,), fr(40)))
+    for case in (point, _golden_exp_ad()):
+        out, shapes, operands = _counted_rounds(monkeypatch, poisson, exp_ad, *case)
+        parent, parent_shapes, _ = _counted_rounds(
+            monkeypatch, sys.modules[__name__], _parent_exp_ad, *case)
+        # the term counts that a tracer reads off each call are the parent's
+        assert out == parent and shapes == parent_shapes
+        for z in (z for pair in operands for z in pair):
+            assert type(z) is _Numerators
+            assert all(type(c) is int for _, c in z.terms())
+    # 40 nonzero rounds, then one that brackets to zero, each one call of bracket
+    out, shapes, _ = _counted_rounds(monkeypatch, poisson, exp_ad, *point)
+    assert len(shapes) == 41
     assert len(out.terms()) == 41
     assert out.coeff(KClass(-1, (0,), (40, 0))) == fr(1, math.factorial(40))
 
