@@ -198,9 +198,8 @@ def run_a1(report_window: int) -> dict:
              {"m": m_lo, "expected": "confirmed", "actual": "not confirmed"},
              cosets=len(verdict["cosets"]))
 
-    behrend_pairs = []
-    for m in range(0, w + 5):
-        behrend_pairs.append((m, behrend_smooth([m]), point_series.coeff((m, 0))))
+    point = {m: point_series.coeff((m, 0)) for m in range(0, w + 5)}
+    behrend_pairs = [(m, behrend_smooth([m]), value) for m, value in point.items()]
     for m in ms:
         expected = behrend_smooth([2, m - 4]) if m >= 4 else 0
         behrend_pairs.append((m, expected, orb[m]))
@@ -223,8 +222,8 @@ def run_a1(report_window: int) -> dict:
                    "resolution": format_rational(res[m]),
                    "difference": format_rational(diff[m])}
                   for m in ms],
-        "point_row": [{"m": m, "value": format_rational(point_series.coeff((m, 0)))}
-                      for m in range(0, w + 5)],
+        "point_row": [{"m": m, "value": format_rational(value)}
+                      for m, value in point.items()],
         "ok": ok,
     }
     if not ok:

@@ -32,6 +32,8 @@ BUDGETS = {
                                      "multiply-adds and differenced entries"),
     "cone": Budget(100_000, "effective cone took {} classes short of l = {}"),
     "exp_ad": Budget(10_000, "exp_ad took {} rounds short of nilpotency"),
+    "exp_ad_size": Budget(10_000_000, "exp_ad result needs more than {} classes "
+                                      "times denominator bits"),
     "weights": Budget(1_000_000, "resummation weights need more than {} exponent entries"),
 }
 

@@ -1,27 +1,28 @@
 """Truncated Poisson torus over a lattice.
 
-Elements are finite Fraction-combinations of monomials t^alpha indexed by
+Elements are finite rational combinations of monomials t^alpha indexed by
 lattice classes.  The bracket of two monomials is
 sigma^chi * chi * t^(alpha1+alpha2) with chi the Euler pairing; the star
 product keeps only the sign, and the naive product drops both.  A
 truncation limits which monomials survive: ranks in a fixed set, curve
 parts effective and bounded by a cap, and optionally a degree window on
-the point part.  The kernel runs in ints over common denominators, and
-exp_ad's rounds stay in ints; only output terms become Fractions.
+the point part.  The kernels work on the int numerators of ``_Sparse``: a
+product sums them over its operands' denominators multiplied, and exp_ad's
+rounds are elements over 1, summed once at the end.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
 
 from . import jsonio
 from .errors import InputError, charge
 from .lattice import KClass, LatticeSpec, kclass_from_obj, kclass_to_obj
-from .series import _Sparse, _accumulate, _coefficient, _exponent, _over_lcm
+from .series import _Sparse, _accumulate, _coefficient, _exponent
 
 
 @dataclass(frozen=True)
@@ -52,26 +53,19 @@ class TorusElement(_Sparse):
         shape = (context.rank1, context.rank0)
         if any(c and (len(cls.beta), len(cls.c)) != shape for cls, c in pairs):
             raise InputError("class shape does not match the lattice")
-        self._terms = _accumulate({}, pairs)
-        self._context = context
+        self._store(_accumulate({}, pairs), context)
 
     @property
     def context(self) -> LatticeSpec:
         return self._context
 
     def items_sorted(self):
-        return sorted(self._terms.items())
+        return sorted(self.items())
 
     def __repr__(self):
         inner = ", ".join(f"t^{(cls.r, cls.beta, cls.c)}: {c}"
                           for cls, c in self.items_sorted())
         return f"TorusElement({{{inner}}})"
-
-
-class _Numerators(TorusElement):
-    """exp_ad's rounds: int numerators over a denominator that exp_ad keeps."""
-
-    __slots__ = ()
 
 
 def _sigma_power(sigma: int, chi: int) -> int:
@@ -81,23 +75,21 @@ def _sigma_power(sigma: int, chi: int) -> int:
 def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
                weight: Callable[[int], int]) -> TorusElement:
     """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2), with
-    chi the row a1.pairing dotted with a2, summed in ints over the operands' common
-    denominators.  trunc is tested on the summed rank, point degree and curve part,
-    in that order, so the cone below its cap is built only when a pair needs it.
-    Two _Numerators give the _Numerators of the int sums; anything else, Fractions."""
+    chi the row a1.pairing dotted with a2; the numerators are summed over the
+    product of the operands' denominators.  trunc is tested on the summed rank,
+    point degree and curve part, in that order, so the cone below its cap is
+    built only when a pair needs it."""
     x._check_context(y)
     spec = x.context
     cols = list(zip(*spec.pairing))
     split = 1 + spec.rank1
     deg = spec.deg[spec.rank1:]
-    ints = type(x) is type(y) is _Numerators
 
-    def parts(z):  # (vector, r, beta, point degree, numerator) per term, and den
-        nums, den = (z._terms.values(), 1) if ints else _over_lcm(z._terms.values())
+    def parts(z):  # (vector, r, beta, point degree, numerator) per term
         return [(a.vector(), a.r, a.beta, sum(map(operator.mul, deg, a.c)), n)
-                for a, n in zip(z._terms, nums)], den
+                for a, n in z._terms.items()]
 
-    (xs, dx), (ys, dy) = parts(x), parts(y)
+    xs, ys = parts(x), parts(y)
     if trunc is not None:
         ranks, below = trunc.rank_set, None
         cap = None if trunc.deg_cap is None else math.floor(trunc.deg_cap)
@@ -117,10 +109,8 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
                     continue
             v = tuple(map(operator.add, v1, v2))
             acc[v] = acc.get(v, 0) + n1 * n2 * w
-    den = dx * dy
-    return (_Numerators if ints else TorusElement)._make(
-        {KClass._make((v[0], v[1:split], v[split:])): n if ints else Fraction(n, den)
-         for v, n in acc.items() if n}, spec)
+    return TorusElement._make({KClass._make((v[0], v[1:split], v[split:])): n
+                               for v, n in acc.items() if n}, spec, x._den * y._den)
 
 
 def bracket(x: TorusElement, y: TorusElement,
@@ -150,14 +140,15 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
     part, or a curve part of zero with positive point degree; in the
     latter case the truncation must carry a degree cap, otherwise the
     adjoint action never becomes nilpotent.  The inverse is exp_ad(-w).
-    Round k brackets int numerators into dx dw^k ad_w^k(x), with dw and dx
-    the denominators of w and x; the rounds are summed once over dx dw^K K!.
+    Round k is the element dx dw^k ad_w^k(x) over 1, with dw and dx the
+    denominators of w and x; the rounds are summed once over dx dw^K K!,
+    charged first as the classes they hold times the bits of that denominator.
     """
     if trunc is None:
         raise InputError("non-nilpotent adjoint under this truncation")
     spec = w.context
     w._check_context(x)
-    for cls, _ in w.terms():
+    for cls in w:
         if cls.r != 0:
             raise InputError("wall data must have rank zero")
         if all(b == 0 for b in cls.beta):
@@ -165,23 +156,23 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
                 raise InputError("non-nilpotent adjoint under this truncation")
         elif not spec.is_effective(cls.beta):
             raise InputError("non-nilpotent adjoint under this truncation")
-    ws, dw = _over_lcm(w._terms.values())
-    xs, dx = _over_lcm(x._terms.values())
-    w = _Numerators._make(dict(zip(w._terms, ws)), spec)
-    rounds = [_Numerators._make(dict(zip(x._terms, xs)), spec)]  # k = 0, 1, ...
+    dw, dx = w._den, x._den
+    w = TorusElement._make(w._terms, spec)
+    rounds = [TorusElement._make(x._terms, spec)]  # k = 0, 1, ...
     while not rounds[-1].is_zero():
         charge("exp_ad", len(rounds))
         rounds.append(bracket(w, rounds[-1], trunc))
     rounds = rounds[:-1] or rounds  # the last nonzero round is K
     top = len(rounds) - 1
     fact = math.factorial(top)
+    den = dx * dw ** top * fact
+    charge("exp_ad_size", len(set().union(*rounds)) * den.bit_length())
     total: dict = {}
     for k, z in enumerate(rounds):
         s = dw ** (top - k) * (fact // math.factorial(k))
         for cls, n in z._terms.items():
             total[cls] = total.get(cls, 0) + n * s
-    den = dx * dw ** top * fact
-    return TorusElement._make({cls: Fraction(n, den) for cls, n in total.items() if n}, spec)
+    return TorusElement._make({cls: n for cls, n in total.items() if n}, spec, den)
 
 
 # -- wire format --------------------------------------------------------------

@@ -35,6 +35,7 @@ from .series import (
     LaurentSeries,
     LinearFunctional,
     RationalFunction,
+    _accumulate,
     _coefficient,
     _exponent,
     _over_lcm,
@@ -75,13 +76,13 @@ class QuasiPolynomial:
         for rho, poly in table.items():
             if poly.nvars != self.vars:
                 raise InputError("table polynomial arity must match the variable count")
-            if any(k < 0 for e, _ in poly.items() for k in e):
+            if any(k < 0 for e in poly for k in e):
                 raise InputError("table polynomials must have nonnegative exponents")
         object.__setattr__(self, "table", table)
-        nums, den = _over_lcm(c for poly in table.values() for _, c in poly.items())
-        nums = iter(nums)  # in the order of the table's terms
-        tables = {rho: _nest(sorted([(e, next(nums)) for e, _ in poly.items()], reverse=True),
-                             0, self.vars) for rho, poly in table.items()}
+        # each polynomial's numerators, scaled to the lcm of their denominators
+        scales, den = _over_lcm(Fraction(1, poly._den) for poly in table.values())
+        tables = {rho: _nest(sorted([(e, n * s) for e, n in poly._terms.items()], reverse=True),
+                             0, self.vars) for (rho, poly), s in zip(table.items(), scales)}
         steps = max(_rows(rows, self.vars) for rows in tables.values())
         object.__setattr__(self, "_horner", (tables, den, steps))
 
@@ -103,7 +104,7 @@ class QuasiPolynomial:
         """Largest power of variable i across the table; -1 for the zero table."""
         if not 0 <= i < self.vars:
             raise InputError("variable index out of range")
-        return max((e[i] for poly in self.table.values() for e, _ in poly.items()), default=-1)
+        return max((e[i] for poly in self.table.values() for e in poly), default=-1)
 
     def is_zero(self) -> bool:
         return not any(self._horner[0].values())
@@ -159,8 +160,9 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
     each residue class.  So g is the box of values b(j), taken as integers
     over the lcm of the table's denominators, after the separable
     difference (1 - x_t^p)^(1 + degs[t]) is applied one axis at a time;
-    then x_t becomes q^monos[t].  The one charge counts per box point the
-    largest table's multiply-adds and the sum(1 + degs[t]) differences.
+    then x_t becomes q^monos[t], and g keeps those integers over that lcm.
+    The one charge counts per box point the largest table's multiply-adds and
+    the sum(1 + degs[t]) differences.
     """
     p = a.period
     sizes = [p * (1 + d) for d in degs]
@@ -174,15 +176,15 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
         for _ in range(1 + d):
             _difference(values, inner, p * stride)
         stride *= size
-    # the constructor sums the values of box points with one exponent
-    g = LaurentPolynomial(
-        ((tuple(s + sum(jt * m[k] for jt, m in zip(j, monos))
-                for k, s in enumerate(shift)), Fraction(v, den))
-         for j, v in zip(box, values) if v), nq)
+    # box points with one exponent sum their values
+    g = LaurentPolynomial._make(_accumulate({}, (
+        (tuple(s + sum(jt * m[k] for jt, m in zip(j, monos)) for k, s in enumerate(shift)), v)
+        for j, v in zip(box, values) if v)), nq, den)
     one = h = LaurentPolynomial.constant(nq, 1)
     for m, d in zip(monos, degs):
         factor = one - LaurentPolynomial.monomial(tuple(p * x for x in m))
-        h = h * factor ** (1 + d)
+        for _ in range(1 + d):
+            h = h * factor
     return RationalFunction(g, h)
 
 

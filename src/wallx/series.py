@@ -1,12 +1,12 @@
 """Exact Laurent arithmetic graded by a rational linear functional.
 
-Exponents are integer tuples; coefficients are Fractions throughout.  A
+Exponents are integer tuples; coefficients are exact rationals.  A
 window (functional L, bound b, optional coset) marks the region where a
 series' coefficients are final: stored terms all satisfy the window
 predicate, and anything not stored with L-value at most b is a true zero.
-Laurent polynomials, Laurent series and torus elements share one
-sparse-term container, ``_Sparse``; validation runs only in their public
-constructors and in the wire-format parsers.
+Laurent polynomials, Laurent series and torus elements share one container,
+``_Sparse``: int numerators over one denominator, which every kernel works on;
+a value becomes a Fraction when read.  Only public constructors and parsers validate.
 """
 
 from __future__ import annotations
@@ -15,17 +15,14 @@ import bisect
 import heapq
 import math
 import operator
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
 
 from . import jsonio
 from .errors import BUDGETS, InputError, charge
 
 Exponent = tuple[int, ...]
-
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class LinearFunctional:
@@ -172,47 +169,67 @@ def _over_lcm(values) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def _product(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction],
+def _product(a: Mapping[Exponent, int], b: Mapping[Exponent, int],
              ls, top: int) -> dict:
-    """The terms of a*b whose exponents e have _dot(ls, e) <= top (every term
-    for ls = 0 and top = 0).  Each term of a meets only the prefix of b, sorted
-    once by L, that keeps within top; ints are summed over da * db."""
-    na, da = _over_lcm(a.values())
-    nb, db = _over_lcm(b.values())
-    by_l = sorted(zip([_dot(ls, e) for e in b], b, nb))
+    """The terms of a*b, for int numerators a and b, whose exponents e have
+    _dot(ls, e) <= top (every term for ls = 0 and top = 0).  Each term of a
+    meets only the prefix of b, sorted once by L, that keeps within top."""
+    by_l = sorted(zip([_dot(ls, e) for e in b], b, b.values()))
     b_ls = [l for l, _, _ in by_l]
     out: dict[Exponent, int] = {}
-    for ea, ca in zip(a, na):
+    for ea, ca in a.items():
         for _, eb, cb in by_l[:bisect.bisect_right(b_ls, top - _dot(ls, ea))]:
             e = tuple(map(operator.add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
-    den = da * db
-    return {e: Fraction(n, den) for e, n in out.items() if n}
+    return {e: n for e, n in out.items() if n}
 
 
-class _Sparse:
-    """Finitely supported map from keys to nonzero Fractions over a context
-    (a variable count, a window or a lattice); zero values are never stored.
+class _Sparse(Mapping):
+    """Finitely supported map from keys to nonzero rationals over a context
+    (a variable count, a window or a lattice), held as nonzero int numerators
+    ``_terms`` over one positive denominator ``_den`` with no factor common to
+    all, so equal maps have equal dicts.  Reading a value builds its Fraction;
+    ``terms()`` is a lazy sized view, whose len() builds none.
 
     Only the public constructors and the wire-format parsers validate; every
     internal result is built by the trusted ``_make``."""
 
-    __slots__ = ("_terms", "_context")
+    __slots__ = ("_terms", "_den", "_context")
     _mismatch: str  # the error when two operands' contexts differ
 
     @classmethod
-    def _make(cls, terms: dict, context):
-        """Trusted: keys well formed for the context, nonzero Fraction values."""
+    def _make(cls, terms: dict, context, den: int = 1):
+        """Trusted: keys well formed for the context, nonzero int values over
+        the positive den, which sheds any factor it shares with all of them."""
+        if den != 1 and (g := math.gcd(den, *terms.values())) != 1:
+            terms = {k: n // g for k, n in terms.items()}
+            den //= g
         self = object.__new__(cls)
         self._terms = terms
+        self._den = den
         self._context = context
         return self
 
-    def terms(self):
-        return self._terms.items()
+    def _store(self, fractions: dict, context):
+        """The public constructors' one conversion: Fractions over their lcm."""
+        nums, self._den = _over_lcm(fractions.values())
+        self._terms = dict(zip(fractions, nums))
+        self._context = context
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._terms[key], self._den)
+
+    def __iter__(self):
+        return iter(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    terms = Mapping.items
 
     def coeff(self, key) -> Fraction:
-        return self._terms.get(key, _ZERO)
+        n = self._terms.get(key, 0)
+        return Fraction(n) if self._den == 1 else Fraction(n, self._den)  # over 1: no gcd
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -224,17 +241,20 @@ class _Sparse:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._context == other._context and self._terms == other._terms
+        return (self._context == other._context and self._den == other._den
+                and self._terms == other._terms)
 
     def __neg__(self):
-        return self._make({k: -c for k, c in self._terms.items()}, self._context)
+        return self.scale(-1)
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         self._check_context(other)
-        return self._make(_accumulate(dict(self._terms), other._terms.items()),
-                          self._context)
+        dx, dy = self._den, other._den
+        return self._make(_accumulate({k: c * dy for k, c in self._terms.items()},
+                                      ((k, c * dx) for k, c in other._terms.items())),
+                          self._context, dx * dy)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -242,10 +262,9 @@ class _Sparse:
         return self + (-other)
 
     def scale(self, factor):
-        factor = _coefficient(factor)
-        return self._make(
-            {k: c * factor for k, c in self._terms.items()} if factor else {},
-            self._context)
+        p, q = _coefficient(factor).as_integer_ratio()
+        return self._make({k: c * p for k, c in self._terms.items()} if p else {},
+                          self._context, self._den * q)
 
 
 class LaurentPolynomial(_Sparse):
@@ -266,8 +285,7 @@ class LaurentPolynomial(_Sparse):
             pairs.append((exp, _coefficient(coeff)))
         if nvars is None:
             raise InputError("variable count of an empty polynomial must be given")
-        self._terms = _accumulate({}, pairs)
-        self._context = nvars
+        self._store(_accumulate({}, pairs), nvars)
 
     @property
     def nvars(self) -> int:
@@ -282,14 +300,13 @@ class LaurentPolynomial(_Sparse):
         exponent = _exponent(exponent)
         return cls({exponent: coeff}, len(exponent))
 
-    items = _Sparse.terms  # the polynomial spelling of terms()
-
     def __mul__(self, other):
         if type(other) is not LaurentPolynomial:
             return NotImplemented
         self._check_context(other)
         return LaurentPolynomial._make(
-            _product(self._terms, other._terms, (0,) * self.nvars, 0), self.nvars)
+            _product(self._terms, other._terms, (0,) * self.nvars, 0), self.nvars,
+            self._den * other._den)
 
     def shift(self, exponent) -> "LaurentPolynomial":
         exponent = _exponent(exponent)
@@ -297,28 +314,16 @@ class LaurentPolynomial(_Sparse):
             raise InputError("shift length does not match the variable count")
         return LaurentPolynomial._make(
             {tuple(map(operator.add, e, exponent)): c
-             for e, c in self._terms.items()}, self.nvars)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise InputError("negative polynomial power")
-        out = LaurentPolynomial.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+             for e, c in self._terms.items()}, self.nvars, self._den)
 
     def map_exponents(self, fn: Callable[[Exponent], Exponent],
                       nvars_out: int) -> "LaurentPolynomial":
         """Push exponents through fn, summing collisions."""
         return LaurentPolynomial(
-            ((fn(e), c) for e, c in self._terms.items()), nvars_out)
+            ((fn(e), c) for e, c in self.items()), nvars_out)
 
     def __repr__(self):
-        inner = ", ".join(f"{e}: {c}" for e, c in sorted(self._terms.items()))
+        inner = ", ".join(f"{e}: {c}" for e, c in sorted(self.items()))
         return f"LaurentPolynomial({{{inner}}})"
 
 
@@ -360,9 +365,8 @@ class LaurentSeries(_Sparse):
     def __init__(self, terms, window: Window):
         items = terms.items() if isinstance(terms, Mapping) else terms
         pairs = ((_exponent(exp), _coefficient(coeff)) for exp, coeff in items)
-        self._terms = _accumulate(
-            {}, ((e, c) for e, c in pairs if c and window.admits(e)))
-        self._context = window
+        self._store(_accumulate(
+            {}, ((e, c) for e, c in pairs if c and window.admits(e))), window)
 
     @property
     def window(self) -> Window:
@@ -374,7 +378,7 @@ class LaurentSeries(_Sparse):
 
     def items_sorted(self) -> list[tuple[Exponent, Fraction]]:
         ls = self.window.functional.ints  # orders as L does
-        return sorted(self._terms.items(), key=lambda item: (_dot(ls, item[0]), item[0]))
+        return sorted(self.items(), key=lambda item: (_dot(ls, item[0]), item[0]))
 
     def support_min(self) -> Fraction:
         """Smallest L-value present, or the bound for the empty series."""
@@ -396,28 +400,29 @@ def _no_coset(*series: LaurentSeries):
         raise InputError("products of coset-window series are not supported")
 
 
-def _lead(terms: Mapping[Exponent, Fraction], L: LinearFunctional,
-          message: str) -> tuple[Exponent, Fraction]:
-    """The unique L-minimal term (m0, c0); raises message when there is no
+def _lead(keys, L: LinearFunctional, message: str) -> Exponent:
+    """The unique L-minimal exponent m0; raises message when there is no
     term or more than one exponent reaches the least L-value."""
-    values = {e: L(e) for e in terms}
+    values = {e: L(e) for e in keys}
     least = min(values.values(), default=None)
     exps = [e for e, v in values.items() if v == least]
     if len(exps) != 1:
         raise InputError(message)
-    return exps[0], terms[exps[0]]
+    return exps[0]
 
 
-def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fraction],
-                  L: LinearFunctional, bound: Fraction, m0: Exponent, c0: Fraction):
+def _divide_terms(num: _Sparse, den: _Sparse, L: LinearFunctional,
+                  bound: Fraction, m0: Exponent) -> tuple[dict, int]:
     """Long division of num by den in increasing (L, lex) order.
 
-    den's unique L-minimal term (m0, c0) must be supplied.  Emits quotient
-    terms with L-value at most bound; terms are processed in a monotone
-    order so each quotient exponent is written exactly once.  It runs over
-    ints (L's ``ints`` against floor(bound * L.den), the remainder times the
-    lcm nd of num's) with steps (he - m0, hc/c0), which stay Fractions only
-    where c0 does not divide hc; each quotient term is r/(c0*nd).
+    den's unique L-minimal exponent m0, numerator c0, must be supplied.  Emits
+    quotient terms with L-value at most bound, as int numerators over one
+    denominator; terms are processed in a monotone order so each quotient
+    exponent is written exactly once.  It runs over ints (L's ``ints`` against
+    floor(bound * L.den), the remainder from num's numerators) with steps
+    (he - m0, hc/c0), which stay Fractions only where c0 does not divide hc;
+    each quotient term is r dd/(c0 nd), nd and dd the operands' denominators,
+    with the r over their lcm only when some step is not an integer.
 
     The remainder is keyed by quotient exponents (num's minus m0), each
     packed into the int sum (x_i + M) * B**(n-1-i) with B = 2M + 1 and M
@@ -426,13 +431,14 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
     Every step raises L (m0 is the unique minimum), so the steps are sorted
     by L-value and none that would land past the bound is taken."""
     ls, top = L.ints, math.floor(bound * L.den)
-    nums, nd = _over_lcm(num.values())
+    c0 = den._terms[m0]
 
     def shifted(terms):
         return ((tuple(map(operator.sub, e, m0)), c) for e, c in terms.items())
 
-    r = {e: n for (e, _), n in zip(shifted(num), nums) if _dot(ls, e) <= top}
-    steps = sorted((_dot(ls, d), d, c / c0) for d, c in shifted(den) if any(d))
+    r = {e: n for e, n in shifted(num._terms) if _dot(ls, e) <= top}
+    steps = sorted((_dot(ls, d), d, c // c0 if c % c0 == 0 else Fraction(c, c0))
+                   for d, c in shifted(den._terms) if any(d))
     # a term k steps deep has L-value at least min(r) + k * (least step) and
     # at most top, and the division budget allows no more than its limit of steps
     limit = BUDGETS["division"].limit
@@ -445,19 +451,17 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
     offset = M * sum(weights)
     heap = [(_dot(ls, e), _dot(weights, e) + offset) for e in r]
     r = {_dot(weights, e) + offset: c for e, c in r.items()}
-    steps = [(l_d, _dot(weights, d), k.numerator if k.denominator == 1 else k)
-             for l_d, d, k in steps]
+    steps = [(l_d, _dot(weights, d), k) for l_d, d, k in steps]
     heapq.heapify(heap)
-    out_num, out_den = c0.denominator, c0.numerator * nd
-    out: dict[Exponent, Fraction] = {}
+    out: dict = {}
     for _ in range(limit):
         if not heap:
-            return out
+            break
         l_e, e = heapq.heappop(heap)
         c = r.pop(e, 0)
         if not c:
             continue
-        out[tuple(e // w % B - M for w in weights)] = Fraction(c * out_num, out_den)
+        out[tuple(e // w % B - M for w in weights)] = c
         room = top - l_e
         for l_d, d, k in steps:
             if l_d > room:
@@ -471,8 +475,12 @@ def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fract
                 r[ne] = acc
             else:
                 del r[ne]
-    charge("division", limit + len(heap))  # each entry left needs a step
-    return out
+    else:
+        charge("division", limit + len(heap))  # each entry left needs a step
+    nums, r_den = (_over_lcm(out.values()) if any(type(k) is Fraction for _, _, k in steps)
+                   else (out.values(), 1))
+    s = den._den if c0 > 0 else -den._den
+    return {e: n * s for e, n in zip(out, nums)}, abs(c0) * num._den * r_den
 
 
 def expand(f: RationalFunction, window: Window) -> LaurentSeries:
@@ -483,15 +491,14 @@ def expand(f: RationalFunction, window: Window) -> LaurentSeries:
     L-minimal monomial for the expansion direction to be well defined.
     """
     L = window.functional
-    m0, c0 = _lead(f.denominator._terms, L, "functional not generic for denominator")
-    out = _divide_terms(f.numerator._terms, f.denominator._terms,
-                        L, window.bound, m0, c0)
+    m0 = _lead(f.denominator, L, "functional not generic for denominator")
+    out, den = _divide_terms(f.numerator, f.denominator, L, window.bound, m0)
     if not out and not f.numerator.is_zero():
         raise InputError("empty window")
     # quotient terms have L-value at most the bound; a coset still filters
     if window.coset is not None:
-        return LaurentSeries(out, window)
-    return LaurentSeries._make(out, window)
+        out = {e: n for e, n in out.items() if window.coset.contains(e)}
+    return LaurentSeries._make(out, window, den)
 
 
 def multiply(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
@@ -499,7 +506,7 @@ def multiply(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
     _same_functional(s1, s2)
     _no_coset(s1, s2)
     bound = min(s1.bound + s2.support_min(), s2.bound + s1.support_min())
-    return _series_product(s1._terms, s2._terms, Window(s1.window.functional, bound))
+    return _series_product(s1, s2, Window(s1.window.functional, bound))
 
 
 def divide(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
@@ -511,11 +518,11 @@ def divide(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
     _same_functional(s1, s2)
     _no_coset(s1, s2)
     L = s1.window.functional
-    m0, c0 = _lead(s2._terms, L, "not invertible with respect to L")
+    m0 = _lead(s2, L, "not invertible with respect to L")
     l_m0 = L(m0)
     bound = min(s1.bound - l_m0, s1.support_min() + s2.bound - 2 * l_m0)
-    out = _divide_terms(s1._terms, s2._terms, L, bound, m0, c0)
-    return LaurentSeries._make(out, Window(L, bound))
+    out, den = _divide_terms(s1, s2, L, bound, m0)
+    return LaurentSeries._make(out, Window(L, bound), den)
 
 
 def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeries:
@@ -524,26 +531,24 @@ def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeri
     L = s.window.functional
     if p.is_zero():
         return LaurentSeries._make({}, s.window)
-    return _series_product(s._terms, p._terms,
-                           Window(L, s.bound + min(map(L, p._terms))))
+    return _series_product(s, p, Window(L, s.bound + min(map(L, p))))
 
 
-def _series_product(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction],
-                    window: Window) -> LaurentSeries:
+def _series_product(a: _Sparse, b: _Sparse, window: Window) -> LaurentSeries:
     """The terms of a*b with L-value at most the (coset-free) window's bound."""
     L = window.functional
     return LaurentSeries._make(
-        _product(a, b, L.ints, math.floor(window.bound * L.den)), window)
+        _product(a._terms, b._terms, L.ints, math.floor(window.bound * L.den)),
+        window, a._den * b._den)
 
 
 def verify_expansion(s: LaurentSeries, f: RationalFunction) -> bool:
     """Check s * h == g on the region where the product is final."""
     product = mul_series_polynomial(s, f.denominator)
-    L = s.window.functional
-    diff = _accumulate(dict(product._terms),
-                       ((e, -c) for e, c in f.numerator.items()
-                        if L(e) <= product.bound))
-    return not diff
+    L, g = s.window.functional, f.numerator
+    top = math.floor(product.bound * L.den)
+    return product == LaurentSeries._make(
+        {e: n for e, n in g._terms.items() if _dot(L.ints, e) <= top}, product.window, g._den)
 
 
 # -- wire format --------------------------------------------------------------

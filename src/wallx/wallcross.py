@@ -53,7 +53,7 @@ class WallDatum:
         if self.slope is not INF:
             object.__setattr__(self, "slope", _coefficient(self.slope))
         spec = self.J.context
-        for cls, _ in self.J.terms():
+        for cls in self.J:
             if cls.r != 0:
                 raise InputError("wall data must have rank zero")
             if spec.nu_slope(cls) != self.slope:
@@ -70,7 +70,7 @@ class SeedSeries:
     label: str = "seed"
 
     def __post_init__(self):
-        for cls, _ in self.element.terms():
+        for cls in self.element:
             if cls.r != -1:
                 raise InputError("seed terms must have rank -1")
 
@@ -237,8 +237,8 @@ def group_resum(group: GroupSpec, trunc: Truncation | None) -> RationalFunction:
 
 def dtpt_ratio(dt_beta: LaurentSeries, dt_zero: LaurentSeries) -> LaurentSeries:
     L = dt_zero.window.functional  # the (L, exponent)-least term leads
-    lead = min(((L(e), e, c) for e, c in dt_zero.terms()), default=None)
-    if lead is not None and lead[2] != 1:
+    lead = min(((L(e), e) for e in dt_zero), default=None)
+    if lead is not None and dt_zero.coeff(lead[1]) != 1:
         raise InputError("rank-zero column must lead with coefficient 1")
     return divide(dt_beta, dt_zero)
 
@@ -276,7 +276,7 @@ def duality_check(f_by_beta: Mapping[IntVec, RationalFunction],
         diff = num_t * g.denominator - g.numerator * den_t
         entry = {"beta": list(beta), "image": list(img.beta), "ok": diff.is_zero()}
         if not entry["ok"]:
-            first = min(e for e, _ in diff.items())
+            first = min(diff)
             entry["first_discrepancy"] = {"exponent": list(first),
                                           "coeff": jsonio.format_rational(diff.coeff(first))}
         entries.append(entry)

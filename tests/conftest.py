@@ -84,6 +84,14 @@ def fr(a, b=1):
     return Fraction(a, b)
 
 
+def power(poly, n: int):
+    """poly multiplied by itself n >= 0 times; polynomials have no ``**``."""
+    out = type(poly).constant(poly.nvars, 1)
+    for _ in range(n):
+        out = out * poly
+    return out
+
+
 def evaluate(poly, point) -> Fraction:
     """A Laurent polynomial's value at a rational point, one Fraction power
     per variable and term: the reference for the integer evaluators."""

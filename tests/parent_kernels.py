@@ -1,0 +1,264 @@
+"""The kernels as they were when ``_Sparse`` stored Fraction values, kept
+verbatim as references for the kernels on int numerators over one
+denominator.
+
+The series kernels take and give dicts of Fractions.  The torus kernels run
+on this module's ``TorusElement``, which stands in for the old storage:
+``_terms`` maps classes to Fractions (to ints in exp_ad's rounds, the
+``_Numerators``).  ``stored`` and ``element`` convert from and to wallx's
+elements; ``exp_ad`` looks ``bracket`` up in this module.
+"""
+
+from __future__ import annotations
+
+import bisect
+import heapq
+import math
+import operator
+from collections.abc import Callable, Mapping
+from fractions import Fraction
+
+from wallx import poisson
+from wallx.errors import BUDGETS, InputError, charge
+from wallx.lattice import KClass
+from wallx.poisson import Truncation, _sigma_power
+from wallx.series import Exponent, LinearFunctional, _dot, _over_lcm
+
+
+class TorusElement:
+    """The old element storage: classes to Fraction values over a lattice."""
+
+    __slots__ = ("_terms", "_context")
+    _mismatch = "torus elements live over different lattices"
+
+    @classmethod
+    def _make(cls, terms: dict, context):
+        self = object.__new__(cls)
+        self._terms = terms
+        self._context = context
+        return self
+
+    @property
+    def context(self):
+        return self._context
+
+    def terms(self):
+        return self._terms.items()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def _check_context(self, other):
+        if self._context != other._context:
+            raise InputError(self._mismatch)
+
+
+class _Numerators(TorusElement):
+    """exp_ad's rounds: int numerators over a denominator that exp_ad keeps."""
+
+    __slots__ = ()
+
+
+def stored(x: poisson.TorusElement) -> TorusElement:
+    """x in the old storage."""
+    return TorusElement._make(dict(x.terms()), x.context)
+
+
+def element(x: TorusElement) -> poisson.TorusElement:
+    """An old-storage result as a wallx element."""
+    return poisson.TorusElement(x.context, x._terms)
+
+
+# -- series -------------------------------------------------------------------
+
+def _product(a: Mapping[Exponent, Fraction], b: Mapping[Exponent, Fraction],
+             ls, top: int) -> dict:
+    """The terms of a*b whose exponents e have _dot(ls, e) <= top (every term
+    for ls = 0 and top = 0).  Each term of a meets only the prefix of b, sorted
+    once by L, that keeps within top; ints are summed over da * db."""
+    na, da = _over_lcm(a.values())
+    nb, db = _over_lcm(b.values())
+    by_l = sorted(zip([_dot(ls, e) for e in b], b, nb))
+    b_ls = [l for l, _, _ in by_l]
+    out: dict[Exponent, int] = {}
+    for ea, ca in zip(a, na):
+        for _, eb, cb in by_l[:bisect.bisect_right(b_ls, top - _dot(ls, ea))]:
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    den = da * db
+    return {e: Fraction(n, den) for e, n in out.items() if n}
+
+
+def _divide_terms(num: Mapping[Exponent, Fraction], den: Mapping[Exponent, Fraction],
+                  L: LinearFunctional, bound: Fraction, m0: Exponent, c0: Fraction):
+    """Long division of num by den in increasing (L, lex) order.
+
+    den's unique L-minimal term (m0, c0) must be supplied.  Emits quotient
+    terms with L-value at most bound; terms are processed in a monotone
+    order so each quotient exponent is written exactly once.  It runs over
+    ints (L's ``ints`` against floor(bound * L.den), the remainder times the
+    lcm nd of num's) with steps (he - m0, hc/c0), which stay Fractions only
+    where c0 does not divide hc; each quotient term is r/(c0*nd).
+
+    The remainder is keyed by quotient exponents (num's minus m0), each
+    packed into the int sum (x_i + M) * B**(n-1-i) with B = 2M + 1 and M
+    bounding every |x_i| that can arise: a step adds the packed step less
+    the packed zero, and keys order as exponents do in lex order.
+    Every step raises L (m0 is the unique minimum), so the steps are sorted
+    by L-value and none that would land past the bound is taken."""
+    ls, top = L.ints, math.floor(bound * L.den)
+    nums, nd = _over_lcm(num.values())
+
+    def shifted(terms):
+        return ((tuple(map(operator.sub, e, m0)), c) for e, c in terms.items())
+
+    r = {e: n for (e, _), n in zip(shifted(num), nums) if _dot(ls, e) <= top}
+    steps = sorted((_dot(ls, d), d, c / c0) for d, c in shifted(den) if any(d))
+    # a term k steps deep has L-value at least min(r) + k * (least step) and
+    # at most top, and the division budget allows no more than its limit of steps
+    limit = BUDGETS["division"].limit
+    depth = min((top - min(_dot(ls, e) for e in r)) // steps[0][0],
+                limit) if r and steps else 0
+    M = (max((abs(x) for e in r for x in e), default=0)
+         + depth * max((abs(x) for _, d, _ in steps for x in d), default=0))
+    n, B = len(m0), 2 * M + 1
+    weights = [B ** i for i in reversed(range(n))]
+    offset = M * sum(weights)
+    heap = [(_dot(ls, e), _dot(weights, e) + offset) for e in r]
+    r = {_dot(weights, e) + offset: c for e, c in r.items()}
+    steps = [(l_d, _dot(weights, d), k.numerator if k.denominator == 1 else k)
+             for l_d, d, k in steps]
+    heapq.heapify(heap)
+    out_num, out_den = c0.denominator, c0.numerator * nd
+    out: dict[Exponent, Fraction] = {}
+    for _ in range(limit):
+        if not heap:
+            return out
+        l_e, e = heapq.heappop(heap)
+        c = r.pop(e, 0)
+        if not c:
+            continue
+        out[tuple(e // w % B - M for w in weights)] = Fraction(c * out_num, out_den)
+        room = top - l_e
+        for l_d, d, k in steps:
+            if l_d > room:
+                break
+            ne = e + d
+            acc = r.get(ne)
+            if acc is None:
+                r[ne] = -c * k
+                heapq.heappush(heap, (l_e + l_d, ne))
+            elif acc := acc - c * k:
+                r[ne] = acc
+            else:
+                del r[ne]
+    charge("division", limit + len(heap))  # each entry left needs a step
+    return out
+
+
+# -- torus --------------------------------------------------------------------
+
+def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
+               weight: Callable[[int], int]) -> TorusElement:
+    """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2), with
+    chi the row a1.pairing dotted with a2, summed in ints over the operands' common
+    denominators.  trunc is tested on the summed rank, point degree and curve part,
+    in that order, so the cone below its cap is built only when a pair needs it.
+    Two _Numerators give the _Numerators of the int sums; anything else, Fractions."""
+    x._check_context(y)
+    spec = x.context
+    cols = list(zip(*spec.pairing))
+    split = 1 + spec.rank1
+    deg = spec.deg[spec.rank1:]
+    ints = type(x) is type(y) is _Numerators
+
+    def parts(z):  # (vector, r, beta, point degree, numerator) per term, and den
+        nums, den = (z._terms.values(), 1) if ints else _over_lcm(z._terms.values())
+        return [(a.vector(), a.r, a.beta, sum(map(operator.mul, deg, a.c)), n)
+                for a, n in zip(z._terms, nums)], den
+
+    (xs, dx), (ys, dy) = parts(x), parts(y)
+    if trunc is not None:
+        ranks, below = trunc.rank_set, None
+        cap = None if trunc.deg_cap is None else math.floor(trunc.deg_cap)
+    acc: dict = {}
+    for v1, r1, b1, d1, n1 in xs:
+        row = [sum(map(operator.mul, v1, col)) for col in cols]
+        for v2, r2, b2, d2, n2 in ys:
+            w = weight(sum(map(operator.mul, row, v2)))
+            if not w:
+                continue
+            if trunc is not None:
+                if r1 + r2 not in ranks or (cap is not None and d1 + d2 > cap):
+                    continue
+                if below is None:
+                    below = spec._below(trunc.beta_cap)
+                if tuple(map(operator.add, b1, b2)) not in below:
+                    continue
+            v = tuple(map(operator.add, v1, v2))
+            acc[v] = acc.get(v, 0) + n1 * n2 * w
+    den = dx * dy
+    return (_Numerators if ints else TorusElement)._make(
+        {KClass._make((v[0], v[1:split], v[split:])): n if ints else Fraction(n, den)
+         for v, n in acc.items() if n}, spec)
+
+
+def bracket(x: TorusElement, y: TorusElement,
+            trunc: Truncation | None = None) -> TorusElement:
+    """{t^a, t^b} = sigma^chi(a,b) chi(a,b) t^(a+b), extended bilinearly."""
+    sigma = x.context.sigma
+    return _binary_op(x, y, trunc, lambda chi: _sigma_power(sigma, chi) * chi)
+
+
+def star_product(x: TorusElement, y: TorusElement,
+                 trunc: Truncation | None = None) -> TorusElement:
+    """t^a * t^b = sigma^chi(a,b) t^(a+b)."""
+    sigma = x.context.sigma
+    return _binary_op(x, y, trunc, lambda chi: _sigma_power(sigma, chi))
+
+
+def naive_product(x: TorusElement, y: TorusElement,
+                  trunc: Truncation | None = None) -> TorusElement:
+    """t^a t^b = t^(a+b) with no sign; this is what assembles series."""
+    return _binary_op(x, y, trunc, lambda chi: 1)
+
+
+def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
+    """exp({w, -}) applied to x inside the truncation.
+
+    Every w-term must have rank 0 and either a nonzero effective curve
+    part, or a curve part of zero with positive point degree; in the
+    latter case the truncation must carry a degree cap, otherwise the
+    adjoint action never becomes nilpotent.  The inverse is exp_ad(-w).
+    Round k brackets int numerators into dx dw^k ad_w^k(x), with dw and dx
+    the denominators of w and x; the rounds are summed once over dx dw^K K!.
+    """
+    if trunc is None:
+        raise InputError("non-nilpotent adjoint under this truncation")
+    spec = w.context
+    w._check_context(x)
+    for cls, _ in w.terms():
+        if cls.r != 0:
+            raise InputError("wall data must have rank zero")
+        if all(b == 0 for b in cls.beta):
+            if spec.deg_point(cls.c) <= 0 or trunc.deg_cap is None:
+                raise InputError("non-nilpotent adjoint under this truncation")
+        elif not spec.is_effective(cls.beta):
+            raise InputError("non-nilpotent adjoint under this truncation")
+    ws, dw = _over_lcm(w._terms.values())
+    xs, dx = _over_lcm(x._terms.values())
+    w = _Numerators._make(dict(zip(w._terms, ws)), spec)
+    rounds = [_Numerators._make(dict(zip(x._terms, xs)), spec)]  # k = 0, 1, ...
+    while not rounds[-1].is_zero():
+        charge("exp_ad", len(rounds))
+        rounds.append(bracket(w, rounds[-1], trunc))
+    rounds = rounds[:-1] or rounds  # the last nonzero round is K
+    top = len(rounds) - 1
+    fact = math.factorial(top)
+    total: dict = {}
+    for k, z in enumerate(rounds):
+        s = dw ** (top - k) * (fact // math.factorial(k))
+        for cls, n in z._terms.items():
+            total[cls] = total.get(cls, 0) + n * s
+    den = dx * dw ** top * fact
+    return TorusElement._make({cls: Fraction(n, den) for cls, n in total.items() if n}, spec)

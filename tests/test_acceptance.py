@@ -43,7 +43,7 @@ from wallx.wallcross import (
     iterate_walls,
 )
 
-from conftest import fr, model_lattice
+from conftest import fr, model_lattice, power
 from test_quasipoly import _brute_chain, _brute_orthant, _expand_coeffs, _random_qp
 from test_wallcross import (
     _check_group_against_brute,
@@ -209,7 +209,7 @@ def _stated_orthant_product(a, monos, nv):
         e = 1 + a.degree(i)
         if e > 0:
             step = tuple(a.period * x for x in w)
-            out = out * (one - LaurentPolynomial.monomial(step)) ** e
+            out = out * power(one - LaurentPolynomial.monomial(step), e)
     return out
 
 
@@ -224,7 +224,7 @@ def _stated_chain_product(a, pattern, monos, nv):
         e = 1 + sum(a.degree(i) for i in tail)
         if e > 0:
             step = tuple(a.period * x for x in w)
-            out = out * (one - LaurentPolynomial.monomial(step)) ** e
+            out = out * power(one - LaurentPolynomial.monomial(step), e)
     return out
 
 

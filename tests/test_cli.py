@@ -280,6 +280,12 @@ def _column_cosets_doc(n):
             "s_minus": series([-1, "1/1000"]), "s_plus": series([1, "1/1000"])}
 
 
+def _golden_with_deg_cap(name, deg_cap):
+    doc = json.loads((GOLDEN / f"{name}.json").read_text())
+    doc["truncation"]["deg_cap"] = deg_cap
+    return doc
+
+
 _HUGE_DOCS = {
     # an effective cone of 10**9 + 1 classes below the cap
     "beta_cap": ({"kind": "bracket", "lattice": model_lattice().to_obj(),
@@ -343,6 +349,12 @@ _HUGE_DOCS = {
                       "residue table must cover every residue tuple"),
     # 12 chain positions: a weight product of 4096 terms, signed 4096 times
     "group_weights": (_group_doc(12), "work budget exceeded: resummation weights"),
+    # thousands of rounds within their budget, whose sum would hold classes
+    # over a denominator of tens of thousands of digits
+    "exp_ad_size": (_golden_with_deg_cap("exp_ad", "5000"),
+                    "work budget exceeded: exp_ad result"),
+    "wallcross_size": (_golden_with_deg_cap("wallcross", "5000"),
+                       "work budget exceeded: exp_ad result"),
 }
 
 
@@ -380,6 +392,9 @@ _PAST_BUDGET = {
                              "x": _element_obj((-1, (0,), (0, 0), 1)),
                              "truncation": {"beta_cap": [0], "deg_cap": "40"}},
                "exp_ad took 5 rounds short of nilpotency", None),
+    # the golden document, whose sum charges 1,904
+    "exp_ad_size": ("exp_ad_size", 1903, _golden_with_deg_cap("exp_ad", "6"),
+                    "exp_ad result needs more than 1903 classes times denominator bits", None),
     "weights": ("weights", 100, _group_doc(3),
                 "resummation weights need more than 100 exponent entries", None),
 }

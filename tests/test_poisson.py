@@ -1,7 +1,6 @@
 import json
 import math
 import operator
-import sys
 from fractions import Fraction
 
 import pytest
@@ -9,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wallx import poisson
-from wallx.errors import InputError, charge
+from wallx.errors import InputError
 from wallx.lattice import KClass, lattice_from_obj
 from wallx.poisson import (
     TorusElement,
     Truncation,
-    _Numerators,
     _sigma_power,
     bracket,
     element_from_obj,
@@ -24,9 +22,10 @@ from wallx.poisson import (
     star_product,
     truncation_from_obj,
 )
-from wallx.series import _accumulate, _over_lcm
+from wallx.series import _accumulate
 from wallx.wallcross import SeedSeries, WallDatum, iterate_walls
 
+import parent_kernels as parent
 from conftest import GOLDEN, fr, model_lattice, two_gen_lattice
 
 
@@ -360,10 +359,10 @@ def _reference_binary_op(x, y, trunc, weight):
     spec = x.context
     cols = list(zip(*spec.pairing))
     split = 1 + spec.rank1
-    ys = [(a2.vector(), c2) for a2, c2 in y._terms.items()]
+    ys = [(a2.vector(), c2) for a2, c2 in y.terms()]
     kept = {}
     pairs = []
-    for a1, c1 in x._terms.items():
+    for a1, c1 in x.terms():
         v1 = a1.vector()
         row = [sum(map(operator.mul, v1, col)) for col in cols]
         for v2, c2 in ys:
@@ -376,7 +375,7 @@ def _reference_binary_op(x, y, trunc, weight):
                         trunc, spec, total) else None
                 if kept[v] is not None:
                     pairs.append((kept[v], c1 * c2 * w))
-    return TorusElement._make(_accumulate({}, pairs), spec)
+    return TorusElement(spec, _accumulate({}, pairs))
 
 
 def _reference_weights(spec):
@@ -398,45 +397,12 @@ def _reference_exp_ad(w, x, trunc):
     return acc
 
 
-def _parent_exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
-    """exp({w, -}) applied to x inside the truncation.
-
-    Every w-term must have rank 0 and either a nonzero effective curve
-    part, or a curve part of zero with positive point degree; in the
-    latter case the truncation must carry a degree cap, otherwise the
-    adjoint action never becomes nilpotent.  The inverse is exp_ad(-w).
-    Rounds bracket the unscaled ad_w^k(x), summed once in ints over K! at the end.
-    """
-    if trunc is None:
-        raise InputError("non-nilpotent adjoint under this truncation")
-    spec = w.context
-    w._check_context(x)
-    for cls, _ in w.terms():
-        if cls.r != 0:
-            raise InputError("wall data must have rank zero")
-        if all(b == 0 for b in cls.beta):
-            if spec.deg_point(cls.c) <= 0 or trunc.deg_cap is None:
-                raise InputError("non-nilpotent adjoint under this truncation")
-        elif not spec.is_effective(cls.beta):
-            raise InputError("non-nilpotent adjoint under this truncation")
-    rounds = [x]  # ad_w^k(x) for k = 0, 1, ..., without the 1/k!
-    while not rounds[-1].is_zero():
-        charge("exp_ad", len(rounds))
-        rounds.append(bracket(w, rounds[-1], trunc))
-    rounds = rounds[:-1] or rounds  # the last nonzero round is K
-    top = math.factorial(len(rounds) - 1)
-    scales = [top // math.factorial(k) for k in range(len(rounds))]
-    keys = [(cls, s) for z, s in zip(rounds, scales) for cls in z._terms]
-    nums, den = _over_lcm(c for z in rounds for c in z._terms.values())
-    total: dict = {}
-    for (cls, s), n in zip(keys, nums):
-        total[cls] = total.get(cls, 0) + n * s
-    return TorusElement._make(
-        {cls: Fraction(n, den * top) for cls, n in total.items() if n}, spec)
+def _parent_exp_ad(w, x, trunc):
+    return parent.element(parent.exp_ad(parent.stored(w), parent.stored(x), trunc))
 
 
-def _den(z):
-    return _over_lcm(z._terms.values())[1]
+_PARENT_OPS = {bracket: parent.bracket, star_product: parent.star_product,
+               naive_product: parent.naive_product}
 
 
 _SPECS = [model_lattice(), two_gen_lattice()]
@@ -466,7 +432,9 @@ def test_kernel_matches_reference(data):
             for _ in range(2))
     trunc = data.draw(st.none() | _truncations(spec, cap))
     for op, weight in _reference_weights(spec).items():
-        assert op(x, y, trunc) == _reference_binary_op(x, y, trunc, weight)
+        want = _reference_binary_op(x, y, trunc, weight)
+        assert op(x, y, trunc) == want == parent.element(
+            _PARENT_OPS[op](parent.stored(x), parent.stored(y), trunc))
     # curve walls, and point walls (beta 0, positive point degree) under a
     # cap, on rank -1 terms low in the cone, so that rounds survive it
     trunc = data.draw(_truncations(spec, cap).filter(lambda t: t.deg_cap is not None))
@@ -479,8 +447,8 @@ def test_kernel_matches_reference(data):
                             or (not any(cls.beta) and spec.deg_point(cls.c) > 0)})
     # over primes that no drawn numerator shares, so that dw > 1 and dx > 1
     scaled = (w.scale(fr(1, 29)), x.scale(fr(5, 31)))
-    assert scaled[0].is_zero() or _den(scaled[0]) > 1
-    assert _den(scaled[1]) > 1
+    assert scaled[0].is_zero() or scaled[0]._den > 1
+    assert scaled[1]._den > 1
     for w, x in ((w, x), scaled):
         out = exp_ad(w, x, trunc)
         assert out == _parent_exp_ad(w, x, trunc) == _reference_exp_ad(w, x, trunc)
@@ -492,7 +460,7 @@ def _golden_exp_ad():
     spec = lattice_from_obj(doc["lattice"])
     w, x = (element_from_obj(doc[k], k, spec) for k in "wx")
     assert sorted(c for _, c in w.terms()) == [fr(-2), fr(1, 3), fr(1, 2)]
-    assert (_den(w), _den(x)) == (6, 4)
+    assert (w._den, x._den) == (6, 4)
     return w, x, truncation_from_obj(doc["truncation"], "truncation", spec)
 
 
@@ -523,7 +491,7 @@ def test_no_int_coefficient_escapes():
         # a curve wall and a point wall
         w = TorusElement(spec, {KClass(0, b1, c1): 2, KClass(0, b0, c1): -1})
         x = TorusElement(spec, {KClass(-1, b0, c0): 3, KClass(0, b1, c0): 1})
-        assert _den(w) == _den(x) == 1
+        assert w._den == x._den == 1
         outs = [op(w, x, t) for op in (bracket, star_product, naive_product)
                 for t in (None, trunc)]
         outs += [exp_ad(w, x, trunc), exp_ad(TorusElement(spec, {}), x, trunc)]  # K = 0
@@ -540,7 +508,7 @@ def _counted_rounds(monkeypatch, module, run, w, x, trunc):
     """The (len w, len round, len result) of each bracket call that run makes,
     looking bracket up in module, and the operands of each call."""
     calls = []
-    real = poisson.bracket
+    real = module.bracket
 
     def counted(*args):
         out = real(*args)
@@ -561,13 +529,13 @@ def test_exp_ad_brackets_once_per_round(monkeypatch):
              Truncation((0,), fr(40)))
     for case in (point, _golden_exp_ad()):
         out, shapes, operands = _counted_rounds(monkeypatch, poisson, exp_ad, *case)
-        parent, parent_shapes, _ = _counted_rounds(
-            monkeypatch, sys.modules[__name__], _parent_exp_ad, *case)
+        parent_out, parent_shapes, _ = _counted_rounds(
+            monkeypatch, parent, _parent_exp_ad, *case)
         # the term counts that a tracer reads off each call are the parent's
-        assert out == parent and shapes == parent_shapes
+        assert out == parent_out and shapes == parent_shapes
+        # each round, and w, is a plain element over 1
         for z in (z for pair in operands for z in pair):
-            assert type(z) is _Numerators
-            assert all(type(c) is int for _, c in z.terms())
+            assert type(z) is TorusElement and z._den == 1
     # 40 nonzero rounds, then one that brackets to zero, each one call of bracket
     out, shapes, _ = _counted_rounds(monkeypatch, poisson, exp_ad, *point)
     assert len(shapes) == 41
@@ -585,6 +553,17 @@ def test_exp_ad_round_budget_boundary(set_budget):
     set_budget("exp_ad", 40)
     with pytest.raises(InputError, match="exp_ad took 40 rounds short of nilpotency"):
         exp_ad(w, x, Truncation((0,), fr(40)))
+
+
+def test_exp_ad_size_budget_boundary(set_budget):
+    # the golden document sums 68 classes over dx dw^K K! = 4 * 6**6 * 6!, of 28 bits
+    w, x, trunc = _golden_exp_ad()
+    assert (4 * 6 ** 6 * math.factorial(6)).bit_length() == 28
+    set_budget("exp_ad_size", 68 * 28)
+    assert len(exp_ad(w, x, trunc)) == 68
+    set_budget("exp_ad_size", 68 * 28 - 1)
+    with pytest.raises(InputError, match="exp_ad result needs more than 1903 classes"):
+        exp_ad(w, x, trunc)
 
 
 # -- wire format --------------------------------------------------------------

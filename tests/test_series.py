@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 from wallx import series
 from wallx.errors import InputError
+from wallx.lattice import KClass
+from wallx.poisson import TorusElement
 from wallx.series import (
     _coefficient,
     _divide_terms,
     _over_lcm,
+    _product,
     _series_product,
     Coset,
     LaurentPolynomial,
@@ -29,8 +32,11 @@ from wallx.series import (
     series_to_obj,
     verify_expansion,
 )
+from wallx.wallcross import SeedSeries
 
-from conftest import fr
+from conftest import fr, model_lattice, power
+from parent_kernels import _divide_terms as _parent_divide_terms
+from parent_kernels import _product as _parent_product
 
 
 def _poly1(coeffs):
@@ -394,8 +400,29 @@ def test_series_json_roundtrip_is_canonical():
 
 
 def test_polynomial_power_and_degree():
-    p = _poly1({0: 1, 1: -1}) ** 3
+    p = power(_poly1({0: 1, 1: -1}), 3)
     assert p.coeff((1,)) == -3 and p.coeff((3,)) == -1
+
+
+def test_term_counts_and_key_loops_build_no_fraction(monkeypatch):
+    # values are read as Fractions built from the stored ints; sizes and keys
+    # are not values, so neither a tracer's len(terms()) nor a key loop builds one
+    spec = model_lattice()
+    poly = LaurentPolynomial({(k,): fr(k + 1, 7) for k in range(5000)}, 1)
+    element = TorusElement(spec, {KClass(-1, (0,), (k, 0)): fr(1, 3) for k in range(5000)})
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(series, "Fraction", Counting)
+    assert len(poly.terms()) == len(poly.items()) == len(poly) == 5000
+    assert len(element.terms()) == 5000 and sum(1 for _ in poly) == 5000
+    SeedSeries(element)  # checks the rank of each class
+    assert not built
+    assert poly.coeff((3,)) == fr(4, 7) and len(built) == 1
 
 
 def test_shift_rejects_wrong_arity():
@@ -439,6 +466,23 @@ def test_coefficient_keeps_a_fraction_and_converts_the_rest():
 
 
 # -- the integer long-division kernel against a plain-Fraction reference -----
+
+def _divided(num, den, L, bound, m0):
+    """The kernel's quotient of the Fraction dicts num and den, read as
+    Fractions in the order it wrote them."""
+    out, d = _divide_terms(LaurentPolynomial(num, len(m0)), LaurentPolynomial(den, len(m0)),
+                           L, bound, m0)
+    assert d > 0 and all(type(n) is int and n for n in out.values())
+    return {e: Fraction(n, d) for e, n in out.items()}
+
+
+def _scaled(terms, factor):
+    return {e: c * factor for e, c in terms.items()}
+
+
+# num over 29 and den over 31, primes that no drawn coefficient shares
+_NUM_SCALE, _DEN_SCALE = fr(1, 29), fr(5, 31)
+
 
 def _reference_divide(num, den, L, bound, m0, c0):
     """Heap long division over Fractions, term by term as _divide_terms
@@ -520,7 +564,12 @@ def _assert_same_terms(got, want):
 def test_integer_division_matches_fraction_reference(num, den, L, bound):
     m0, c0 = _unique_min(den, L)
     want = _reference_divide(num, den, L, bound, m0, c0)
-    _assert_same_terms(_divide_terms(num, den, L, bound, m0, c0).items(), want)
+    _assert_same_terms(_parent_divide_terms(num, den, L, bound, m0, c0).items(), want)
+    _assert_same_terms(_divided(num, den, L, bound, m0).items(), want)
+    # operands whose denominators exceed 1
+    num_s, den_s = _scaled(num, _NUM_SCALE), _scaled(den, _DEN_SCALE)
+    _assert_same_terms(_divided(num_s, den_s, L, bound, m0).items(),
+                       _scaled(want, _NUM_SCALE / _DEN_SCALE))
 
     f = RationalFunction(LaurentPolynomial(num, 2), LaurentPolynomial(den, 2))
     if want:
@@ -571,8 +620,9 @@ def _wide_division(draw):
 @settings(deadline=None, max_examples=150)
 def test_integer_division_with_wide_exponents_matches_reference(case):
     num, den, L, bound, m0, c0 = case
-    _assert_same_terms(_divide_terms(num, den, L, bound, m0, c0).items(),
-                       _reference_divide(num, den, L, bound, m0, c0))
+    want = _reference_divide(num, den, L, bound, m0, c0)
+    _assert_same_terms(_parent_divide_terms(num, den, L, bound, m0, c0).items(), want)
+    _assert_same_terms(_divided(num, den, L, bound, m0).items(), want)
 
 
 class _RecordingHeapq:
@@ -594,8 +644,8 @@ def test_division_pushes_nothing_past_the_bound(monkeypatch):
     shim = _RecordingHeapq()
     monkeypatch.setattr(series, "heapq", shim)
     L = LinearFunctional((fr(1), fr(1)))
-    out = _divide_terms({(0, 0): fr(1)}, {(0, 0): fr(1), (1, 0): fr(-1), (0, 1): fr(-1)},
-                        L, fr(5), (0, 0), fr(1))
+    out = _divided({(0, 0): fr(1)}, {(0, 0): fr(1), (1, 0): fr(-1), (0, 1): fr(-1)},
+                   L, fr(5), (0, 0))
     assert len(out) == 21 and out[(2, 3)] == 10
     assert len(shim.pushed) == 20  # every exponent of L-value 1..5, once
     assert max(l for l, _ in shim.pushed) == 5
@@ -606,9 +656,8 @@ def test_division_budget(set_budget):
     num, den = {(0,): fr(1)}, {(0,): fr(1), (1,): fr(-1)}
     with pytest.raises(InputError, match="work budget exceeded: long division "
                                          "took 50 steps"):
-        _divide_terms(num, den, L_UP, fr(1000), (0,), fr(1))
-    assert _divide_terms(num, den, L_UP, fr(40), (0,), fr(1)) == {
-        (m,): 1 for m in range(41)}
+        _divided(num, den, L_UP, fr(1000), (0,))
+    assert _divided(num, den, L_UP, fr(40), (0,)) == {(m,): 1 for m in range(41)}
 
 
 # -- window-bounded products against the all-pairs product --------------------
@@ -632,9 +681,18 @@ def test_series_product_matches_all_pairs(a, b, L, cut):
     # falls inside both operands' L-ranges
     lows, highs = [min(map(L, t)) for t in (a, b)], [max(map(L, t)) for t in (a, b)]
     bound = sum(lows) + cut * (sum(highs) - sum(lows))
-    got = _series_product(a, b, Window(L, bound))
-    assert set(got.terms()) == set(_reference_product(a, b, L, bound).items())
-    assert all(type(c) is Fraction for _, c in got.terms())
+    want = _reference_product(a, b, L, bound)
+    top = math.floor(bound * L.den)
+    assert _parent_product(a, b, L.ints, top) == want
+    for a, b, want in ((a, b, want),  # and operands whose denominators exceed 1
+                       (_scaled(a, _NUM_SCALE), _scaled(b, _DEN_SCALE),
+                        _scaled(want, _NUM_SCALE * _DEN_SCALE))):
+        pa, pb = LaurentPolynomial(a, 2), LaurentPolynomial(b, 2)
+        ints = _product(pa._terms, pb._terms, L.ints, top)
+        assert {e: Fraction(n, pa._den * pb._den) for e, n in ints.items()} == want
+        got = _series_product(pa, pb, Window(L, bound))
+        assert set(got.terms()) == set(want.items())
+        assert all(type(c) is Fraction for _, c in got.terms())
 
 
 _prod_terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),

@@ -31,7 +31,7 @@ from wallx.wallcross import (
     iterate_walls,
 )
 
-from conftest import evaluate, fr, model_lattice, two_gen_lattice
+from conftest import evaluate, fr, model_lattice, power, two_gen_lattice
 
 
 def _mono(spec, r, beta, c, coeff=1):
@@ -313,9 +313,9 @@ def test_group_resum_linear_weight_r1():
     f = group_resum(group, Truncation((1,)))
     expected = RationalFunction(
         _poly({(0, 0): -1, (2, 0): -1}, 2),
-        _poly({(0, 0): 1, (2, 0): -1}, 2) ** 2)
+        power(_poly({(0, 0): 1, (2, 0): -1}, 2), 2))
     assert f == expected
-    assert f.denominator == _poly({(0, 0): 1, (4, 0): -1}, 2) ** 2
+    assert f.denominator == power(_poly({(0, 0): 1, (4, 0): -1}, 2), 2)
     _check_group_against_brute(group, a_max=20)
 
 
@@ -547,7 +547,7 @@ def _reference_product(spec, betas, equalities):
     for m in _free_positions(r, equalities):
         w = tuple(sum(t[j] for t in twists[m - 1:]) for j in range(nq))
         factor = one - LaurentPolynomial.monomial(tuple(2 * x for x in w))
-        out = out * factor ** (2 * (r - m + 1))
+        out = out * power(factor, 2 * (r - m + 1))
     return out
 
 
@@ -575,7 +575,7 @@ def test_dtpt_ratio_trivial_cases():
                                   LaurentPolynomial.constant(2, 1)), window)
     dt0 = expand(RationalFunction(
         LaurentPolynomial.constant(2, 1),
-        _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2), window)
+        power(_poly({(0, 0): 1, (1, 0): 1}, 2), 2)), window)
     assert dtpt_ratio(dt0, one).terms() == dt0.terms()
     ratio = dtpt_ratio(dt0, dt0)
     assert dict(ratio.terms()) == {(0, 0): Fraction(1)}
@@ -583,9 +583,9 @@ def test_dtpt_ratio_trivial_cases():
 
 def test_dtpt_ratio_two_variable_layer():
     L = _L_ABOVE
-    den2 = _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2
+    den2 = power(_poly({(0, 0): 1, (1, 0): 1}, 2), 2)
     num = _poly({(4, 4): 3}, 2)
-    dt_beta = expand(RationalFunction(num, den2 ** 2), Window(L, fr(16)))
+    dt_beta = expand(RationalFunction(num, power(den2, 2)), Window(L, fr(16)))
     dt_zero = expand(RationalFunction(LaurentPolynomial.constant(2, 1), den2),
                      Window(L, fr(8)))
     pt = dtpt_ratio(dt_beta, dt_zero)
@@ -725,7 +725,7 @@ def test_cross_gamma_wall_geometric():
 
 def _model_layer_expansions():
     f = RationalFunction(_poly({(4, 4): 3}, 2),
-                         _poly({(0, 0): 1, (1, 0): 1}, 2) ** 2)
+                         power(_poly({(0, 0): 1, (1, 0): 1}, 2), 2))
     s_up = expand(f, Window(_L_ABOVE, fr(11)))
     s_down = expand(f, Window(_L_BELOW, fr(20)))
     return f, s_up, s_down
