@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .jsonio import format_rational
+from .jsonio import format_ratio, format_rational
 from .lattice import LatticeSpec
 from .quasipoly import detect_quasipoly, reexpand_check
 from .series import (LaurentPolynomial, LinearFunctional, RationalFunction,
-                     Window, _exponent, expand)
+                     Window, _exponent, _over_lcm, expand)
 
 
 def behrend_smooth(dims) -> int:
@@ -126,12 +126,12 @@ def build_a1() -> A1Model:
     )
 
 
-def _first_divergence(pairs):
-    """First (m, expected, actual) disagreement in an iterable, or None."""
+def _first_divergence(pairs, den: int):
+    """First (m, expected, actual) disagreement, actual read over den, or None."""
     for m, expected, actual in pairs:
-        if expected != actual:
+        if expected * den != actual:
             return {"m": m, "expected": format_rational(expected),
-                    "actual": format_rational(actual)}
+                    "actual": format_rational(Fraction(actual, den))}
     return None
 
 
@@ -156,8 +156,12 @@ def run_a1(report_window: int) -> dict:
         model.point_row.denominator, model.point_row.numerator),
         Window(model.l_plus, w + 8))
     resolution_series = expand(model.shared_layer, Window(model.l_minus, w + 4))
-    orb = {m: orbifold_series.coeff((m, 4)) for m in ms}
-    res = {m: resolution_series.coeff((m, 4)) for m in ms}
+    # the two columns and the point row as int numerators over one denominator
+    _, den = _over_lcm(Fraction(1, s._den)
+                       for s in (orbifold_series, resolution_series, point_series))
+    orb, res, point = ({m: s._terms.get((m, n), 0) * (den // s._den) for m in span}
+                       for s, n, span in ((orbifold_series, 4, ms), (resolution_series, 4, ms),
+                                          (point_series, 0, range(w + 5))))
     diff = {m: orb[m] - res[m] for m in ms}
 
     steps = []
@@ -170,24 +174,23 @@ def run_a1(report_window: int) -> dict:
         steps.append(entry)
 
     add_step("orbifold column",
-             _first_divergence((m, model.orbifold_column(m), orb[m])
-                               for m in ms),
+             _first_divergence(((m, model.orbifold_column(m), orb[m])
+                                for m in ms), den),
              checked=len(orb))
     add_step("resolution column",
-             _first_divergence((m, model.resolution_column(m), res[m])
-                               for m in ms),
+             _first_divergence(((m, model.resolution_column(m), res[m])
+                                for m in ms), den),
              checked=len(res))
 
-    fit = detect_quasipoly(diff)
+    fit = detect_quasipoly(diff, den=den)
     if fit is None:
         fit_div = {"m": m_lo, "expected": "quasi-polynomial fit",
                    "actual": "no fit"}
         fit_detail = {}
-    else:  # the fit's int numerators against the closed form times den
-        values, den = fit.scaled_values([(m,) for m in ms])
-        fit_div = _first_divergence((m, model.column_difference(m), Fraction(v, den))
-                                    for m, v in zip(ms, values)
-                                    if v != model.column_difference(m) * den)
+    else:  # the fit's int numerators against the closed form
+        values, fit_den = fit.scaled_values([(m,) for m in ms])
+        fit_div = _first_divergence(zip(ms, map(model.column_difference, ms), values),
+                                    fit_den)
         fit_detail = {"period": fit.period, "degree": fit.degree(0)}
     add_step("difference quasi-polynomial", fit_div, **fit_detail)
 
@@ -198,14 +201,13 @@ def run_a1(report_window: int) -> dict:
              {"m": m_lo, "expected": "confirmed", "actual": "not confirmed"},
              cosets=len(verdict["cosets"]))
 
-    point = {m: point_series.coeff((m, 0)) for m in range(0, w + 5)}
     behrend_pairs = [(m, behrend_smooth([m]), value) for m, value in point.items()]
     for m in ms:
         expected = behrend_smooth([2, m - 4]) if m >= 4 else 0
         behrend_pairs.append((m, expected, orb[m]))
         expected = behrend_smooth([2, 2 - m]) if m <= 2 else 0
         behrend_pairs.append((m, expected, res[m]))
-    add_step("behrend cross-check", _first_divergence(behrend_pairs),
+    add_step("behrend cross-check", _first_divergence(behrend_pairs, den),
              checked=len(behrend_pairs))
 
     ok = all(step["ok"] for step in steps)
@@ -218,11 +220,11 @@ def run_a1(report_window: int) -> dict:
         "lattice_fingerprint": model.lattice.fingerprint(),
         "steps": steps,
         "table": [{"m": m,
-                   "orbifold": format_rational(orb[m]),
-                   "resolution": format_rational(res[m]),
-                   "difference": format_rational(diff[m])}
+                   "orbifold": format_ratio(orb[m], den),
+                   "resolution": format_ratio(res[m], den),
+                   "difference": format_ratio(diff[m], den)}
                   for m in ms],
-        "point_row": [{"m": m, "value": format_rational(value)}
+        "point_row": [{"m": m, "value": format_ratio(value, den)}
                       for m, value in point.items()],
         "ok": ok,
     }

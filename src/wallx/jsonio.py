@@ -11,6 +11,7 @@ a path while a field or list entry is parsed is raised again at its path.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -114,10 +115,16 @@ def _exponent_beyond_limit(digits: str) -> bool:
 
 
 def format_rational(value: Fraction) -> str:
+    return format_ratio(*value.as_integer_ratio())
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """numerator/denominator (denominator > 0) in lowest terms, as "p/q" or "p"."""
+    g = math.gcd(numerator, denominator)
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        if g == denominator:
+            return str(numerator // g)
+        return f"{numerator // g}/{denominator // g}"
     except ValueError:  # parse_rational could not read the digits back either
         raise digit_limit_error("a rational") from None
 

@@ -59,12 +59,9 @@ class TorusElement(_Sparse):
     def context(self) -> LatticeSpec:
         return self._context
 
-    def items_sorted(self):
-        return sorted(self.items())
-
     def __repr__(self):
         inner = ", ".join(f"t^{(cls.r, cls.beta, cls.c)}: {c}"
-                          for cls, c in self.items_sorted())
+                          for cls, c in sorted(self.items()))
         return f"TorusElement({{{inner}}})"
 
 
@@ -178,8 +175,8 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
 # -- wire format --------------------------------------------------------------
 
 def element_to_obj(x: TorusElement):
-    return [{"class": kclass_to_obj(cls), "coeff": jsonio.format_rational(c)}
-            for cls, c in x.items_sorted()]
+    return [{"class": kclass_to_obj(cls), "coeff": jsonio.format_ratio(x._terms[cls], x._den)}
+            for cls in sorted(x)]
 
 
 def element_from_obj(obj, path: str, spec: LatticeSpec) -> TorusElement:

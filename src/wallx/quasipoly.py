@@ -12,10 +12,10 @@ increments, with tail degrees as the exponents.  Detection in sample
 sequences applies the same difference operator to each residue class and
 reads the class's polynomial off those differences in Newton's form.
 This module also checks re-expansion claims across a wall of gradings,
-one coset of Z c0 at a time; each coset is named by its point e with
-floor(e[i] / c0[i]) == 0 at c0's first nonzero entry i (the one pivot of
-``Coset.representative``).  Differences come off the stored terms, and
-one detection charge covers all cosets' sample ranges before any fit.
+one coset of Z c0 at a time: a term at e is k = floor(e[i] / c0[i]) steps
+along the coset of e - k c0, i the first nonzero entry of c0.  Differences
+come off the stored int numerators and reach detection as ints over one
+denominator; one detection charge covers all cosets' ranges before any fit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Mapping
 from . import jsonio
 from .errors import InputError, charge
 from .series import (
-    Coset,
     LaurentPolynomial,
     LaurentSeries,
     LinearFunctional,
@@ -289,16 +288,18 @@ def _newton(start: int, step: int, diffs, den: int) -> LaurentPolynomial:
 
 
 def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = MAX_PERIOD,
-                     max_degree: int = MAX_DEGREE) -> QuasiPolynomial | None:
-    """Smallest (period, degree) quasi-polynomial fitting the samples exactly.
+                     max_degree: int = MAX_DEGREE, den: int = 1) -> QuasiPolynomial | None:
+    """Smallest (period, degree) quasi-polynomial fitting the samples / den exactly.
 
     Samples must cover a contiguous integer range (negative indices are
-    fine).  Period p and degree d fit when the (d + 1)-th differences vanish
-    on every residue class mod p: (1 - x^p)^(1 + d) times the generating
-    function is a polynomial (Stanley, EC1 4.4).  Periods rise from 1; each
-    class is differenced, in integers, up to its first vanishing order, and
-    its polynomial is read off those differences in Newton's form, so the
-    samples are not fitted again.  Every class keeps a held-out point, so
+    fine); ``den``, a positive int, is their common denominator, and int
+    samples are read as they are.  Period p and degree d fit when the
+    (d + 1)-th differences vanish on every residue class mod p:
+    (1 - x^p)^(1 + d) times the generating function is a polynomial
+    (Stanley, EC1 4.4).  Periods rise from 1; each class is differenced, in
+    integers, up to its first vanishing order, and its polynomial is read
+    off those differences in Newton's form, so the samples are not fitted
+    again.  Every class keeps a held-out point, so
     period <= len / 2 and degree <= len / period - 2.  Returns None when no
     period fits; raises "window too small" when nothing could be tried, and
     the "detection" work-budget error past its differenced entries.
@@ -308,7 +309,10 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = MAX_PERI
         raise InputError("samples must cover a contiguous integer range")
     if len(keys) < 2 or max_period < 1 or max_degree < 0:
         raise InputError("window too small")
-    scaled, den = _over_lcm(_coefficient(samples[k]) for k in keys)
+    if not isinstance(den, int) or den < 1:
+        raise InputError("sample denominator must be a positive integer")
+    scaled, lcm = _over_lcm(v if type(v) is int else _coefficient(v)  # refuses floats
+                            for v in map(samples.__getitem__, keys))
     work = 0
     for p in range(1, min(max_period, len(keys) // 2) + 1):
         cap = min(max_degree, len(keys) // p - 2)
@@ -325,7 +329,7 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = MAX_PERI
                 break
         else:  # every class fits
             return QuasiPolynomial(1, p, {
-                ((keys[0] + s) % p,): _newton(keys[0] + s, p, column, den)
+                ((keys[0] + s) % p,): _newton(keys[0] + s, p, column, den * lcm)
                 for s, column in enumerate(columns)})
     return None
 
@@ -357,14 +361,14 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     if not verify_expansion(s_minus, f):
         raise InputError("s_minus is not an expansion of the rational function")
 
-    z_c0 = Coset((0,) * len(c0), (c0,))
-    (col, _), = z_c0.echelon
-    diffs = defaultdict(dict)  # {rep: {k: s_plus - s_minus at rep + k c0}}
-    for s in (-s_minus, s_plus):
-        for e, c in s.terms():
-            rep = z_c0.representative(e)
-            diff, k = diffs[rep], (e[col] - rep[col]) // c0[col]
-            diff[k] = diff[k] + c if k in diff else c
+    col = next(i for i, x in enumerate(c0) if x)
+    (down_scale, up_scale), den = _over_lcm(Fraction(1, s._den) for s in (s_minus, s_plus))
+    diffs = defaultdict(dict)  # {rep: {k: (s_plus - s_minus) * den at rep + k c0}}
+    for s, scale in ((s_minus, -down_scale), (s_plus, up_scale)):
+        for e, n in s._terms.items():
+            k = e[col] // c0[col]
+            diff = diffs[tuple(x - k * y for x, y in zip(e, c0))]
+            diff[k] = diff.get(k, 0) + n * scale
     ranges = [(rep, diff, math.ceil((s_minus.bound - L_minus(rep)) / down),
                math.floor((s_plus.bound - L_plus(rep)) / up))
               for rep, diff in sorted(diffs.items())]
@@ -373,7 +377,7 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     cosets = []
     for rep, diff, k_lo, k_hi in ranges:
         fit = None if k_hi <= k_lo else detect_quasipoly(
-            {k: diff.get(k, 0) for k in range(k_lo, k_hi + 1)}, max_period, max_degree)
+            {k: diff.get(k, 0) for k in range(k_lo, k_hi + 1)}, max_period, max_degree, den)
         cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
                        "fit": None if fit is None else qp_to_obj(fit)})
     all_fit = all(coset["fit"] is not None for coset in cosets)

@@ -228,8 +228,7 @@ class _Sparse(Mapping):
     terms = Mapping.items
 
     def coeff(self, key) -> Fraction:
-        n = self._terms.get(key, 0)
-        return Fraction(n) if self._den == 1 else Fraction(n, self._den)  # over 1: no gcd
+        return Fraction(self._terms.get(key, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -376,16 +375,16 @@ class LaurentSeries(_Sparse):
     def bound(self) -> Fraction:
         return self.window.bound
 
-    def items_sorted(self) -> list[tuple[Exponent, Fraction]]:
+    def keys_sorted(self) -> list[Exponent]:
         ls = self.window.functional.ints  # orders as L does
-        return sorted(self.items(), key=lambda item: (_dot(ls, item[0]), item[0]))
+        return sorted(self, key=lambda e: (_dot(ls, e), e))
 
     def support_min(self) -> Fraction:
         """Smallest L-value present, or the bound for the empty series."""
         return min(map(self.window.functional, self._terms), default=self.bound)
 
     def __repr__(self):
-        inner = ", ".join(f"{e}: {c}" for e, c in self.items_sorted())
+        inner = ", ".join(f"{e}: {self[e]}" for e in self.keys_sorted())
         return f"LaurentSeries({{{inner}}}, bound={self.bound})"
 
 
@@ -581,9 +580,10 @@ def _coset_from_obj(obj, path: str, arity: int) -> Coset:
     return coset
 
 
-def terms_to_obj(items):
-    return [{"exponent": list(e), "coeff": jsonio.format_rational(c)}
-            for e, c in items]
+def terms_to_obj(x: _Sparse, keys):
+    """x's terms at keys, each coefficient written from its stored numerator."""
+    return [{"exponent": list(e), "coeff": jsonio.format_ratio(x._terms[e], x._den)}
+            for e in keys]
 
 
 def terms_from_obj(obj, path: str, nvars: int | None = None,
@@ -603,7 +603,7 @@ def _term_from_obj(obj, path: str, nvars: int | None,
 
 def series_to_obj(s: LaurentSeries):
     return {"window": window_to_obj(s.window),
-            "terms": terms_to_obj(s.items_sorted())}
+            "terms": terms_to_obj(s, s.keys_sorted())}
 
 
 def series_from_obj(obj, path: str, nvars: int | None = None) -> LaurentSeries:
@@ -613,7 +613,7 @@ def series_from_obj(obj, path: str, nvars: int | None = None) -> LaurentSeries:
 
 
 def polynomial_to_obj(p: LaurentPolynomial):
-    return terms_to_obj(sorted(p.items()))
+    return terms_to_obj(p, sorted(p))
 
 
 def polynomial_from_obj(obj, path: str, nvars: int | None = None) -> LaurentPolynomial:

@@ -7,6 +7,11 @@ on this module's ``TorusElement``, which stands in for the old storage:
 ``_terms`` maps classes to Fractions (to ints in exp_ad's rounds, the
 ``_Numerators``).  ``stored`` and ``element`` convert from and to wallx's
 elements; ``exp_ad`` looks ``bracket`` up in this module.
+
+The readers ``reexpand_check`` and ``run_a1`` read their series into
+Fractions (``terms()`` and ``coeff()``) and write through the Fraction wire
+writers below; ``run_a1`` looks ``build_a1`` up in ``wallx.a1model``, so a
+model patched there reaches both it and wallx's ``run_a1``.
 """
 
 from __future__ import annotations
@@ -15,14 +20,20 @@ import bisect
 import heapq
 import math
 import operator
+from collections import defaultdict
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 
-from wallx import poisson
+from wallx import a1model, poisson
+from wallx.a1model import behrend_smooth
 from wallx.errors import BUDGETS, InputError, charge
-from wallx.lattice import KClass
+from wallx.jsonio import digit_limit_error
+from wallx.lattice import KClass, kclass_to_obj
 from wallx.poisson import Truncation, _sigma_power
-from wallx.series import Exponent, LinearFunctional, _dot, _over_lcm
+from wallx.quasipoly import MAX_DEGREE, MAX_PERIOD, QuasiPolynomial, detect_quasipoly
+from wallx.series import (Coset, Exponent, LaurentPolynomial, LaurentSeries, LinearFunctional,
+                          RationalFunction, Window, _dot, _exponent, _over_lcm, expand,
+                          verify_expansion, window_to_obj)
 
 
 class TorusElement:
@@ -262,3 +273,198 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
             total[cls] = total.get(cls, 0) + n * s
     den = dx * dw ** top * fact
     return TorusElement._make({cls: Fraction(n, den) for cls, n in total.items() if n}, spec)
+
+# -- readers ------------------------------------------------------------------
+
+def format_rational(value: Fraction) -> str:
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # parse_rational could not read the digits back either
+        raise digit_limit_error("a rational") from None
+
+
+def terms_to_obj(items):
+    return [{"exponent": list(e), "coeff": format_rational(c)}
+            for e, c in items]
+
+
+def series_to_obj(s: LaurentSeries):
+    ls = s.window.functional.ints  # orders as L does
+    return {"window": window_to_obj(s.window),
+            "terms": terms_to_obj(sorted(s.items(),
+                                         key=lambda item: (_dot(ls, item[0]), item[0])))}
+
+
+def polynomial_to_obj(p: LaurentPolynomial):
+    return terms_to_obj(sorted(p.items()))
+
+
+def qp_to_obj(a: QuasiPolynomial):
+    entries = [{"residues": list(rho), "poly": polynomial_to_obj(a.table[rho])}
+               for rho in sorted(a.table)]
+    return {"vars": a.vars, "period": a.period, "table": entries}
+
+
+def element_to_obj(x: poisson.TorusElement):
+    return [{"class": kclass_to_obj(cls), "coeff": format_rational(c)}
+            for cls, c in sorted(x.items())]
+
+
+def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
+                   s_plus: LaurentSeries, c0, max_period: int = MAX_PERIOD,
+                   max_degree: int = MAX_DEGREE) -> dict:
+    """Certify s_plus as the L_plus re-expansion of f across the c0 direction,
+    where L_minus and L_plus are the functionals of s_minus's and s_plus's
+    windows.
+
+    s_minus must already be the (verified) L_minus expansion.  On every
+    coset of Z c0 meeting either support, the difference s_plus - s_minus
+    sampled along c0 must fit a quasi-polynomial ("all_fit"; a coset with
+    fewer than two samples fits none), and s_plus must pass direct
+    verification ("confirmed").  Returns the CLI's report: "c0" and
+    "cosets", each with "representative", "k_lo", "k_hi" and "fit".
+    """
+    c0 = _exponent(c0)
+    if all(x == 0 for x in c0):
+        raise InputError("re-expansion direction must be nonzero")
+    L_minus, L_plus = s_minus.window.functional, s_plus.window.functional
+    down = L_minus(c0)
+    up = L_plus(c0)
+    if not (down < 0 < up):
+        raise InputError("re-expansion direction must have L_minus(c0) < 0 < L_plus(c0)")
+    if not verify_expansion(s_minus, f):
+        raise InputError("s_minus is not an expansion of the rational function")
+
+    z_c0 = Coset((0,) * len(c0), (c0,))
+    (col, _), = z_c0.echelon
+    diffs = defaultdict(dict)  # {rep: {k: s_plus - s_minus at rep + k c0}}
+    for s in (-s_minus, s_plus):
+        for e, c in s.terms():
+            rep = z_c0.representative(e)
+            diff, k = diffs[rep], (e[col] - rep[col]) // c0[col]
+            diff[k] = diff[k] + c if k in diff else c
+    ranges = [(rep, diff, math.ceil((s_minus.bound - L_minus(rep)) / down),
+               math.floor((s_plus.bound - L_plus(rep)) / up))
+              for rep, diff in sorted(diffs.items())]
+    # what period 1, degree 0 alone differences, over every coset at once
+    charge("detection", sum(max(k_hi - k_lo, 0) for _, _, k_lo, k_hi in ranges))
+    cosets = []
+    for rep, diff, k_lo, k_hi in ranges:
+        fit = None if k_hi <= k_lo else detect_quasipoly(
+            {k: diff.get(k, 0) for k in range(k_lo, k_hi + 1)}, max_period, max_degree)
+        cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
+                       "fit": None if fit is None else qp_to_obj(fit)})
+    all_fit = all(coset["fit"] is not None for coset in cosets)
+    return {"c0": list(c0), "cosets": cosets, "all_fit": all_fit,
+            "confirmed": all_fit and verify_expansion(s_plus, f)}
+
+
+
+def _first_divergence(pairs):
+    """First (m, expected, actual) disagreement in an iterable, or None."""
+    for m, expected, actual in pairs:
+        if expected != actual:
+            return {"m": m, "expected": format_rational(expected),
+                    "actual": format_rational(actual)}
+    return None
+
+
+def run_a1(report_window: int) -> dict:
+    """Recompute both columns and return the full verification report.
+
+    The report covers m in [-report_window, report_window + 4].  Each step
+    carries its own ok flag; any mismatch is reported as the step's first
+    divergent coefficient and flips the top-level ok flag instead of
+    raising.
+    """
+    w = _exponent((report_window,))[0]
+    if w < 8:
+        raise InputError("report window must be at least 8")
+    model = a1model.build_a1()
+    m_lo, m_hi = -w, w + 4
+    ms = range(m_lo, m_hi + 1)
+
+    point_series = expand(model.point_row, Window(model.l_plus, w + 8))
+    # DT/PT as one expansion of the quotient; reexpand_check reads its bound w + 8
+    orbifold_series = expand(model.orbifold_layer * RationalFunction(
+        model.point_row.denominator, model.point_row.numerator),
+        Window(model.l_plus, w + 8))
+    resolution_series = expand(model.shared_layer, Window(model.l_minus, w + 4))
+    orb = {m: orbifold_series.coeff((m, 4)) for m in ms}
+    res = {m: resolution_series.coeff((m, 4)) for m in ms}
+    diff = {m: orb[m] - res[m] for m in ms}
+
+    steps = []
+
+    def add_step(name, divergence, **detail):
+        entry = {"name": name, "ok": divergence is None}
+        if divergence is not None:
+            entry["first_divergence"] = divergence
+        entry.update(detail)
+        steps.append(entry)
+
+    add_step("orbifold column",
+             _first_divergence((m, model.orbifold_column(m), orb[m])
+                               for m in ms),
+             checked=len(orb))
+    add_step("resolution column",
+             _first_divergence((m, model.resolution_column(m), res[m])
+                               for m in ms),
+             checked=len(res))
+
+    fit = detect_quasipoly(diff)
+    if fit is None:
+        fit_div = {"m": m_lo, "expected": "quasi-polynomial fit",
+                   "actual": "no fit"}
+        fit_detail = {}
+    else:  # the fit's int numerators against the closed form times den
+        values, den = fit.scaled_values([(m,) for m in ms])
+        fit_div = _first_divergence((m, model.column_difference(m), Fraction(v, den))
+                                    for m, v in zip(ms, values)
+                                    if v != model.column_difference(m) * den)
+        fit_detail = {"period": fit.period, "degree": fit.degree(0)}
+    add_step("difference quasi-polynomial", fit_div, **fit_detail)
+
+    verdict = reexpand_check(model.shared_layer, resolution_series,
+                             orbifold_series, model.point_plus_exponent())
+    add_step("re-expansion certificate",
+             None if verdict["confirmed"] else
+             {"m": m_lo, "expected": "confirmed", "actual": "not confirmed"},
+             cosets=len(verdict["cosets"]))
+
+    point = {m: point_series.coeff((m, 0)) for m in range(0, w + 5)}
+    behrend_pairs = [(m, behrend_smooth([m]), value) for m, value in point.items()]
+    for m in ms:
+        expected = behrend_smooth([2, m - 4]) if m >= 4 else 0
+        behrend_pairs.append((m, expected, orb[m]))
+        expected = behrend_smooth([2, 2 - m]) if m <= 2 else 0
+        behrend_pairs.append((m, expected, res[m]))
+    add_step("behrend cross-check", _first_divergence(behrend_pairs),
+             checked=len(behrend_pairs))
+
+    ok = all(step["ok"] for step in steps)
+    report = {
+        "model": "transverse-a1",
+        "window": w,
+        "normalization": {"deg_point_plus": model.lattice.deg[1],
+                          "deg_point_minus": model.lattice.deg[2],
+                          "l_curve": model.lattice.l[0]},
+        "lattice_fingerprint": model.lattice.fingerprint(),
+        "steps": steps,
+        "table": [{"m": m,
+                   "orbifold": format_rational(orb[m]),
+                   "resolution": format_rational(res[m]),
+                   "difference": format_rational(diff[m])}
+                  for m in ms],
+        "point_row": [{"m": m, "value": format_rational(value)}
+                      for m, value in point.items()],
+        "ok": ok,
+    }
+    if not ok:
+        first_bad = next(step for step in steps if not step["ok"])
+        report["first_divergence"] = dict(first_bad.get("first_divergence", {}),
+                                          step=first_bad["name"])
+    return report
+

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wallx import a1model
+from wallx import a1model, quasipoly
 from wallx.a1model import (A1Model, behrend_smooth, build_a1, render_a1_table,
                            run_a1)
 from wallx.errors import InputError
@@ -15,6 +15,7 @@ from wallx.series import LaurentPolynomial, RationalFunction, Window, expand
 from wallx.wallcross import dtpt_ratio
 
 from conftest import fr
+import parent_kernels as parent
 
 
 def _alt(m):
@@ -202,9 +203,13 @@ def test_render_table_layout():
 def test_first_divergence_reports_earliest_mismatch():
     pairs = [(0, Fraction(1), Fraction(1)), (1, Fraction(2), Fraction(5)),
              (2, Fraction(0), Fraction(9))]
-    out = a1model._first_divergence(pairs)
+    out = a1model._first_divergence(pairs, 1)
     assert out == {"m": 1, "expected": "2", "actual": "5"}
-    assert a1model._first_divergence(pairs[:1]) is None
+    assert a1model._first_divergence(pairs[:1], 1) is None
+    # actual values are numerators over den, written in lowest terms
+    over_six = [(0, 1, 6), (1, 2, 12), (2, 0, 3), (3, 1, 1)]
+    assert a1model._first_divergence(over_six, 6) == {"m": 2, "expected": "0", "actual": "1/2"}
+    assert a1model._first_divergence(over_six[:2], 6) is None
 
 
 def test_run_a1_failure_report_names_first_divergence(monkeypatch):
@@ -222,6 +227,59 @@ def test_run_a1_failure_report_names_first_divergence(monkeypatch):
     assert report["first_divergence"]["actual"] != "33"
     assert report["steps"][0]["ok"] is True
     assert report["steps"][1]["ok"] is False
+
+
+def _rescaled_model(orbifold=1, shared=1, point_num=1, point_den=1):
+    """build_a1 with the layers' numerators and the point row's numerator
+    and denominator scaled, so each series is over its own denominator."""
+    model = build_a1()
+
+    def scaled(f, num, den=1):
+        return RationalFunction(f.numerator.scale(fr(num)), f.denominator.scale(fr(den)))
+
+    return dataclasses.replace(
+        model, orbifold_layer=scaled(model.orbifold_layer, orbifold),
+        shared_layer=scaled(model.shared_layer, shared),
+        point_row=scaled(model.point_row, point_num, point_den))
+
+
+@pytest.mark.parametrize("scales, w", [
+    (dict(orbifold=fr(3, 2), shared=fr(3, 2)), 8),     # layer_top times 3/2
+    (dict(orbifold=fr(5, 7), shared=fr(3, 10)), 11),   # columns over 7 and 10
+    (dict(point_num=fr(1, 3)), 9),                     # point row over 3
+    (dict(orbifold=fr(2, 3), point_den=4, shared=-1), 13),
+    ({}, 10),
+], ids=["layer_top_3_2", "columns_7_10", "point_row_3", "mixed", "model"])
+def test_run_a1_matches_the_parent_reader_off_den_one(monkeypatch, scales, w):
+    """The whole report, steps and first divergence included, equals what the
+    reader of coeff() Fractions gives, with the columns and the point row
+    over denominators other than 1."""
+    bad = _rescaled_model(**scales)
+    monkeypatch.setattr(a1model, "build_a1", lambda: bad)
+    report = run_a1(w)
+    assert report == parent.run_a1(w)
+    if scales:
+        assert report["ok"] is False and "first_divergence" in report
+        cells = [v for row in report["table"] + report["point_row"]
+                 for k, v in row.items() if k != "m"]
+        assert any("/" in cell for cell in cells)
+    else:
+        assert report["ok"] is True
+
+
+def test_run_a1_detects_through_the_public_entries(monkeypatch):
+    # the difference column, then the certificate's one coset: the names
+    # perfbench's tracer wraps, each given int samples over a denominator
+    calls = []
+
+    def spy(samples, *args, **kwargs):
+        calls.append({type(v) for v in samples.values()})
+        return detect_quasipoly(samples, *args, **kwargs)
+
+    monkeypatch.setattr(a1model, "detect_quasipoly", spy)
+    monkeypatch.setattr(quasipoly, "detect_quasipoly", spy)
+    assert run_a1(8)["ok"] is True
+    assert calls == [{int}, {int}]
 
 
 # -- DT/PT as one expansion ---------------------------------------------------
@@ -278,7 +336,7 @@ def _reference_fit_step(model, report):
     fit = detect_quasipoly({entry["m"]: Fraction(entry["difference"])
                             for entry in report["table"]})
     divergence = a1model._first_divergence(
-        (m, model.column_difference(m), fit.eval((m,))) for m in ms)
+        ((m, model.column_difference(m), fit.eval((m,))) for m in ms), 1)
     step = {"name": "difference quasi-polynomial", "ok": divergence is None}
     if divergence is not None:
         step["first_divergence"] = divergence

@@ -456,6 +456,26 @@ def test_report_integer_beyond_int_string_limit_exits_two(tmp_path, capsys, fmt)
                    "on integer strings", "path": None}
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_report_coefficient_beyond_int_string_limit_exits_two(tmp_path, capsys, fmt):
+    # the naive product's one coefficient is 10**2150 * 10**2150, 4,301 digits
+    x = _element_obj((0, (0, 0), (1,), 10**2150))
+    doc = {"kind": "bracket", "operation": "naive",
+           "lattice": two_gen_lattice().to_obj(), "x": x, "y": x}
+    status, out = _run(tmp_path, capsys, doc, ("--format", fmt))
+    assert status == 2
+    assert json.loads(out)["error"] == {
+        "message": "result has a rational beyond Python's 4300-digit limit "
+                   "on integer strings", "path": None}
+    # 10**2150 * 10**2149 has 4,300 digits
+    y = _element_obj((0, (0, 0), (1,), 10**2149))
+    status, out = _run(tmp_path, capsys, dict(doc, y=y), ("--format", fmt))
+    assert status == 0
+    if fmt == "json":
+        (term,) = json.loads(out)["element"]
+        assert term["coeff"] == "1" + "0" * 4299
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"kind": "expand", "x": ' + "7" * 5000 + "}", "invalid JSON: Exceeds the limit"),
     ("[" * 100000, "invalid JSON: maximum recursion depth exceeded"),

@@ -88,6 +88,7 @@ _FLOAT_CALLS = {
     "reexpand_check c0": lambda: _reexpand((1.5,)),
     "detect_quasipoly value": lambda: detect_quasipoly({0: 0.1, 1: 0.1, 2: 0.1}),
     "detect_quasipoly n": lambda: detect_quasipoly({0.0: 1, 1.0: 1, 2.0: 1}),
+    "detect_quasipoly den": lambda: detect_quasipoly({0: 1, 1: 1, 2: 1}, den=3.0),
     "LinearFunctional": lambda: LinearFunctional((0.1,)),
     "Window bound": lambda: Window(_ONE, 0.1),
     "Coset base": lambda: Coset((0.7,), ()),
@@ -129,6 +130,14 @@ _FLOAT_CALLS = {
 def test_float_input_raises(name):
     with pytest.raises(InputError, match="float|integer"):
         _FLOAT_CALLS[name]()
+
+
+@pytest.mark.parametrize("den", [1, 6])
+def test_detect_refuses_a_float_among_int_samples(den):
+    # int samples are read as they are; the one float still meets the coefficient check
+    with pytest.raises(InputError) as err:
+        detect_quasipoly({0: 1, 1: 0.5, 2: 1}, den=den)
+    assert err.value.message == "floats are not accepted as coefficients, got 0.5"
 
 
 def test_integral_and_rational_input_still_accepted():

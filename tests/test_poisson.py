@@ -1,6 +1,7 @@
 import json
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -576,6 +577,26 @@ def test_element_json_round_trip():
     assert obj[0]["coeff"] == "-3/7"
     back = element_from_obj(obj, "element", spec)
     assert back == x
+
+
+def test_element_json_reduces_each_stored_value_on_its_own():
+    # 1/2 and 1/3 are stored as 3 and 2 over 6, with no factor common to all
+    spec = model_lattice()
+    x = _mono(spec, -1, (0,), (0, 0), fr(1, 2)) + _mono(spec, 0, (2,), (1, -1), fr(1, 3))
+    assert sorted(x._terms.values()) == [2, 3] and x._den == 6
+    obj = element_to_obj(x)
+    assert [t["coeff"] for t in obj] == ["1/2", "1/3"]
+    assert json.dumps(obj) == json.dumps(parent.element_to_obj(x))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=50)
+def test_element_json_matches_the_fraction_writer(seed):
+    rng = random.Random(seed)
+    spec = two_gen_lattice()
+    x, y = _random_element(rng, spec), _random_element(rng, spec)
+    for z in (x, y, bracket(x, y), star_product(x, y)):
+        assert json.dumps(element_to_obj(z)) == json.dumps(parent.element_to_obj(z))
 
 
 def test_element_from_obj_reports_paths():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,7 @@ from wallx.series import (
 )
 
 from conftest import evaluate, fr, power
+import parent_kernels as parent
 
 
 def _alt(m):
@@ -527,6 +529,38 @@ def test_detect_work_budget(set_budget):
     assert detect_quasipoly({n: fr(n) for n in range(40)}, 4, 6) is not None
 
 
+@given(_detect_case(), st.integers(1, 12))
+@settings(deadline=None, max_examples=200)
+def test_detect_reads_int_samples_over_den(case, den):
+    """Int samples over den fit as the equal Fraction samples do."""
+    samples, max_period, max_degree = case
+    nums, lcm = _over_lcm(samples.values())
+    ints = {k: n * den for k, n in zip(samples, nums)}
+    assert _outcome(lambda *a: detect_quasipoly(*a, den=lcm * den), ints,
+                    max_period, max_degree) == _outcome(detect_quasipoly, samples,
+                                                        max_period, max_degree)
+    fractions = {k: v * den for k, v in samples.items()}  # read over den
+    assert _outcome(lambda *a: detect_quasipoly(*a, den), fractions,
+                    max_period, max_degree) == _outcome(detect_quasipoly, samples,
+                                                        max_period, max_degree)
+
+
+def test_detect_int_samples_build_the_fraction_fit():
+    # n/3 + 1/2 on even n and 5/6 on odd n, over 6
+    ints = {n: 2 * n + 3 if n % 2 == 0 else 5 for n in range(-4, 9)}
+    fit = detect_quasipoly(ints, den=6)
+    assert fit == detect_quasipoly({n: fr(v, 6) for n, v in ints.items()})
+    assert fit == QuasiPolynomial(1, 2, {(0,): _poly(1, {(0,): fr(1, 2), (1,): fr(1, 3)}),
+                                         (1,): _poly(1, {(0,): fr(5, 6)})})
+    assert type(fit.table[(0,)].coeff((1,))) is Fraction
+
+
+@pytest.mark.parametrize("den", [0, -1, -6])
+def test_detect_refuses_a_denominator_below_one(den):
+    with pytest.raises(InputError, match="sample denominator must be a positive integer"):
+        detect_quasipoly({n: n for n in range(6)}, den=den)
+
+
 def test_resum_work_budget(set_budget):
     # one table term n^30: a box of 31 points, each evaluated by the one
     # multiply-add of its Horner row and differenced 31 times
@@ -742,6 +776,110 @@ def test_reexpand_matches_the_probing_reference(case):
     assert outcome(reexpand_check) == outcome(_reference_reexpand)
 
 
+# -- the reader of Fraction terms, as a reference -----------------------------
+
+@st.composite
+def _reexpand_rational_case(draw):
+    """g / h in three variables with h one of 1 - t, 1 + t, (1 - t)^2 and
+    10 - 3t for t = x^v, v a multiple of c0: the differences along c0 are
+    quasi-polynomials but for 10 - 3t.  c0 = (0, p, q) has a negative entry
+    and its pivot at column 1.  g's coefficients are over 3 or 10 and its
+    terms lie on several cosets of Z c0, so the windows, which cut through
+    the supports, leave the two series over different denominators; s_plus
+    may carry noise over 10."""
+    c0 = draw(st.tuples(st.just(0), st.integers(-3, 3).filter(bool), st.integers(-3, 3))
+              .filter(lambda c: min(c) < 0))
+    coeffs = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+    def oriented(sign):  # L moved along c0 until sign * L(c0) > 0
+        L = draw(st.tuples(*[coeffs] * 3))
+        target = sign * draw(st.fractions(min_value=fr(1, 3), max_value=2,
+                                          max_denominator=3))
+        t = (target - sum(a * x for a, x in zip(L, c0))) / sum(x * x for x in c0)
+        return LinearFunctional(tuple(a + t * x for a, x in zip(L, c0)))
+
+    L_minus, L_plus = oriented(-1), oriented(1)
+    t = LaurentPolynomial.monomial(tuple(draw(st.sampled_from([1, -1, 2])) * x for x in c0))
+    one = LaurentPolynomial.constant(3, 1)
+    h = draw(st.sampled_from([one - t, one + t, power(one - t, 2), one.scale(10) - t.scale(3)]))
+    exps = st.tuples(*[st.integers(-3, 3)] * 3)
+    g = draw(st.dictionaries(exps, st.sampled_from([fr(1, 3), fr(-2, 3), fr(1, 10),
+                                                    fr(-3, 10), fr(2)]),
+                             min_size=2, max_size=4))
+    f = RationalFunction(LaurentPolynomial(g, 3), h)
+    noise = st.dictionaries(exps, st.fractions(min_value=-2, max_value=2,
+                                               max_denominator=10), max_size=2)
+
+    def expansion(L, perturb):
+        window = Window(L, draw(st.fractions(min_value=0, max_value=5,
+                                             max_denominator=2)))
+        try:
+            terms = dict(expand(f, window).terms())
+        except InputError:  # the window holds no term
+            terms = {}
+        return LaurentSeries({**terms, **(draw(noise) if perturb else {})}, window)
+
+    s_minus = expansion(L_minus, False)
+    s_plus = expansion(L_plus, draw(st.integers(0, 3)) == 0)
+    return f, s_minus, s_plus, c0, draw(st.integers(1, 4)), draw(st.integers(0, 6))
+
+
+def _reexpand_outcome(check, case):
+    try:
+        return check(*case)
+    except InputError as err:
+        return "error", err.message
+
+
+def _rational_case():
+    """g / (1 - x^c0) with c0 = (0, 1, -2), L_plus = (1, 1, 0) and L_minus =
+    -L_plus, both at bound 2: g's term 1/3 at (3, 0, 0) reaches only s_minus
+    and -3/10 at (-3, 0, 0) only s_plus, so they are over 3 and 10; the term
+    2 at (0, 0, 1) reaches both."""
+    c0 = (0, 1, -2)
+    g = LaurentPolynomial({(3, 0, 0): fr(1, 3), (-3, 0, 0): fr(-3, 10), (0, 0, 1): 2}, 3)
+    f = RationalFunction(g, LaurentPolynomial({(0, 0, 0): 1, c0: -1}, 3))
+    s_minus = expand(f, Window(LinearFunctional((-1, -1, 0)), 2))
+    s_plus = expand(f, Window(LinearFunctional((1, 1, 0)), 2))
+    return f, s_minus, s_plus, c0, 4, 6
+
+
+@example(_rational_case())
+@given(_reexpand_rational_case())
+@settings(deadline=None, max_examples=300)
+def test_reexpand_matches_the_fraction_reader(case):
+    assert _reexpand_outcome(reexpand_check, case) == _reexpand_outcome(
+        parent.reexpand_check, case)
+
+
+def test_reexpand_fraction_reader_case_reaches_several_denominators_and_cosets():
+    case = _rational_case()
+    assert (case[1]._den, case[2]._den) == (3, 10)
+    report = reexpand_check(*case)
+    assert report == parent.reexpand_check(*case)
+    assert report["confirmed"] is True
+    assert [(c["representative"], c["fit"]["table"][0]["poly"]) for c in report["cosets"]] == [
+        ([-3, 0, 0], [{"exponent": [0], "coeff": "-3/10"}]),
+        ([0, 0, 1], [{"exponent": [0], "coeff": "2"}]),
+        ([3, 0, 0], [{"exponent": [0], "coeff": "1/3"}])]
+
+
+def test_reexpand_hands_int_samples_to_the_public_detection(monkeypatch):
+    # perfbench's tracer wraps quasipoly.detect_quasipoly: each coset's fit goes
+    # through that name, with int samples over the lcm 30 of the two series
+    calls = []
+
+    def spy(samples, max_period, max_degree, den=1):
+        calls.append((samples, den))
+        return detect_quasipoly(samples, max_period, max_degree, den)
+
+    monkeypatch.setattr(quasipoly, "detect_quasipoly", spy)
+    report = reexpand_check(*_rational_case())
+    assert len(calls) == len(report["cosets"]) == 3
+    for samples, den in calls:
+        assert den == 30 and {type(v) for v in samples.values()} == {int}
+
+
 def test_reexpand_coset_with_equal_terms_matches_the_reference():
     # 1/(1 - x)^2 plus 5/x: both expansions store 5 at x^-1, so the
     # difference k + 1 is a stored 0 there, not a missing term
@@ -758,6 +896,24 @@ def test_reexpand_coset_with_equal_terms_matches_the_reference():
     assert [coset["fit"]["table"] for coset in report["cosets"]] == [
         [{"residues": [0], "poly": [{"exponent": [0], "coeff": "1"},
                                      {"exponent": [1], "coeff": "1"}]}]]
+
+
+def test_reexpand_fit_writes_each_coefficient_in_lowest_terms():
+    # (1/2 - x/6)/(1 - x)^2 = (1/3)/(1 - x)^2 + (1/6)/(1 - x): its two
+    # expansions differ by (k + 1)/3 + 1/6 = k/3 + 1/2 at x^k
+    x = LaurentPolynomial.monomial((1,))
+    one = LaurentPolynomial.constant(1, 1)
+    f = RationalFunction(one.scale(fr(1, 2)) - x.scale(fr(1, 6)), power(one - x, 2))
+    s_minus = expand(f, Window(LinearFunctional((-1,)), 5))
+    s_plus = expand(f, Window(LinearFunctional((1,)), 5))
+    report = reexpand_check(f, s_minus, s_plus, (1,))
+    (coset,) = report["cosets"]
+    poly = qp_from_obj(coset["fit"], "fit").table[(0,)]
+    assert (poly._terms, poly._den) == ({(0,): 3, (1,): 2}, 6)
+    assert coset["fit"]["table"] == [{"residues": [0], "poly": [
+        {"exponent": [0], "coeff": "1/2"}, {"exponent": [1], "coeff": "1/3"}]}]
+    assert report["confirmed"] is True
+    assert json.dumps(report) == json.dumps(parent.reexpand_check(f, s_minus, s_plus, (1,)))
 
 
 def test_qp_json_roundtrip():

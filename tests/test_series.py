@@ -1,4 +1,5 @@
 import heapq
+import json
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from wallx.series import (
     expand,
     mul_series_polynomial,
     multiply,
+    polynomial_to_obj,
     series_from_obj,
     series_to_obj,
     verify_expansion,
@@ -37,6 +39,8 @@ from wallx.wallcross import SeedSeries
 from conftest import fr, model_lattice, power
 from parent_kernels import _divide_terms as _parent_divide_terms
 from parent_kernels import _product as _parent_product
+from parent_kernels import polynomial_to_obj as _parent_polynomial_to_obj
+from parent_kernels import series_to_obj as _parent_series_to_obj
 
 
 def _poly1(coeffs):
@@ -397,6 +401,29 @@ def test_series_json_roundtrip_is_canonical():
     assert exps == sorted(exps)
     back = series_from_obj(obj, "series")
     assert back == s
+
+
+def test_wire_format_reduces_each_stored_value_on_its_own():
+    # 1/2 and 1/3 are stored as 3 and 2 over 6, with no factor common to all
+    s = LaurentSeries({(0,): fr(1, 2), (1,): fr(1, 3), (2,): 2}, Window(L_UP, fr(6)))
+    assert (s._terms, s._den) == ({(0,): 3, (1,): 2, (2,): 12}, 6)
+    obj = series_to_obj(s)
+    assert [t["coeff"] for t in obj["terms"]] == ["1/2", "1/3", "2"]
+    assert json.dumps(obj) == json.dumps(_parent_series_to_obj(s))
+    p = LaurentPolynomial({(0, 1): fr(1, 2), (1, 0): fr(-1, 3)}, 2)
+    assert (p._terms, p._den) == ({(0, 1): 3, (1, 0): -2}, 6)
+    assert polynomial_to_obj(p) == [{"exponent": [0, 1], "coeff": "1/2"},
+                                    {"exponent": [1, 0], "coeff": "-1/3"}]
+
+
+@given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       st.fractions(max_denominator=40) | st.integers(-10**30, 10**30),
+                       max_size=8))
+def test_wire_format_matches_the_fraction_writer(terms):
+    s = LaurentSeries(terms, Window(LinearFunctional((1, fr(1, 2))), fr(4)))
+    assert json.dumps(series_to_obj(s)) == json.dumps(_parent_series_to_obj(s))
+    p = LaurentPolynomial(terms, 2)
+    assert json.dumps(polynomial_to_obj(p)) == json.dumps(_parent_polynomial_to_obj(p))
 
 
 def test_polynomial_power_and_degree():
