@@ -8,9 +8,10 @@ n = 4, as rational functions in the two point variables; the implicit
 curve variable is constant across each row and is omitted.
 
 ``run_a1`` recomputes the two one-sided column expansions of the shared
-curve-row rational function, fits the quasi-polynomial column difference,
-certifies the re-expansion across the first point class, and cross-checks
-every table entry against the smooth-moduli Behrend weight.
+curve-row rational function, certifies the re-expansion across the first
+point class, checks the quasi-polynomial that the certificate fits to the
+column difference, and cross-checks every table entry against the
+smooth-moduli Behrend weight.
 
 The source also tabulates an orbifold row 3 * C(m + 3, 3) for m = 4 ... 8
 (105, 168, 252, 360, 495).  It disagrees with the expansion of the stored
@@ -24,7 +25,7 @@ from fractions import Fraction
 from .errors import InputError
 from .jsonio import format_ratio, format_rational
 from .lattice import LatticeSpec
-from .quasipoly import detect_quasipoly, reexpand_check
+from .quasipoly import qp_from_obj, reexpand_check
 from .series import (LaurentPolynomial, LinearFunctional, RationalFunction,
                      Window, _exponent, _over_lcm, expand)
 
@@ -162,7 +163,6 @@ def run_a1(report_window: int) -> dict:
     orb, res, point = ({m: s._terms.get((m, n), 0) * (den // s._den) for m in span}
                        for s, n, span in ((orbifold_series, 4, ms), (resolution_series, 4, ms),
                                           (point_series, 0, range(w + 5))))
-    diff = {m: orb[m] - res[m] for m in ms}
 
     steps = []
 
@@ -182,7 +182,11 @@ def run_a1(report_window: int) -> dict:
                                 for m in ms), den),
              checked=len(res))
 
-    fit = detect_quasipoly(diff, den=den)
+    # the certificate's coset at (0, 4) samples the difference column over ms
+    verdict = reexpand_check(model.shared_layer, resolution_series,
+                             orbifold_series, model.point_plus_exponent())
+    fit = next((qp_from_obj(c["fit"], "fit") for c in verdict["cosets"]
+                if c["representative"] == [0, 4] and c["fit"] is not None), None)
     if fit is None:
         fit_div = {"m": m_lo, "expected": "quasi-polynomial fit",
                    "actual": "no fit"}
@@ -193,9 +197,6 @@ def run_a1(report_window: int) -> dict:
                                     fit_den)
         fit_detail = {"period": fit.period, "degree": fit.degree(0)}
     add_step("difference quasi-polynomial", fit_div, **fit_detail)
-
-    verdict = reexpand_check(model.shared_layer, resolution_series,
-                             orbifold_series, model.point_plus_exponent())
     add_step("re-expansion certificate",
              None if verdict["confirmed"] else
              {"m": m_lo, "expected": "confirmed", "actual": "not confirmed"},
@@ -222,7 +223,7 @@ def run_a1(report_window: int) -> dict:
         "table": [{"m": m,
                    "orbifold": format_ratio(orb[m], den),
                    "resolution": format_ratio(res[m], den),
-                   "difference": format_ratio(diff[m], den)}
+                   "difference": format_ratio(orb[m] - res[m], den)}
                   for m in ms],
         "point_row": [{"m": m, "value": format_ratio(value, den)}
                       for m, value in point.items()],

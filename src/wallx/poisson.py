@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,17 +65,13 @@ class TorusElement(_Sparse):
         return f"TorusElement({{{inner}}})"
 
 
-def _sigma_power(sigma: int, chi: int) -> int:
-    return -1 if sigma == -1 and chi % 2 else 1
-
-
 def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
-               weight: Callable[[int], int]) -> TorusElement:
-    """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2), with
-    chi the row a1.pairing dotted with a2; the numerators are summed over the
-    product of the operands' denominators.  trunc is tested on the summed rank,
-    point degree and curve part, in that order, so the cone below its cap is
-    built only when a pair needs it."""
+               times_chi: bool, sigma: int) -> TorusElement:
+    """Bilinear extension of t^a1, t^a2 -> sigma^chi chi t^(a1 + a2), the factor
+    chi only when times_chi, with chi the row a1.pairing dotted with a2; the
+    numerators are summed over the product of the operands' denominators.  trunc
+    is tested on the summed rank, point degree and curve part, in that order, so
+    the cone below its cap is built only when a pair needs it."""
     x._check_context(y)
     spec = x.context
     cols = list(zip(*spec.pairing))
@@ -86,7 +82,7 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
         return [(a.vector(), a.r, a.beta, sum(map(operator.mul, deg, a.c)), n)
                 for a, n in z._terms.items()]
 
-    xs, ys = parts(x), parts(y)
+    xs, ys, flip = parts(x), parts(y), sigma == -1
     if trunc is not None:
         ranks, below = trunc.rank_set, None
         cap = None if trunc.deg_cap is None else math.floor(trunc.deg_cap)
@@ -94,9 +90,12 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
     for v1, r1, b1, d1, n1 in xs:
         row = [sum(map(operator.mul, v1, col)) for col in cols]
         for v2, r2, b2, d2, n2 in ys:
-            w = weight(sum(map(operator.mul, row, v2)))
+            chi = sum(map(operator.mul, row, v2))
+            w = chi if times_chi else 1
             if not w:
                 continue
+            if flip and chi % 2:
+                w = -w
             if trunc is not None:
                 if r1 + r2 not in ranks or (cap is not None and d1 + d2 > cap):
                     continue
@@ -113,21 +112,19 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
 def bracket(x: TorusElement, y: TorusElement,
             trunc: Truncation | None = None) -> TorusElement:
     """{t^a, t^b} = sigma^chi(a,b) chi(a,b) t^(a+b), extended bilinearly."""
-    sigma = x.context.sigma
-    return _binary_op(x, y, trunc, lambda chi: _sigma_power(sigma, chi) * chi)
+    return _binary_op(x, y, trunc, True, x.context.sigma)
 
 
 def star_product(x: TorusElement, y: TorusElement,
                  trunc: Truncation | None = None) -> TorusElement:
     """t^a * t^b = sigma^chi(a,b) t^(a+b)."""
-    sigma = x.context.sigma
-    return _binary_op(x, y, trunc, lambda chi: _sigma_power(sigma, chi))
+    return _binary_op(x, y, trunc, False, x.context.sigma)
 
 
 def naive_product(x: TorusElement, y: TorusElement,
                   trunc: Truncation | None = None) -> TorusElement:
     """t^a t^b = t^(a+b) with no sign; this is what assembles series."""
-    return _binary_op(x, y, trunc, lambda chi: 1)
+    return _binary_op(x, y, trunc, False, 1)
 
 
 def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:

@@ -418,17 +418,12 @@ def _divide_terms(num: _Sparse, den: _Sparse, L: LinearFunctional,
     quotient terms with L-value at most bound, as int numerators over one
     denominator; terms are processed in a monotone order so each quotient
     exponent is written exactly once.  It runs over ints (L's ``ints`` against
-    floor(bound * L.den), the remainder from num's numerators) with steps
-    (he - m0, hc/c0), which stay Fractions only where c0 does not divide hc;
-    each quotient term is r dd/(c0 nd), nd and dd the operands' denominators,
-    with the r over their lcm only when some step is not an integer.
-
-    The remainder is keyed by quotient exponents (num's minus m0), each
-    packed into the int sum (x_i + M) * B**(n-1-i) with B = 2M + 1 and M
-    bounding every |x_i| that can arise: a step adds the packed step less
-    the packed zero, and keys order as exponents do in lex order.
-    Every step raises L (m0 is the unique minimum), so the steps are sorted
-    by L-value and none that would land past the bound is taken."""
+    floor(bound * L.den), the remainder from num's numerators, keyed by
+    quotient exponents) with steps (he - m0, hc/c0), which stay Fractions only
+    where c0 does not divide hc; each quotient term is r dd/(c0 nd), nd and dd
+    the operands' denominators, with the r over their lcm only when some step
+    is not an integer.  Every step raises L (m0 is the unique minimum), so the
+    steps are sorted by L-value and none that would land past the bound is taken."""
     ls, top = L.ints, math.floor(bound * L.den)
     c0 = den._terms[m0]
 
@@ -438,20 +433,9 @@ def _divide_terms(num: _Sparse, den: _Sparse, L: LinearFunctional,
     r = {e: n for e, n in shifted(num._terms) if _dot(ls, e) <= top}
     steps = sorted((_dot(ls, d), d, c // c0 if c % c0 == 0 else Fraction(c, c0))
                    for d, c in shifted(den._terms) if any(d))
-    # a term k steps deep has L-value at least min(r) + k * (least step) and
-    # at most top, and the division budget allows no more than its limit of steps
-    limit = BUDGETS["division"].limit
-    depth = min((top - min(_dot(ls, e) for e in r)) // steps[0][0],
-                limit) if r and steps else 0
-    M = (max((abs(x) for e in r for x in e), default=0)
-         + depth * max((abs(x) for _, d, _ in steps for x in d), default=0))
-    n, B = len(m0), 2 * M + 1
-    weights = [B ** i for i in reversed(range(n))]
-    offset = M * sum(weights)
-    heap = [(_dot(ls, e), _dot(weights, e) + offset) for e in r]
-    r = {_dot(weights, e) + offset: c for e, c in r.items()}
-    steps = [(l_d, _dot(weights, d), k) for l_d, d, k in steps]
+    heap = [(_dot(ls, e), e) for e in r]
     heapq.heapify(heap)
+    limit = BUDGETS["division"].limit
     out: dict = {}
     for _ in range(limit):
         if not heap:
@@ -460,12 +444,12 @@ def _divide_terms(num: _Sparse, den: _Sparse, L: LinearFunctional,
         c = r.pop(e, 0)
         if not c:
             continue
-        out[tuple(e // w % B - M for w in weights)] = c
+        out[e] = c
         room = top - l_e
         for l_d, d, k in steps:
             if l_d > room:
                 break
-            ne = e + d
+            ne = tuple(map(operator.add, e, d))
             acc = r.get(ne)
             if acc is None:
                 r[ne] = -c * k

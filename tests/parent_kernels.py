@@ -8,6 +8,10 @@ on this module's ``TorusElement``, which stands in for the old storage:
 ``_Numerators``).  ``stored`` and ``element`` convert from and to wallx's
 elements; ``exp_ad`` looks ``bracket`` up in this module.
 
+``_packed_divide_terms`` and the ``weighted_`` products already ran on int
+numerators over one denominator: the first keyed its remainder by packed ints,
+the others took their sign and chi factor from a weight callable.
+
 The readers ``reexpand_check`` and ``run_a1`` read their series into
 Fractions (``terms()`` and ``coeff()``) and write through the Fraction wire
 writers below; ``run_a1`` looks ``build_a1`` up in ``wallx.a1model``, so a
@@ -29,10 +33,10 @@ from wallx.a1model import behrend_smooth
 from wallx.errors import BUDGETS, InputError, charge
 from wallx.jsonio import digit_limit_error
 from wallx.lattice import KClass, kclass_to_obj
-from wallx.poisson import Truncation, _sigma_power
+from wallx.poisson import Truncation
 from wallx.quasipoly import MAX_DEGREE, MAX_PERIOD, QuasiPolynomial, detect_quasipoly
 from wallx.series import (Coset, Exponent, LaurentPolynomial, LaurentSeries, LinearFunctional,
-                          RationalFunction, Window, _dot, _exponent, _over_lcm, expand,
+                          RationalFunction, Window, _Sparse, _dot, _exponent, _over_lcm, expand,
                           verify_expansion, window_to_obj)
 
 
@@ -273,6 +277,149 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
             total[cls] = total.get(cls, 0) + n * s
     den = dx * dw ** top * fact
     return TorusElement._make({cls: Fraction(n, den) for cls, n in total.items() if n}, spec)
+
+# -- int kernels before the exponent-tuple remainder and the inline sign -----
+# The division that keyed its remainder by packed ints, and the torus products
+# that took their sign and chi factor from a weight callable, on int numerators
+# over one denominator.
+
+def _packed_divide_terms(num: _Sparse, den: _Sparse, L: LinearFunctional,
+                         bound: Fraction, m0: Exponent) -> tuple[dict, int]:
+    """Long division of num by den in increasing (L, lex) order.
+
+    den's unique L-minimal exponent m0, numerator c0, must be supplied.  Emits
+    quotient terms with L-value at most bound, as int numerators over one
+    denominator; terms are processed in a monotone order so each quotient
+    exponent is written exactly once.  It runs over ints (L's ``ints`` against
+    floor(bound * L.den), the remainder from num's numerators) with steps
+    (he - m0, hc/c0), which stay Fractions only where c0 does not divide hc;
+    each quotient term is r dd/(c0 nd), nd and dd the operands' denominators,
+    with the r over their lcm only when some step is not an integer.
+
+    The remainder is keyed by quotient exponents (num's minus m0), each
+    packed into the int sum (x_i + M) * B**(n-1-i) with B = 2M + 1 and M
+    bounding every |x_i| that can arise: a step adds the packed step less
+    the packed zero, and keys order as exponents do in lex order.
+    Every step raises L (m0 is the unique minimum), so the steps are sorted
+    by L-value and none that would land past the bound is taken."""
+    ls, top = L.ints, math.floor(bound * L.den)
+    c0 = den._terms[m0]
+
+    def shifted(terms):
+        return ((tuple(map(operator.sub, e, m0)), c) for e, c in terms.items())
+
+    r = {e: n for e, n in shifted(num._terms) if _dot(ls, e) <= top}
+    steps = sorted((_dot(ls, d), d, c // c0 if c % c0 == 0 else Fraction(c, c0))
+                   for d, c in shifted(den._terms) if any(d))
+    # a term k steps deep has L-value at least min(r) + k * (least step) and
+    # at most top, and the division budget allows no more than its limit of steps
+    limit = BUDGETS["division"].limit
+    depth = min((top - min(_dot(ls, e) for e in r)) // steps[0][0],
+                limit) if r and steps else 0
+    M = (max((abs(x) for e in r for x in e), default=0)
+         + depth * max((abs(x) for _, d, _ in steps for x in d), default=0))
+    n, B = len(m0), 2 * M + 1
+    weights = [B ** i for i in reversed(range(n))]
+    offset = M * sum(weights)
+    heap = [(_dot(ls, e), _dot(weights, e) + offset) for e in r]
+    r = {_dot(weights, e) + offset: c for e, c in r.items()}
+    steps = [(l_d, _dot(weights, d), k) for l_d, d, k in steps]
+    heapq.heapify(heap)
+    out: dict = {}
+    for _ in range(limit):
+        if not heap:
+            break
+        l_e, e = heapq.heappop(heap)
+        c = r.pop(e, 0)
+        if not c:
+            continue
+        out[tuple(e // w % B - M for w in weights)] = c
+        room = top - l_e
+        for l_d, d, k in steps:
+            if l_d > room:
+                break
+            ne = e + d
+            acc = r.get(ne)
+            if acc is None:
+                r[ne] = -c * k
+                heapq.heappush(heap, (l_e + l_d, ne))
+            elif acc := acc - c * k:
+                r[ne] = acc
+            else:
+                del r[ne]
+    else:
+        charge("division", limit + len(heap))  # each entry left needs a step
+    nums, r_den = (_over_lcm(out.values()) if any(type(k) is Fraction for _, _, k in steps)
+                   else (out.values(), 1))
+    s = den._den if c0 > 0 else -den._den
+    return {e: n * s for e, n in zip(out, nums)}, abs(c0) * num._den * r_den
+
+
+def _sigma_power(sigma: int, chi: int) -> int:
+    return -1 if sigma == -1 and chi % 2 else 1
+
+
+def _weighted_binary_op(x: poisson.TorusElement, y: poisson.TorusElement,
+                        trunc: Truncation | None,
+                        weight: Callable[[int], int]) -> poisson.TorusElement:
+    """Bilinear extension of t^a1, t^a2 -> weight(chi(a1, a2)) t^(a1 + a2), with
+    chi the row a1.pairing dotted with a2; the numerators are summed over the
+    product of the operands' denominators.  trunc is tested on the summed rank,
+    point degree and curve part, in that order, so the cone below its cap is
+    built only when a pair needs it."""
+    x._check_context(y)
+    spec = x.context
+    cols = list(zip(*spec.pairing))
+    split = 1 + spec.rank1
+    deg = spec.deg[spec.rank1:]
+
+    def parts(z):  # (vector, r, beta, point degree, numerator) per term
+        return [(a.vector(), a.r, a.beta, sum(map(operator.mul, deg, a.c)), n)
+                for a, n in z._terms.items()]
+
+    xs, ys = parts(x), parts(y)
+    if trunc is not None:
+        ranks, below = trunc.rank_set, None
+        cap = None if trunc.deg_cap is None else math.floor(trunc.deg_cap)
+    acc: dict = {}
+    for v1, r1, b1, d1, n1 in xs:
+        row = [sum(map(operator.mul, v1, col)) for col in cols]
+        for v2, r2, b2, d2, n2 in ys:
+            w = weight(sum(map(operator.mul, row, v2)))
+            if not w:
+                continue
+            if trunc is not None:
+                if r1 + r2 not in ranks or (cap is not None and d1 + d2 > cap):
+                    continue
+                if below is None:
+                    below = spec._below(trunc.beta_cap)
+                if tuple(map(operator.add, b1, b2)) not in below:
+                    continue
+            v = tuple(map(operator.add, v1, v2))
+            acc[v] = acc.get(v, 0) + n1 * n2 * w
+    return poisson.TorusElement._make({KClass._make((v[0], v[1:split], v[split:])): n
+                                       for v, n in acc.items() if n}, spec, x._den * y._den)
+
+
+def weighted_bracket(x: poisson.TorusElement, y: poisson.TorusElement,
+                     trunc: Truncation | None = None) -> poisson.TorusElement:
+    """{t^a, t^b} = sigma^chi(a,b) chi(a,b) t^(a+b), extended bilinearly."""
+    sigma = x.context.sigma
+    return _weighted_binary_op(x, y, trunc, lambda chi: _sigma_power(sigma, chi) * chi)
+
+
+def weighted_star_product(x: poisson.TorusElement, y: poisson.TorusElement,
+                          trunc: Truncation | None = None) -> poisson.TorusElement:
+    """t^a * t^b = sigma^chi(a,b) t^(a+b)."""
+    sigma = x.context.sigma
+    return _weighted_binary_op(x, y, trunc, lambda chi: _sigma_power(sigma, chi))
+
+
+def weighted_naive_product(x: poisson.TorusElement, y: poisson.TorusElement,
+                           trunc: Truncation | None = None) -> poisson.TorusElement:
+    """t^a t^b = t^(a+b) with no sign; this is what assembles series."""
+    return _weighted_binary_op(x, y, trunc, lambda chi: 1)
+
 
 # -- readers ------------------------------------------------------------------
 

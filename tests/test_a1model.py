@@ -10,7 +10,7 @@ from wallx.a1model import (A1Model, behrend_smooth, build_a1, render_a1_table,
                            run_a1)
 from wallx.errors import InputError
 from wallx.lattice import KClass
-from wallx.quasipoly import detect_quasipoly
+from wallx.quasipoly import detect_quasipoly, reexpand_check
 from wallx.series import LaurentPolynomial, RationalFunction, Window, expand
 from wallx.wallcross import dtpt_ratio
 
@@ -268,18 +268,38 @@ def test_run_a1_matches_the_parent_reader_off_den_one(monkeypatch, scales, w):
 
 
 def test_run_a1_detects_through_the_public_entries(monkeypatch):
-    # the difference column, then the certificate's one coset: the names
-    # perfbench's tracer wraps, each given int samples over a denominator
+    # the certificate's one coset, whose fit the difference step reads: the
+    # name perfbench's tracer wraps, given int samples over a denominator
     calls = []
 
     def spy(samples, *args, **kwargs):
         calls.append({type(v) for v in samples.values()})
         return detect_quasipoly(samples, *args, **kwargs)
 
-    monkeypatch.setattr(a1model, "detect_quasipoly", spy)
+    assert not hasattr(a1model, "detect_quasipoly")
     monkeypatch.setattr(quasipoly, "detect_quasipoly", spy)
     assert run_a1(8)["ok"] is True
-    assert calls == [{int}, {int}]
+    assert calls == [{int}]
+
+
+@pytest.mark.parametrize("w", [*range(8, 41), 200])
+def test_certificate_coset_samples_the_report_window(monkeypatch, w):
+    """The difference step reads its fit from the certificate's coset at
+    (0, 4); that coset samples exactly the report's m in [-w, w + 4]."""
+    verdicts = []
+
+    def spy(*args, **kwargs):
+        verdicts.append(reexpand_check(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(a1model, "reexpand_check", spy)
+    report = run_a1(w)
+    assert report["ok"] is True
+    (verdict,) = verdicts
+    (coset,) = [c for c in verdict["cosets"] if c["representative"] == [0, 4]]
+    assert (coset["k_lo"], coset["k_hi"]) == (-w, w + 4)
+    ms = [entry["m"] for entry in report["table"]]
+    assert ms == list(range(coset["k_lo"], coset["k_hi"] + 1))
 
 
 # -- DT/PT as one expansion ---------------------------------------------------

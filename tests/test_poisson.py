@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import operator
@@ -14,7 +15,6 @@ from wallx.lattice import KClass, lattice_from_obj
 from wallx.poisson import (
     TorusElement,
     Truncation,
-    _sigma_power,
     bracket,
     element_from_obj,
     element_to_obj,
@@ -381,8 +381,8 @@ def _reference_binary_op(x, y, trunc, weight):
 
 def _reference_weights(spec):
     sigma = spec.sigma
-    return {bracket: lambda chi: _sigma_power(sigma, chi) * chi,
-            star_product: lambda chi: _sigma_power(sigma, chi),
+    return {bracket: lambda chi: parent._sigma_power(sigma, chi) * chi,
+            star_product: lambda chi: parent._sigma_power(sigma, chi),
             naive_product: lambda chi: 1}
 
 
@@ -406,6 +406,19 @@ _PARENT_OPS = {bracket: parent.bracket, star_product: parent.star_product,
                naive_product: parent.naive_product}
 
 
+_WEIGHTED_OPS = {bracket: parent.weighted_bracket, star_product: parent.weighted_star_product,
+                 naive_product: parent.weighted_naive_product}
+
+
+def _assert_same_products(x, y, trunc):
+    """Each product equals the weight-callback kernel's, terms in the same order
+    over the same denominator."""
+    for op, weighted in _WEIGHTED_OPS.items():
+        got, want = op(x, y, trunc), weighted(x, y, trunc)
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert got._den == want._den
+
+
 _SPECS = [model_lattice(), two_gen_lattice()]
 _MIXED = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -427,6 +440,7 @@ def _truncations(spec, cap):
 @settings(deadline=None, max_examples=150)
 def test_kernel_matches_reference(data):
     spec = data.draw(st.sampled_from(_SPECS))
+    spec = dataclasses.replace(spec, sigma=data.draw(st.sampled_from([1, -1])))
     cap = (2,) if spec.rank1 == 1 else (2, 1)
     small = st.integers(-2, 2)
     x, y = (TorusElement(spec, data.draw(_terms(spec, st.integers(-1, 1), small, small)))
@@ -436,6 +450,7 @@ def test_kernel_matches_reference(data):
         want = _reference_binary_op(x, y, trunc, weight)
         assert op(x, y, trunc) == want == parent.element(
             _PARENT_OPS[op](parent.stored(x), parent.stored(y), trunc))
+    _assert_same_products(x, y, trunc)
     # curve walls, and point walls (beta 0, positive point degree) under a
     # cap, on rank -1 terms low in the cone, so that rounds survive it
     trunc = data.draw(_truncations(spec, cap).filter(lambda t: t.deg_cap is not None))
@@ -453,6 +468,24 @@ def test_kernel_matches_reference(data):
     for w, x in ((w, x), scaled):
         out = exp_ad(w, x, trunc)
         assert out == _parent_exp_ad(w, x, trunc) == _reference_exp_ad(w, x, trunc)
+
+
+def test_products_flip_the_sign_of_negative_odd_chi():
+    # chi(x, y) = r_x (b_y + c_y[0]) - (b_x + c_x[0]) r_y on the model lattice
+    model = model_lattice()
+    for sigma in (1, -1):
+        spec = dataclasses.replace(model, sigma=sigma)
+        x = TorusElement(spec, {KClass(-1, (0,), (0, 0)): fr(2, 3), KClass(0, (1,), (0, 0)): 1})
+        y = TorusElement(spec, {KClass(0, (1,), (0, 0)): fr(-1, 5), KClass(0, (2,), (1, 0)): 3,
+                                KClass(-1, (1,), (1, 0)): 1})
+        chis = {spec.euler_pairing(a, b) for a in x for b in y}
+        assert {-1, -3, -2, 0} <= chis  # negative odd, negative even and zero chi
+        for trunc in (None, Truncation((2,)), Truncation((3,), fr(1))):
+            _assert_same_products(x, y, trunc)
+        # sigma^chi chi on the pair of chi -1
+        a, b = KClass(-1, (0,), (0, 0)), KClass(0, (1,), (0, 0))
+        pair = bracket(TorusElement(spec, {a: 1}), TorusElement(spec, {b: 1}))
+        assert pair == TorusElement(spec, {a + b: sigma * -1})
 
 
 def _golden_exp_ad():

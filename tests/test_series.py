@@ -37,7 +37,7 @@ from wallx.series import (
 from wallx.wallcross import SeedSeries
 
 from conftest import fr, model_lattice, power
-from parent_kernels import _divide_terms as _parent_divide_terms
+from parent_kernels import _divide_terms as _parent_divide_terms, _packed_divide_terms
 from parent_kernels import _product as _parent_product
 from parent_kernels import polynomial_to_obj as _parent_polynomial_to_obj
 from parent_kernels import series_to_obj as _parent_series_to_obj
@@ -496,9 +496,12 @@ def test_coefficient_keeps_a_fraction_and_converts_the_rest():
 
 def _divided(num, den, L, bound, m0):
     """The kernel's quotient of the Fraction dicts num and den, read as
-    Fractions in the order it wrote them."""
-    out, d = _divide_terms(LaurentPolynomial(num, len(m0)), LaurentPolynomial(den, len(m0)),
-                           L, bound, m0)
+    Fractions in the order it wrote them; the kernel that keyed its remainder
+    by packed ints gives the same numerators in the same order."""
+    args = (LaurentPolynomial(num, len(m0)), LaurentPolynomial(den, len(m0)), L, bound, m0)
+    out, d = _divide_terms(*args)
+    packed, packed_d = _packed_divide_terms(*args)
+    assert list(out.items()) == list(packed.items()) and d == packed_d
     assert d > 0 and all(type(n) is int and n for n in out.values())
     return {e: Fraction(n, d) for e, n in out.items()}
 
@@ -618,7 +621,7 @@ _BIG = 10**12
 @st.composite
 def _wide_division(draw):
     """Three variables, each operand a small cluster moved by up to 10**12
-    per component (so the packing base is large and m0 can be negative),
+    per component (so exponents are wide and m0 can be negative),
     and a bound near the lowest quotient term, so that some steps from a
     popped term stay within it and others land past it."""
     L = LinearFunctional(draw(st.tuples(*[st.sampled_from(
@@ -684,6 +687,13 @@ def test_division_budget(set_budget):
     with pytest.raises(InputError, match="work budget exceeded: long division "
                                          "took 50 steps"):
         _divided(num, den, L_UP, fr(1000), (0,))
+    args = (LaurentPolynomial(num, 1), LaurentPolynomial(den, 1), L_UP, fr(1000), (0,))
+    messages = []
+    for kernel in (_divide_terms, _packed_divide_terms):
+        with pytest.raises(InputError) as info:
+            kernel(*args)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
     assert _divided(num, den, L_UP, fr(40), (0,)) == {(m,): 1 for m in range(41)}
 
 
