@@ -82,7 +82,9 @@ class QuasiPolynomial:
         scales, den = _over_lcm(Fraction(1, poly._den) for poly in table.values())
         tables = {rho: _nest(sorted([(e, n * s) for e, n in poly._terms.items()], reverse=True),
                              0, self.vars) for (rho, poly), s in zip(table.items(), scales)}
-        steps = max(_rows(rows, self.vars) for rows in tables.values())
+        # a Horner table has one row per distinct exponent prefix of its terms
+        steps = max(len({e[:i] for e in poly for i in range(1, self.vars + 1)})
+                    for poly in table.values())
         object.__setattr__(self, "_horner", (tables, den, steps))
 
     def eval(self, n) -> Fraction:
@@ -121,13 +123,6 @@ def _nest(terms, i: int, r: int):
     rows = [(k, _nest(list(group), i + 1, r))
             for k, group in itertools.groupby(terms, lambda t: t[0][i])]
     return [(row, k - low) for (k, row), (low, _) in zip(rows, rows[1:] + [(0, 0)])]
-
-
-def _rows(rows, depth: int) -> int:
-    """Multiply-adds of a Horner table of ``depth`` variables: one per row."""
-    if depth < 2:
-        return depth and len(rows)
-    return len(rows) + sum(_rows(row, depth - 1) for row, _ in rows)
 
 
 def _evaluate(rows, n, i: int, last: int) -> int:
@@ -179,11 +174,11 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
     g = LaurentPolynomial._make(_accumulate({}, (
         (tuple(s + sum(jt * m[k] for jt, m in zip(j, monos)) for k, s in enumerate(shift)), v)
         for j, v in zip(box, values) if v)), nq, den)
-    one = h = LaurentPolynomial.constant(nq, 1)
-    for m, d in zip(monos, degs):
-        factor = one - LaurentPolynomial.monomial(tuple(p * x for x in m))
-        for _ in range(1 + d):
-            h = h * factor
+    h = LaurentPolynomial.constant(nq, 1)
+    for m, d in zip(monos, degs):  # (1 - x^(p m))^(1 + d) by the binomial theorem
+        h = h * LaurentPolynomial._make(
+            {tuple(p * k * x for x in m): (-1) ** k * math.comb(1 + d, k)
+             for k in range(2 + d)}, nq)
     return RationalFunction(g, h)
 
 

@@ -75,21 +75,18 @@ class SeedSeries:
                 raise InputError("seed terms must have rank -1")
 
 
-def cross_wall(state: SeedSeries, wall: WallDatum,
-               trunc: Truncation) -> SeedSeries:
-    out = exp_ad(wall.J, state.element, trunc)
-    return SeedSeries(out, f"past {wall.slope}")
-
-
 def iterate_walls(seed: SeedSeries, walls, trunc: Truncation) -> SeedSeries:
+    """The seed past each wall in turn, labelled by the last slope crossed."""
     walls = list(walls)
     for first, second in zip(walls, walls[1:]):
         if not first.slope < second.slope:
             raise InputError("walls must have strictly increasing slopes")
-    state = seed
+    if not walls:
+        return seed
+    element = seed.element
     for wall in walls:
-        state = cross_wall(state, wall, trunc)
-    return state
+        element = exp_ad(wall.J, element, trunc)
+    return SeedSeries(element, f"past {walls[-1].slope}")
 
 
 # -- group resummation --------------------------------------------------------
@@ -196,23 +193,19 @@ def _b_factor(group: GroupSpec) -> QuasiPolynomial:
     # per residue tuple: every chi evaluated, one signed copy of the product
     work += r * ((len(product.terms()) + sum(len(chi.terms()) for chi in chis)) << r)
     charge("weights", work)
-    rhos = list(itertools.product((0, 1), repeat=r))
-    # sigma^(chi_1 + ... + chi_r); the chi are integral, so their denominator is 1
-    chi_sum = QuasiPolynomial(r, 1, {(0,) * r: sum(chis, LaurentPolynomial({}, r))})
-    values, _ = chi_sum.scaled_values(rhos)
-    return QuasiPolynomial(r, 2, {rho: product.scale(-1 if v % 2 else 1)
-                                  for rho, v in zip(rhos, values)})
+    # sigma^(chi_1 + ... + chi_r) at rho: each chi term has a 0/1 exponent and an
+    # int coefficient, so the sum adds the coefficients whose exponent is under rho
+    terms = [t for chi in chis for t in chi._terms.items()]
+    return QuasiPolynomial(r, 2, {
+        rho: product.scale(-1 if sum(c for e, c in terms
+                                     if all(x <= y for x, y in zip(e, rho))) % 2 else 1)
+        for rho in itertools.product((0, 1), repeat=r)})
 
 
 def _exponential_factor(group: GroupSpec) -> Fraction:
     """1/k! per maximal run of chain positions on the same wall."""
-    boundaries = sorted(set(range(1, group.r + 1)) - group.equalities)
-    value = Fraction(1)
-    prev = 0
-    for n in boundaries:
-        value /= math.factorial(n - prev)
-        prev = n
-    return value
+    ends = sorted(set(range(1, group.r + 1)) - group.equalities)
+    return Fraction(1, math.prod(math.factorial(b - a) for a, b in zip([0] + ends, ends)))
 
 
 def group_resum(group: GroupSpec, trunc: Truncation | None) -> RationalFunction:

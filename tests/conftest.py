@@ -17,6 +17,8 @@ GOLDEN_RUNS = [
     ("resum_chain", (), 0, "resum_chain"),
     # two classes on the two-generator lattice
     ("resum_group", (), 0, "resum_group"),
+    # the same group with sigma = 1, whose bracket weights carry no sign
+    ("resum_group_sigma_plus", (), 0, "resum_group_sigma_plus"),
     # long-division consumers: run_a1 at window 200; expand with a rational
     # functional and a leading denominator coefficient of -3, whose ratios
     # to the other coefficients are partly non-integral; a dtpt ratio

@@ -16,12 +16,19 @@ The readers ``reexpand_check`` and ``run_a1`` read their series into
 Fractions (``terms()`` and ``coeff()``) and write through the Fraction wire
 writers below; ``run_a1`` looks ``build_a1`` up in ``wallx.a1model``, so a
 model patched there reaches both it and wallx's ``run_a1``.
+
+The resummation and sweep helpers at the end derived their facts a second
+way: ``_rows`` walked each Horner table for its multiply-adds, ``_b_factor``
+read its signs from a chi-sum quasi-polynomial, the resummation denominator
+multiplied (1 - x^(p m)) in 1 + d times, and ``iterate_walls`` built one
+``SeedSeries`` per wall through ``cross_wall``.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 import operator
 from collections import defaultdict
@@ -38,6 +45,7 @@ from wallx.quasipoly import MAX_DEGREE, MAX_PERIOD, QuasiPolynomial, detect_quas
 from wallx.series import (Coset, Exponent, LaurentPolynomial, LaurentSeries, LinearFunctional,
                           RationalFunction, Window, _Sparse, _dot, _exponent, _over_lcm, expand,
                           verify_expansion, window_to_obj)
+from wallx.wallcross import GroupSpec, SeedSeries, WallDatum
 
 
 class TorusElement:
@@ -615,3 +623,87 @@ def run_a1(report_window: int) -> dict:
                                           step=first_bad["name"])
     return report
 
+
+
+# -- resummation and the wall sweep before their direct forms -----------------
+
+def _rows(rows, depth: int) -> int:
+    """Multiply-adds of a Horner table of ``depth`` variables: one per row."""
+    if depth < 2:
+        return depth and len(rows)
+    return len(rows) + sum(_rows(row, depth - 1) for row, _ in rows)
+
+
+def resum_denominator(p: int, monos, degs, nq: int) -> LaurentPolynomial:
+    """``_resum_box``'s h: each (1 - x^(p m)) multiplied in 1 + d times."""
+    one = h = LaurentPolynomial.constant(nq, 1)
+    for m, d in zip(monos, degs):
+        factor = one - LaurentPolynomial.monomial(tuple(p * x for x in m))
+        for _ in range(1 + d):
+            h = h * factor
+    return h
+
+
+def _b_factor(group: GroupSpec) -> QuasiPolynomial:
+    """The product of bracket weights as a quasi-polynomial in (a_1..a_r).
+
+    Position i contributes sigma^chi_i * chi_i with
+    chi_i = chi(alpha_i, alpha' + alpha_1 + ... + alpha_{i-1}) and
+    alpha_i = (0, beta_i, kappa_i + a_i twist(beta_i)).  The chi_i are
+    integer polynomials in the a's, so the sigma sign only depends on the
+    residues mod 2.
+    """
+    spec = group.context
+    r = group.r
+    zero_beta = (0,) * spec.rank1
+    base = [KClass(0, b, k) for b, k in zip(group.betas, group.kappas)]
+    steps = [KClass(0, zero_beta, spec.twist(b)) for b in group.betas]
+
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(r))
+
+    work = 0  # exponent entries: r per term built
+    chis = []
+    cur = group.alpha_prime
+    product = LaurentPolynomial.constant(r, 1)
+    for i in range(r):
+        terms = [((0,) * r, spec.euler_pairing(base[i], cur)),
+                 (unit(i), spec.euler_pairing(steps[i], cur))]
+        for j in range(i):
+            e_ij = tuple(x + y for x, y in zip(unit(i), unit(j)))
+            terms += [(unit(j), spec.euler_pairing(base[i], steps[j])),
+                      (e_ij, spec.euler_pairing(steps[i], steps[j]))]
+        # the constructor sums repeated exponents
+        chis.append(LaurentPolynomial(terms, r))
+        cur = cur + base[i]
+        work += r * len(terms) * (1 + len(product.terms()))  # build chi_i, multiply it in
+        charge("weights", work)
+        product = product * chis[-1]
+    if spec.sigma == 1:
+        return QuasiPolynomial(r, 1, {(0,) * r: product})
+    # per residue tuple: every chi evaluated, one signed copy of the product
+    work += r * ((len(product.terms()) + sum(len(chi.terms()) for chi in chis)) << r)
+    charge("weights", work)
+    rhos = list(itertools.product((0, 1), repeat=r))
+    # sigma^(chi_1 + ... + chi_r); the chi are integral, so their denominator is 1
+    chi_sum = QuasiPolynomial(r, 1, {(0,) * r: sum(chis, LaurentPolynomial({}, r))})
+    values, _ = chi_sum.scaled_values(rhos)
+    return QuasiPolynomial(r, 2, {rho: product.scale(-1 if v % 2 else 1)
+                                  for rho, v in zip(rhos, values)})
+
+
+def _exponential_factor(group: GroupSpec) -> Fraction:
+    """1/k! per maximal run of chain positions on the same wall."""
+    boundaries = sorted(set(range(1, group.r + 1)) - group.equalities)
+    value = Fraction(1)
+    prev = 0
+    for n in boundaries:
+        value /= math.factorial(n - prev)
+        prev = n
+    return value
+
+
+def cross_wall(state: SeedSeries, wall: WallDatum,
+               trunc: Truncation) -> SeedSeries:
+    out = poisson.exp_ad(wall.J, state.element, trunc)
+    return SeedSeries(out, f"past {wall.slope}")

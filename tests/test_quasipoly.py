@@ -243,6 +243,59 @@ def test_scaled_values_match_the_per_term_reference(case):
     assert a.scaled_values(iter(points)) == _reference_scaled_values(a, points)
 
 
+@st.composite
+def _horner_qp(draw):
+    """Up to 4 variables and period 2, up to 12 terms per class sharing
+    exponent prefixes, some classes zero."""
+    r, period = draw(st.integers(0, 4)), draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 3)] * r)
+    table = {rho: _poly(r, {} if draw(st.booleans())
+                        else draw(st.dictionaries(exps, st.integers(-3, 3), max_size=12)))
+             for rho in itertools.product(range(period), repeat=r)}
+    return QuasiPolynomial(r, period, table)
+
+
+_DENSE = QuasiPolynomial(3, 1, {(0, 0, 0): _poly(3, {e: 1 for e in itertools.product(
+    range(21), repeat=3)})})  # 9,261 terms
+
+
+@given(_horner_qp())
+@settings(deadline=None, max_examples=200)
+@example(QuasiPolynomial(0, 3, {(): _poly(0, {(): fr(2, 3)})}))
+@example(QuasiPolynomial(0, 1, {(): _poly(0, {})}))
+@example(QuasiPolynomial(3, 2, {rho: _poly(3, {})
+                                for rho in itertools.product(range(2), repeat=3)}))
+@example(_DENSE)
+def test_horner_multiply_adds_match_the_parent_row_walk(a):
+    tables, _, steps = a._horner
+    assert steps == max(parent._rows(rows, a.vars) for rows in tables.values())
+
+
+@st.composite
+def _box_denominators(draw):
+    """Up to 3 summation variables of degree -1..4 and period up to 3, each
+    with a nonzero exponent vector in up to 3 variables."""
+    r, nq, p = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    degs = draw(st.lists(st.integers(-1, 4), min_size=r, max_size=r))
+    monos = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * nq).filter(any),
+                          min_size=r, max_size=r))
+    return p, degs, monos, nq
+
+
+@given(_box_denominators())
+@settings(deadline=None, max_examples=150)
+@example((1, [-1], [(1,)], 1))
+@example((3, [4, -1, 0], [(1, 0), (0, 2), (1, -1)], 2))
+@example((2, [4, 4], [(1,), (2,)], 1))
+def test_resum_denominator_matches_the_repeated_product(case):
+    p, degs, monos, nq = case
+    r = len(degs)
+    zero = QuasiPolynomial(r, p, {rho: _poly(r, {})
+                                  for rho in itertools.product(range(p), repeat=r)})
+    f = quasipoly._resum_box(zero, lambda j: j, degs, monos, nq, (0,) * nq)
+    assert f.denominator == parent.resum_denominator(p, monos, degs, nq)
+
+
 def test_orthant_geometric_closed_form():
     a = _qp_const(1, 1)
     f = resum_orthant(a, [(1,)], G1)

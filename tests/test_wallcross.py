@@ -1,9 +1,12 @@
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallx.errors import InputError
 from wallx.lattice import INF, KClass, LatticeSpec
@@ -23,7 +26,7 @@ from wallx.wallcross import (
     SeedSeries,
     WallDatum,
     _b_factor,
-    cross_wall,
+    _exponential_factor,
     dtpt_ratio,
     duality_check,
     group_from_obj,
@@ -32,6 +35,7 @@ from wallx.wallcross import (
 )
 
 from conftest import evaluate, fr, model_lattice, power, two_gen_lattice
+import parent_kernels as parent
 
 
 def _mono(spec, r, beta, c, coeff=1):
@@ -79,17 +83,17 @@ def test_cross_wall_zero_and_commuting_walls():
     seed = SeedSeries(_mono(spec, -1, (0,), (0, 0)))
     trunc = Truncation((1,), deg_cap=fr(6))
     empty = WallDatum(fr(1), TorusElement(spec, {}))
-    assert cross_wall(seed, empty, trunc).element == seed.element
+    assert iterate_walls(seed, [empty], trunc).element == seed.element
     # the point class (0, 3) pairs to zero with everything
     silent = WallDatum(INF, _mono(spec, 0, (0,), (0, 3)))
-    assert cross_wall(seed, silent, trunc).element == seed.element
+    assert iterate_walls(seed, [silent], trunc).element == seed.element
 
 
 def test_cross_wall_single_bracket_hand_value():
     spec = model_lattice()
     seed = SeedSeries(_mono(spec, -1, (0,), (0, 0)))
     wall = WallDatum(fr(1, 2), _mono(spec, 0, (1,), (1, 0), 2))
-    out = cross_wall(seed, wall, Truncation((1,)))
+    out = iterate_walls(seed, [wall], Truncation((1,)))
     # chi = 2, sigma^2 = 1: seed + 2 * 2 * t^(sum)
     expected = (seed.element
                 + _mono(spec, -1, (1,), (1, 0), 4))
@@ -110,8 +114,8 @@ def test_cross_wall_inverse(rng):
         c = (1 + 2 * rng.randint(0, 1), rng.randint(0, 1))
         j = _mono(spec, 0, (1,), c, fr(rng.randint(1, 3), 2))
         slope = spec.nu_slope(KClass(0, (1,), c))
-        forward = cross_wall(seed, WallDatum(slope, j), trunc)
-        back = cross_wall(forward, WallDatum(slope, j.scale(-1)), trunc)
+        forward = iterate_walls(seed, [WallDatum(slope, j)], trunc)
+        back = iterate_walls(forward, [WallDatum(slope, j.scale(-1))], trunc)
         assert back.element == seed.element
 
 
@@ -139,9 +143,53 @@ def test_commuting_walls_cross_in_either_order():
     trunc = Truncation((0,), deg_cap=fr(6))
     a = WallDatum(INF, _mono(spec, 0, (0,), (1, 0), fr(1, 2)))
     b = WallDatum(INF, _mono(spec, 0, (0,), (2, 0), fr(1, 3)))
-    one = cross_wall(cross_wall(seed, a, trunc), b, trunc)
-    other = cross_wall(cross_wall(seed, b, trunc), a, trunc)
+    one = iterate_walls(iterate_walls(seed, [a], trunc), [b], trunc)
+    other = iterate_walls(iterate_walls(seed, [b], trunc), [a], trunc)
     assert one.element == other.element
+
+
+_SPECS = [model_lattice(), two_gen_lattice()]
+
+
+def _vectors(n, lo, hi):
+    return st.tuples(*[st.integers(lo, hi)] * n)
+
+
+@st.composite
+def _sweeps(draw):
+    """A rank -1 seed, walls of ascending slope and a truncation that keeps
+    every sweep nilpotent: curve walls are capped by beta, point walls (beta
+    0) have positive point degree under a degree cap."""
+    spec = draw(st.sampled_from(_SPECS))
+    spec = dataclasses.replace(spec, sigma=draw(st.sampled_from([1, -1])))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    seed = draw(st.dictionaries(
+        st.builds(KClass, st.just(-1), _vectors(spec.rank1, 0, 1), _vectors(spec.rank0, -2, 2)),
+        coeffs, min_size=1, max_size=3))
+    walls = {}
+    for cls, c in draw(st.dictionaries(
+            st.builds(KClass, st.just(0), _vectors(spec.rank1, 0, 1), _vectors(spec.rank0, -1, 2)),
+            coeffs, max_size=5)).items():
+        if spec.is_effective(cls.beta) if any(cls.beta) else spec.deg_point(cls.c) > 0:
+            walls.setdefault(spec.nu_slope(cls), {})[cls] = c
+    walls = [WallDatum(slope, TorusElement(spec, terms))
+             for slope, terms in sorted(walls.items(), key=lambda t: t[0])]
+    label = draw(st.sampled_from(["seed", "x"]))
+    trunc = Truncation((2,) * spec.rank1, draw(st.sampled_from([fr(3), fr(7, 2)])))
+    return SeedSeries(TorusElement(spec, seed), label), walls, trunc
+
+
+@given(_sweeps())
+@settings(deadline=None, max_examples=100)
+def test_iterate_walls_matches_chained_parent_crossings(case):
+    seed, walls, trunc = case
+    want = seed
+    for wall in walls:
+        want = parent.cross_wall(want, wall, trunc)
+    got = iterate_walls(seed, walls, trunc)
+    assert (got.element, got.label) == (want.element, want.label)
+    # no walls: the seed itself comes back, label included
+    assert iterate_walls(seed, [], trunc) is seed
 
 
 # -- layer-scaling mechanism of point walls -----------------------------------
@@ -384,6 +432,41 @@ def test_b_factor_matches_the_evaluated_sign_loop(rng, lattice, sigma):
                       for _ in range(r)),
                 frozenset(), (fr(1),) * r, fr(1), fr(0))
             assert _b_factor(group) == _reference_b_factor(group)
+
+
+@st.composite
+def _weight_groups(draw):
+    """Up to four positions on either lattice, sigma = +1 or -1, under a drawn
+    pairing: on both lattices the point columns pair evenly, so only another
+    pairing makes a chi's parity vary with the residues."""
+    spec = draw(st.sampled_from(_SPECS))
+    n = 1 + spec.rank1 + spec.rank0
+    spec = dataclasses.replace(spec, sigma=draw(st.sampled_from([1, -1])),
+                               pairing=draw(st.tuples(*[_vectors(n, -2, 2)] * n)))
+    r = draw(st.integers(0, 4))
+    betas = draw(st.lists(_vectors(spec.rank1, 0, 2), min_size=r, max_size=r))
+    kappas = draw(st.lists(_vectors(spec.rank0, -3, 3), min_size=r, max_size=r))
+    alpha = KClass(-1, draw(_vectors(spec.rank1, -2, 2)), draw(_vectors(spec.rank0, -3, 3)))
+    return GroupSpec(spec, alpha, tuple(betas), tuple(kappas), frozenset(), (fr(1),) * r,
+                     fr(1), fr(0))
+
+
+@given(_weight_groups())
+@settings(deadline=None, max_examples=200)
+def test_b_factor_matches_the_parent_chi_sum_table(group):
+    assert _b_factor(group) == parent._b_factor(group)
+
+
+def test_exponential_factor_matches_the_parent_loop_on_every_equality_set():
+    spec = model_lattice()
+    for r in range(7):
+        for eqs in itertools.chain.from_iterable(
+                itertools.combinations(range(1, r), k) for k in range(r)):
+            group = GroupSpec(spec, KClass(-1, (0,), (0, 0)), ((1,),) * r, ((0, 0),) * r,
+                              frozenset(eqs), (fr(1),) * r, fr(1), fr(0))
+            value = _exponential_factor(group)
+            assert type(value) is Fraction
+            assert value == parent._exponential_factor(group)
 
 
 def test_group_resum_random_groups_match_bracket_oracle(rng):
