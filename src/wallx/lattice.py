@@ -20,25 +20,19 @@ from fractions import Fraction
 
 from . import jsonio
 from .errors import InputError, charge
-from .series import LinearFunctional, _coefficient, _exponent
+from .series import LinearFunctional, _coefficient, _dot, _exponent
 
 IntVec = tuple[int, ...]
 
 
 @functools.total_ordering
 class _PlusInfinity:
-    """Totally ordered above every Fraction; compares equal only to itself."""
+    """Totally ordered above every Fraction; equal only to itself, by identity."""
 
     __slots__ = ()
 
     def __lt__(self, other):
         return False
-
-    def __eq__(self, other):
-        return other is INF
-
-    def __hash__(self):
-        return hash("+oo")
 
     def __repr__(self):
         return "oo"
@@ -126,9 +120,7 @@ class LatticeSpec:
                 raise InputError("every effective generator must have l at least 1")
         # duality is an involution preserving the point block
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        square = [[sum(self.duality[i][k] * self.duality[k][j] for k in range(n))
-                   for j in range(n)] for i in range(n)]
-        if square != ident:
+        if [[_dot(row, col) for col in zip(*self.duality)] for row in self.duality] != ident:
             raise InputError("duality must square to the identity")
         for i in range(1 + self.rank1, n):
             for j in range(1 + self.rank1):
@@ -139,11 +131,8 @@ class LatticeSpec:
             if self.deg[self.rank1 + i] <= 0:
                 raise InputError("deg must be positive on each point basis vector")
         # twisting must shift deg by l
-        for j in range(self.rank1):
-            col_deg = sum(self.deg[self.rank1 + i] * self.twist_matrix[i][j]
-                          for i in range(self.rank0))
-            if col_deg != self.l[j]:
-                raise InputError("deg of the twist must equal l on the curve block")
+        if any(self.deg_point(col) != l_j for col, l_j in zip(zip(*self.twist_matrix), self.l)):
+            raise InputError("deg of the twist must equal l on the curve block")
         # the effective cone, grown on demand, and the classes below each cap
         object.__setattr__(self, "_cone", {})
         object.__setattr__(self, "_frontier", [(0, (0,) * self.rank1)])
@@ -152,14 +141,14 @@ class LatticeSpec:
     # -- basic functionals ----------------------------------------------------
 
     def l_of(self, beta) -> int:
-        return sum(a * b for a, b in zip(self.l, beta))
+        return _dot(self.l, beta)
 
     def deg_point(self, c) -> int:
-        return sum(a * b for a, b in zip(self.deg[self.rank1:], c))
+        return _dot(self.deg[self.rank1:], c)
 
     def twist(self, beta) -> IntVec:
-        return tuple(sum(row[j] * beta[j] for j in range(self.rank1))
-                     for row in self.twist_matrix)
+        beta = self._curve(beta)
+        return tuple(_dot(row, beta) for row in self.twist_matrix)
 
     def point_degree_functional(self) -> LinearFunctional:
         return LinearFunctional(tuple(Fraction(d) for d in self.deg[self.rank1:]))
@@ -169,16 +158,13 @@ class LatticeSpec:
         n = len(va)
         if len(vb) != n or n != 1 + self.rank1 + self.rank0:
             raise InputError("class length does not match the lattice")
-        return sum(va[i] * self.pairing[i][j] * vb[j]
-                   for i in range(n) for j in range(n))
+        return sum(x * _dot(row, vb) for x, row in zip(va, self.pairing))
 
     def dualize(self, x: KClass) -> KClass:
         v = x.vector()
-        n = len(v)
-        if n != 1 + self.rank1 + self.rank0:
+        if len(v) != 1 + self.rank1 + self.rank0:
             raise InputError("class length does not match the lattice")
-        out = tuple(sum(self.duality[i][j] * v[j] for j in range(n))
-                    for i in range(n))
+        out = tuple(_dot(row, v) for row in self.duality)
         return KClass(out[0], out[1:1 + self.rank1], out[1 + self.rank1:])
 
     # -- effective cone -------------------------------------------------------
@@ -230,7 +216,7 @@ class LatticeSpec:
         l_val = self.l_of(x.beta)
         if l_val == 0:
             return INF
-        return Fraction(sum(map(operator.mul, self.deg, x.beta + x.c)), l_val)
+        return Fraction(_dot(self.deg, x.beta + x.c), l_val)
 
     def gamma_walls(self, beta) -> list[Fraction]:
         """Positive values of -excdeg(twist b) / l(b) over nonzero effective b below beta.
@@ -240,7 +226,7 @@ class LatticeSpec:
         below = self._below(self._curve(beta))
         if not below:
             raise InputError("class is not effective")
-        walls = {-sum(map(operator.mul, self.excdeg, self.twist(b)), Fraction(0)) / self.l_of(b)
+        walls = {-_dot(self.excdeg, self.twist(b)) / self.l_of(b)
                  for b in below if any(b)}
         return sorted(w for w in walls if w > 0)
 

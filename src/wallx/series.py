@@ -147,15 +147,11 @@ def _coefficient(value) -> Fraction:
 
 
 def _accumulate(out: dict, pairs) -> dict:
-    """Add (key, coeff) pairs into out, dropping any key whose sum is zero."""
+    """Add (key, coeff) pairs into out; the keys whose sum is zero are dropped."""
     for key, coeff in pairs:
         acc = out.get(key)
-        acc = coeff if acc is None else acc + coeff
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return out
+        out[key] = coeff if acc is None else acc + coeff
+    return {key: c for key, c in out.items() if c}
 
 
 def _dot(weights, e) -> int:

@@ -19,6 +19,10 @@ GOLDEN_RUNS = [
     ("resum_group", (), 0, "resum_group"),
     # the same group with sigma = 1, whose bracket weights carry no sign
     ("resum_group_sigma_plus", (), 0, "resum_group_sigma_plus"),
+    # the same group with an odd pairing of the rank and the point class, so
+    # the bracket-weight sign varies with the residues: + + - - at rho =
+    # (0, 0), (0, 1), (1, 0), (1, 1)
+    ("resum_group_mixed_signs", (), 0, "resum_group_mixed_signs"),
     # long-division consumers: run_a1 at window 200; expand with a rational
     # functional and a leading denominator coefficient of -3, whose ratios
     # to the other coefficients are partly non-integral; a dtpt ratio

@@ -17,11 +17,14 @@ Fractions (``terms()`` and ``coeff()``) and write through the Fraction wire
 writers below; ``run_a1`` looks ``build_a1`` up in ``wallx.a1model``, so a
 model patched there reaches both it and wallx's ``run_a1``.
 
-The resummation and sweep helpers at the end derived their facts a second
+The resummation and sweep helpers further down derived their facts a second
 way: ``_rows`` walked each Horner table for its multiply-adds, ``_b_factor``
 read its signs from a chi-sum quasi-polynomial, the resummation denominator
 multiplied (1 - x^(p m)) in 1 + d times, and ``iterate_walls`` built one
 ``SeedSeries`` per wall through ``cross_wall``.
+
+The lattice maps at the end wrote each integer map as its own index loop, and
+``_accumulate`` popped a key whenever its running sum reached zero.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from wallx import a1model, poisson
 from wallx.a1model import behrend_smooth
 from wallx.errors import BUDGETS, InputError, charge
 from wallx.jsonio import digit_limit_error
-from wallx.lattice import KClass, kclass_to_obj
+from wallx.lattice import INF, IntVec, KClass, kclass_to_obj
 from wallx.poisson import Truncation
 from wallx.quasipoly import MAX_DEGREE, MAX_PERIOD, QuasiPolynomial, detect_quasipoly
 from wallx.series import (Coset, Exponent, LaurentPolynomial, LaurentSeries, LinearFunctional,
@@ -707,3 +710,78 @@ def cross_wall(state: SeedSeries, wall: WallDatum,
                trunc: Truncation) -> SeedSeries:
     out = poisson.exp_ad(wall.J, state.element, trunc)
     return SeedSeries(out, f"past {wall.slope}")
+
+
+# -- the lattice maps and the sparse sum before series._dot -------------------
+# LatticeSpec's index-loop maps as functions of the spec, its involution and
+# twist-grading checks as predicates on the spec's fields, and the _accumulate
+# that popped a key as soon as its sum reached zero.
+
+def _accumulate(out: dict, pairs) -> dict:
+    """Add (key, coeff) pairs into out, dropping any key whose sum is zero."""
+    for key, coeff in pairs:
+        acc = out.get(key)
+        acc = coeff if acc is None else acc + coeff
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
+
+
+def l_of(spec, beta) -> int:
+    return sum(a * b for a, b in zip(spec.l, beta))
+
+
+def deg_point(spec, c) -> int:
+    return sum(a * b for a, b in zip(spec.deg[spec.rank1:], c))
+
+
+def twist(spec, beta) -> IntVec:
+    return tuple(sum(row[j] * beta[j] for j in range(spec.rank1))
+                 for row in spec.twist_matrix)
+
+
+def euler_pairing(spec, a: KClass, b: KClass) -> int:
+    va, vb = a.vector(), b.vector()
+    n = len(va)
+    if len(vb) != n or n != 1 + spec.rank1 + spec.rank0:
+        raise InputError("class length does not match the lattice")
+    return sum(va[i] * spec.pairing[i][j] * vb[j]
+               for i in range(n) for j in range(n))
+
+
+def dualize(spec, x: KClass) -> KClass:
+    v = x.vector()
+    n = len(v)
+    if n != 1 + spec.rank1 + spec.rank0:
+        raise InputError("class length does not match the lattice")
+    out = tuple(sum(spec.duality[i][j] * v[j] for j in range(n))
+                for i in range(n))
+    return KClass(out[0], out[1:1 + spec.rank1], out[1 + spec.rank1:])
+
+
+def nu_slope(spec, x: KClass):
+    """deg/l slope of (beta, c); +oo on the point block."""
+    l_val = l_of(spec, x.beta)
+    if l_val == 0:
+        return INF
+    return Fraction(sum(map(operator.mul, spec.deg, x.beta + x.c)), l_val)
+
+
+def squares_to_identity(duality, n: int) -> bool:
+    """The constructor's involution check on an n x n duality matrix."""
+    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    square = [[sum(duality[i][k] * duality[k][j] for k in range(n))
+               for j in range(n)] for i in range(n)]
+    return square == ident
+
+
+def twist_shifts_deg_by_l(deg, l, twist_matrix, rank1: int, rank0: int) -> bool:
+    """The constructor's check that deg(twist e_j) = l_j on the curve block."""
+    for j in range(rank1):
+        col_deg = sum(deg[rank1 + i] * twist_matrix[i][j]
+                      for i in range(rank0))
+        if col_deg != l[j]:
+            return False
+    return True

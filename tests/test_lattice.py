@@ -2,14 +2,16 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wallx.errors import InputError
 from wallx.lattice import INF, KClass, LatticeSpec, lattice_from_obj
 from wallx.poisson import TorusElement, Truncation, naive_product
 from wallx.series import _echelon, _exponent
+from wallx.wallcross import WallDatum
 
+import parent_kernels as parent
 from conftest import fr, model_lattice, two_gen_lattice
 
 
@@ -236,6 +238,22 @@ def test_nu_slope_and_infinity_ordering():
     assert sorted([INF, fr(2), fr(-1)]) == [fr(-1), fr(2), INF]
 
 
+def test_infinity_equals_only_itself_and_hashes_by_identity():
+    for x in (fr(0), fr(10 ** 9), fr(-1, 3)):
+        assert INF != x and x != INF
+        assert not INF == x and not x == INF
+    assert INF == INF and not INF != INF
+    assert fr(10 ** 9) < INF and INF > fr(0)
+    assert sorted([INF, fr(10 ** 9), fr(0)]) == [fr(0), fr(10 ** 9), INF]
+    assert hash(INF) == hash(INF)
+    assert {fr(1): "curve", INF: "point"}[INF] == "point"
+    # WallDatum is not hashable (its torus element is not); its INF slope is
+    spec = model_lattice()
+    wall = WallDatum(INF, TorusElement(spec, {_pt(spec, (1, 0)): 1}))
+    assert wall.slope is INF and {wall.slope, fr(1)} == {INF, fr(1)}
+    assert f"past {INF}" == "past oo"
+
+
 def test_gamma_walls_single_wall():
     spec = model_lattice()
     assert spec.gamma_walls((2,)) == [fr(1)]
@@ -320,6 +338,13 @@ def test_twist_consistency_validation():
         lattice_from_obj(base)
 
 
+def test_twist_of_a_wrong_length_curve_class_raises_input_error():
+    for spec in (model_lattice(), two_gen_lattice()):
+        for beta in ((), (1,) * (spec.rank1 + 1)):
+            with pytest.raises(InputError, match="curve class length does not match rank1"):
+                spec.twist(beta)
+
+
 def test_point_grading_positivity_validation():
     base = model_lattice().to_obj()
     base["deg"] = [0, 1, 0]
@@ -402,3 +427,114 @@ def test_kclass_sorts_by_rank_then_curve_then_point():
 
 def test_kclass_repr():
     assert repr(KClass(0, (1,), (0, 0))) == "KClass(r=0, beta=(1,), c=(0, 0))"
+
+
+# -- the integer maps against their index-loop forms --------------------------
+
+@st.composite
+def _involutions(draw, rank1, rank0):
+    """A duality [[A, 0], [B X - X A, B]]: A and B involutive permutations of the
+    rank-and-curve and the point coordinates, X an integer shear, so the square
+    is the identity and the point block is preserved."""
+    n = 1 + rank1 + rank0
+    perm = list(range(n))
+    for block in (range(1 + rank1), range(1 + rank1, n)):
+        order = draw(st.permutations(list(block)))
+        swaps = draw(st.integers(0, len(order) // 2))
+        for a, b in zip(order[0:2 * swaps:2], order[1:2 * swaps:2]):
+            perm[a], perm[b] = b, a
+    shear = draw(st.lists(st.lists(st.integers(-1, 1), min_size=1 + rank1, max_size=1 + rank1),
+                          min_size=rank0, max_size=rank0))
+    duality = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    for i in range(rank0):
+        for j in range(1 + rank1):
+            duality[1 + rank1 + i][j] = (shear[perm[1 + rank1 + i] - 1 - rank1][j]
+                                         - shear[i][perm[j]])
+    return tuple(map(tuple, duality))
+
+
+def _matrices(rows, cols, entries=st.integers(-3, 3)):
+    return st.lists(st.tuples(*[entries] * cols), min_size=rows, max_size=rows).map(tuple)
+
+
+@st.composite
+def _drawn_lattices(draw):
+    """A random integer pairing and twist, positive point degrees, l read off
+    the twist so that deg(twist e_j) = l_j, and a drawn involution."""
+    rank1, rank0 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = 1 + rank1 + rank0
+    deg = draw(st.tuples(*[st.integers(-2, 2)] * rank1, *[st.integers(1, 3)] * rank0))
+    twist = draw(_matrices(rank0, rank1))
+    l = tuple(sum(deg[rank1 + i] * twist[i][j] for i in range(rank0)) for j in range(rank1))
+    assume(max(l) >= 1)
+    return LatticeSpec(
+        rank1=rank1, rank0=rank0, pairing=draw(_matrices(n, n)), deg=deg, l=l,
+        excdeg=draw(st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * rank0)),
+        twist_matrix=twist, duality=draw(_involutions(rank1, rank0)),
+        effgens1=(tuple(int(j == l.index(max(l))) for j in range(rank1)),),
+        sigma=draw(st.sampled_from((1, -1))))
+
+
+def _classes(spec):
+    ints = st.integers(-4, 4)
+    return st.lists(st.builds(KClass, ints, st.tuples(*[ints] * spec.rank1),
+                              st.tuples(*[ints] * spec.rank0)), min_size=1, max_size=3)
+
+
+_LATTICES = st.one_of(st.sampled_from([model_lattice(), two_gen_lattice()]), _drawn_lattices())
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_LATTICES.flatmap(lambda spec: st.tuples(st.just(spec), _classes(spec))))
+@example(case=(model_lattice(), [KClass(-1, (2,), (1, -3)), KClass(0, (0,), (3, 1))]))
+@example(case=(two_gen_lattice(), [KClass(2, (1, -1), (3,)), KClass(-1, (0, 2), (-2,))]))
+def test_lattice_maps_match_the_index_loops(case):
+    spec, xs = case
+    short = KClass(0, (), ())
+    for a in xs:
+        assert spec.l_of(a.beta) == parent.l_of(spec, a.beta)
+        assert spec.deg_point(a.c) == parent.deg_point(spec, a.c)
+        assert spec.twist(a.beta) == parent.twist(spec, a.beta)
+        assert spec.nu_slope(a) == parent.nu_slope(spec, a)
+        assert spec.dualize(a) == parent.dualize(spec, a)
+        for b in xs + [short]:
+            assert (_outcome(spec.euler_pairing, a, b)
+                    == _outcome(parent.euler_pairing, spec, a, b))
+    assert _outcome(spec.dualize, short) == _outcome(parent.dualize, spec, short)
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_drawn_lattices().flatmap(lambda spec: st.tuples(
+    st.just(spec), st.one_of(_involutions(spec.rank1, spec.rank0),
+                             _matrices(len(spec.pairing), len(spec.pairing), st.integers(-1, 1))),
+    st.integers(0, len(spec.pairing) ** 2 - 1), st.integers(-1, 1))))
+def test_involution_check_matches_the_index_loop(case):
+    # an involution, one entry of it moved by -1, 0 or 1, or a random matrix
+    spec, duality, at, step = case
+    n = len(duality)
+    rows = [list(row) for row in duality]
+    rows[at // n][at % n] += step
+    duality = tuple(map(tuple, rows))
+    rejected = (_outcome(lambda: dataclasses.replace(spec, duality=duality))
+                == ("InputError", "duality must square to the identity"))
+    assert rejected == (not parent.squares_to_identity(duality, n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_drawn_lattices().flatmap(lambda spec: st.tuples(
+    st.just(spec), _matrices(spec.rank0, spec.rank1),
+    st.one_of(st.none(), st.tuples(*[st.integers(-3, 6)] * spec.rank1)))))
+def test_twist_grading_check_matches_the_index_loop(case):
+    # l is read off the drawn twist (None) or drawn, so the check passes or not
+    spec, twist, l = case
+    if l is None:
+        l = tuple(parent.deg_point(spec, col) for col in zip(*twist))
+    assume(max(l) >= 1)
+    gen = tuple(int(j == l.index(max(l))) for j in range(spec.rank1))
+    outcome = _outcome(lambda: dataclasses.replace(
+        spec, twist_matrix=twist, l=l, effgens1=(gen,)))
+    graded = parent.twist_shifts_deg_by_l(spec.deg, l, twist, spec.rank1, spec.rank0)
+    if graded:
+        assert isinstance(outcome, LatticeSpec)
+    else:
+        assert outcome == ("InputError", "deg of the twist must equal l on the curve block")

@@ -37,6 +37,7 @@ from wallx.series import (
 from wallx.wallcross import SeedSeries
 
 from conftest import fr, model_lattice, power
+from parent_kernels import _accumulate as _parent_accumulate
 from parent_kernels import _divide_terms as _parent_divide_terms, _packed_divide_terms
 from parent_kernels import _product as _parent_product
 from parent_kernels import polynomial_to_obj as _parent_polynomial_to_obj
@@ -491,6 +492,23 @@ def test_coefficient_keeps_a_fraction_and_converts_the_rest():
         got = _coefficient(value)
         assert type(got) is Fraction and got == want
 
+
+
+_SUM_KEYS = st.sampled_from([(0,), (1,), (0, 1), (2, -1)])
+_SUM_VALUES = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(init=st.dictionaries(_SUM_KEYS, _SUM_VALUES.filter(bool)),
+       pairs=st.lists(st.tuples(_SUM_KEYS, _SUM_VALUES), max_size=12))
+@example(init={}, pairs=[((0,), 1), ((0,), -1), ((0,), fr(1, 2))])  # cancels, then reappears
+@example(init={(1,): 2}, pairs=[((1,), -2), ((0,), fr(1, 3)), ((0,), fr(-1, 3)), ((1,), 5)])
+@example(init={}, pairs=[((0,), 0), ((1,), fr(0))])
+def test_accumulate_matches_the_pop_on_zero_sum(init, pairs):
+    # repeated keys and cancellations, over ints and Fractions; key order is not compared
+    ours = series._accumulate(dict(init), iter(pairs))
+    assert ours == _parent_accumulate(dict(init), iter(pairs))
+    assert all(ours.values())
 
 # -- the integer long-division kernel against a plain-Fraction reference -----
 
