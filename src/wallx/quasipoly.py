@@ -1,27 +1,28 @@
 """Multivariate quasi-polynomials and their exact resummation.
 
 A quasi-polynomial of period p in r variables is a table of polynomials
-indexed by residue tuples in (Z/p)^r.  Summed against q^(integer
-combinations) over an orthant or a chain it closes up into a rational
-function.  With degree d_t in variable t the denominator is
-prod_t (1 - x_t^p)^(1 + d_t), and the numerator is the box
-prod_t [0, p(1 + d_t)) of values after that separable difference
-operator (Stanley, EC1 4.4).  Values come from one Horner table of int
-numerators per residue class.  A chain sum is the orthant sum over its
-increments, with tail degrees as the exponents.  Detection in sample
-sequences applies the same difference operator to each residue class and
-reads the class's polynomial off those differences in Newton's form.
-This module also checks re-expansion claims across a wall of gradings,
-one coset of Z c0 at a time: a term at e is k = floor(e[i] / c0[i]) steps
-along the coset of e - k c0, i the first nonzero entry of c0.  Differences
-come off the stored int numerators and reach detection as ints over one
-denominator; one detection charge covers all cosets' ranges before any fit.
+indexed by residue tuples in (Z/p)^r.  Summed against q^(integer combinations)
+over an orthant or a chain it closes up into a rational function.  With degree
+d_t in variable t the denominator is prod_t (1 - x_t^p)^(1 + d_t), and the
+numerator is the box prod_t [0, p(1 + d_t)) of values after that separable
+difference operator (Stanley, EC1 4.4).  Values come from one Horner table of
+int numerators per residue class, last variable outermost, so points that
+share a prefix share its rows.  A chain sum is the orthant sum over its
+increments, with tail degrees as the exponents.  Detection in sample sequences
+applies the same difference operator to each residue class and reads the
+class's polynomial off those differences in Newton's form.  This module also
+checks re-expansion claims across a wall of gradings, one coset of Z c0 at a
+time: a term at e is k = floor(e[i] / c0[i]) steps along the coset of
+e - k c0, i the first nonzero entry of c0.  Differences come off the stored int
+numerators and reach detection as ints over one denominator; one detection
+charge covers all cosets' ranges before any fit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,8 +82,8 @@ class QuasiPolynomial:
         # each polynomial's numerators, scaled to the lcm of their denominators
         scales, den = _over_lcm(Fraction(1, poly._den) for poly in table.values())
         tables = {rho: _nest(sorted([(e, n * s) for e, n in poly._terms.items()], reverse=True),
-                             0, self.vars) for (rho, poly), s in zip(table.items(), scales)}
-        # a Horner table has one row per distinct exponent prefix of its terms
+                             self.vars) for (rho, poly), s in zip(table.items(), scales)}
+        # the charge: one row per distinct exponent prefix, as if variable 0 were outermost
         steps = max(len({e[:i] for e in poly for i in range(1, self.vars + 1)})
                     for poly in table.values())
         object.__setattr__(self, "_horner", (tables, den, steps))
@@ -98,8 +99,24 @@ class QuasiPolynomial:
         """a(n) at each integer point n, as int numerators over one denominator."""
         p, (tables, den, _), last = self.period, self._horner, self.vars - 1
         if last < 0:  # no variables: each table is its constant
-            return [tables[()] for _ in points], den
-        return [_evaluate(tables[tuple(x % p for x in n)], n, 0, last) for n in points], den
+            return [sum(tables[()][0]) for _ in points], den
+        tops, below, out = {}, {}, []
+        for n in points:
+            key = n[:last] + (n[last] % p,)  # n's class and prefix n[:last]
+            entry = tops.get(key)
+            if entry is None:
+                rho = tuple([x % p for x in n])
+                inner, levels, top = tables[rho]
+                for i, level in levels:
+                    if (rho, n[:i + 1]) not in below:  # once per class and prefix
+                        below[rho, n[:i + 1]] = [_horner(rows, inner, n[i]) for rows in level]
+                    inner = below[rho, n[:i + 1]]
+                entry = tops[key] = top, inner
+            (rows, inner), x, acc = entry, n[last], 0
+            for k, gap in rows:  # _horner, inline
+                acc = (acc + inner[k]) * x ** gap
+            out.append(acc)
+        return out, den
 
     def degree(self, i: int) -> int:
         """Largest power of variable i across the table; -1 for the zero table."""
@@ -108,32 +125,33 @@ class QuasiPolynomial:
         return max((e[i] for poly in self.table.values() for e in poly), default=-1)
 
     def is_zero(self) -> bool:
-        return not any(self._horner[0].values())
+        return not any(coeffs for coeffs, _, _ in self._horner[0].values())
 
 
-def _nest(terms, i: int, r: int):
-    """Horner table in variables i..r-1 of the terms (e, c), highest e first:
-    per power of x_i that occurs, from the top one down, a row of its
-    coefficient's table and the gap down to the next power (to 0 after the
-    last); [] when zero, and an int when i == r (no variables)."""
-    if i == r:
-        return sum(c for _, c in terms)  # at most one term
-    if i == r - 1:  # the last variable: a row per term, its int inline
-        return [(c, e[i] - f[i]) for (e, c), (f, _) in zip(terms, terms[1:] + [((0,) * r, 0)])]
-    rows = [(k, _nest(list(group), i + 1, r))
-            for k, group in itertools.groupby(terms, lambda t: t[0][i])]
-    return [(row, k - low) for (k, row), (low, _) in zip(rows, rows[1:] + [(0, 0)])]
+def _nest(terms, r: int) -> tuple:
+    """The coefficients of the terms (e, c), highest e first; the levels (i, Horner
+    tables in x_i, one per distinct e[i + 1:]) below the last, level i reading
+    n[:i + 1] alone; and the last level's table.  Rows (k, gap) run down the
+    powers that occur: k indexes the level before, gap steps down to the next or 0."""
+    keys, levels = [e for e, _ in terms], [[c for _, c in terms]]
+    for i in range(r):
+        if i < r - 1 and not any(e[0] for e in keys):  # x_i absent: the identity
+            keys = [e[1:] for e in keys]
+            continue
+        tables = {}
+        for k, e in enumerate(keys):  # within one e[1:], e[0] descends
+            tables.setdefault(e[1:], []).append((k, e[0]))
+        keys = sorted(tables, reverse=True)
+        levels.append((i, [[(k, x - y) for (k, x), (_, y) in zip(rows, rows[1:] + [(0, 0)])]
+                           for rows in map(tables.get, keys)]))
+    return levels[0], levels[1:-1], (levels[-1][1] or [[]])[0] if r else None
 
 
-def _evaluate(rows, n, i: int, last: int) -> int:
-    """A Horner table of variables i..last at the point n, by multiply-adds."""
-    x, acc = n[i], 0
-    if i == last:  # the last variable's ints, inline
-        for c, gap in rows:
-            acc = (acc + c) * x ** gap
-    else:
-        for row, gap in rows:
-            acc = (acc + _evaluate(row, n, i + 1, last)) * x ** gap
+def _horner(rows, inner, x: int) -> int:
+    """One Horner table at x, its rows (k, gap) reading inner[k]."""
+    acc = 0
+    for k, gap in rows:
+        acc = (acc + inner[k]) * x ** gap
     return acc
 
 
@@ -143,26 +161,34 @@ def _difference(values: list, indices, step: int) -> None:
         values[i] -= values[i - step]
 
 
-def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
-               shift) -> RationalFunction:
-    """g/h equal to q^shift times the sum over j >= 0 of a(point(j)) q^(j.monos).
+def _grid(offset, columns, sizes) -> list[tuple[int, ...]]:
+    """offset + sum_t j_t columns[t] over the box of sizes, axis by axis, in product order."""
+    points, add = [tuple(offset)], operator.add
+    for column, size in zip(columns, sizes):
+        steps = [tuple(map(j.__mul__, column)) for j in range(size)]
+        points = [tuple(map(add, point, step)) for point in points for step in steps]
+    return points
 
-    b(j) = a(point(j)) must be a period-p quasi-polynomial of degree at most
-    degs[t] in j_t.  Then h = prod_t (1 - x_t^p)^(1 + degs[t]) times
-    sum_j b(j) x^j is supported on the box prod_t [0, p(1 + degs[t])),
-    since a (1 + d)-th difference of step p kills a degree-d polynomial on
-    each residue class.  So g is the box of values b(j), taken as integers
-    over the lcm of the table's denominators, after the separable
-    difference (1 - x_t^p)^(1 + degs[t]) is applied one axis at a time;
-    then x_t becomes q^monos[t], and g keeps those integers over that lcm.
-    The one charge counts per box point the largest table's multiply-adds and
-    the sum(1 + degs[t]) differences.
+
+def _resum_box(a: QuasiPolynomial, offset, columns, degs, monos, nq: int,
+               shift) -> RationalFunction:
+    """g/h equal to q^shift times the sum over j >= 0 of a(n(j)) q^(j.monos).
+
+    With n(j) = offset + sum_t j_t columns[t], b(j) = a(n(j)) must be a
+    period-p quasi-polynomial of degree at most degs[t] in j_t.  Then
+    h = prod_t (1 - x_t^p)^(1 + degs[t]) times sum_j b(j) x^j is supported
+    on the box prod_t [0, p(1 + degs[t])), since a (1 + d)-th difference of
+    step p kills a degree-d polynomial on each residue class.  So g is the
+    box of values b(j), taken as integers over the lcm of the table's
+    denominators, after the separable difference (1 - x_t^p)^(1 + degs[t])
+    is applied one axis at a time; then x_t becomes q^monos[t], and g keeps
+    those integers over that lcm.  The one charge bounds, per box point, the
+    largest table's multiply-adds and the sum(1 + degs[t]) differences.
     """
     p = a.period
     sizes = [p * (1 + d) for d in degs]
     charge("resummation", math.prod(sizes) * (a._horner[2] + sum(1 + d for d in degs)))
-    box = list(itertools.product(*map(range, sizes)))
-    values, den = a.scaled_values(map(point, box))
+    values, den = a.scaled_values(_grid(offset, columns, sizes))
     stride = 1
     for size, d in zip(reversed(sizes), reversed(degs)):
         inner = [i for i in reversed(range(len(values)))
@@ -172,9 +198,8 @@ def _resum_box(a: QuasiPolynomial, point, degs, monos, nq: int,
         stride *= size
     # box points with one exponent sum their values
     g = LaurentPolynomial._make(_accumulate({}, (
-        (tuple(s + sum(jt * m[k] for jt, m in zip(j, monos)) for k, s in enumerate(shift)), v)
-        for j, v in zip(box, values) if v)), nq, den)
-    h = LaurentPolynomial.constant(nq, 1)
+        (e, v) for e, v in zip(_grid(shift, monos, sizes), values) if v)), nq, den)
+    h = LaurentPolynomial._make({(0,) * nq: 1}, nq)
     for m, d in zip(monos, degs):  # (1 - x^(p m))^(1 + d) by the binomial theorem
         h = h * LaurentPolynomial._make(
             {tuple(p * k * x for x in m): (-1) ** k * math.comb(1 + d, k)
@@ -208,7 +233,8 @@ def resum_orthant(a: QuasiPolynomial, monos, grading: LinearFunctional) -> Ratio
     """
     monos_t, nq = _check_monomials(monos, a.vars, grading)
     degs = tuple(map(a.degree, range(a.vars)))  # -1 each for the zero table
-    return _resum_box(a, lambda j: j, degs, monos_t, nq, (0,) * nq)
+    units = [tuple(map(t.__eq__, range(a.vars))) for t in range(a.vars)]
+    return _resum_box(a, (0,) * a.vars, units, degs, monos_t, nq, (0,) * nq)
 
 
 @dataclass(frozen=True)
@@ -253,16 +279,13 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
     # n_i = k_i - 1 + j_1 + ... + j_{k_i}, k_i the number of free positions <= i
     ks = [sum(1 for m in free if m <= i + 1) for i in range(r)]
 
-    def point(j):
-        sums = list(itertools.accumulate(j))
-        return tuple(k - 1 + sums[k - 1] for k in ks)
-
     degs = tuple(map(a.degree, range(a.vars)))
     tails = [tuple(map(sum, zip(*monos_t[m - 1:]))) for m in free]
     tail_degs = [sum(degs[m - 1:]) for m in free]
     shift = tuple(sum((k - 1) * v[c] for k, v in zip(ks, monos_t))
                   for c in range(nq))
-    return _resum_box(a, point, tail_degs, tails, nq, shift)
+    columns = [tuple(map(t.__le__, ks)) for t in range(1, len(free) + 1)]
+    return _resum_box(a, [k - 1 for k in ks], columns, tail_degs, tails, nq, shift)
 
 
 # -- detection ----------------------------------------------------------------

@@ -48,6 +48,7 @@ class WallDatum:
 
     slope: object
     J: TorusElement
+    __hash__ = None  # J, a TorusElement, has no hash: unhashable as _Sparse is
 
     def __post_init__(self):
         if self.slope is not INF:
@@ -68,6 +69,7 @@ class SeedSeries:
 
     element: TorusElement
     label: str = "seed"
+    __hash__ = None  # as WallDatum
 
     def __post_init__(self):
         for cls in self.element:

@@ -21,7 +21,11 @@ The resummation and sweep helpers further down derived their facts a second
 way: ``_rows`` walked each Horner table for its multiply-adds, ``_b_factor``
 read its signs from a chi-sum quasi-polynomial, the resummation denominator
 multiplied (1 - x^(p m)) in 1 + d times, and ``iterate_walls`` built one
-``SeedSeries`` per wall through ``cross_wall``.
+``SeedSeries`` per wall through ``cross_wall``.  ``scaled_values`` walked one
+Horner table per point, nested with variable 0 outermost (``_nest``,
+``_evaluate``), and ``resum_box`` took each box point j of the product of
+ranges through a ``point`` map, summing its numerator exponent per point;
+``chain_point`` is the map ``resum_chain`` gave it.
 
 The lattice maps at the end wrote each integer map as its own index loop, and
 ``_accumulate`` popped a key whenever its running sum reached zero.
@@ -44,7 +48,8 @@ from wallx.errors import BUDGETS, InputError, charge
 from wallx.jsonio import digit_limit_error
 from wallx.lattice import INF, IntVec, KClass, kclass_to_obj
 from wallx.poisson import Truncation
-from wallx.quasipoly import MAX_DEGREE, MAX_PERIOD, QuasiPolynomial, detect_quasipoly
+from wallx.quasipoly import (MAX_DEGREE, MAX_PERIOD, QuasiPolynomial, _difference,
+                              detect_quasipoly)
 from wallx.series import (Coset, Exponent, LaurentPolynomial, LaurentSeries, LinearFunctional,
                           RationalFunction, Window, _Sparse, _dot, _exponent, _over_lcm, expand,
                           verify_expansion, window_to_obj)
@@ -629,6 +634,83 @@ def run_a1(report_window: int) -> dict:
 
 
 # -- resummation and the wall sweep before their direct forms -----------------
+
+def _nest(terms, i: int, r: int):
+    """Horner table in variables i..r-1 of the terms (e, c), highest e first:
+    per power of x_i that occurs, from the top one down, a row of its
+    coefficient's table and the gap down to the next power (to 0 after the
+    last); [] when zero, and an int when i == r (no variables)."""
+    if i == r:
+        return sum(c for _, c in terms)  # at most one term
+    if i == r - 1:  # the last variable: a row per term, its int inline
+        return [(c, e[i] - f[i]) for (e, c), (f, _) in zip(terms, terms[1:] + [((0,) * r, 0)])]
+    rows = [(k, _nest(list(group), i + 1, r))
+            for k, group in itertools.groupby(terms, lambda t: t[0][i])]
+    return [(row, k - low) for (k, row), (low, _) in zip(rows, rows[1:] + [(0, 0)])]
+
+
+def _evaluate(rows, n, i: int, last: int) -> int:
+    """A Horner table of variables i..last at the point n, by multiply-adds."""
+    x, acc = n[i], 0
+    if i == last:  # the last variable's ints, inline
+        for c, gap in rows:
+            acc = (acc + c) * x ** gap
+    else:
+        for row, gap in rows:
+            acc = (acc + _evaluate(row, n, i + 1, last)) * x ** gap
+    return acc
+
+
+def horner_tables(a: QuasiPolynomial) -> tuple[dict, int]:
+    """Per residue class the variable-0-first Horner table of int numerators,
+    and their one denominator, as the constructor built them."""
+    scales, den = _over_lcm(Fraction(1, poly._den) for poly in a.table.values())
+    return {rho: _nest(sorted([(e, n * s) for e, n in poly._terms.items()], reverse=True),
+                       0, a.vars) for (rho, poly), s in zip(a.table.items(), scales)}, den
+
+
+def scaled_values(a: QuasiPolynomial, points) -> tuple[list[int], int]:
+    """a(n) at each integer point n, as int numerators over one denominator."""
+    p, (tables, den), last = a.period, horner_tables(a), a.vars - 1
+    if last < 0:  # no variables: each table is its constant
+        return [tables[()] for _ in points], den
+    return [_evaluate(tables[tuple(x % p for x in n)], n, 0, last) for n in points], den
+
+
+def chain_point(ks):
+    """``resum_chain``'s map from increments j to the chain point n, with
+    n_i = k_i - 1 + j_1 + ... + j_{k_i}."""
+    def point(j):
+        sums = list(itertools.accumulate(j))
+        return tuple(k - 1 + sums[k - 1] for k in ks)
+    return point
+
+
+def resum_box(a: QuasiPolynomial, point, degs, monos, nq: int, shift) -> RationalFunction:
+    """``_resum_box`` with the box points j taken through ``point`` one at a time."""
+    p = a.period
+    sizes = [p * (1 + d) for d in degs]
+    charge("resummation", math.prod(sizes) * (a._horner[2] + sum(1 + d for d in degs)))
+    box = list(itertools.product(*map(range, sizes)))
+    values, den = scaled_values(a, map(point, box))
+    stride = 1
+    for size, d in zip(reversed(sizes), reversed(degs)):
+        inner = [i for i in reversed(range(len(values)))
+                 if i // stride % size >= p]
+        for _ in range(1 + d):
+            _difference(values, inner, p * stride)
+        stride *= size
+    # box points with one exponent sum their values
+    g = LaurentPolynomial._make(_accumulate({}, (
+        (tuple(s + sum(jt * m[k] for jt, m in zip(j, monos)) for k, s in enumerate(shift)), v)
+        for j, v in zip(box, values) if v)), nq, den)
+    h = LaurentPolynomial.constant(nq, 1)
+    for m, d in zip(monos, degs):  # (1 - x^(p m))^(1 + d) by the binomial theorem
+        h = h * LaurentPolynomial._make(
+            {tuple(p * k * x for x in m): (-1) ** k * math.comb(1 + d, k)
+             for k in range(2 + d)}, nq)
+    return RationalFunction(g, h)
+
 
 def _rows(rows, depth: int) -> int:
     """Multiply-adds of a Horner table of ``depth`` variables: one per row."""

@@ -217,17 +217,25 @@ def _reference_scaled_values(a, points):
 
 
 @st.composite
-def _qp_and_points(draw):
-    """Up to 3 variables and period 3, sparse terms of degree up to 7 and
-    some zero residue classes, at points with negative entries."""
+def _tables(draw, max_degree=7):
+    """Up to 3 variables and period 3, sparse terms of degree up to
+    max_degree and some zero residue classes."""
     r, period = draw(st.integers(0, 3)), draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(0, 7)] * r)
+    exps = st.tuples(*[st.integers(0, max_degree)] * r)
     coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-    table = {rho: _poly(r, {} if draw(st.booleans())
-                        else draw(st.dictionaries(exps, coeff, max_size=4)))
-             for rho in itertools.product(range(period), repeat=r)}
-    points = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * r), max_size=6))
-    return QuasiPolynomial(r, period, table), points
+    return QuasiPolynomial(r, period, {
+        rho: _poly(r, {} if draw(st.booleans()) else draw(st.dictionaries(exps, coeff, max_size=4)))
+        for rho in itertools.product(range(period), repeat=r)})
+
+
+@st.composite
+def _qp_and_points(draw):
+    """A table at points with negative entries, some repeated, in any order."""
+    a = draw(_tables())
+    points = draw(st.lists(st.tuples(*[st.integers(-9, 9)] * a.vars), max_size=6))
+    if points:
+        points += draw(st.lists(st.sampled_from(points), max_size=4))
+    return a, draw(st.permutations(points))
 
 
 @given(_qp_and_points())
@@ -237,10 +245,16 @@ def _qp_and_points(draw):
                                  for rho in itertools.product(range(2), repeat=3)}),
           [(1, 2, 3), (-3, 0, -1), (-1, 4, 5), (0, 0, 0)]))
 @example((QuasiPolynomial(0, 2, {(): _poly(0, {(): fr(5, 3)})}), [(), ()]))
+# shared prefixes in two classes, out of order, one point twice
+@example((QuasiPolynomial(2, 2, {rho: _poly(2, {(1, 2): rho[0] + 1, (0, 1): fr(1, 2)})
+                                  for rho in itertools.product(range(2), repeat=2)}),
+          [(3, 1), (3, 0), (-1, 1), (3, 1), (0, 0), (3, 2)]))
 def test_scaled_values_match_the_per_term_reference(case):
     a, points = case
     assert a.scaled_values(points) == _reference_scaled_values(a, points)
     assert a.scaled_values(iter(points)) == _reference_scaled_values(a, points)
+    # and the parent's one Horner walk per point
+    assert a.scaled_values(points) == parent.scaled_values(a, points)
 
 
 @st.composite
@@ -267,8 +281,55 @@ _DENSE = QuasiPolynomial(3, 1, {(0, 0, 0): _poly(3, {e: 1 for e in itertools.pro
                                 for rho in itertools.product(range(2), repeat=3)}))
 @example(_DENSE)
 def test_horner_multiply_adds_match_the_parent_row_walk(a):
-    tables, _, steps = a._horner
-    assert steps == max(parent._rows(rows, a.vars) for rows in tables.values())
+    # the charge stays the row count of the variable-0-first tables
+    tables, _ = parent.horner_tables(a)
+    assert a._horner[2] == max(parent._rows(rows, a.vars) for rows in tables.values())
+
+
+def _units(r):
+    return [tuple(int(t == u) for u in range(r)) for t in range(r)]
+
+
+@st.composite
+def _boxes(draw):
+    """An orthant or a chain box of every equality pattern: offset, columns
+    and the parent's point map, axis degrees from -1 (an empty box) up."""
+    a = draw(_tables(max_degree=3))
+    r, nq = a.vars, draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        offset, columns, point = (0,) * r, _units(r), lambda j: j
+    else:
+        pattern = ChainPattern(r, frozenset(draw(st.sets(st.integers(1, max(r - 1, 1))))
+                                            & set(range(1, r))))
+        free = pattern.free_positions() if r else []
+        ks = [sum(1 for m in free if m <= i + 1) for i in range(r)]
+        offset = [k - 1 for k in ks]
+        columns = [tuple(int(k >= t) for k in ks) for t in range(1, len(free) + 1)]
+        point = parent.chain_point(ks)
+    degs = draw(st.lists(st.integers(-1, 3 if r < 3 else 1),
+                         min_size=len(columns), max_size=len(columns)))
+    monos = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * nq),
+                          min_size=len(columns), max_size=len(columns)))
+    shift = draw(st.tuples(*[st.integers(-2, 2)] * nq))
+    return a, offset, columns, point, degs, monos, nq, shift
+
+
+@given(_boxes())
+@settings(deadline=None, max_examples=200)
+# a chain of three with n_1 == n_2, in period 2 with a zero class
+@example((QuasiPolynomial(3, 2, {rho: _poly(3, {} if rho == (1, 0, 1)
+                                             else {(1, 0, 2): 3, (0, 1, 0): -1})
+                                 for rho in itertools.product(range(2), repeat=3)}),
+          [0, 0, 1], [(1, 1, 1), (0, 0, 1)], parent.chain_point([1, 1, 2]), [1, 1],
+          [(1, 0), (2, 1)], 2, (0, 1)))
+# a degree -1 axis: the box is empty
+@example((QuasiPolynomial(1, 1, {(0,): _poly(1, {})}), (0,), [(1,)], lambda j: j, [-1],
+          [(1,)], 1, (0,)))
+def test_resum_box_matches_the_parent_per_point_box(case):
+    a, offset, columns, point, degs, monos, nq, shift = case
+    f = quasipoly._resum_box(a, offset, columns, degs, monos, nq, shift)
+    g = parent.resum_box(a, point, degs, monos, nq, shift)
+    assert (f.numerator, f.denominator) == (g.numerator, g.denominator)
 
 
 @st.composite
@@ -292,7 +353,7 @@ def test_resum_denominator_matches_the_repeated_product(case):
     r = len(degs)
     zero = QuasiPolynomial(r, p, {rho: _poly(r, {})
                                   for rho in itertools.product(range(p), repeat=r)})
-    f = quasipoly._resum_box(zero, lambda j: j, degs, monos, nq, (0,) * nq)
+    f = quasipoly._resum_box(zero, (0,) * r, _units(r), degs, monos, nq, (0,) * nq)
     assert f.denominator == parent.resum_denominator(p, monos, degs, nq)
 
 

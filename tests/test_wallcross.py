@@ -76,6 +76,14 @@ def test_seed_series_validation():
         SeedSeries(_mono(spec, 0, (0,), (0, 0)))
 
 
+def test_walls_and_seeds_are_unhashable_as_their_elements_are():
+    spec = model_lattice()
+    for x in (WallDatum(fr(1, 2), _mono(spec, 0, (1,), (1, 0))),
+              SeedSeries(_mono(spec, -1, (0,), (0, 0))), _mono(spec, 0, (1,), (1, 0))):
+        with pytest.raises(TypeError, match=f"^unhashable type: '{type(x).__name__}'$"):
+            hash(x)
+
+
 # -- single wall crossings ----------------------------------------------------
 
 def test_cross_wall_zero_and_commuting_walls():
@@ -455,6 +463,58 @@ def _weight_groups(draw):
 @settings(deadline=None, max_examples=200)
 def test_b_factor_matches_the_parent_chi_sum_table(group):
     assert _b_factor(group) == parent._b_factor(group)
+
+
+def _odd_pairing(m):
+    """Not antisymmetric, and with an odd entry."""
+    return (any(x != -y for row, col in zip(m, zip(*m)) for x, y in zip(row, col))
+            and any(x % 2 for row in m for x in row))
+
+
+# rank (1+2+2), the twists of (1, 0) and (0, 1) independent point classes: on
+# the other two lattices every twist is a multiple of one point class, so
+# chi(twist(b), twist(b')) is symmetric under any pairing
+_TWO_TWISTS = LatticeSpec(
+    rank1=2, rank0=2, pairing=((0,) * 5,) * 5, deg=(1, 1, 1, 1), l=(1, 1),
+    excdeg=(fr(0), fr(0)), twist_matrix=((1, 0), (0, 1)),
+    duality=tuple(tuple(int(i == j) for j in range(5)) for i in range(5)),
+    effgens1=((1, 0), (0, 1)), sigma=-1)
+
+
+@st.composite
+def _pairing_groups(draw):
+    """Up to three positions on any of three lattices, sigma = +1 or -1,
+    under a drawn pairing that is not antisymmetric and has odd entries, so
+    that chi(a, b) and chi(b, a) differ and the signs vary; with integer
+    points a."""
+    spec = draw(st.sampled_from(_SPECS + [_TWO_TWISTS]))
+    n = 1 + spec.rank1 + spec.rank0
+    spec = dataclasses.replace(spec, sigma=draw(st.sampled_from([1, -1])), pairing=draw(
+        st.tuples(*[_vectors(n, -3, 3)] * n).filter(_odd_pairing)))
+    r = draw(st.integers(1, 3))
+    betas = draw(st.lists(_vectors(spec.rank1, 0, 2), min_size=r, max_size=r))
+    kappas = draw(st.lists(_vectors(spec.rank0, -3, 3), min_size=r, max_size=r))
+    alpha = KClass(-1, draw(_vectors(spec.rank1, -2, 2)), draw(_vectors(spec.rank0, -3, 3)))
+    points = draw(st.lists(_vectors(r, -3, 3), min_size=1, max_size=4))
+    return GroupSpec(spec, alpha, tuple(betas), tuple(kappas), frozenset(), (fr(1),) * r,
+                     fr(1), fr(0)), points
+
+
+@given(_pairing_groups())
+@settings(deadline=None, max_examples=200)
+def test_b_factor_is_the_signed_pairing_product_at_integer_points(case):
+    # prod_i sigma^chi_i chi_i, chi_i = chi(alpha_i(a), alpha' + alpha_1(a) + ...
+    # + alpha_{i-1}(a)), alpha_i(a) = (0, beta_i, kappa_i + a_i twist(beta_i))
+    group, points = case
+    spec, b = group.context, _b_factor(group)
+    for a in points:
+        expected, cur = 1, group.alpha_prime
+        for beta, kappa, a_i in zip(group.betas, group.kappas, a):
+            alpha_i = KClass(0, beta, tuple(k + a_i * t for k, t in zip(kappa, spec.twist(beta))))
+            chi = spec.euler_pairing(alpha_i, cur)
+            expected *= spec.sigma ** abs(chi) * chi
+            cur = cur + alpha_i
+        assert b.eval(a) == expected
 
 
 def test_exponential_factor_matches_the_parent_loop_on_every_equality_set():
