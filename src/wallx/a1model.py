@@ -27,7 +27,7 @@ from .jsonio import format_ratio, format_rational
 from .lattice import LatticeSpec
 from .quasipoly import qp_from_obj, reexpand_check
 from .series import (LaurentPolynomial, LinearFunctional, RationalFunction,
-                     Window, _exponent, _over_lcm, expand)
+                     Window, _exponent, _over_lcm, divide, expand)
 
 
 def behrend_smooth(dims) -> int:
@@ -153,9 +153,8 @@ def run_a1(report_window: int) -> dict:
 
     point_series = expand(model.point_row, Window(model.l_plus, w + 8))
     # DT/PT as one expansion of the quotient; reexpand_check reads its bound w + 8
-    orbifold_series = expand(model.orbifold_layer * RationalFunction(
-        model.point_row.denominator, model.point_row.numerator),
-        Window(model.l_plus, w + 8))
+    orbifold_series = divide(model.orbifold_layer, model.point_row,
+                             Window(model.l_plus, w + 8))
     resolution_series = expand(model.shared_layer, Window(model.l_minus, w + 4))
     # the two columns and the point row as int numerators over one denominator
     _, den = _over_lcm(Fraction(1, s._den)

@@ -167,9 +167,7 @@ def _run_wallcross(doc, args):
 def _run_dtpt(doc, args):
     dt = jsonio.field(doc, "dt", "document", rational_function_from_obj)
     dt_zero = jsonio.field(doc, "dt_zero", "document", rational_function_from_obj)
-    window = _doc_window(doc, args)
-    ratio = dtpt_ratio(expand(dt, window), expand(dt_zero, window))
-    return {"series": series_to_obj(ratio)}
+    return {"series": series_to_obj(dtpt_ratio(dt, dt_zero, _doc_window(doc, args)))}
 
 
 def _family_member(obj, path, spec):

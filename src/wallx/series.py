@@ -384,11 +384,6 @@ class LaurentSeries(_Sparse):
         return f"LaurentSeries({{{inner}}}, bound={self.bound})"
 
 
-def _same_functional(a: LaurentSeries, b: LaurentSeries):
-    if a.window.functional != b.window.functional:
-        raise InputError("window functional mismatch")
-
-
 def _no_coset(*series: LaurentSeries):
     """A product reads its operands off their cosets, where nothing is known."""
     if any(s.window.coset is not None for s in series):
@@ -482,26 +477,18 @@ def expand(f: RationalFunction, window: Window) -> LaurentSeries:
 
 def multiply(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
     """Product series; the window shrinks by the operands' L-spreads."""
-    _same_functional(s1, s2)
+    if s1.window.functional != s2.window.functional:
+        raise InputError("window functional mismatch")
     _no_coset(s1, s2)
     bound = min(s1.bound + s2.support_min(), s2.bound + s1.support_min())
     return _series_product(s1, s2, Window(s1.window.functional, bound))
 
 
-def divide(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
-    """Series quotient s1/s2 with respect to their windows' functional L.
-
-    s2 needs a unique L-minimal known term; the result window accounts for
-    both operands' unknown tails, so every reported coefficient is final.
-    """
-    _same_functional(s1, s2)
-    _no_coset(s1, s2)
-    L = s1.window.functional
-    m0 = _lead(s2, L, "not invertible with respect to L")
-    l_m0 = L(m0)
-    bound = min(s1.bound - l_m0, s1.support_min() + s2.bound - 2 * l_m0)
-    out, den = _divide_terms(s1, s2, L, bound, m0)
-    return LaurentSeries._make(out, Window(L, bound), den)
+def divide(f1: RationalFunction, f2: RationalFunction, window: Window) -> LaurentSeries:
+    """The quotient f1/f2 = (g1 h2)/(h1 g2) expanded in the window: one long
+    division by a polynomial, never a series by a series."""
+    return expand(RationalFunction(f1.numerator * f2.denominator,
+                                   f1.denominator * f2.numerator), window)
 
 
 def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeries:

@@ -3,9 +3,9 @@
 Walls carry rank-0 torus elements of a single slope; crossing a wall
 applies the adjoint exponential, and an ascending sweep folds the walls
 left to right.  Groups of wall classes sharing a slope-chain pattern
-resum to closed-form rational functions; the remaining operations divide
-rank-0 layers and check a family of layer fractions against the configured
-duality.
+resum to closed-form rational functions.  The DT/PT ratio DT_beta / DT_0
+is one rational function, expanded once; the last operation checks a
+family of layer fractions against the configured duality.
 """
 
 from __future__ import annotations
@@ -35,9 +35,13 @@ from .series import (
     LaurentPolynomial,
     LaurentSeries,
     RationalFunction,
+    Window,
     _coefficient,
     _exponent,
+    _lead,
+    _no_coset,
     divide,
+    expand,
 )
 
 
@@ -228,14 +232,22 @@ def group_resum(group: GroupSpec, trunc: Truncation | None) -> RationalFunction:
     return RationalFunction(g, inner.denominator)
 
 
-# -- DT/PT division -----------------------------------------------------------
+# -- DT/PT ratio --------------------------------------------------------------
 
-def dtpt_ratio(dt_beta: LaurentSeries, dt_zero: LaurentSeries) -> LaurentSeries:
-    L = dt_zero.window.functional  # the (L, exponent)-least term leads
-    lead = min(((L(e), e) for e in dt_zero), default=None)
-    if lead is not None and dt_zero.coeff(lead[1]) != 1:
+def dtpt_ratio(dt_beta: RationalFunction, dt_zero: RationalFunction,
+               window: Window) -> LaurentSeries:
+    """PT = DT_beta / DT_0 as one expansion of the quotient, checked on and
+    bounded by the two expansions in the window: terms up to the bound past
+    which dividing those series would read their unknown tails."""
+    s_beta, s_zero = expand(dt_beta, window), expand(dt_zero, window)
+    L, b = window.functional, window.bound  # the (L, exponent)-least term leads
+    lead = min(((L(e), e) for e in s_zero), default=None)
+    if lead is not None and s_zero.coeff(lead[1]) != 1:
         raise InputError("rank-zero column must lead with coefficient 1")
-    return divide(dt_beta, dt_zero)
+    _no_coset(s_beta, s_zero)
+    l_m0 = L(_lead(s_zero, L, "not invertible with respect to L"))
+    bound = min(b - l_m0, s_beta.support_min() + b - 2 * l_m0)
+    return divide(dt_beta, dt_zero, Window(L, bound))
 
 
 # -- duality ------------------------------------------------------------------

@@ -29,6 +29,11 @@ ranges through a ``point`` map, summing its numerator exponent per point;
 
 The lattice maps at the end wrote each integer map as its own index loop, and
 ``_accumulate`` popped a key whenever its running sum reached zero.
+
+``divide`` and ``dtpt_ratio`` at the very end divided one series by another:
+``dtpt`` long-divided the expansion of DT_beta by that of DT_0, whose divisor
+has about one term per unit of the bound, before it expanded the quotient
+rational function once.
 """
 
 from __future__ import annotations
@@ -50,9 +55,10 @@ from wallx.lattice import INF, IntVec, KClass, kclass_to_obj
 from wallx.poisson import Truncation
 from wallx.quasipoly import (MAX_DEGREE, MAX_PERIOD, QuasiPolynomial, _difference,
                               detect_quasipoly)
+from wallx import series
 from wallx.series import (Coset, Exponent, LaurentPolynomial, LaurentSeries, LinearFunctional,
-                          RationalFunction, Window, _Sparse, _dot, _exponent, _over_lcm, expand,
-                          verify_expansion, window_to_obj)
+                          RationalFunction, Window, _Sparse, _dot, _exponent, _lead, _no_coset,
+                          _over_lcm, expand, verify_expansion, window_to_obj)
 from wallx.wallcross import GroupSpec, SeedSeries, WallDatum
 
 
@@ -867,3 +873,34 @@ def twist_shifts_deg_by_l(deg, l, twist_matrix, rank1: int, rank0: int) -> bool:
         if col_deg != l[j]:
             return False
     return True
+
+
+# -- series-by-series division before the one quotient expansion -------------
+
+def _same_functional(a: LaurentSeries, b: LaurentSeries):
+    if a.window.functional != b.window.functional:
+        raise InputError("window functional mismatch")
+
+
+def divide(s1: LaurentSeries, s2: LaurentSeries) -> LaurentSeries:
+    """Series quotient s1/s2 with respect to their windows' functional L.
+
+    s2 needs a unique L-minimal known term; the result window accounts for
+    both operands' unknown tails, so every reported coefficient is final.
+    """
+    _same_functional(s1, s2)
+    _no_coset(s1, s2)
+    L = s1.window.functional
+    m0 = _lead(s2, L, "not invertible with respect to L")
+    l_m0 = L(m0)
+    bound = min(s1.bound - l_m0, s1.support_min() + s2.bound - 2 * l_m0)
+    out, den = series._divide_terms(s1, s2, L, bound, m0)
+    return LaurentSeries._make(out, Window(L, bound), den)
+
+
+def dtpt_ratio(dt_beta: LaurentSeries, dt_zero: LaurentSeries) -> LaurentSeries:
+    L = dt_zero.window.functional  # the (L, exponent)-least term leads
+    lead = min(((L(e), e) for e in dt_zero), default=None)
+    if lead is not None and dt_zero.coeff(lead[1]) != 1:
+        raise InputError("rank-zero column must lead with coefficient 1")
+    return divide(dt_beta, dt_zero)

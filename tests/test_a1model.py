@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wallx import a1model, quasipoly
+from wallx import a1model, quasipoly, series
 from wallx.a1model import (A1Model, behrend_smooth, build_a1, render_a1_table,
                            run_a1)
 from wallx.errors import InputError
@@ -306,16 +306,17 @@ def test_certificate_coset_samples_the_report_window(monkeypatch, w):
 
 @pytest.mark.parametrize("w", [*range(8, 41), 200])
 def test_orbifold_series_equals_the_divided_layer(monkeypatch, w):
-    """run_a1 expands the DT/PT quotient once; the reference divides the
-    layer's expansion by the point row's, as dtpt_ratio does.  Series
-    equality includes the window, so this pins the bound w + 8 as well."""
+    """run_a1 expands the DT/PT quotient once, through divide; the reference
+    divides the layer's expansion by the point row's, as dtpt_ratio did.
+    Series equality includes the window, so this pins the bound w + 8 as well."""
     model, expanded = build_a1(), []
 
     def spy(f, window):
         expanded.append((f, window, expand(f, window)))
         return expanded[-1][2]
 
-    monkeypatch.setattr(a1model, "expand", spy)
+    # divide expands its quotient through the series module's expand
+    monkeypatch.setattr(series, "expand", spy)
     assert run_a1(w)["ok"] is True
     (f, orbifold), = [(f, s) for f, window, s in expanded
                       if window.functional == model.l_plus and f != model.point_row]
@@ -324,8 +325,10 @@ def test_orbifold_series_equals_the_divided_layer(monkeypatch, w):
         model.orbifold_layer.numerator * model.point_row.denominator,
         model.orbifold_layer.denominator * model.point_row.numerator)
     point_series = _expand_layer(model, model.point_row, w + 8)
-    assert orbifold == dtpt_ratio(
+    assert orbifold == parent.dtpt_ratio(
         _expand_layer(model, model.orbifold_layer, w + 8), point_series)
+    assert orbifold == dtpt_ratio(model.orbifold_layer, model.point_row,
+                                  Window(model.l_plus, w + 8))
 
 
 def test_point_row_leads_with_one():
@@ -338,14 +341,22 @@ def test_point_row_leads_with_one():
 
 
 def test_run_a1_neither_divides_nor_calls_dtpt_ratio(monkeypatch):
+    """run_a1 divides no series: its one long division per expansion has a
+    polynomial divisor, and it never calls dtpt_ratio."""
     def refuse(*args):
-        raise AssertionError("run_a1 divided a series")
+        raise AssertionError("run_a1 called dtpt_ratio")
+
+    divide_terms, operands = series._divide_terms, []
+
+    def polynomials_only(num, den, *args):
+        operands.append((type(num), type(den)))
+        return divide_terms(num, den, *args)
 
     assert not hasattr(a1model, "dtpt_ratio")
-    for target in ("wallx.series.divide", "wallx.wallcross.divide",
-                   "wallx.wallcross.dtpt_ratio"):
-        monkeypatch.setattr(target, refuse)
+    monkeypatch.setattr("wallx.wallcross.dtpt_ratio", refuse)
+    monkeypatch.setattr(series, "_divide_terms", polynomials_only)
     assert run_a1(20)["ok"] is True
+    assert operands and set(operands) == {(LaurentPolynomial, LaurentPolynomial)}
 
 
 # -- the integer fit check ----------------------------------------------------

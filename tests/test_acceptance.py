@@ -95,8 +95,7 @@ def test_criterion_02_orbifold_column_from_ratio():
     model = build_a1()
     L = model.l_plus
     win = Window(L, 20)
-    ratio = dtpt_ratio(expand(model.orbifold_layer, win),
-                       expand(model.point_row, win))
+    ratio = dtpt_ratio(model.orbifold_layer, model.point_row, win)
     for m in range(-8, 4):
         assert ratio.window.admits((m, 4))
         assert ratio.coeff((m, 4)) == 0
@@ -131,8 +130,7 @@ def test_criterion_04_column_difference_fit_and_reexpansion(tmp_path):
     model = build_a1()
     lp, lm = model.l_plus, model.l_minus
     win = Window(lp, 20)
-    plus = dtpt_ratio(expand(model.orbifold_layer, win),
-                      expand(model.point_row, win))
+    plus = dtpt_ratio(model.orbifold_layer, model.point_row, win)
     minus = expand(model.shared_layer, Window(lm, 12))
     samples = {m: plus.coeff((m, 4)) - minus.coeff((m, 4))
                for m in range(-8, 13)}

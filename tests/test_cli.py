@@ -368,6 +368,31 @@ def test_huge_documents_exit_two_promptly(tmp_path, name):
     assert json.loads(proc.stdout)["error"]["message"].startswith(message)
 
 
+def test_dtpt_golden_at_a_large_bound_exits_promptly(tmp_path):
+    # DT/PT is one quotient expansion, linear in the bound; long division of
+    # the two expansions by each other took well over a minute here
+    doc = json.loads((GOLDEN / "dtpt.json").read_text())
+    doc["window"]["bound"] = str(2 * 10 ** 4)
+    proc = subprocess.run([sys.executable, "-m", "wallx", "--input",
+                           _write_doc(tmp_path, doc)], env=_child_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+
+
+def test_golden_runs_divide_by_polynomials_only(monkeypatch, capsys):
+    divide_terms, operands = series._divide_terms, set()
+
+    def record(num, den, *args):
+        operands.add((type(num), type(den)))
+        return divide_terms(num, den, *args)
+
+    monkeypatch.setattr(series, "_divide_terms", record)
+    for name, argv, code, out in GOLDEN_RUNS:
+        assert cli.main(["--input", str(GOLDEN / f"{name}.json"), *argv]) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{out}.out").read_text()
+    assert operands == {(series.LaurentPolynomial, series.LaurentPolynomial)}
+
+
 # stage, a lowered limit, a document past it, and the whole error report
 _PAST_BUDGET = {
     "division": ("division", 50, {"kind": "expand", "f": _GEOMETRIC,

@@ -34,9 +34,10 @@ from wallx.series import (
     series_to_obj,
     verify_expansion,
 )
-from wallx.wallcross import SeedSeries
+from wallx.wallcross import SeedSeries, dtpt_ratio
 
 from conftest import fr, model_lattice, power
+import parent_kernels as parent
 from parent_kernels import _accumulate as _parent_accumulate
 from parent_kernels import _divide_terms as _parent_divide_terms, _packed_divide_terms
 from parent_kernels import _product as _parent_product
@@ -143,9 +144,13 @@ def test_series_division_recovers_quotient():
     g = RationalFunction(_poly1({0: 1, 2: 5}), _poly1({0: 1, 1: 1}))
     L = L_UP
     b = fr(14)
+    quot = divide(f_num * g, g, Window(L, b))
+    direct = expand(f_num, Window(L, quot.bound))
+    assert quot == direct
+    # the reference divides the two expansions, to the bound its tails allow
     s_fg = expand(f_num * g, Window(L, b))
     s_g = expand(g, Window(L, b))
-    quot = divide(s_fg, s_g)
+    quot = parent.divide(s_fg, s_g)
     direct = expand(f_num, Window(L, quot.bound))
     assert quot == direct
 
@@ -156,14 +161,23 @@ def test_series_division_requires_unique_minimum():
     s1 = LaurentSeries({(0, 0): fr(1)}, w)
     s2 = LaurentSeries({(1, 0): fr(1), (0, 1): fr(1)}, w)
     with pytest.raises(InputError, match="not invertible with respect to L"):
-        divide(s1, s2)
+        parent.divide(s1, s2)
+    # the quotient's denominator carries the tie as its own
+    f1 = RationalFunction(LaurentPolynomial(dict(s1.items()), 2),
+                          LaurentPolynomial.constant(2, 1))
+    f2 = RationalFunction(LaurentPolynomial(dict(s2.items()), 2),
+                          LaurentPolynomial.constant(2, 1))
+    with pytest.raises(InputError, match="not invertible with respect to L"):
+        dtpt_ratio(f1, f2, w)
+    with pytest.raises(InputError, match="functional not generic for denominator"):
+        divide(f1, f2, w)
 
 
 def test_series_division_requires_same_functional():
     s1 = LaurentSeries({(0,): fr(1)}, Window(L_UP, fr(3)))
     s2 = LaurentSeries({(0,): fr(1)}, Window(L_DOWN, fr(3)))
     with pytest.raises(InputError, match="window functional mismatch"):
-        divide(s1, s2)
+        parent.divide(s1, s2)
 
 
 def test_divide_window_accounts_for_unknown_tails():
@@ -178,13 +192,13 @@ def test_divide_window_accounts_for_unknown_tails():
     b1, b2 = fr(9), fr(7)
     s1 = expand(f, Window(L, b1))
     s2 = expand(g, Window(L, b2))
-    base = divide(s1, s2)
+    base = parent.divide(s1, s2)
 
     s1_tail = LaurentSeries(dict(s1.terms()) | {(30,): fr(11)}, Window(L, fr(40)))
     s2_tail = LaurentSeries(dict(s2.terms()) | {(30,): fr(-7)}, Window(L, fr(40)))
     for alt1, alt2 in [(s1_tail, s2), (s1, s2_tail), (s1_tail, s2_tail)]:
-        alt = divide(LaurentSeries(dict(alt1.terms()), Window(L, b1)),
-                     LaurentSeries(dict(alt2.terms()), Window(L, b2)))
+        alt = parent.divide(LaurentSeries(dict(alt1.terms()), Window(L, b1)),
+                            LaurentSeries(dict(alt2.terms()), Window(L, b2)))
         for e, c in base.terms():
             assert alt.coeff(e) == c
 
@@ -202,11 +216,12 @@ def test_random_divide_multiply_roundtrip():
             continue
         f = RationalFunction(num, den)
         s = expand(f, Window(L, fr(12)))
-        one = expand(RationalFunction(_poly1({0: 1}), _poly1({0: 1})),
-                     Window(L, fr(12)))
-        back = divide(multiply(s, one), s)
+        one_f = RationalFunction(_poly1({0: 1}), _poly1({0: 1}))
+        one = expand(one_f, Window(L, fr(12)))
+        back = parent.divide(multiply(s, one), s)
         for e, c in back.terms():
             assert c == (1 if e == (0,) else 0)
+        assert dict(divide(f * one_f, f, back.window).terms()) == {(0,): 1}
 
 
 def test_series_addition_requires_same_functional():
@@ -387,7 +402,8 @@ def test_sum_keeps_coset_window_and_products_reject_it():
         with pytest.raises(InputError, match="series windows differ"):
             s + other
     for op in (lambda: multiply(s, plain), lambda: multiply(plain, s),
-               lambda: divide(s, plain), lambda: divide(plain, s),
+               lambda: parent.divide(s, plain), lambda: parent.divide(plain, s),
+               lambda: dtpt_ratio(f, f, s.window),
                lambda: mul_series_polynomial(s, f.denominator),
                lambda: verify_expansion(s, f)):
         with pytest.raises(InputError, match="coset"):
@@ -628,7 +644,7 @@ def test_integer_division_matches_fraction_reference(num, den, L, bound):
 
     s1 = LaurentSeries(num, Window(L, L(max(num, key=L)) + 1))
     s2 = LaurentSeries(den, Window(L, L(m0) + abs(bound)))
-    q = divide(s1, s2)
+    q = parent.divide(s1, s2)
     _assert_same_terms(q.terms(), _reference_divide(
         num, den, L, q.bound, m0, c0))
 
@@ -789,10 +805,10 @@ def test_products_and_quotients_with_an_empty_operand_keep_their_windows():
     assert multiply(s, empty3).window == Window(L, fr(1))
     assert multiply(empty3, empty4).window == Window(L, fr(7))
     assert multiply(empty3, s).is_zero()
-    q = divide(empty3, s)  # min(3 - (-2), 3 + 4 - 2 * (-2))
+    q = parent.divide(empty3, s)  # min(3 - (-2), 3 + 4 - 2 * (-2))
     assert q.window == Window(L, fr(5)) and q.is_zero()
     with pytest.raises(InputError, match="not invertible"):
-        divide(s, empty3)
+        parent.divide(s, empty3)
 
 
 # -- the window invariant against a wider direct expansion --------------------
@@ -859,8 +875,10 @@ def test_operations_keep_the_window_invariant(case):
     on_coset = Window(L, min(c1.bound, s2.bound), c1.window.coset)
     r1, r2 = (LaurentSeries(dict(s.terms()), low) for s in (s1, s2))
     d1, d2 = (LaurentSeries(dict(s.terms()), on_coset) for s in (c1, s2))
+    quotient = parent.divide(s1, s2)
     cases = [(s1, f1), (s2, f2), (r1 + r2, f_sum), (multiply(s1, s2), f1 * f2),
-             (divide(s1, s2), RationalFunction(g1 * h2, h1 * g2)),
+             (quotient, RationalFunction(g1 * h2, h1 * g2)),
+             (divide(f1, f2, quotient.window), RationalFunction(g1 * h2, h1 * g2)),
              (c1, f1), (d1 + d2, f_sum), (d2 + d1, f_sum)]
     for s, f in cases:
         _assert_window_invariant(s, f)

@@ -128,8 +128,8 @@ def test_series_operations_stay_well_formed(f, g, p, b1, b2):
     t1, t2 = cut(Window(_L, min(b1, b2)), s1, s2)
     results = [s1, s2, t1 + t2, t1 - t2, s1 - s1, s1.scale(0), -s1,
                multiply(s1, s2), mul_series_polynomial(s1, p)]
-    if s2.terms():
-        results.append(divide(s1, s2))
+    # f/g in s1's window: its lowest term is at or below f's, which s1 holds
+    results.append(divide(f, g, s1.window))
     try:
         c1, c2 = _expand(f, b1, diagonal), _expand(g, b2, diagonal)
         d1, d2, d3 = cut(Window(_L, min(b1, b2), diagonal), c1, c2, s2)
@@ -153,7 +153,11 @@ def test_division_results_hold_fractions(num, den, b1, b2):
         s = _expand(RationalFunction(num, den), b1)
     except InputError:  # every term beyond the window
         assume(False)
-    results = [s, divide(s, LaurentSeries(dict(den.items()), Window(_L, b2)))]
+    # num / den over den: the divisor den * den leads with the square of den's
+    # scale; the window is the one dividing s by den's series would give
+    one = LaurentPolynomial.constant(2, 1)
+    results = [s, divide(RationalFunction(num, den), RationalFunction(den, one),
+                         Window(_L, min(b1, s.support_min() + b2)))]
     for q in results:
         _check_series(q)
 

@@ -5,13 +5,14 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wallx.errors import InputError
 from wallx.lattice import INF, KClass, LatticeSpec
 from wallx.poisson import TorusElement, Truncation, bracket
 from wallx.series import (
+    Coset,
     LaurentPolynomial,
     LaurentSeries,
     LinearFunctional,
@@ -714,13 +715,12 @@ _L_BELOW = LinearFunctional((fr(-1), fr(3)))
 def test_dtpt_ratio_trivial_cases():
     L = _L_ABOVE
     window = Window(L, fr(6))
-    one = expand(RationalFunction(LaurentPolynomial.constant(2, 1),
-                                  LaurentPolynomial.constant(2, 1)), window)
-    dt0 = expand(RationalFunction(
-        LaurentPolynomial.constant(2, 1),
-        power(_poly({(0, 0): 1, (1, 0): 1}, 2), 2)), window)
-    assert dtpt_ratio(dt0, one).terms() == dt0.terms()
-    ratio = dtpt_ratio(dt0, dt0)
+    one = RationalFunction(LaurentPolynomial.constant(2, 1),
+                           LaurentPolynomial.constant(2, 1))
+    dt0 = RationalFunction(LaurentPolynomial.constant(2, 1),
+                           power(_poly({(0, 0): 1, (1, 0): 1}, 2), 2))
+    assert dtpt_ratio(dt0, one, window).terms() == expand(dt0, window).terms()
+    ratio = dtpt_ratio(dt0, dt0, window)
     assert dict(ratio.terms()) == {(0, 0): Fraction(1)}
 
 
@@ -728,10 +728,12 @@ def test_dtpt_ratio_two_variable_layer():
     L = _L_ABOVE
     den2 = power(_poly({(0, 0): 1, (1, 0): 1}, 2), 2)
     num = _poly({(4, 4): 3}, 2)
-    dt_beta = expand(RationalFunction(num, power(den2, 2)), Window(L, fr(16)))
-    dt_zero = expand(RationalFunction(LaurentPolynomial.constant(2, 1), den2),
-                     Window(L, fr(8)))
-    pt = dtpt_ratio(dt_beta, dt_zero)
+    dt_beta = RationalFunction(num, power(den2, 2))
+    dt_zero = RationalFunction(LaurentPolynomial.constant(2, 1), den2)
+    pt = dtpt_ratio(dt_beta, dt_zero, Window(L, fr(16)))
+    # what dividing dt_beta's expansion to 16 by dt_zero's to 8 finalizes
+    assert pt.window == parent.dtpt_ratio(expand(dt_beta, Window(L, fr(16))),
+                                          expand(dt_zero, Window(L, fr(8)))).window
     for m in range(4, 9):
         expected = 3 * (m - 3) * (1 if m % 2 == 0 else -1)
         assert pt.coeff((m, 4)) == expected
@@ -741,10 +743,10 @@ def test_dtpt_ratio_two_variable_layer():
 def test_dtpt_ratio_leading_coefficient_check():
     L = _L_ABOVE
     window = Window(L, fr(6))
-    two = expand(RationalFunction(LaurentPolynomial.constant(2, 2),
-                                  LaurentPolynomial.constant(2, 1)), window)
+    two = RationalFunction(LaurentPolynomial.constant(2, 2),
+                           LaurentPolynomial.constant(2, 1))
     with pytest.raises(InputError, match="coefficient 1"):
-        dtpt_ratio(two, two)
+        dtpt_ratio(two, two, window)
 
 
 @pytest.mark.parametrize("terms, message", [
@@ -755,9 +757,9 @@ def test_dtpt_ratio_leading_coefficient_check():
 ])
 def test_dtpt_ratio_checks_the_least_term_then_invertibility(terms, message):
     L = LinearFunctional((fr(1), fr(1)))
-    dt_zero = LaurentSeries(terms, Window(L, fr(4)))
+    dt_zero = RationalFunction(_poly(terms, 2), LaurentPolynomial.constant(2, 1))
     with pytest.raises(InputError, match=message):
-        dtpt_ratio(dt_zero, dt_zero)
+        dtpt_ratio(dt_zero, dt_zero, Window(L, fr(4)))
 
 
 def test_dtpt_ratio_multiply_round_trip(rng):
@@ -766,13 +768,77 @@ def test_dtpt_ratio_multiply_round_trip(rng):
     for _ in range(8):
         g1 = _poly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(1, 3),
                     (rng.randint(3, 4), 0): rng.randint(-3, -1)}, 2)
-        a = expand(RationalFunction(g1, den), Window(L, fr(10)))
-        b = expand(RationalFunction(LaurentPolynomial.constant(2, 1), den),
-                   Window(L, fr(10)))
-        ratio = dtpt_ratio(a, b)
+        f_a = RationalFunction(g1, den)
+        f_b = RationalFunction(LaurentPolynomial.constant(2, 1), den)
+        a, b = expand(f_a, Window(L, fr(10))), expand(f_b, Window(L, fr(10)))
+        ratio = dtpt_ratio(f_a, f_b, Window(L, fr(10)))
         back = multiply(ratio, b)
         for e, c in back.terms():
             assert a.coeff(e) == c
+
+
+_DTPT_COSETS = {1: Coset((1,), ((2,),)), 2: Coset((0, 1), ((1, 1),)),
+                3: Coset((0, 0, 0), ((1, 0, 1), (0, 1, 1)))}
+
+
+@st.composite
+def _dtpt_case(draw):
+    """dt, dt_zero and a window in 1-3 variables.  L may tie exponents (a
+    zero or repeated coefficient), so denominators can be non-generic and
+    dt_zero's least term tied; numerators may be zero, and the window may
+    carry a coset.  Half the dt_zero draws are c x^a (1 + ...) over
+    c x^b (1 + ...), the rest above a, b, so their expansions lead with 1."""
+    n = draw(st.integers(1, 3))
+    L = LinearFunctional(draw(st.tuples(*[st.sampled_from(
+        [fr(1), fr(1, 2), fr(-2, 3), fr(0)])] * n)))
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+    def poly(min_size):
+        return LaurentPolynomial(draw(st.dictionaries(exps, coeffs, min_size=min_size,
+                                                      max_size=4)), n)
+
+    def unit_led():
+        rest = {e: c for e, c in draw(st.dictionaries(exps, coeffs, max_size=3)).items()
+                if L(e) > 0}
+        return LaurentPolynomial({(0,) * n: 1, **rest}, n).shift(draw(exps))
+
+    dt = RationalFunction(poly(0), poly(1))
+    if draw(st.booleans()):
+        scale = draw(coeffs)
+        dt_zero = RationalFunction(unit_led().scale(scale), unit_led().scale(scale))
+    else:
+        dt_zero = RationalFunction(poly(0), poly(1))
+    bound = draw(st.fractions(min_value=-3, max_value=6, max_denominator=2))
+    coset = draw(st.sampled_from([None, _DTPT_COSETS[n]]))
+    return dt, dt_zero, Window(L, bound, coset)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except InputError as exc:
+        return str(exc)
+
+
+_ONE = LaurentPolynomial.constant(2, 1)
+
+
+# dt_zero leads with 2; with (0, 1) and (1, 0) tied at L = 1; on a coset
+@example((RationalFunction(_ONE, _ONE), RationalFunction(_ONE.scale(2), _ONE),
+          Window(LinearFunctional((fr(1), fr(1))), fr(4))))
+@example((RationalFunction(_ONE, _ONE), RationalFunction(_poly({(0, 1): 1, (1, 0): 3}, 2), _ONE),
+          Window(LinearFunctional((fr(1), fr(1))), fr(4))))
+@example((RationalFunction(_ONE, _ONE), RationalFunction(_ONE, _ONE),
+          Window(LinearFunctional((fr(1), fr(1))), fr(4), Coset((0, 0), ((1, 1),)))))
+@given(_dtpt_case())
+@settings(deadline=None, max_examples=300)
+def test_dtpt_ratio_matches_dividing_the_two_expansions(case):
+    """The one quotient expansion equals the parent's series division of the
+    two expansions, window included, or raises the parent's message."""
+    dt, dt_zero, window = case
+    want = _outcome(lambda: parent.dtpt_ratio(expand(dt, window), expand(dt_zero, window)))
+    assert _outcome(lambda: dtpt_ratio(dt, dt_zero, window)) == want
 
 
 # -- duality ------------------------------------------------------------------
