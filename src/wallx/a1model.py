@@ -19,7 +19,7 @@ closed form from m = 4 on (3 there), so it is used nowhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 from fractions import Fraction
 
 from .errors import InputError
@@ -50,8 +50,8 @@ def _alt(m: int) -> int:
     return -1 if m % 2 else 1
 
 
-@dataclass(frozen=True)
-class A1Model:
+class A1Model(collections.namedtuple("A1Model", "lattice l_plus l_minus point_row "
+                                      "orbifold_layer shared_layer")):
     """The worked model: lattice, expansion functionals, and series data.
 
     ``point_row`` is the rank-zero count row at n = 0, with coefficients
@@ -67,12 +67,7 @@ class A1Model:
     along which ``run_a1`` re-expands.
     """
 
-    lattice: LatticeSpec
-    l_plus: LinearFunctional
-    l_minus: LinearFunctional
-    point_row: RationalFunction
-    orbifold_layer: RationalFunction
-    shared_layer: RationalFunction
+    __slots__ = ()
 
     def point_plus_exponent(self):
         return (1,) + (0,) * (self.lattice.rank0 - 1)

@@ -12,7 +12,6 @@ errors (one found while parsing names its JSON path, a bad flag the path
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -239,7 +238,7 @@ _FLAG_KINDS = {"window": ("expand", "dtpt", "appendix-a"), "seed": ("selfcheck",
 def _selfcheck_lattice() -> LatticeSpec:
     """The worked-model lattice with the duality swapping the two point rows."""
     swapped = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-    return dataclasses.replace(build_a1().lattice, duality=swapped)
+    return LatticeSpec(**dict(build_a1().lattice._asdict(), duality=swapped))
 
 
 def _random_poly(rng):

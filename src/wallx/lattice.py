@@ -15,7 +15,6 @@ import heapq
 import itertools
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jsonio
@@ -59,8 +58,8 @@ class KClass(collections.namedtuple("KClass", "r beta c")):
         return (self.r,) + self.beta + self.c
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(collections.namedtuple("LatticeSpec", "rank1 rank0 pairing deg l excdeg "
+                                          "twist_matrix duality effgens1 sigma")):
     """User-supplied lattice: pairing, gradings, twist, duality, effective cone.
 
     rank1 / rank0 are the sizes of the curve and point blocks; full vectors
@@ -73,28 +72,21 @@ class LatticeSpec:
     effective cone in N1; ``sigma`` is the integration sign.
     """
 
-    rank1: int
-    rank0: int
-    pairing: tuple[tuple[int, ...], ...]
-    deg: tuple[int, ...]
-    l: tuple[int, ...]
-    excdeg: tuple[Fraction, ...]
-    twist_matrix: tuple[tuple[int, ...], ...]
-    duality: tuple[tuple[int, ...], ...]
-    effgens1: tuple[IntVec, ...]
-    sigma: int
-
-    def __post_init__(self):
+    def __new__(cls, rank1: int, rank0: int, pairing: tuple[IntVec, ...], deg: IntVec,
+                l: IntVec, excdeg: tuple[Fraction, ...], twist_matrix: tuple[IntVec, ...],
+                duality: tuple[IntVec, ...], effgens1: tuple[IntVec, ...], sigma: int):
         # integers only, as in KClass: 1.0 or 0.5 raise instead of passing through
-        for name in ("rank1", "rank0", "sigma"):
-            object.__setattr__(self, name, _exponent((getattr(self, name),))[0])
+        rank1, rank0, sigma = (_exponent((v,))[0] for v in (rank1, rank0, sigma))
+        pairing, twist_matrix, duality, effgens1 = (
+            tuple(map(_exponent, rows)) for rows in (pairing, twist_matrix, duality, effgens1))
+        return tuple.__new__(cls, (rank1, rank0, pairing, _exponent(deg), _exponent(l),
+                                   tuple(map(_coefficient, excdeg)), twist_matrix, duality,
+                                   effgens1, sigma))
+
+    def __init__(self, *args, **kwargs):  # checks the fields as __new__ coerced them
         n = 1 + self.rank1 + self.rank0
         if self.rank1 < 1 or self.rank0 < 1:
             raise InputError("rank1 and rank0 must be at least 1")
-        for name in ("pairing", "twist_matrix", "duality", "effgens1"):
-            object.__setattr__(self, name, tuple(map(_exponent, getattr(self, name))))
-        object.__setattr__(self, "deg", _exponent(self.deg))
-        object.__setattr__(self, "l", _exponent(self.l))
         if len(self.pairing) != n or any(len(row) != n for row in self.pairing):
             raise InputError(f"pairing must be a {n}x{n} integer matrix")
         if len(self.deg) != self.rank1 + self.rank0:
@@ -103,7 +95,6 @@ class LatticeSpec:
             raise InputError("l must grade the curve block")
         if len(self.excdeg) != self.rank0:
             raise InputError("excdeg must grade the point block")
-        object.__setattr__(self, "excdeg", tuple(map(_coefficient, self.excdeg)))
         if len(self.twist_matrix) != self.rank0 or any(
                 len(row) != self.rank1 for row in self.twist_matrix):
             raise InputError("twist matrix must map the curve block to the point block")
@@ -134,9 +125,7 @@ class LatticeSpec:
         if any(self.deg_point(col) != l_j for col, l_j in zip(zip(*self.twist_matrix), self.l)):
             raise InputError("deg of the twist must equal l on the curve block")
         # the effective cone, grown on demand, and the classes below each cap
-        object.__setattr__(self, "_cone", {})
-        object.__setattr__(self, "_frontier", [(0, (0,) * self.rank1)])
-        object.__setattr__(self, "_below_memo", {})
+        self._cone, self._frontier, self._below_memo = {}, [(0, (0,) * self.rank1)], {}
 
     # -- basic functionals ----------------------------------------------------
 

@@ -13,10 +13,10 @@ rounds are elements over 1, summed once at the end.
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jsonio
@@ -25,20 +25,17 @@ from .lattice import KClass, LatticeSpec, kclass_from_obj, kclass_to_obj
 from .series import _Sparse, _accumulate, _coefficient, _exponent
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(collections.namedtuple("Truncation", "beta_cap deg_cap rank_set")):
     """Which torus monomials survive: rank in rank_set, curve part effective
     with beta_cap minus it effective, and point degree at most deg_cap."""
 
-    beta_cap: tuple[int, ...]
-    deg_cap: Fraction | None = None
-    rank_set: frozenset[int] = frozenset({0, -1})
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta_cap", _exponent(self.beta_cap))
-        if self.deg_cap is not None:
-            object.__setattr__(self, "deg_cap", _coefficient(self.deg_cap))
-        object.__setattr__(self, "rank_set", frozenset(_exponent(self.rank_set)))
+    def __new__(cls, beta_cap: tuple[int, ...], deg_cap: Fraction | None = None,
+                rank_set: frozenset[int] = frozenset({0, -1})):
+        return tuple.__new__(cls, (_exponent(beta_cap),
+                                   None if deg_cap is None else _coefficient(deg_cap),
+                                   frozenset(_exponent(rank_set))))
 
 
 class TorusElement(_Sparse):

@@ -20,13 +20,13 @@ charge covers all cosets' ranges before any fit.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from . import jsonio
 from .errors import InputError, charge
@@ -45,48 +45,45 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
-    """Period-p table of polynomials on residue classes of Z^vars."""
+class QuasiPolynomial(collections.namedtuple("QuasiPolynomial", "vars period table")):
+    """Period-p table of polynomials on residue classes of Z^vars.  ``_horner``
+    holds per residue a Horner table of int numerators (``_nest``), their one
+    denominator, and the largest table's multiply-adds; it is set once here
+    and left out of equality, hash and repr."""
 
-    vars: int
-    period: int
-    table: Mapping[tuple[int, ...], LaurentPolynomial]
-    # per residue a Horner table of int numerators (``_nest``), their one
-    # denominator, and the largest table's multiply-adds
-    _horner: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.period < 1:
+    def __new__(cls, vars: int, period: int,
+                table: Mapping[tuple[int, ...], LaurentPolynomial]):
+        if period < 1:
             raise InputError("period must be at least 1")
-        if self.vars < 0:
+        if vars < 0:
             raise InputError("variable count must be nonnegative")
-        table = dict(self.table)
+        table = dict(table)
         # count before listing: when every key has vars entries, neither the
         # power nor the period**vars residue tuples outgrow the table
-        keyed = all(isinstance(rho, tuple) and len(rho) == self.vars for rho in table)
+        keyed = all(isinstance(rho, tuple) and len(rho) == vars for rho in table)
         size = 1
-        for _ in range(self.vars if keyed and table else 0):
-            size *= self.period
+        for _ in range(vars if keyed and table else 0):
+            size *= period
             if size > len(table):
                 break
         if not keyed or size != len(table) or set(table) != set(
-                itertools.product(range(self.period), repeat=self.vars)):
+                itertools.product(range(period), repeat=vars)):
             raise InputError("residue table must cover every residue tuple exactly once")
         for rho, poly in table.items():
-            if poly.nvars != self.vars:
+            if poly.nvars != vars:
                 raise InputError("table polynomial arity must match the variable count")
             if any(k < 0 for e in poly for k in e):
                 raise InputError("table polynomials must have nonnegative exponents")
-        object.__setattr__(self, "table", table)
         # each polynomial's numerators, scaled to the lcm of their denominators
         scales, den = _over_lcm(Fraction(1, poly._den) for poly in table.values())
         tables = {rho: _nest(sorted([(e, n * s) for e, n in poly._terms.items()], reverse=True),
-                             self.vars) for (rho, poly), s in zip(table.items(), scales)}
+                             vars) for (rho, poly), s in zip(table.items(), scales)}
         # the charge: one row per distinct exponent prefix, as if variable 0 were outermost
-        steps = max(len({e[:i] for e in poly for i in range(1, self.vars + 1)})
+        steps = max(len({e[:i] for e in poly for i in range(1, vars + 1)})
                     for poly in table.values())
-        object.__setattr__(self, "_horner", (tables, den, steps))
+        self = tuple.__new__(cls, (vars, period, table))
+        self._horner = (tables, den, steps)
+        return self
 
     def eval(self, n) -> Fraction:
         n = _exponent(n)
@@ -237,20 +234,19 @@ def resum_orthant(a: QuasiPolynomial, monos, grading: LinearFunctional) -> Ratio
     return _resum_box(a, (0,) * a.vars, units, degs, monos_t, nq, (0,) * nq)
 
 
-@dataclass(frozen=True)
-class ChainPattern:
+class ChainPattern(collections.namedtuple("ChainPattern", "r equalities")):
     """Ascending chains 0 <= n_1 <= ... <= n_r with equality exactly at
     positions listed in ``equalities`` (position i means n_i == n_{i+1})."""
 
-    r: int
-    equalities: frozenset[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "equalities", frozenset(self.equalities))
-        if self.r < 0:
+    def __new__(cls, r: int, equalities: frozenset[int]):
+        equalities = frozenset(equalities)
+        if r < 0:
             raise InputError("chain length must be nonnegative")
-        if not self.equalities <= set(range(1, self.r)):
+        if not equalities <= set(range(1, r)):
             raise InputError("equality positions must lie strictly inside the chain")
+        return tuple.__new__(cls, (r, equalities))
 
     def free_positions(self) -> list[int]:
         return [1] + [i + 1 for i in range(1, self.r) if i not in self.equalities]

@@ -12,11 +12,11 @@ a value becomes a Fraction when read.  Only public constructors and parsers vali
 from __future__ import annotations
 
 import bisect
+import collections
 import heapq
 import math
 import operator
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import jsonio
@@ -24,21 +24,16 @@ from .errors import BUDGETS, InputError, charge
 
 Exponent = tuple[int, ...]
 
-@dataclass(frozen=True)
-class LinearFunctional:
+class LinearFunctional(collections.namedtuple("LinearFunctional", "coeffs")):
     """Rational linear form on integer exponent vectors; ``ints`` over ``den``
-    are its coefficients, so L(e) <= b exactly when _dot(ints, e) <= floor(b * den)."""
+    are its coefficients, so L(e) <= b exactly when _dot(ints, e) <= floor(b * den).
+    Both are set once here and left out of equality, hash and repr."""
 
-    coeffs: tuple[Fraction, ...]
-    ints: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    den: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        coeffs = tuple(map(_coefficient, self.coeffs))
-        object.__setattr__(self, "coeffs", coeffs)
-        ints, den = _over_lcm(coeffs)
-        object.__setattr__(self, "ints", tuple(ints))
-        object.__setattr__(self, "den", den)
+    def __new__(cls, coeffs: tuple[Fraction, ...]):
+        self = tuple.__new__(cls, (tuple(map(_coefficient, coeffs)),))
+        ints, self.den = _over_lcm(self.coeffs)
+        self.ints = tuple(ints)
+        return self
 
     def __call__(self, exponent) -> Fraction:
         if len(exponent) != len(self.coeffs):
@@ -75,26 +70,19 @@ def _echelon(rows) -> tuple[tuple[int, Exponent], ...]:
     return tuple(basis)
 
 
-@dataclass(frozen=True)
-class Coset:
+class Coset(collections.namedtuple("Coset", "base generators")):
     """Affine sublattice base + Z-span(generators).  ``echelon`` is their
     integer echelon basis, reduced once and left out of equality, hash and repr."""
 
-    base: Exponent
-    generators: tuple[Exponent, ...]
-    echelon: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", _exponent(self.base))
-        object.__setattr__(self, "generators",
-                           tuple(map(_exponent, self.generators)))
+    def __new__(cls, base: Exponent, generators: tuple[Exponent, ...]):
+        self = tuple.__new__(cls, (_exponent(base), tuple(map(_exponent, generators))))
         for gen in self.generators:
             if len(gen) != len(self.base):
                 raise InputError("coset generator length does not match base")
-        echelon = _echelon(self.generators)
-        if len(echelon) != len(self.generators):
+        self.echelon = _echelon(self.generators)
+        if len(self.echelon) != len(self.generators):
             raise InputError("coset generators must be linearly independent")
-        object.__setattr__(self, "echelon", echelon)
+        return self
 
     def representative(self, exponent) -> Exponent:
         """exponent + Z-span(generators) reduced at each pivot of ``echelon``, in
@@ -112,18 +100,16 @@ class Coset:
                 and self.representative(exponent) == self.base)
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(collections.namedtuple("Window", "functional bound coset")):
     """Region predicate: L(e) <= bound, optionally e in a coset."""
 
-    functional: LinearFunctional
-    bound: Fraction
-    coset: Coset | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound", _coefficient(self.bound))
-        if self.coset is not None and len(self.coset.base) != len(self.functional.coeffs):
+    def __new__(cls, functional: LinearFunctional, bound: Fraction, coset: Coset | None = None):
+        bound = _coefficient(bound)
+        if coset is not None and len(coset.base) != len(functional.coeffs):
             raise InputError("coset length does not match the functional arity")
+        return tuple.__new__(cls, (functional, bound, coset))
 
     def admits(self, exponent) -> bool:
         if self.functional(exponent) > self.bound:

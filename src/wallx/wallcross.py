@@ -10,11 +10,11 @@ family of layer fractions against the configured duality.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from . import jsonio
 from .errors import InputError, charge
@@ -45,40 +45,38 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class WallDatum:
+class WallDatum(collections.namedtuple("WallDatum", "slope J")):
     """Rank-0 wall element of a single nu-slope (a Fraction, or INF for
     pure point classes)."""
 
-    slope: object
-    J: TorusElement
+    __slots__ = ()
     __hash__ = None  # J, a TorusElement, has no hash: unhashable as _Sparse is
 
-    def __post_init__(self):
-        if self.slope is not INF:
-            object.__setattr__(self, "slope", _coefficient(self.slope))
-        spec = self.J.context
-        for cls in self.J:
-            if cls.r != 0:
+    def __new__(cls, slope, J: TorusElement):
+        if slope is not INF:
+            slope = _coefficient(slope)
+        spec = J.context
+        for c in J:
+            if c.r != 0:
                 raise InputError("wall data must have rank zero")
-            if spec.nu_slope(cls) != self.slope:
+            if spec.nu_slope(c) != slope:
                 raise InputError("wall term slope does not match the wall")
-            if not spec.is_effective(cls.beta):
+            if not spec.is_effective(c.beta):
                 raise InputError("wall curve parts must be effective")
+        return tuple.__new__(cls, (slope, J))
 
 
-@dataclass(frozen=True)
-class SeedSeries:
+class SeedSeries(collections.namedtuple("SeedSeries", "element label")):
     """Rank-(-1) torus element together with a cutoff label."""
 
-    element: TorusElement
-    label: str = "seed"
+    __slots__ = ()
     __hash__ = None  # as WallDatum
 
-    def __post_init__(self):
-        for cls in self.element:
-            if cls.r != -1:
+    def __new__(cls, element: TorusElement, label: str = "seed"):
+        for c in element:
+            if c.r != -1:
                 raise InputError("seed terms must have rank -1")
+        return tuple.__new__(cls, (element, label))
 
 
 def iterate_walls(seed: SeedSeries, walls, trunc: Truncation) -> SeedSeries:
@@ -97,8 +95,8 @@ def iterate_walls(seed: SeedSeries, walls, trunc: Truncation) -> SeedSeries:
 
 # -- group resummation --------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(collections.namedtuple("GroupSpec", "context alpha_prime betas kappas "
+                                        "equalities J_values DT_value delta0")):
     """One slope-chain group of wall classes acting on a seed class.
 
     Positions i = 1..r carry curve classes betas[i-1] and minimal point
@@ -107,24 +105,16 @@ class GroupSpec:
     delta0 the slope cutoff below the first wall.
     """
 
-    context: LatticeSpec
-    alpha_prime: KClass
-    betas: tuple[IntVec, ...]
-    kappas: tuple[IntVec, ...]
-    equalities: frozenset[int]
-    J_values: tuple[Fraction, ...]
-    DT_value: Fraction
-    delta0: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(map(_exponent, self.betas)))
-        object.__setattr__(self, "kappas", tuple(map(_exponent, self.kappas)))
-        object.__setattr__(self, "equalities",
-                           frozenset(_exponent(self.equalities)))
-        object.__setattr__(self, "J_values",
-                           tuple(map(_coefficient, self.J_values)))
-        object.__setattr__(self, "DT_value", _coefficient(self.DT_value))
-        object.__setattr__(self, "delta0", _coefficient(self.delta0))
+    def __new__(cls, context: LatticeSpec, alpha_prime: KClass, betas: tuple[IntVec, ...],
+                kappas: tuple[IntVec, ...], equalities: frozenset[int],
+                J_values: tuple[Fraction, ...], DT_value: Fraction, delta0: Fraction):
+        return tuple.__new__(cls, (context, alpha_prime, tuple(map(_exponent, betas)),
+                                   tuple(map(_exponent, kappas)),
+                                   frozenset(_exponent(equalities)),
+                                   tuple(map(_coefficient, J_values)),
+                                   _coefficient(DT_value), _coefficient(delta0)))
 
     @property
     def r(self) -> int:

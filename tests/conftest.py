@@ -90,6 +90,12 @@ def fr(a, b=1):
     return Fraction(a, b)
 
 
+def rebuilt(record, **changes):
+    """The record with some fields changed, built again through its
+    constructor, so its coercions and checks run on the new fields."""
+    return type(record)(**dict(record._asdict(), **changes))
+
+
 def power(poly, n: int):
     """poly multiplied by itself n >= 0 times; polynomials have no ``**``."""
     out = type(poly).constant(poly.nvars, 1)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,7 +13,7 @@ from wallx.quasipoly import detect_quasipoly, reexpand_check
 from wallx.series import LaurentPolynomial, RationalFunction, Window, expand
 from wallx.wallcross import dtpt_ratio
 
-from conftest import fr
+from conftest import fr, rebuilt
 import parent_kernels as parent
 
 
@@ -216,7 +215,7 @@ def test_run_a1_failure_report_names_first_divergence(monkeypatch):
     model = build_a1()
     cube = model.point_row.denominator * (
         LaurentPolynomial.constant(2, 1) + LaurentPolynomial.monomial((1, 0)))
-    bad = dataclasses.replace(
+    bad = rebuilt(
         model, shared_layer=RationalFunction(model.shared_layer.numerator, cube))
     monkeypatch.setattr(a1model, "build_a1", lambda: bad)
     report = run_a1(8)
@@ -237,7 +236,7 @@ def _rescaled_model(orbifold=1, shared=1, point_num=1, point_den=1):
     def scaled(f, num, den=1):
         return RationalFunction(f.numerator.scale(fr(num)), f.denominator.scale(fr(den)))
 
-    return dataclasses.replace(
+    return rebuilt(
         model, orbifold_layer=scaled(model.orbifold_layer, orbifold),
         shared_layer=scaled(model.shared_layer, shared),
         point_row=scaled(model.point_row, point_num, point_den))

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from wallx.series import _echelon, _exponent
 from wallx.wallcross import WallDatum
 
 import parent_kernels as parent
-from conftest import fr, model_lattice, two_gen_lattice
+from conftest import fr, model_lattice, rebuilt, two_gen_lattice
 
 
 def _pt(spec, c):
@@ -258,7 +257,7 @@ def test_gamma_walls_single_wall():
     spec = model_lattice()
     assert spec.gamma_walls((2,)) == [fr(1)]
     assert two_gen_lattice().gamma_walls((2, 1)) == [fr(1, 2)]
-    no_wall = dataclasses.replace(spec, excdeg=(fr(1), fr(1)))
+    no_wall = rebuilt(spec, excdeg=(fr(1), fr(1)))
     assert no_wall.gamma_walls((2,)) == []
     with pytest.raises(InputError, match="class is not effective"):
         spec.gamma_walls((-1,))
@@ -515,7 +514,7 @@ def test_involution_check_matches_the_index_loop(case):
     rows = [list(row) for row in duality]
     rows[at // n][at % n] += step
     duality = tuple(map(tuple, rows))
-    rejected = (_outcome(lambda: dataclasses.replace(spec, duality=duality))
+    rejected = (_outcome(lambda: rebuilt(spec, duality=duality))
                 == ("InputError", "duality must square to the identity"))
     assert rejected == (not parent.squares_to_identity(duality, n))
 
@@ -531,7 +530,7 @@ def test_twist_grading_check_matches_the_index_loop(case):
         l = tuple(parent.deg_point(spec, col) for col in zip(*twist))
     assume(max(l) >= 1)
     gen = tuple(int(j == l.index(max(l))) for j in range(spec.rank1))
-    outcome = _outcome(lambda: dataclasses.replace(
+    outcome = _outcome(lambda: rebuilt(
         spec, twist_matrix=twist, l=l, effgens1=(gen,)))
     graded = parent.twist_shifts_deg_by_l(spec.deg, l, twist, spec.rank1, spec.rank0)
     if graded:

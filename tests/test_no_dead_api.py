@@ -11,10 +11,12 @@ reaches.  That set is pinned to ``LatticeSpec.gamma_walls``, which waits
 for the tracer to drop it.  Conversely, every function and method that
 the tracer wraps by name is defined where the tracer looks for it.
 
-No record-only data: every field of an ``@dataclass`` class in ``src/wallx``
-is read by an attribute load in those sources or in ``perfbench``, outside
-the class's own ``__post_init__`` (namedtuples are read by unpacking, so
-they are left out).  This guard matches by bare name, so a dead field whose
+No record-only data: the value types in ``src/wallx`` are records, classes
+whose base is a ``namedtuple`` call.  Every field of a record, and every
+derived attribute its ``__new__`` or ``__init__`` stores on ``self``, is read
+by an attribute load in those sources or in ``perfbench``, outside those two
+methods (a plain namedtuple such as ``errors.Budget`` is read by unpacking,
+so it is left out).  This guard matches by bare name, so a dead field whose
 name is also read on some other object passes it.
 
 No unused import: a module reads every name it imports, unless its
@@ -133,11 +135,14 @@ def test_every_definition_in_wallx_is_used_by_the_program(tmp_path, capsys):
     assert not found - traced, f"no golden document calls: {sorted(found - traced)}"
 
 
-def _is_dataclass(node) -> bool:
-    def name(expr):
-        expr = expr.func if isinstance(expr, ast.Call) else expr
-        return expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
-    return any(name(d) == "dataclass" for d in node.decorator_list)
+def _field_string(cls):
+    """The field-name constant of a record class's ``namedtuple(name, fields)``
+    base, or None for any other class."""
+    for base in cls.bases:
+        func = base.func if isinstance(base, ast.Call) else None
+        if getattr(func, "attr", getattr(func, "id", None)) == "namedtuple":
+            return base.args[1]
+    return None
 
 
 def _attribute_loads(node) -> Counter:
@@ -145,46 +150,70 @@ def _attribute_loads(node) -> Counter:
                    if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load))
 
 
+def _records(tree):
+    """(class, builders, [(line, field)]) for each record class in the tree: its
+    own ``__new__`` and ``__init__``, and its fields, the derived attributes
+    those two store on ``self`` included."""
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and (names := _field_string(cls))):
+            continue
+        builders = [f for f in cls.body
+                    if isinstance(f, ast.FunctionDef) and f.name in ("__new__", "__init__")]
+        fields = [(names.lineno, name) for name in names.value.split()]
+        fields += [(node.lineno, node.attr) for f in builders for node in ast.walk(f)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and getattr(node.value, "id", None) == "self"]
+        yield cls, builders, fields
+
+
 def _unread_fields(defining: dict, others: list):
-    """(label, line, "Class.field") for each annotated field of an ``@dataclass``
-    class in the trees of ``defining`` ({label: tree}) that no attribute load
-    in those trees or in ``others`` reads, the class's own ``__post_init__``
-    aside."""
+    """(label, line, "Class.field") for each field of a record class in the
+    trees of ``defining`` ({label: tree}) that no attribute load in those trees
+    or in ``others`` reads, the class's own ``__new__`` and ``__init__`` aside."""
     loads = sum((_attribute_loads(t) for t in [*defining.values(), *others]), Counter())
     for label, tree in defining.items():
-        for cls in ast.walk(tree):
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
-                continue
-            own = sum((_attribute_loads(f) for f in cls.body
-                       if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"),
-                      Counter())
-            for stmt in cls.body:
-                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                        and loads[stmt.target.id] == own[stmt.target.id]):
-                    yield label, stmt.lineno, f"{cls.name}.{stmt.target.id}"
+        for cls, builders, fields in _records(tree):
+            own = sum(map(_attribute_loads, builders), Counter())
+            for line, name in fields:
+                if loads[name] == own[name]:
+                    yield label, line, f"{cls.name}.{name}"
 
 
 def test_field_guard_finds_only_the_unread_fields():
-    source = ("from dataclasses import dataclass\n"
-              "@dataclass(frozen=True)\nclass A:\n"
-              "    read: int\n    checked: int\n    unread: int\n"
-              "    def __post_init__(self):\n        assert self.checked > 0\n"
-              "@dataclass\nclass B:\n    stored: int\n"
+    source = ("import collections\n"
+              "class A(collections.namedtuple('A', 'read checked unread')):\n"
+              "    def __new__(cls, read, checked, unread):\n"
+              "        self = tuple.__new__(cls, (read, checked, unread))\n"
+              "        assert self.checked > 0\n"
+              "        return self\n"
+              "class B(namedtuple('B', 'stored')):\n    pass\n"
               "class Plain:\n    ignored: int\n"
-              "B(stored=1).stored = 2\n")
+              "B(1).stored = 2\n")
     caller = "print(A(read=1, checked=2, unread=3).read)\n"
     found = _unread_fields({"mod": ast.parse(source)}, [ast.parse(caller)])
-    assert list(found) == [("mod", 5, "A.checked"), ("mod", 6, "A.unread"),
-                           ("mod", 11, "B.stored")]
+    assert list(found) == [("mod", 2, "A.checked"), ("mod", 2, "A.unread"),
+                           ("mod", 7, "B.stored")]
+    # derived attributes: stored on self by __new__ or __init__, read elsewhere or not
+    source = ("class C(namedtuple('C', 'x')):\n"
+              "    def __init__(self, *args):\n"
+              "        self.cache, self.memo = {}, {}\n"
+              "        self.memo.clear()\n"
+              "    def get(self):\n        return self.x, self.cache\n")
+    found = _unread_fields({"mod": ast.parse(source)}, [])
+    assert list(found) == [("mod", 3, "C.memo")]
 
 
-def test_every_dataclass_field_in_wallx_is_read_by_the_program():
-    # a field that only tests or its own validator read is data nothing
-    # computes with; namedtuples are read by unpacking, so they are not asked
+def test_every_record_field_in_wallx_is_read_by_the_program():
+    # a field that only tests or its own constructor read is data nothing
+    # computes with; a plain namedtuple is read by unpacking, so it is not asked
     sources = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
     bench = [ast.parse(p.read_text(), str(p)) for p in sorted(BENCH.glob("*.py"))]
+    records = {cls.name for tree in sources.values() for cls, _, _ in _records(tree)}
+    assert records == {"LinearFunctional", "Coset", "Window", "LatticeSpec", "KClass",
+                       "Truncation", "QuasiPolynomial", "ChainPattern", "WallDatum",
+                       "SeedSeries", "GroupSpec", "A1Model"}
     found = sorted(_unread_fields(sources, bench))
-    assert not found, f"dataclass fields nothing reads: {found}"
+    assert not found, f"record fields nothing reads: {found}"
 
 
 def _tracer_names():

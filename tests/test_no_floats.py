@@ -4,7 +4,6 @@ float input with an InputError instead of truncating it or reading it as a
 binary fraction."""
 
 import ast
-import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from wallx.series import (Coset, LaurentPolynomial, LinearFunctional,
                           RationalFunction, Window, expand)
 from wallx.wallcross import GroupSpec, WallDatum, duality_check
 
-from conftest import model_lattice
+from conftest import model_lattice, rebuilt
 
 SRC = Path(wallx.__file__).parent
 
@@ -105,19 +104,19 @@ _FLOAT_CALLS = {
     "GroupSpec DT_value": lambda: _group(DT_value=0.1),
     "GroupSpec delta0": lambda: _group(delta0=0.5),
     "WallDatum slope": lambda: WallDatum(0.5, TorusElement(_SPEC, [])),
-    "LatticeSpec excdeg": lambda: dataclasses.replace(_SPEC, excdeg=(-1.0, 1)),
-    "LatticeSpec pairing": lambda: dataclasses.replace(
+    "LatticeSpec excdeg": lambda: rebuilt(_SPEC, excdeg=(-1.0, 1)),
+    "LatticeSpec pairing": lambda: rebuilt(
         _SPEC, pairing=tuple(tuple(map(float, row)) for row in _SPEC.pairing)),
-    "LatticeSpec deg": lambda: dataclasses.replace(_SPEC, deg=(0, 1.0, 1)),
-    "LatticeSpec l": lambda: dataclasses.replace(_SPEC, l=(2.0,)),
-    "LatticeSpec twist_matrix": lambda: dataclasses.replace(
+    "LatticeSpec deg": lambda: rebuilt(_SPEC, deg=(0, 1.0, 1)),
+    "LatticeSpec l": lambda: rebuilt(_SPEC, l=(2.0,)),
+    "LatticeSpec twist_matrix": lambda: rebuilt(
         _SPEC, twist_matrix=((2.0,), (0,))),
-    "LatticeSpec duality": lambda: dataclasses.replace(
+    "LatticeSpec duality": lambda: rebuilt(
         _SPEC, duality=tuple(tuple(map(float, row)) for row in _SPEC.duality)),
-    "LatticeSpec effgens1": lambda: dataclasses.replace(_SPEC, effgens1=((1.0,),)),
-    "LatticeSpec sigma": lambda: dataclasses.replace(_SPEC, sigma=-1.0),
-    "LatticeSpec rank0": lambda: dataclasses.replace(_SPEC, rank0=2.0),
-    "LatticeSpec rank1": lambda: dataclasses.replace(_SPEC, rank1=1.0),
+    "LatticeSpec effgens1": lambda: rebuilt(_SPEC, effgens1=((1.0,),)),
+    "LatticeSpec sigma": lambda: rebuilt(_SPEC, sigma=-1.0),
+    "LatticeSpec rank0": lambda: rebuilt(_SPEC, rank0=2.0),
+    "LatticeSpec rank1": lambda: rebuilt(_SPEC, rank1=1.0),
     "is_effective": lambda: _SPEC.is_effective((0.5,)),
     "gamma_walls": lambda: _SPEC.gamma_walls((1.5,)),
     "duality_check family beta": lambda: duality_check({(1.5,): _POINT}, _SPEC),
@@ -149,6 +148,6 @@ def test_integral_and_rational_input_still_accepted():
 
 
 def test_lattice_spec_rows_are_read_as_int_tuples():
-    as_lists = dataclasses.replace(_SPEC, pairing=[list(row) for row in _SPEC.pairing],
-                                   deg=[0, 1, 1], effgens1=[[1]])
+    as_lists = rebuilt(_SPEC, pairing=[list(row) for row in _SPEC.pairing],
+                       deg=[0, 1, 1], effgens1=[[1]])
     assert as_lists == _SPEC and as_lists.fingerprint() == _SPEC.fingerprint()

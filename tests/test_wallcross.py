@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -35,7 +34,7 @@ from wallx.wallcross import (
     iterate_walls,
 )
 
-from conftest import evaluate, fr, model_lattice, power, two_gen_lattice
+from conftest import evaluate, fr, model_lattice, power, rebuilt, two_gen_lattice
 import parent_kernels as parent
 
 
@@ -170,7 +169,7 @@ def _sweeps(draw):
     every sweep nilpotent: curve walls are capped by beta, point walls (beta
     0) have positive point degree under a degree cap."""
     spec = draw(st.sampled_from(_SPECS))
-    spec = dataclasses.replace(spec, sigma=draw(st.sampled_from([1, -1])))
+    spec = rebuilt(spec, sigma=draw(st.sampled_from([1, -1])))
     coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
     seed = draw(st.dictionaries(
         st.builds(KClass, st.just(-1), _vectors(spec.rank1, 0, 1), _vectors(spec.rank0, -2, 2)),
@@ -333,7 +332,7 @@ def test_empty_group_resums_to_the_seed_monomial_term_for_term(lattice, sigma, d
     # r = 0 runs through the general b-factor and chain path: its numerator
     # and denominator must be the monomial DT z^c over 1 exactly, not only
     # up to cross-multiplication
-    spec = dataclasses.replace(lattice(), sigma=sigma)
+    spec = rebuilt(lattice(), sigma=sigma)
     c = tuple(range(1, spec.rank0 + 1))
     group = GroupSpec(spec, KClass(-1, (0,) * spec.rank1, c), (), (),
                       frozenset(), (), dt, fr(0))
@@ -429,7 +428,7 @@ def _reference_b_factor(group):
 @pytest.mark.parametrize("lattice", [model_lattice, two_gen_lattice])
 @pytest.mark.parametrize("sigma", [1, -1])
 def test_b_factor_matches_the_evaluated_sign_loop(rng, lattice, sigma):
-    spec = dataclasses.replace(lattice(), sigma=sigma)
+    spec = rebuilt(lattice(), sigma=sigma)
     for r in range(6):
         for _ in range(20):
             group = GroupSpec(
@@ -450,8 +449,8 @@ def _weight_groups(draw):
     pairing makes a chi's parity vary with the residues."""
     spec = draw(st.sampled_from(_SPECS))
     n = 1 + spec.rank1 + spec.rank0
-    spec = dataclasses.replace(spec, sigma=draw(st.sampled_from([1, -1])),
-                               pairing=draw(st.tuples(*[_vectors(n, -2, 2)] * n)))
+    spec = rebuilt(spec, sigma=draw(st.sampled_from([1, -1])),
+                   pairing=draw(st.tuples(*[_vectors(n, -2, 2)] * n)))
     r = draw(st.integers(0, 4))
     betas = draw(st.lists(_vectors(spec.rank1, 0, 2), min_size=r, max_size=r))
     kappas = draw(st.lists(_vectors(spec.rank0, -3, 3), min_size=r, max_size=r))
@@ -490,7 +489,7 @@ def _pairing_groups(draw):
     points a."""
     spec = draw(st.sampled_from(_SPECS + [_TWO_TWISTS]))
     n = 1 + spec.rank1 + spec.rank0
-    spec = dataclasses.replace(spec, sigma=draw(st.sampled_from([1, -1])), pairing=draw(
+    spec = rebuilt(spec, sigma=draw(st.sampled_from([1, -1])), pairing=draw(
         st.tuples(*[_vectors(n, -3, 3)] * n).filter(_odd_pairing)))
     r = draw(st.integers(1, 3))
     betas = draw(st.lists(_vectors(spec.rank1, 0, 2), min_size=r, max_size=r))
