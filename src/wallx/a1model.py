@@ -25,7 +25,7 @@ from fractions import Fraction
 from .errors import InputError
 from .jsonio import format_ratio, format_rational
 from .lattice import LatticeSpec
-from .quasipoly import qp_from_obj, reexpand_check
+from .quasipoly import reexpand_check
 from .series import (LaurentPolynomial, LinearFunctional, RationalFunction,
                      Window, _exponent, _over_lcm, divide, expand)
 
@@ -122,13 +122,18 @@ def build_a1() -> A1Model:
     )
 
 
-def _first_divergence(pairs, den: int):
-    """First (m, expected, actual) disagreement, actual read over den, or None."""
-    for m, expected, actual in pairs:
-        if expected * den != actual:
-            return {"m": m, "expected": format_rational(expected),
-                    "actual": format_rational(Fraction(actual, den))}
-    return None
+def _step(name: str, divergence, **detail) -> dict:
+    """A report step; ``divergence`` is None, the first one's dict, or
+    (m, expected, actual, den) with actual an int numerator over den."""
+    entry = {"name": name, "ok": divergence is None}
+    if isinstance(divergence, tuple):
+        m, expected, actual, den = divergence
+        divergence = {"m": m, "expected": format_rational(expected),
+                      "actual": format_ratio(actual, den)}
+    if divergence is not None:
+        entry["first_divergence"] = divergence
+    entry.update(detail)
+    return entry
 
 
 def run_a1(report_window: int) -> dict:
@@ -137,7 +142,8 @@ def run_a1(report_window: int) -> dict:
     The report covers m in [-report_window, report_window + 4].  Each step
     carries its own ok flag; any mismatch is reported as the step's first
     divergent coefficient and flips the top-level ok flag instead of
-    raising.
+    raising.  One loop over the point row and one over the report's m read
+    the series' int numerators, check every step and write the rows.
     """
     w = _exponent((report_window,))[0]
     if w < 8:
@@ -151,60 +157,58 @@ def run_a1(report_window: int) -> dict:
     orbifold_series = divide(model.orbifold_layer, model.point_row,
                              Window(model.l_plus, w + 8))
     resolution_series = expand(model.shared_layer, Window(model.l_minus, w + 4))
-    # the two columns and the point row as int numerators over one denominator
-    _, den = _over_lcm(Fraction(1, s._den)
-                       for s in (orbifold_series, resolution_series, point_series))
-    orb, res, point = ({m: s._terms.get((m, n), 0) * (den // s._den) for m in span}
-                       for s, n, span in ((orbifold_series, 4, ms), (resolution_series, 4, ms),
-                                          (point_series, 0, range(w + 5))))
-
-    steps = []
-
-    def add_step(name, divergence, **detail):
-        entry = {"name": name, "ok": divergence is None}
-        if divergence is not None:
-            entry["first_divergence"] = divergence
-        entry.update(detail)
-        steps.append(entry)
-
-    add_step("orbifold column",
-             _first_divergence(((m, model.orbifold_column(m), orb[m])
-                                for m in ms), den),
-             checked=len(orb))
-    add_step("resolution column",
-             _first_divergence(((m, model.resolution_column(m), res[m])
-                                for m in ms), den),
-             checked=len(res))
-
     # the certificate's coset at (0, 4) samples the difference column over ms
     verdict = reexpand_check(model.shared_layer, resolution_series,
                              orbifold_series, model.point_plus_exponent())
-    fit = next((qp_from_obj(c["fit"], "fit") for c in verdict["cosets"]
-                if c["representative"] == [0, 4] and c["fit"] is not None), None)
-    if fit is None:
-        fit_div = {"m": m_lo, "expected": "quasi-polynomial fit",
-                   "actual": "no fit"}
-        fit_detail = {}
+    fit = next((c["fit"] for c in verdict["cosets"] if c["representative"] == [0, 4]), None)
+    if fit is None:  # the step has diverged, so its values are never read
+        fit_div, fit_detail, values, fit_den = {
+            "m": m_lo, "expected": "quasi-polynomial fit", "actual": "no fit"}, {}, ms, 1
     else:  # the fit's int numerators against the closed form
         values, fit_den = fit.scaled_values([(m,) for m in ms])
-        fit_div = _first_divergence(zip(ms, map(model.column_difference, ms), values),
-                                    fit_den)
-        fit_detail = {"period": fit.period, "degree": fit.degree(0)}
-    add_step("difference quasi-polynomial", fit_div, **fit_detail)
-    add_step("re-expansion certificate",
-             None if verdict["confirmed"] else
-             {"m": m_lo, "expected": "confirmed", "actual": "not confirmed"},
-             cosets=len(verdict["cosets"]))
+        fit_div, fit_detail = None, {"period": fit.period, "degree": fit.degree(0)}
+    # the two columns and the point row as int numerators over one denominator
+    _, den = _over_lcm(Fraction(1, s._den)
+                       for s in (orbifold_series, resolution_series, point_series))
+    (orb_get, orb_k), (res_get, res_k), (point_get, point_k) = (
+        (s._terms.get, den // s._den) for s in (orbifold_series, resolution_series, point_series))
 
-    behrend_pairs = [(m, behrend_smooth([m]), value) for m, value in point.items()]
-    for m in ms:
-        expected = behrend_smooth([2, m - 4]) if m >= 4 else 0
-        behrend_pairs.append((m, expected, orb[m]))
-        expected = behrend_smooth([2, 2 - m]) if m <= 2 else 0
-        behrend_pairs.append((m, expected, res[m]))
-    add_step("behrend cross-check", _first_divergence(behrend_pairs, den),
-             checked=len(behrend_pairs))
+    behrend_div, point_row = None, []
+    for m in range(w + 5):
+        value = point_get((m, 0), 0) * point_k
+        if behrend_div is None and behrend_smooth([m]) * den != value:
+            behrend_div = m, behrend_smooth([m]), value, den
+        point_row.append({"m": m, "value": format_ratio(value, den)})
+    orb_div = res_div = None
+    orbifold_column, resolution_column = model.orbifold_column, model.resolution_column
+    column_difference, table = model.column_difference, []
+    for m, value in zip(ms, values):
+        orb, res = orb_get((m, 4), 0) * orb_k, res_get((m, 4), 0) * res_k
+        if orb_div is None and orbifold_column(m) * den != orb:
+            orb_div = m, orbifold_column(m), orb, den
+        if res_div is None and resolution_column(m) * den != res:
+            res_div = m, resolution_column(m), res, den
+        if fit_div is None and column_difference(m) * fit_den != value:
+            fit_div = m, column_difference(m), value, fit_den
+        if behrend_div is None:  # the orbifold entry at m, then the resolution one
+            for expected, actual in ((behrend_smooth([2, m - 4]) if m >= 4 else 0, orb),
+                                     (behrend_smooth([2, 2 - m]) if m <= 2 else 0, res)):
+                if expected * den != actual:
+                    behrend_div = m, expected, actual, den
+                    break
+        table.append({"m": m, "orbifold": format_ratio(orb, den),
+                      "resolution": format_ratio(res, den),
+                      "difference": format_ratio(orb - res, den)})
 
+    steps = [
+        _step("orbifold column", orb_div, checked=len(ms)),
+        _step("resolution column", res_div, checked=len(ms)),
+        _step("difference quasi-polynomial", fit_div, **fit_detail),
+        _step("re-expansion certificate", None if verdict["confirmed"] else
+              {"m": m_lo, "expected": "confirmed", "actual": "not confirmed"},
+              cosets=len(verdict["cosets"])),
+        _step("behrend cross-check", behrend_div, checked=w + 5 + 2 * len(ms)),
+    ]
     ok = all(step["ok"] for step in steps)
     report = {
         "model": "transverse-a1",
@@ -214,13 +218,8 @@ def run_a1(report_window: int) -> dict:
                           "l_curve": model.lattice.l[0]},
         "lattice_fingerprint": model.lattice.fingerprint(),
         "steps": steps,
-        "table": [{"m": m,
-                   "orbifold": format_ratio(orb[m], den),
-                   "resolution": format_ratio(res[m], den),
-                   "difference": format_ratio(orb[m] - res[m], den)}
-                  for m in ms],
-        "point_row": [{"m": m, "value": format_ratio(value, den)}
-                      for m, value in point.items()],
+        "table": table,
+        "point_row": point_row,
         "ok": ok,
     }
     if not ok:

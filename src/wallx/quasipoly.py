@@ -313,7 +313,10 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = MAX_PERI
     (Stanley, EC1 4.4).  Periods rise from 1; each class is differenced, in
     integers, up to its first vanishing order, and its polynomial is read
     off those differences in Newton's form, so the samples are not fitted
-    again.  Every class keeps a held-out point, so
+    again.  A class whose first (cap + 1)-th difference, taken from its first
+    cap + 2 entries when that costs at most one pass, is nonzero needs a
+    degree above the cap: it is charged the cap + 1 passes that would show
+    this and left undifferenced.  Every class keeps a held-out point, so
     period <= len / 2 and degree <= len / period - 2.  Returns None when no
     period fits; raises "window too small" when nothing could be tried, and
     the "detection" work-budget error past its differenced entries.
@@ -332,6 +335,14 @@ def detect_quasipoly(samples: Mapping[int, Fraction], max_period: int = MAX_PERI
         cap = min(max_degree, len(keys) // p - 2)
         columns = [scaled[s::p] for s in range(p)]
         for column in columns:
+            if (cap + 1) * (cap + 2) // 2 <= len(column):  # within one pass:
+                head = column[:cap + 2]  # its first (cap + 1)-th difference
+                for d in range(cap + 1):
+                    _difference(head, range(cap + 1, d, -1), 1)
+                if head[-1]:  # charged as the cap + 1 passes that find no fit
+                    work += (cap + 1) * (len(column) - 1) - cap * (cap + 1) // 2
+                    charge("detection", work)
+                    break
             for d in range(cap + 1):
                 work += len(column) - 1 - d
                 charge("detection", work)
@@ -361,8 +372,9 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     coset of Z c0 meeting either support, the difference s_plus - s_minus
     sampled along c0 must fit a quasi-polynomial ("all_fit"; a coset with
     fewer than two samples fits none), and s_plus must pass direct
-    verification ("confirmed").  Returns the CLI's report: "c0" and
-    "cosets", each with "representative", "k_lo", "k_hi" and "fit".
+    verification ("confirmed").  Returns "c0" and "cosets", each with
+    "representative", "k_lo", "k_hi" and "fit", the coset's QuasiPolynomial
+    or None; the CLI writes each fit with ``qp_to_obj``.
     """
     c0 = _exponent(c0)
     if all(x == 0 for x in c0):
@@ -392,8 +404,7 @@ def reexpand_check(f: RationalFunction, s_minus: LaurentSeries,
     for rep, diff, k_lo, k_hi in ranges:
         fit = None if k_hi <= k_lo else detect_quasipoly(
             {k: diff.get(k, 0) for k in range(k_lo, k_hi + 1)}, max_period, max_degree, den)
-        cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
-                       "fit": None if fit is None else qp_to_obj(fit)})
+        cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi, "fit": fit})
     all_fit = all(coset["fit"] is not None for coset in cosets)
     return {"c0": list(c0), "cosets": cosets, "all_fit": all_fit,
             "confirmed": all_fit and verify_expansion(s_plus, f)}

@@ -5,6 +5,7 @@ import pytest
 
 from wallx.errors import BUDGETS
 from wallx.lattice import LatticeSpec
+from wallx.quasipoly import qp_to_obj
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,6 +95,14 @@ def rebuilt(record, **changes):
     """The record with some fields changed, built again through its
     constructor, so its coercions and checks run on the new fields."""
     return type(record)(**dict(record._asdict(), **changes))
+
+
+def wire(verdict):
+    """A ``reexpand_check`` verdict with each coset's fit written as the CLI
+    writes it, through ``qp_to_obj``."""
+    return dict(verdict, cosets=[
+        dict(coset, fit=None if coset["fit"] is None else qp_to_obj(coset["fit"]))
+        for coset in verdict["cosets"]])
 
 
 def power(poly, n: int):

@@ -34,6 +34,14 @@ The lattice maps at the end wrote each integer map as its own index loop, and
 ``dtpt`` long-divided the expansion of DT_beta by that of DT_0, whose divisor
 has about one term per unit of the bound, before it expanded the quotient
 rational function once.
+
+The A1 report's kernels at the end ran before it took one pass:
+``run_a1_stepwise`` made a pass over the window per column, check and table
+and parsed its fit back from the certificate's wire form, which
+``reexpand_check_wire`` wrote; ``detect_quasipoly_full`` differenced every
+class it visited, even one whose first (cap + 1)-th difference already ruled
+its period out.  ``run_a1_stepwise`` looks ``build_a1`` up in
+``wallx.a1model`` too.
 """
 
 from __future__ import annotations
@@ -47,18 +55,18 @@ from collections import defaultdict
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 
-from wallx import a1model, poisson
+from wallx import a1model, jsonio, poisson, quasipoly
 from wallx.a1model import behrend_smooth
 from wallx.errors import BUDGETS, InputError, charge
 from wallx.jsonio import digit_limit_error
 from wallx.lattice import INF, IntVec, KClass, kclass_to_obj
 from wallx.poisson import Truncation
 from wallx.quasipoly import (MAX_DEGREE, MAX_PERIOD, QuasiPolynomial, _difference,
-                              detect_quasipoly)
+                              _newton, detect_quasipoly)
 from wallx import series
 from wallx.series import (Coset, Exponent, LaurentPolynomial, LaurentSeries, LinearFunctional,
-                          RationalFunction, Window, _Sparse, _dot, _exponent, _lead, _no_coset,
-                          _over_lcm, expand, verify_expansion, window_to_obj)
+                          RationalFunction, Window, _Sparse, _coefficient, _dot, _exponent, _lead,
+                          _no_coset, _over_lcm, expand, verify_expansion, window_to_obj)
 from wallx.wallcross import GroupSpec, SeedSeries, WallDatum
 
 
@@ -904,3 +912,183 @@ def dtpt_ratio(dt_beta: LaurentSeries, dt_zero: LaurentSeries) -> LaurentSeries:
     if lead is not None and dt_zero.coeff(lead[1]) != 1:
         raise InputError("rank-zero column must lead with coefficient 1")
     return divide(dt_beta, dt_zero)
+
+
+# -- the A1 report before one pass --------------------------------------------
+
+def detect_quasipoly_full(samples: Mapping[int, Fraction], max_period: int = MAX_PERIOD,
+                          max_degree: int = MAX_DEGREE, den: int = 1) -> QuasiPolynomial | None:
+    """Smallest (period, degree) quasi-polynomial fitting the samples / den
+    exactly, each visited class differenced up to its first vanishing order
+    or through the degree cap."""
+    keys = sorted(_exponent(samples))
+    if keys and keys != list(range(keys[0], keys[0] + len(keys))):
+        raise InputError("samples must cover a contiguous integer range")
+    if len(keys) < 2 or max_period < 1 or max_degree < 0:
+        raise InputError("window too small")
+    if not isinstance(den, int) or den < 1:
+        raise InputError("sample denominator must be a positive integer")
+    scaled, lcm = _over_lcm(v if type(v) is int else _coefficient(v)  # refuses floats
+                            for v in map(samples.__getitem__, keys))
+    work = 0
+    for p in range(1, min(max_period, len(keys) // 2) + 1):
+        cap = min(max_degree, len(keys) // p - 2)
+        columns = [scaled[s::p] for s in range(p)]
+        for column in columns:
+            for d in range(cap + 1):
+                work += len(column) - 1 - d
+                charge("detection", work)
+                _difference(column, range(len(column) - 1, d, -1), 1)
+                if not any(column[d + 1:]):  # the (d + 1)-th differences
+                    del column[d + 1:]
+                    break
+            else:  # this class needs a degree above cap: next period
+                break
+        else:  # every class fits
+            return QuasiPolynomial(1, p, {
+                ((keys[0] + s) % p,): _newton(keys[0] + s, p, column, den * lcm)
+                for s, column in enumerate(columns)})
+    return None
+
+
+def reexpand_check_wire(f: RationalFunction, s_minus: LaurentSeries,
+                        s_plus: LaurentSeries, c0, max_period: int = MAX_PERIOD,
+                        max_degree: int = MAX_DEGREE) -> dict:
+    """The re-expansion certificate with each coset's fit written as its
+    wire object, and found by ``detect_quasipoly_full``."""
+    c0 = _exponent(c0)
+    if all(x == 0 for x in c0):
+        raise InputError("re-expansion direction must be nonzero")
+    L_minus, L_plus = s_minus.window.functional, s_plus.window.functional
+    down = L_minus(c0)
+    up = L_plus(c0)
+    if not (down < 0 < up):
+        raise InputError("re-expansion direction must have L_minus(c0) < 0 < L_plus(c0)")
+    if not verify_expansion(s_minus, f):
+        raise InputError("s_minus is not an expansion of the rational function")
+
+    col = next(i for i, x in enumerate(c0) if x)
+    (down_scale, up_scale), den = _over_lcm(Fraction(1, s._den) for s in (s_minus, s_plus))
+    diffs = defaultdict(dict)  # {rep: {k: (s_plus - s_minus) * den at rep + k c0}}
+    for s, scale in ((s_minus, -down_scale), (s_plus, up_scale)):
+        for e, n in s._terms.items():
+            k = e[col] // c0[col]
+            diff = diffs[tuple(x - k * y for x, y in zip(e, c0))]
+            diff[k] = diff.get(k, 0) + n * scale
+    ranges = [(rep, diff, math.ceil((s_minus.bound - L_minus(rep)) / down),
+               math.floor((s_plus.bound - L_plus(rep)) / up))
+              for rep, diff in sorted(diffs.items())]
+    # what period 1, degree 0 alone differences, over every coset at once
+    charge("detection", sum(max(k_hi - k_lo, 0) for _, _, k_lo, k_hi in ranges))
+    cosets = []
+    for rep, diff, k_lo, k_hi in ranges:
+        fit = None if k_hi <= k_lo else detect_quasipoly_full(
+            {k: diff.get(k, 0) for k in range(k_lo, k_hi + 1)}, max_period, max_degree, den)
+        cosets.append({"representative": list(rep), "k_lo": k_lo, "k_hi": k_hi,
+                       "fit": None if fit is None else quasipoly.qp_to_obj(fit)})
+    all_fit = all(coset["fit"] is not None for coset in cosets)
+    return {"c0": list(c0), "cosets": cosets, "all_fit": all_fit,
+            "confirmed": all_fit and verify_expansion(s_plus, f)}
+
+
+def _first_divergence_over(pairs, den: int):
+    """First (m, expected, actual) disagreement, actual read over den, or None."""
+    for m, expected, actual in pairs:
+        if expected * den != actual:
+            return {"m": m, "expected": jsonio.format_rational(expected),
+                    "actual": jsonio.format_rational(Fraction(actual, den))}
+    return None
+
+
+def run_a1_stepwise(report_window: int) -> dict:
+    """The A1 report with one pass over the window per column, check and
+    table, its fit parsed back from the wire form of the certificate."""
+    w = _exponent((report_window,))[0]
+    if w < 8:
+        raise InputError("report window must be at least 8")
+    model = a1model.build_a1()
+    m_lo, m_hi = -w, w + 4
+    ms = range(m_lo, m_hi + 1)
+
+    point_series = expand(model.point_row, Window(model.l_plus, w + 8))
+    # DT/PT as one expansion of the quotient; reexpand_check reads its bound w + 8
+    orbifold_series = series.divide(model.orbifold_layer, model.point_row,
+                                    Window(model.l_plus, w + 8))
+    resolution_series = expand(model.shared_layer, Window(model.l_minus, w + 4))
+    # the two columns and the point row as int numerators over one denominator
+    _, den = _over_lcm(Fraction(1, s._den)
+                       for s in (orbifold_series, resolution_series, point_series))
+    orb, res, point = ({m: s._terms.get((m, n), 0) * (den // s._den) for m in span}
+                       for s, n, span in ((orbifold_series, 4, ms), (resolution_series, 4, ms),
+                                          (point_series, 0, range(w + 5))))
+
+    steps = []
+
+    def add_step(name, divergence, **detail):
+        entry = {"name": name, "ok": divergence is None}
+        if divergence is not None:
+            entry["first_divergence"] = divergence
+        entry.update(detail)
+        steps.append(entry)
+
+    add_step("orbifold column",
+             _first_divergence_over(((m, model.orbifold_column(m), orb[m])
+                                     for m in ms), den),
+             checked=len(orb))
+    add_step("resolution column",
+             _first_divergence_over(((m, model.resolution_column(m), res[m])
+                                     for m in ms), den),
+             checked=len(res))
+
+    # the certificate's coset at (0, 4) samples the difference column over ms
+    verdict = reexpand_check_wire(model.shared_layer, resolution_series,
+                                  orbifold_series, model.point_plus_exponent())
+    fit = next((quasipoly.qp_from_obj(c["fit"], "fit") for c in verdict["cosets"]
+                if c["representative"] == [0, 4] and c["fit"] is not None), None)
+    if fit is None:
+        fit_div = {"m": m_lo, "expected": "quasi-polynomial fit",
+                   "actual": "no fit"}
+        fit_detail = {}
+    else:  # the fit's int numerators against the closed form
+        values, fit_den = fit.scaled_values([(m,) for m in ms])
+        fit_div = _first_divergence_over(zip(ms, map(model.column_difference, ms), values),
+                                         fit_den)
+        fit_detail = {"period": fit.period, "degree": fit.degree(0)}
+    add_step("difference quasi-polynomial", fit_div, **fit_detail)
+    add_step("re-expansion certificate",
+             None if verdict["confirmed"] else
+             {"m": m_lo, "expected": "confirmed", "actual": "not confirmed"},
+             cosets=len(verdict["cosets"]))
+
+    behrend_pairs = [(m, behrend_smooth([m]), value) for m, value in point.items()]
+    for m in ms:
+        expected = behrend_smooth([2, m - 4]) if m >= 4 else 0
+        behrend_pairs.append((m, expected, orb[m]))
+        expected = behrend_smooth([2, 2 - m]) if m <= 2 else 0
+        behrend_pairs.append((m, expected, res[m]))
+    add_step("behrend cross-check", _first_divergence_over(behrend_pairs, den),
+             checked=len(behrend_pairs))
+
+    ok = all(step["ok"] for step in steps)
+    report = {
+        "model": "transverse-a1",
+        "window": w,
+        "normalization": {"deg_point_plus": model.lattice.deg[1],
+                          "deg_point_minus": model.lattice.deg[2],
+                          "l_curve": model.lattice.l[0]},
+        "lattice_fingerprint": model.lattice.fingerprint(),
+        "steps": steps,
+        "table": [{"m": m,
+                   "orbifold": jsonio.format_ratio(orb[m], den),
+                   "resolution": jsonio.format_ratio(res[m], den),
+                   "difference": jsonio.format_ratio(orb[m] - res[m], den)}
+                  for m in ms],
+        "point_row": [{"m": m, "value": jsonio.format_ratio(value, den)}
+                      for m, value in point.items()],
+        "ok": ok,
+    }
+    if not ok:
+        first_bad = next(step for step in steps if not step["ok"])
+        report["first_divergence"] = dict(first_bad.get("first_divergence", {}),
+                                          step=first_bad["name"])
+    return report

@@ -1,10 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from wallx import a1model, quasipoly, series
+from wallx import a1model, jsonio, quasipoly, series
 from wallx.a1model import (A1Model, behrend_smooth, build_a1, render_a1_table,
                            run_a1)
 from wallx.errors import InputError
@@ -199,16 +200,18 @@ def test_render_table_layout():
     assert len(lines) == len(report["table"]) + 3
 
 
-def test_first_divergence_reports_earliest_mismatch():
-    pairs = [(0, Fraction(1), Fraction(1)), (1, Fraction(2), Fraction(5)),
-             (2, Fraction(0), Fraction(9))]
-    out = a1model._first_divergence(pairs, 1)
-    assert out == {"m": 1, "expected": "2", "actual": "5"}
-    assert a1model._first_divergence(pairs[:1], 1) is None
+def test_first_divergence_reports_earliest_mismatch(monkeypatch):
+    closed_form = A1Model.orbifold_column
+    monkeypatch.setattr(A1Model, "orbifold_column", lambda self, m: (
+        closed_form(self, m) + {1: 2, 2: 9}.get(m, 0)))
+    step = run_a1(8)["steps"][0]
+    assert step["first_divergence"] == {"m": 1, "expected": "2", "actual": "0"}
+    monkeypatch.setattr(A1Model, "orbifold_column", closed_form)
+    assert "first_divergence" not in run_a1(8)["steps"][0]
     # actual values are numerators over den, written in lowest terms
-    over_six = [(0, 1, 6), (1, 2, 12), (2, 0, 3), (3, 1, 1)]
-    assert a1model._first_divergence(over_six, 6) == {"m": 2, "expected": "0", "actual": "1/2"}
-    assert a1model._first_divergence(over_six[:2], 6) is None
+    assert a1model._step("s", (2, 0, 3, 6)) == {
+        "name": "s", "ok": False, "first_divergence": {"m": 2, "expected": "0", "actual": "1/2"}}
+    assert a1model._step("s", None) == {"name": "s", "ok": True}
 
 
 def test_run_a1_failure_report_names_first_divergence(monkeypatch):
@@ -264,6 +267,18 @@ def test_run_a1_matches_the_parent_reader_off_den_one(monkeypatch, scales, w):
         assert any("/" in cell for cell in cells)
     else:
         assert report["ok"] is True
+
+
+@pytest.mark.parametrize("w", range(8, 41))
+def test_run_a1_parses_nothing(monkeypatch, w):
+    """run_a1 takes the certificate's fit as an object: no wire parsing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_a1 parsed a wire object")
+
+    assert not hasattr(a1model, "qp_from_obj")
+    monkeypatch.setattr(quasipoly, "qp_from_obj", refuse)
+    monkeypatch.setattr(jsonio, "field", refuse)
+    assert run_a1(w)["ok"] is True
 
 
 def test_run_a1_detects_through_the_public_entries(monkeypatch):
@@ -365,7 +380,7 @@ def _reference_fit_step(model, report):
     ms = [entry["m"] for entry in report["table"]]
     fit = detect_quasipoly({entry["m"]: Fraction(entry["difference"])
                             for entry in report["table"]})
-    divergence = a1model._first_divergence(
+    divergence = parent._first_divergence_over(
         ((m, model.column_difference(m), fit.eval((m,))) for m in ms), 1)
     step = {"name": "difference quasi-polynomial", "ok": divergence is None}
     if divergence is not None:
@@ -385,3 +400,88 @@ def test_integer_fit_check_reports_what_eval_did(monkeypatch, bad, offset):
     assert step["ok"] is (bad is None) and report["ok"] is (bad is None)
     if bad is not None:
         assert step["first_divergence"]["m"] == bad
+
+
+# -- one pass against the stepwise report -------------------------------------
+
+def _perturbed(orbifold=(), resolution=(), point=(), scale=1):
+    """build_a1, rebuilt with c q^(m, 0) added to the point row, then c q^(m, 4)
+    added to the DT/PT quotient (orbifold) and to the shared layer
+    (resolution), for each (m, c) given; ``scale`` multiplies the shared
+    layer's numerator.  Each change moves its series at exactly that term."""
+    model = build_a1()
+
+    def terms(changes, n):
+        return sum((LaurentPolynomial.monomial((m, n), c) for m, c in changes),
+                   LaurentPolynomial({}, 2))
+
+    p, o, s = model.point_row, model.orbifold_layer, model.shared_layer
+    p = RationalFunction(p.numerator + terms(point, 0) * p.denominator, p.denominator)
+    o = RationalFunction(o.numerator * p.denominator  # o / p gains the terms
+                         + terms(orbifold, 4) * p.numerator * o.denominator,
+                         o.denominator * p.denominator)
+    s = RationalFunction(s.numerator.scale(fr(scale)) + terms(resolution, 4) * s.denominator,
+                         s.denominator)
+    return rebuilt(model, point_row=p, orbifold_layer=o, shared_layer=s)
+
+
+def _reports(model, w, expected=None):
+    """run_a1's and the stepwise report's JSON (or error) for the model, with
+    A1Model's closed form ``expected = (name, m, c)`` moved by c at m."""
+    def outcome(run):
+        try:
+            return json.dumps(run(w))
+        except InputError as err:
+            return "error", err.message
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(a1model, "build_a1", lambda: model)
+        if expected is not None:
+            name, bad, c = expected
+            closed = getattr(A1Model, name)
+            mp.setattr(A1Model, name, lambda self, m: closed(self, m) + (c if m == bad else 0))
+        return outcome(run_a1), outcome(parent.run_a1_stepwise)
+
+
+_COEFF = st.sampled_from([fr(1), fr(-2), fr(1, 3), fr(5, 2)])
+
+
+@st.composite
+def _a1_case(draw):
+    w = draw(st.integers(8, 60) | st.just(200))
+    ms = st.integers(-w, w + 4)
+    changes = {name: draw(st.lists(st.tuples(m, _COEFF), max_size=2)) for name, m in (
+        ("orbifold", ms), ("resolution", ms), ("point", st.integers(0, w + 4)))}
+    changes["scale"] = draw(st.sampled_from([1, 1, fr(3, 2), -1]))
+    expected = draw(st.none() | st.tuples(st.sampled_from(
+        ["orbifold_column", "resolution_column", "column_difference"]), ms, _COEFF))
+    return w, changes, expected
+
+
+@given(_a1_case())
+@settings(deadline=None, max_examples=80)
+def test_run_a1_matches_the_stepwise_report(case):
+    w, changes, expected = case
+    mine, stepwise = _reports(_perturbed(**changes), w, expected)
+    assert mine == stepwise
+
+
+@pytest.mark.parametrize("w, changes, expected, step, m", [
+    # the no-fit certificate: one spike in the resolution column
+    (9, dict(resolution=[(-3, 1)]), None, "resolution column", -3),
+    (12, dict(resolution=[(5, -2)]), None, "difference quasi-polynomial", -12),
+    # the point row's first Behrend divergence comes before the columns'
+    (10, dict(point=[(9, 1), (6, fr(1, 3))], orbifold=[(-4, 1)]), None,
+     "behrend cross-check", 6),
+    # orbifold before resolution at one m, and the earlier m first
+    (8, dict(orbifold=[(2, 1)], resolution=[(2, 1)]), None, "behrend cross-check", 2),
+    (8, dict(orbifold=[(7, 1)], resolution=[(3, fr(5, 2))]), None, "behrend cross-check", 3),
+    # a fit that disagrees with the closed form at a drawn m
+    (11, {}, ("column_difference", 7, fr(1, 2)), "difference quasi-polynomial", 7),
+    (200, dict(orbifold=[(150, -2)]), None, "behrend cross-check", 150),
+])
+def test_run_a1_matches_the_stepwise_report_at_each_divergence(w, changes, expected, step, m):
+    mine, stepwise = _reports(_perturbed(**changes), w, expected)
+    assert mine == stepwise
+    (entry,) = [s for s in json.loads(mine)["steps"] if s["name"] == step]
+    assert entry["ok"] is False and entry["first_divergence"]["m"] == m

@@ -22,7 +22,6 @@ from wallx.poisson import TorusElement, Truncation, bracket, exp_ad, naive_produ
 from wallx.quasipoly import (
     ChainPattern,
     detect_quasipoly,
-    qp_from_obj,
     reexpand_check,
     resum_chain,
     resum_orthant,
@@ -170,7 +169,7 @@ def test_criterion_05_geometric_series_both_expansions():
     assert dict(s_minus.terms()) == {(m,): Fraction(-1) for m in range(-10, 0)}
     verdict = reexpand_check(f, s_minus, s_plus, (1,))
     assert verdict["confirmed"]
-    fit = qp_from_obj(verdict["cosets"][0]["fit"], "fit")
+    fit = verdict["cosets"][0]["fit"]
     assert fit.period == 1
     assert fit.degree(0) == 0
     assert all(fit.eval((k,)) == 1 for k in range(-12, 13))

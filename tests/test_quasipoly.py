@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wallx import quasipoly
@@ -32,7 +32,7 @@ from wallx.series import (
     verify_expansion,
 )
 
-from conftest import evaluate, fr, power
+from conftest import evaluate, fr, power, wire
 import parent_kernels as parent
 
 
@@ -659,6 +659,57 @@ def test_detect_reads_int_samples_over_den(case, den):
                                                         max_period, max_degree)
 
 
+# -- each class checked before it is differenced, against every pass ----------
+
+@st.composite
+def _detect_budget_case(draw):
+    """A period 1-4, degree 0-7 quasi-polynomial sampled at up to 80 points,
+    kept, with a run of zeros, zero but for its last samples, or with one
+    sample moved; as Fractions or as ints over a denominator; search limits
+    up to 10**9 and a detection limit from 5 to 1,000."""
+    start, count = draw(st.integers(-10, 10)), draw(st.integers(1, 24) | st.integers(1, 80))
+    period, degree = draw(st.integers(1, 4)), draw(st.integers(0, 7))
+    rows = [draw(st.lists(_qp_coeff, min_size=1, max_size=degree + 1))
+            for _ in range(period)]
+    values = [sum(c * n ** k for k, c in enumerate(rows[n % period]))
+              for n in range(start, start + count)]
+    shape = draw(st.sampled_from(["kept", "zeros", "end", "moved"]))
+    if shape == "zeros":
+        i = draw(st.integers(0, count))
+        j = draw(st.integers(i, count))
+        values[i:j] = [0] * (j - i)
+    elif shape == "end":
+        tail = draw(st.lists(_qp_coeff.filter(bool), min_size=1, max_size=min(3, count)))
+        values = [0] * (count - len(tail)) + tail
+    elif shape == "moved":
+        values[draw(st.integers(0, count - 1))] += draw(_qp_coeff.filter(bool))
+    den = draw(st.sampled_from([None, 1, 6]))
+    if den is not None:  # int samples over den
+        nums, lcm = _over_lcm(values)
+        values, den = [n * den for n in nums], lcm * den
+    limits = st.integers(1, 7) | st.integers(-1, 10) | st.integers(10, 10 ** 9)
+    samples = dict(zip(range(start, start + count), values))
+    return samples, draw(limits), draw(limits), den or 1, draw(st.integers(5, 1000))
+
+
+@given(_detect_budget_case())
+@settings(deadline=None, max_examples=600,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_detect_matches_the_full_differencing(set_budget, case):
+    """The same fit, None or error as differencing every visited class through
+    the cap: a skipped class is charged the passes the full search made."""
+    samples, max_period, max_degree, den, limit = case
+    set_budget("detection", limit)
+
+    def outcome(search):
+        try:
+            return search(samples, max_period, max_degree, den)
+        except InputError as err:
+            return "error", err.message
+
+    assert outcome(detect_quasipoly) == outcome(parent.detect_quasipoly_full)
+
+
 def test_detect_int_samples_build_the_fraction_fit():
     # n/3 + 1/2 on even n and 5/6 on odd n, over 6
     ints = {n: 2 * n + 3 if n % 2 == 0 else 5 for n in range(-4, 9)}
@@ -710,11 +761,12 @@ def _geom_expansions(bound_each=8):
 def test_reexpand_geometric_constant_fit():
     f, s_minus, s_plus = _geom_expansions()
     verdict = reexpand_check(f, s_minus, s_plus, (1,))
+    assert wire(verdict) == parent.reexpand_check_wire(f, s_minus, s_plus, (1,))
     assert verdict["confirmed"] and verdict["all_fit"]
     assert len(verdict["cosets"]) == 1
     coset = verdict["cosets"][0]
     assert (coset["k_lo"], coset["k_hi"]) == (-8, 8)
-    fit = qp_from_obj(coset["fit"], "fit")
+    fit = coset["fit"]
     assert fit.period == 1 and fit.degree(0) == 0
     assert fit.eval((17,)) == 1
 
@@ -743,6 +795,7 @@ def test_reexpand_cosets_share_one_detection_budget(monkeypatch, set_budget):
     s_minus = expand(f, Window(LinearFunctional((fr(-1), fr(1))), fr(8)))
     set_budget("detection", 30)
     verdict = reexpand_check(f, s_minus, s_plus, (1, 0))
+    assert wire(verdict) == parent.reexpand_check_wire(f, s_minus, s_plus, (1, 0))
     assert verdict["confirmed"]
     assert [(c["representative"], c["k_hi"] - c["k_lo"]) for c in verdict["cosets"]] \
         == [([0, 0], 16), ([0, 1], 14)]
@@ -777,6 +830,7 @@ def test_reexpand_detects_candidate_corruption():
     broken[(3,)] = fr(9)
     s_bad = LaurentSeries(broken, s_plus.window)
     verdict = reexpand_check(f, s_minus, s_bad, (1,))
+    assert wire(verdict) == parent.reexpand_check_wire(f, s_minus, s_bad, (1,))
     assert not verdict["all_fit"]
     assert not verdict["confirmed"]
 
@@ -795,9 +849,10 @@ def test_reexpand_two_variable_layer():
         assert s_minus.coeff((m, 4)) == _alt(m + 1) * (3 * m - 9)
     verdict = reexpand_check(f, s_minus, s_plus, (1, 0),
                              max_period=4, max_degree=3)
+    assert wire(verdict) == parent.reexpand_check_wire(f, s_minus, s_plus, (1, 0), 4, 3)
     assert verdict["confirmed"]
     assert [c["representative"] for c in verdict["cosets"]] == [[0, 4]]
-    fit = qp_from_obj(verdict["cosets"][0]["fit"], "fit")
+    fit = verdict["cosets"][0]["fit"]
     assert fit.period == 2 and fit.degree(0) == 1
     for m in range(-8, 13):
         assert fit.eval((m,)) == _alt(m) * (3 * m - 9)
@@ -887,7 +942,8 @@ def test_reexpand_matches_the_probing_reference(case):
             return check(*case)
         except InputError as err:
             return "error", err.message
-    assert outcome(reexpand_check) == outcome(_reference_reexpand)
+    assert outcome(lambda *args: wire(reexpand_check(*args))) == outcome(
+        _reference_reexpand) == outcome(parent.reexpand_check_wire)
 
 
 # -- the reader of Fraction terms, as a reference -----------------------------
@@ -962,15 +1018,16 @@ def _rational_case():
 @given(_reexpand_rational_case())
 @settings(deadline=None, max_examples=300)
 def test_reexpand_matches_the_fraction_reader(case):
-    assert _reexpand_outcome(reexpand_check, case) == _reexpand_outcome(
-        parent.reexpand_check, case)
+    assert _reexpand_outcome(lambda *args: wire(reexpand_check(*args)), case) == \
+        _reexpand_outcome(parent.reexpand_check, case) == \
+        _reexpand_outcome(parent.reexpand_check_wire, case)
 
 
 def test_reexpand_fraction_reader_case_reaches_several_denominators_and_cosets():
     case = _rational_case()
     assert (case[1]._den, case[2]._den) == (3, 10)
-    report = reexpand_check(*case)
-    assert report == parent.reexpand_check(*case)
+    report = wire(reexpand_check(*case))
+    assert report == parent.reexpand_check(*case) == parent.reexpand_check_wire(*case)
     assert report["confirmed"] is True
     assert [(c["representative"], c["fit"]["table"][0]["poly"]) for c in report["cosets"]] == [
         ([-3, 0, 0], [{"exponent": [0], "coeff": "-3/10"}]),
@@ -1004,8 +1061,9 @@ def test_reexpand_coset_with_equal_terms_matches_the_reference():
     s_minus = expand(f, Window(LinearFunctional((-1,)), 5))
     s_plus = expand(f, Window(LinearFunctional((1,)), 4))
     assert s_minus.coeff((-1,)) == s_plus.coeff((-1,)) == 5
-    report = reexpand_check(f, s_minus, s_plus, (1,))
+    report = wire(reexpand_check(f, s_minus, s_plus, (1,)))
     assert report == _reference_reexpand(f, s_minus, s_plus, (1,), 4, 6)
+    assert report == parent.reexpand_check_wire(f, s_minus, s_plus, (1,))
     assert report["confirmed"] is True
     assert [coset["fit"]["table"] for coset in report["cosets"]] == [
         [{"residues": [0], "poly": [{"exponent": [0], "coeff": "1"},
@@ -1022,12 +1080,13 @@ def test_reexpand_fit_writes_each_coefficient_in_lowest_terms():
     s_plus = expand(f, Window(LinearFunctional((1,)), 5))
     report = reexpand_check(f, s_minus, s_plus, (1,))
     (coset,) = report["cosets"]
-    poly = qp_from_obj(coset["fit"], "fit").table[(0,)]
+    poly = coset["fit"].table[(0,)]
     assert (poly._terms, poly._den) == ({(0,): 3, (1,): 2}, 6)
-    assert coset["fit"]["table"] == [{"residues": [0], "poly": [
+    assert qp_to_obj(coset["fit"])["table"] == [{"residues": [0], "poly": [
         {"exponent": [0], "coeff": "1/2"}, {"exponent": [1], "coeff": "1/3"}]}]
     assert report["confirmed"] is True
-    assert json.dumps(report) == json.dumps(parent.reexpand_check(f, s_minus, s_plus, (1,)))
+    assert json.dumps(wire(report)) == json.dumps(parent.reexpand_check(f, s_minus, s_plus, (1,)))
+    assert wire(report) == parent.reexpand_check_wire(f, s_minus, s_plus, (1,))
 
 
 def test_qp_json_roundtrip():

@@ -20,7 +20,7 @@ from wallx.series import (
     expand,
     multiply,
 )
-from wallx.quasipoly import QuasiPolynomial, qp_from_obj, reexpand_check
+from wallx.quasipoly import QuasiPolynomial, reexpand_check
 from wallx.wallcross import (
     GroupSpec,
     SeedSeries,
@@ -34,7 +34,7 @@ from wallx.wallcross import (
     iterate_walls,
 )
 
-from conftest import evaluate, fr, model_lattice, power, rebuilt, two_gen_lattice
+from conftest import evaluate, fr, model_lattice, power, rebuilt, two_gen_lattice, wire
 import parent_kernels as parent
 
 
@@ -921,10 +921,11 @@ def test_cross_gamma_wall_geometric():
     s_up = expand(f, Window(_L_ABOVE, fr(4)))
     s_down = expand(f, Window(_L_BELOW, fr(12)))
     verdict = reexpand_check(f, s_up, s_down, _C_GAMMA)
+    assert wire(verdict) == parent.reexpand_check_wire(f, s_up, s_down, _C_GAMMA)
     assert verdict["confirmed"]
     (coset,) = verdict["cosets"]
     assert coset["fit"] is not None
-    fit = qp_from_obj(coset["fit"], "fit")
+    fit = coset["fit"]
     assert fit.period == 1
     assert fit.degree(0) == 0
     for k in range(coset["k_lo"], coset["k_hi"] + 1):
@@ -942,8 +943,9 @@ def _model_layer_expansions():
 def test_cross_gamma_wall_model_layer():
     f, s_up, s_down = _model_layer_expansions()
     verdict = reexpand_check(f, s_up, s_down, _C_GAMMA)
+    assert wire(verdict) == parent.reexpand_check_wire(f, s_up, s_down, _C_GAMMA)
     assert verdict["confirmed"]
-    fits = {tuple(coset["representative"]): qp_from_obj(coset["fit"], "fit")
+    fits = {tuple(coset["representative"]): coset["fit"]
             for coset in verdict["cosets"]}
     assert set(fits) == {(0, 4), (-1, 4)}
     even = fits[(0, 4)]
@@ -960,5 +962,6 @@ def test_cross_gamma_wall_detects_corruption():
     broken_terms[(-3, 0)] = Fraction(1)
     broken = LaurentSeries(broken_terms, s_down.window)
     verdict = reexpand_check(f, s_up, broken, _C_GAMMA)
+    assert wire(verdict) == parent.reexpand_check_wire(f, s_up, broken, _C_GAMMA)
     assert not verdict["all_fit"]
     assert not verdict["confirmed"]
