@@ -251,9 +251,11 @@ def _random_poly(rng):
     return LaurentPolynomial(terms, 1)
 
 
-def _random_unit_poly(rng):
-    poly = _random_poly(rng)
-    return poly + LaurentPolynomial.constant(1, rng.choice((1, -1, 2)))
+def _random_fraction(rng):
+    """A random p/q in one variable whose q has constant term 1, -1 or 2."""
+    numerator = _random_poly(rng)
+    denominator = _random_poly(rng) + LaurentPolynomial.constant(1, rng.choice((1, -1, 2)))
+    return RationalFunction(numerator, denominator)
 
 
 def _random_element(rng, spec, ranks):
@@ -266,45 +268,34 @@ def _random_element(rng, spec, ranks):
 
 
 def _selfcheck(seed: int) -> dict:
+    """Each property draws all of its inputs from the one seeded stream before it
+    compares anything, so one failing run leaves every later draw unchanged."""
     rng = random.Random(seed)
-    checks = []
-
-    def record(name, runs, ok):
-        checks.append({"name": name, "ok": bool(ok), "runs": runs})
-
+    spec = _selfcheck_lattice()
     deg1 = LinearFunctional((1,))
+    trunc = Truncation((3,), Fraction(8))
 
-    ok = True
-    for _ in range(25):
-        f = RationalFunction(_random_poly(rng), _random_unit_poly(rng))
-        ok = ok and verify_expansion(expand(f, Window(deg1, 12)), f)
-    record("series expansion verifies against its source", 25, ok)
+    def expansion():
+        f = _random_fraction(rng)
+        return verify_expansion(expand(f, Window(deg1, 12)), f)
 
-    ok = True
-    for _ in range(15):
-        f = RationalFunction(_random_poly(rng), _random_unit_poly(rng))
-        g = RationalFunction(_random_poly(rng), _random_unit_poly(rng))
+    def product():
+        f = _random_fraction(rng)
+        g = _random_fraction(rng)
         prod = multiply(expand(f, Window(deg1, 12)),
                         expand(g, Window(deg1, 12)))
-        ok = ok and verify_expansion(prod, f * g)
-    record("series products match source products", 15, ok)
+        return verify_expansion(prod, f * g)
 
-    spec = _selfcheck_lattice()
-    ok = True
-    for _ in range(25):
+    def duality():
         x = KClass(rng.choice((-1, 0, 1)), (rng.randint(-2, 2),),
                    (rng.randint(-3, 3), rng.randint(-3, 3)))
-        ok = ok and spec.dualize(spec.dualize(x)) == x
         beta = (rng.randint(1, 3),)
         c = (rng.randint(-3, 3), rng.randint(-3, 3))
         shifted = tuple(a + b for a, b in zip(c, spec.twist(beta)))
-        ok = ok and spec.nu_slope(KClass(0, beta, shifted)) == \
-            spec.nu_slope(KClass(0, beta, c)) + 1
-    record("duality is an involution and twisting raises the slope by one",
-           25, ok)
+        return spec.dualize(spec.dualize(x)) == x and \
+            spec.nu_slope(KClass(0, beta, shifted)) == spec.nu_slope(KClass(0, beta, c)) + 1
 
-    ok = True
-    for _ in range(15):
+    def orthant():
         period = rng.choice((1, 2))
         table = {}
         for rho in range(period):
@@ -312,65 +303,61 @@ def _selfcheck(seed: int) -> dict:
                 {(e,): Fraction(rng.randint(-3, 3)) for e in range(3)}, 1)
         a = QuasiPolynomial(1, period, table)
         step = rng.randint(1, 3)
-        out = resum_orthant(a, [(step,)], deg1)
-        series = expand(out, Window(deg1, 12))
-        for j in range(13):
-            expected = (a.eval((j // step,))
-                        if j % step == 0 else Fraction(0))
-            ok = ok and series.coeff((j,)) == expected
-    record("orthant resummation matches one-sided partial sums", 15, ok)
+        series = expand(resum_orthant(a, [(step,)], deg1), Window(deg1, 12))
+        # the coefficient at j is a(j / step) when step divides j, else 0
+        values, den = a.scaled_values([(k,) for k in range(12 // step + 1)])
+        return all(series.coeff((j,)) * den == (0 if j % step else values[j // step])
+                   for j in range(13))
 
-    ok = True
-    for _ in range(20):
-        x = _random_element(rng, spec, (-1, 0, 1))
-        y = _random_element(rng, spec, (-1, 0, 1))
-        z = _random_element(rng, spec, (-1, 0, 1))
-        ok = ok and (bracket(x, y) + bracket(y, x)).is_zero()
+    def jacobi():
+        x, y, z = [_random_element(rng, spec, (-1, 0, 1)) for _ in range(3)]
         jac = bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) \
             + bracket(z, bracket(x, y))
-        ok = ok and jac.is_zero()
-    record("bracket antisymmetry and jacobi identity", 20, ok)
+        return (bracket(x, y) + bracket(y, x)).is_zero() and jac.is_zero()
 
-    trunc = Truncation((3,), Fraction(8))
-    ok = True
-    for _ in range(15):
+    def exp_ad_inverse():
         w = TorusElement(spec, [(KClass(0, (rng.randint(1, 2),),
                                         (rng.randint(-2, 2), rng.randint(-2, 2))),
                                  Fraction(rng.randint(-2, 2)))])
         x = _random_element(rng, spec, (-1,))
-        back = exp_ad(w.scale(-1), exp_ad(w, x, trunc), trunc)
-        ok = ok and (back - x).is_zero()
-    record("adjoint exponentials of opposite walls invert each other", 15, ok)
+        return (exp_ad(w.scale(-1), exp_ad(w, x, trunc), trunc) - x).is_zero()
 
-    ok = True
-    for _ in range(15):
+    def wall_inverse():
         j = TorusElement(spec, [(KClass(0, (1,), (1, 0)),
                                  Fraction(rng.randint(-3, 3)))])
-        wall = WallDatum(Fraction(1, 2), j)
-        anti = WallDatum(Fraction(1, 2), j.scale(-1))
         seed_el = _random_element(rng, spec, (-1,))
-        state = SeedSeries(seed_el)
-        back = iterate_walls(iterate_walls(state, [wall], trunc), [anti], trunc)
-        ok = ok and (back.element - seed_el).is_zero()
-    record("crossing a wall and its negative restores the seed", 15, ok)
+        back = iterate_walls(SeedSeries(seed_el), [WallDatum(Fraction(1, 2), j)], trunc)
+        back = iterate_walls(back, [WallDatum(Fraction(1, 2), j.scale(-1))], trunc)
+        return (back.element - seed_el).is_zero()
 
-    one = LaurentPolynomial.constant(1, 1)
-    geom = RationalFunction(one, one - LaurentPolynomial.monomial((1,)))
-    s_plus = expand(geom, Window(deg1, 8))
-    s_minus = expand(geom, Window(LinearFunctional((-1,)), 8))
-    verdict = reexpand_check(geom, s_minus, s_plus, (1,))
-    ok = verdict["confirmed"] and \
-        verdict["cosets"][0]["fit"] == QuasiPolynomial(1, 1, {(0,): one})
-    record("geometric series re-expands across zero with constant difference",
-           1, ok)
+    def geometric():
+        one = LaurentPolynomial.constant(1, 1)
+        geom = RationalFunction(one, one - LaurentPolynomial.monomial((1,)))
+        s_plus = expand(geom, Window(deg1, 8))
+        s_minus = expand(geom, Window(LinearFunctional((-1,)), 8))
+        verdict = reexpand_check(geom, s_minus, s_plus, (1,))
+        return verdict["confirmed"] and \
+            verdict["cosets"][0]["fit"] == QuasiPolynomial(1, 1, {(0,): one})
 
-    ok = True
-    for _ in range(25):
+    def behrend():
         a = [rng.randint(0, 5) for _ in range(rng.randint(0, 4))]
         b = [rng.randint(0, 5) for _ in range(rng.randint(0, 4))]
-        ok = ok and behrend_smooth(a + b) == behrend_smooth(a) * behrend_smooth(b)
-    record("behrend weight is multiplicative over products", 25, ok)
+        return behrend_smooth(a + b) == behrend_smooth(a) * behrend_smooth(b)
 
+    properties = [
+        ("series expansion verifies against its source", 25, expansion),
+        ("series products match source products", 15, product),
+        ("duality is an involution and twisting raises the slope by one", 25, duality),
+        ("orthant resummation matches one-sided partial sums", 15, orthant),
+        ("bracket antisymmetry and jacobi identity", 20, jacobi),
+        ("adjoint exponentials of opposite walls invert each other", 15, exp_ad_inverse),
+        ("crossing a wall and its negative restores the seed", 15, wall_inverse),
+        ("geometric series re-expands across zero with constant difference", 1, geometric),
+        ("behrend weight is multiplicative over products", 25, behrend),
+    ]
+    # a list, not a generator: every run draws, even after a failing one
+    checks = [{"name": name, "ok": all([prop() for _ in range(runs)]), "runs": runs}
+              for name, runs, prop in properties]
     return {"seed": seed, "checks": checks,
             "ok": all(c["ok"] for c in checks)}
 
@@ -401,17 +388,15 @@ def _dumps(report) -> str:
 
 
 def _flatten(prefix, value, lines):
-    if isinstance(value, dict):
+    if isinstance(value, dict) and value:
         for key in sorted(value):
             child = f"{prefix}.{key}" if prefix else str(key)
             _flatten(child, value[key], lines)
-    elif isinstance(value, list):
+    elif isinstance(value, list) and value:
         for i, item in enumerate(value):
             _flatten(f"{prefix}[{i}]", item, lines)
-    elif value is None:
-        lines.append(f"{prefix}: null")
-    else:
-        lines.append(f"{prefix}: {value}")
+    else:  # a string bare; any other scalar, and an empty list or object, as JSON writes it
+        lines.append(f"{prefix}: {value if isinstance(value, str) else json.dumps(value)}")
 
 
 def render_report(report, fmt: str) -> str:

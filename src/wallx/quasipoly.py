@@ -85,13 +85,6 @@ class QuasiPolynomial(collections.namedtuple("QuasiPolynomial", "vars period tab
         self._horner = (tables, den, steps)
         return self
 
-    def eval(self, n) -> Fraction:
-        n = _exponent(n)
-        if len(n) != self.vars:
-            raise InputError("evaluation point arity mismatch")
-        values, den = self.scaled_values([n])
-        return Fraction(values[0], den)
-
     def scaled_values(self, points) -> tuple[list[int], int]:
         """a(n) at each integer point n, as int numerators over one denominator."""
         p, (tables, den, _), last = self.period, self._horner, self.vars - 1

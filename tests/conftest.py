@@ -50,6 +50,8 @@ GOLDEN_RUNS = [
     ("verify_refuted", (), 1, "verify_refuted"),
     ("detect_fit", (), 0, "detect_fit"),
     ("detect_nofit", (), 1, "detect_nofit"),
+    # the same no-fit report as a flat table: null and false as JSON writes them
+    ("detect_nofit", ("--format", "table"), 1, "detect_nofit_table"),
     # --window and --seed on a kind whose handler reads neither: exit 2 at
     # the first flag, not the unflagged report
     ("detect_fit", ("--window", "3", "--seed", "5"), 2, "detect_fit_flags"),
@@ -126,6 +128,13 @@ def evaluate(poly, point) -> Fraction:
                 val *= p ** k
         total += val
     return total
+
+
+def qp_value(a, n) -> Fraction:
+    """A quasi-polynomial's value at the integer point n, read as the program
+    reads its values: one ``scaled_values`` call, here at the one point."""
+    values, den = a.scaled_values([tuple(n)])
+    return Fraction(values[0], den)
 
 
 def model_lattice():

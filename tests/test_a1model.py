@@ -14,7 +14,7 @@ from wallx.quasipoly import detect_quasipoly, reexpand_check
 from wallx.series import LaurentPolynomial, RationalFunction, Window, expand
 from wallx.wallcross import dtpt_ratio
 
-from conftest import fr, rebuilt
+from conftest import fr, qp_value, rebuilt
 import parent_kernels as parent
 
 
@@ -381,7 +381,7 @@ def _reference_fit_step(model, report):
     fit = detect_quasipoly({entry["m"]: Fraction(entry["difference"])
                             for entry in report["table"]})
     divergence = parent._first_divergence_over(
-        ((m, model.column_difference(m), fit.eval((m,))) for m in ms), 1)
+        ((m, model.column_difference(m), qp_value(fit, (m,))) for m in ms), 1)
     step = {"name": "difference quasi-polynomial", "ok": divergence is None}
     if divergence is not None:
         step["first_divergence"] = divergence

@@ -42,7 +42,7 @@ from wallx.wallcross import (
     iterate_walls,
 )
 
-from conftest import fr, model_lattice, power
+from conftest import fr, model_lattice, power, qp_value
 from test_quasipoly import _brute_chain, _brute_orthant, _expand_coeffs, _random_qp
 from test_wallcross import (
     _check_group_against_brute,
@@ -138,7 +138,7 @@ def test_criterion_04_column_difference_fit_and_reexpansion(tmp_path):
     assert fit.period == 2
     assert fit.degree(0) == 1
     for m in list(range(13, 21)) + list(range(-16, -8)):
-        assert fit.eval((m,)) == _alt(m) * (3 * m - 9)
+        assert qp_value(fit, (m,)) == _alt(m) * (3 * m - 9)
     verdict = reexpand_check(model.shared_layer, minus, plus, (1, 0))
     assert verdict["confirmed"]
 
@@ -172,7 +172,7 @@ def test_criterion_05_geometric_series_both_expansions():
     fit = verdict["cosets"][0]["fit"]
     assert fit.period == 1
     assert fit.degree(0) == 0
-    assert all(fit.eval((k,)) == 1 for k in range(-12, 13))
+    assert all(qp_value(fit, (k,)) == 1 for k in range(-12, 13))
     _passline(5, "both expansions of 1/(1-q) are exact and their difference "
                  "fits the constant 1")
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import wallx
-from wallx import cli, series
+from wallx import cli, poisson, series
 from wallx.a1model import build_a1
+from wallx.quasipoly import QuasiPolynomial
 
 from conftest import GOLDEN, GOLDEN_RUNS, model_lattice, two_gen_lattice
 
@@ -563,6 +564,14 @@ def test_bracket_and_naive_differ_by_sign(tmp_path, capsys):
     assert json.loads(out)["element"] == _element_obj((-1, (1,), (0, 0), 1))
 
 
+def test_zero_bracket_prints_an_empty_element_in_the_table(tmp_path, capsys):
+    x = _element_obj((0, (1,), (0, 0), 1))
+    doc = {"kind": "bracket", "lattice": build_a1().lattice.to_obj(), "x": x, "y": x}
+    status, out = _run(tmp_path, capsys, doc, ("--format", "table"))
+    assert status == 0
+    assert "element: []" in out.splitlines()
+
+
 def test_bracket_with_deep_beta_cap(tmp_path, capsys):
     doc = {"kind": "bracket", "lattice": model_lattice().to_obj(),
            "x": _element_obj((-1, (0,), (0, 0), 1)),
@@ -773,6 +782,63 @@ def test_selfcheck_seed_flag_overrides(tmp_path, capsys):
     assert status == 0 and json.loads(out)["seed"] == 7
     status, out = _run(tmp_path, capsys, {"kind": "selfcheck", "seed": 99})
     assert status == 0 and json.loads(out)["seed"] == 99
+
+
+def _spy_calls(monkeypatch, owner, name, calls):
+    """Wrap ``owner.name`` so that each call appends its arguments to ``calls[name]``."""
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.setdefault(name, []).append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+
+
+_BRACKET_CHECK = "bracket antisymmetry and jacobi identity"
+
+
+def test_selfcheck_failing_property_fails_alone(tmp_path, capsys, monkeypatch):
+    # the report at the default seed, with the inputs that properties after
+    # the bracket one draw: exp_ad's x and the behrend lists
+    def later_draws():
+        calls = {}
+        with monkeypatch.context() as patch:
+            _spy_calls(patch, cli, "exp_ad", calls)
+            _spy_calls(patch, cli, "behrend_smooth", calls)
+            report = cli._selfcheck(cli.SELFCHECK_SEED)
+        xs = [poisson.element_to_obj(x) for _, x, _ in calls["exp_ad"]]
+        return report, xs, calls["behrend_smooth"]
+
+    _, *passing = later_draws()
+    # a symmetric product in the bracket's place breaks antisymmetry
+    monkeypatch.setattr(cli, "bracket", cli.naive_product)
+    report, *failing = later_draws()
+    assert failing == passing
+    assert [check["name"] for check in report["checks"] if not check["ok"]] == [_BRACKET_CHECK]
+    assert sum(check["ok"] for check in report["checks"]) == 8
+    status, out = _run(tmp_path, capsys, {"kind": "selfcheck"})
+    assert status == 1 and json.loads(out)["ok"] is False
+    status, out = _run(tmp_path, capsys, {"kind": "selfcheck"}, ("--format", "table"))
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert status == 1 and fails == [f"FAIL   20 runs  {_BRACKET_CHECK}"]
+    assert out.splitlines()[-1] == "ok: no"
+
+
+def test_selfcheck_kernel_calls_at_the_default_seed(monkeypatch):
+    calls, exp_ad_calls = {}, {}
+    for name in ("expand", "verify_expansion", "multiply", "resum_orthant", "bracket",
+                 "exp_ad", "iterate_walls", "reexpand_check", "behrend_smooth"):
+        _spy_calls(monkeypatch, cli, name, calls)
+    _spy_calls(monkeypatch, series, "_divide_terms", calls)
+    _spy_calls(monkeypatch, QuasiPolynomial, "scaled_values", calls)
+    # poisson's own bracket, which cli.bracket is not: the calls exp_ad makes
+    _spy_calls(monkeypatch, poisson, "bracket", exp_ad_calls)
+    assert cli._selfcheck(cli.SELFCHECK_SEED)["ok"] is True
+    assert {name: len(args) for name, args in calls.items()} == {
+        "expand": 72, "_divide_terms": 72, "verify_expansion": 40, "multiply": 15,
+        "resum_orthant": 15, "bracket": 160, "exp_ad": 30, "iterate_walls": 30,
+        "reexpand_check": 1, "behrend_smooth": 75, "scaled_values": 30}
+    assert len(exp_ad_calls["bracket"]) == 158
 
 
 # -- driver errors ------------------------------------------------------------

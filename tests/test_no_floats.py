@@ -20,7 +20,7 @@ from wallx.series import (Coset, LaurentPolynomial, LinearFunctional,
                           RationalFunction, Window, expand)
 from wallx.wallcross import GroupSpec, WallDatum, duality_check
 
-from conftest import model_lattice, rebuilt
+from conftest import model_lattice, qp_value, rebuilt
 
 SRC = Path(wallx.__file__).parent
 
@@ -82,7 +82,6 @@ def _group(**changes):
 
 
 _FLOAT_CALLS = {
-    "QuasiPolynomial.eval": lambda: _QP.eval((2.7,)),
     "resum_orthant monomial": lambda: resum_orthant(_QP, [(1.5,)], _ONE),
     "reexpand_check c0": lambda: _reexpand((1.5,)),
     "detect_quasipoly value": lambda: detect_quasipoly({0: 0.1, 1: 0.1, 2: 0.1}),
@@ -140,7 +139,7 @@ def test_detect_refuses_a_float_among_int_samples(den):
 
 
 def test_integral_and_rational_input_still_accepted():
-    assert _QP.eval((3,)) == 3
+    assert qp_value(_QP, (3,)) == 3
     assert Window(_ONE, Fraction(1, 10)).bound == Fraction(1, 10)
     assert Truncation((2,), "1/2").deg_cap == Fraction(1, 2)
     assert _group(J_values=("2/3",)).J_values == (Fraction(2, 3),)

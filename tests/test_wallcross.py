@@ -34,7 +34,8 @@ from wallx.wallcross import (
     iterate_walls,
 )
 
-from conftest import evaluate, fr, model_lattice, power, rebuilt, two_gen_lattice, wire
+from conftest import (evaluate, fr, model_lattice, power, qp_value, rebuilt, two_gen_lattice,
+                      wire)
 import parent_kernels as parent
 
 
@@ -514,7 +515,7 @@ def test_b_factor_is_the_signed_pairing_product_at_integer_points(case):
             chi = spec.euler_pairing(alpha_i, cur)
             expected *= spec.sigma ** abs(chi) * chi
             cur = cur + alpha_i
-        assert b.eval(a) == expected
+        assert qp_value(b, a) == expected
 
 
 def test_exponential_factor_matches_the_parent_loop_on_every_equality_set():
@@ -929,7 +930,7 @@ def test_cross_gamma_wall_geometric():
     assert fit.period == 1
     assert fit.degree(0) == 0
     for k in range(coset["k_lo"], coset["k_hi"] + 1):
-        assert fit.eval((k,)) == 1
+        assert qp_value(fit, (k,)) == 1
 
 
 def _model_layer_expansions():
@@ -952,8 +953,8 @@ def test_cross_gamma_wall_model_layer():
     odd = fits[(-1, 4)]
     for k in range(-3, 4):
         # difference of the two expansions at m = -2k and m = -1-2k
-        assert even.eval((k,)) == 9 + 6 * k
-        assert odd.eval((k,)) == -12 - 6 * k
+        assert qp_value(even, (k,)) == 9 + 6 * k
+        assert qp_value(odd, (k,)) == -12 - 6 * k
 
 
 def test_cross_gamma_wall_detects_corruption():
