@@ -37,13 +37,12 @@ def behrend_smooth(dims) -> int:
     (-1)^dimension, so the weighted count of a product of projective spaces
     P^{d_1} x ... x P^{d_k} is (-1)^(sum d_i) * prod (d_i + 1).
     """
-    dims = _exponent(dims)
-    if any(d < 0 for d in dims):
-        raise InputError("projective space dimensions must be nonnegative")
-    sign = -1 if sum(dims) % 2 else 1
-    for d in dims:
-        sign *= d + 1
-    return sign
+    value = 1
+    for d in _exponent(dims):  # each factor P^d weighs (-1)^d (d + 1)
+        if d < 0:
+            raise InputError("projective space dimensions must be nonnegative")
+        value *= -(d + 1) if d % 2 else d + 1
+    return value
 
 
 def _alt(m: int) -> int:
@@ -166,7 +165,7 @@ def run_a1(report_window: int) -> dict:
             "m": m_lo, "expected": "quasi-polynomial fit", "actual": "no fit"}, {}, ms, 1
     else:  # the fit's int numerators against the closed form
         values, fit_den = fit.scaled_values([(m,) for m in ms])
-        fit_div, fit_detail = None, {"period": fit.period, "degree": fit.degree(0)}
+        fit_div, fit_detail = None, {"period": fit.period, "degree": fit.degrees[0]}
     # the two columns and the point row as int numerators over one denominator
     _, den = _over_lcm(Fraction(1, s._den)
                        for s in (orbifold_series, resolution_series, point_series))

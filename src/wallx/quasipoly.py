@@ -48,8 +48,9 @@ from .series import (
 class QuasiPolynomial(collections.namedtuple("QuasiPolynomial", "vars period table")):
     """Period-p table of polynomials on residue classes of Z^vars.  ``_horner``
     holds per residue a Horner table of int numerators (``_nest``), their one
-    denominator, and the largest table's multiply-adds; it is set once here
-    and left out of equality, hash and repr."""
+    denominator, and the largest table's multiply-adds; ``degrees`` holds per
+    variable its largest power in the table (-1 for the zero table).  Both are
+    set once here and left out of equality, hash and repr."""
 
     def __new__(cls, vars: int, period: int,
                 table: Mapping[tuple[int, ...], LaurentPolynomial]):
@@ -83,6 +84,8 @@ class QuasiPolynomial(collections.namedtuple("QuasiPolynomial", "vars period tab
                     for poly in table.values())
         self = tuple.__new__(cls, (vars, period, table))
         self._horner = (tables, den, steps)
+        self.degrees = tuple(max((e[i] for poly in table.values() for e in poly), default=-1)
+                             for i in range(vars))
         return self
 
     def scaled_values(self, points) -> tuple[list[int], int]:
@@ -107,12 +110,6 @@ class QuasiPolynomial(collections.namedtuple("QuasiPolynomial", "vars period tab
                 acc = (acc + inner[k]) * x ** gap
             out.append(acc)
         return out, den
-
-    def degree(self, i: int) -> int:
-        """Largest power of variable i across the table; -1 for the zero table."""
-        if not 0 <= i < self.vars:
-            raise InputError("variable index out of range")
-        return max((e[i] for poly in self.table.values() for e in poly), default=-1)
 
     def is_zero(self) -> bool:
         return not any(coeffs for coeffs, _, _ in self._horner[0].values())
@@ -222,9 +219,8 @@ def resum_orthant(a: QuasiPolynomial, monos, grading: LinearFunctional) -> Ratio
     is locally finite.
     """
     monos_t, nq = _check_monomials(monos, a.vars, grading)
-    degs = tuple(map(a.degree, range(a.vars)))  # -1 each for the zero table
     units = [tuple(map(t.__eq__, range(a.vars))) for t in range(a.vars)]
-    return _resum_box(a, (0,) * a.vars, units, degs, monos_t, nq, (0,) * nq)
+    return _resum_box(a, (0,) * a.vars, units, a.degrees, monos_t, nq, (0,) * nq)
 
 
 class ChainPattern(collections.namedtuple("ChainPattern", "r equalities")):
@@ -268,9 +264,8 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
     # n_i = k_i - 1 + j_1 + ... + j_{k_i}, k_i the number of free positions <= i
     ks = [sum(1 for m in free if m <= i + 1) for i in range(r)]
 
-    degs = tuple(map(a.degree, range(a.vars)))
     tails = [tuple(map(sum, zip(*monos_t[m - 1:]))) for m in free]
-    tail_degs = [sum(degs[m - 1:]) for m in free]
+    tail_degs = [sum(a.degrees[m - 1:]) for m in free]
     shift = tuple(sum((k - 1) * v[c] for k, v in zip(ks, monos_t))
                   for c in range(nq))
     columns = [tuple(map(t.__le__, ks)) for t in range(1, len(free) + 1)]

@@ -16,7 +16,7 @@ import collections
 import heapq
 import math
 import operator
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 
 from . import jsonio
@@ -296,12 +296,6 @@ class LaurentPolynomial(_Sparse):
         return LaurentPolynomial._make(
             {tuple(map(operator.add, e, exponent)): c
              for e, c in self._terms.items()}, self.nvars, self._den)
-
-    def map_exponents(self, fn: Callable[[Exponent], Exponent],
-                      nvars_out: int) -> "LaurentPolynomial":
-        """Push exponents through fn, summing collisions."""
-        return LaurentPolynomial(
-            ((fn(e), c) for e, c in self.items()), nvars_out)
 
     def __repr__(self):
         inner = ", ".join(f"{e}: {c}" for e, c in sorted(self.items()))

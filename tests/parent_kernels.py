@@ -42,6 +42,10 @@ and parsed its fit back from the certificate's wire form, which
 class it visited, even one whose first (cap + 1)-th difference already ruled
 its period out.  ``run_a1_stepwise`` looks ``build_a1`` up in
 ``wallx.a1model`` too.
+
+``duality_check`` at the very end dualized each exponent of a family member
+as a class, through ``LatticeSpec.dualize``, and rebuilt each polynomial
+through the public constructor (``map_exponents``).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from wallx import a1model, jsonio, poisson, quasipoly
 from wallx.a1model import behrend_smooth
 from wallx.errors import BUDGETS, InputError, charge
 from wallx.jsonio import digit_limit_error
-from wallx.lattice import INF, IntVec, KClass, kclass_to_obj
+from wallx.lattice import INF, IntVec, KClass, LatticeSpec, kclass_to_obj
 from wallx.poisson import Truncation
 from wallx.quasipoly import (MAX_DEGREE, MAX_PERIOD, QuasiPolynomial, _difference,
                               _newton, detect_quasipoly)
@@ -601,7 +605,7 @@ def run_a1(report_window: int) -> dict:
         fit_div = _first_divergence((m, model.column_difference(m), Fraction(v, den))
                                     for m, v in zip(ms, values)
                                     if v != model.column_difference(m) * den)
-        fit_detail = {"period": fit.period, "degree": fit.degree(0)}
+        fit_detail = {"period": fit.period, "degree": fit.degrees[0]}
     add_step("difference quasi-polynomial", fit_div, **fit_detail)
 
     verdict = reexpand_check(model.shared_layer, resolution_series,
@@ -1053,7 +1057,7 @@ def run_a1_stepwise(report_window: int) -> dict:
         values, fit_den = fit.scaled_values([(m,) for m in ms])
         fit_div = _first_divergence_over(zip(ms, map(model.column_difference, ms), values),
                                          fit_den)
-        fit_detail = {"period": fit.period, "degree": fit.degree(0)}
+        fit_detail = {"period": fit.period, "degree": fit.degrees[0]}
     add_step("difference quasi-polynomial", fit_div, **fit_detail)
     add_step("re-expansion certificate",
              None if verdict["confirmed"] else
@@ -1092,3 +1096,41 @@ def run_a1_stepwise(report_window: int) -> dict:
         report["first_divergence"] = dict(first_bad.get("first_divergence", {}),
                                           step=first_bad["name"])
     return report
+
+
+# -- the duality certificate before the point block ---------------------------
+
+def map_exponents(p: LaurentPolynomial, fn: Callable[[Exponent], Exponent],
+                  nvars_out: int) -> LaurentPolynomial:
+    """Push exponents through fn, summing collisions."""
+    return LaurentPolynomial(((fn(e), c) for e, c in p.items()), nvars_out)
+
+
+def duality_check(f_by_beta: Mapping[IntVec, RationalFunction],
+                  spec: LatticeSpec) -> dict:
+    family = {_exponent(b): f for b, f in f_by_beta.items()}
+    n0 = spec.rank0
+    zero_c, zero_beta = (0,) * n0, (0,) * spec.rank1
+
+    def c_image(e):  # the duality preserves the point block
+        return spec.dualize(KClass(0, zero_beta, e)).c
+
+    entries = []
+    for beta in sorted(family):
+        f = family[beta]
+        img = spec.dualize(KClass(0, beta, zero_c))
+        if img.r != 0:
+            raise InputError("duality does not preserve the curve-point block")
+        if img.beta not in family:
+            raise InputError("incomplete family")
+        g = family[img.beta]
+        num_t = map_exponents(f.numerator, c_image, n0).shift(img.c)
+        den_t = map_exponents(f.denominator, c_image, n0)
+        diff = num_t * g.denominator - g.numerator * den_t
+        entry = {"beta": list(beta), "image": list(img.beta), "ok": diff.is_zero()}
+        if not entry["ok"]:
+            first = min(diff)
+            entry["first_discrepancy"] = {"exponent": list(first),
+                                          "coeff": jsonio.format_rational(diff.coeff(first))}
+        entries.append(entry)
+    return {"entries": entries, "all_ok": all(e["ok"] for e in entries)}

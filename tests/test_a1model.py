@@ -385,7 +385,7 @@ def _reference_fit_step(model, report):
     step = {"name": "difference quasi-polynomial", "ok": divergence is None}
     if divergence is not None:
         step["first_divergence"] = divergence
-    return dict(step, period=fit.period, degree=fit.degree(0))
+    return dict(step, period=fit.period, degree=fit.degrees[0])
 
 
 @pytest.mark.parametrize("bad, offset", [(None, 0), (3, 1), (-8, -2),

@@ -136,7 +136,7 @@ def test_criterion_04_column_difference_fit_and_reexpansion(tmp_path):
     fit = detect_quasipoly(samples)
     assert fit is not None
     assert fit.period == 2
-    assert fit.degree(0) == 1
+    assert fit.degrees[0] == 1
     for m in list(range(13, 21)) + list(range(-16, -8)):
         assert qp_value(fit, (m,)) == _alt(m) * (3 * m - 9)
     verdict = reexpand_check(model.shared_layer, minus, plus, (1, 0))
@@ -171,7 +171,7 @@ def test_criterion_05_geometric_series_both_expansions():
     assert verdict["confirmed"]
     fit = verdict["cosets"][0]["fit"]
     assert fit.period == 1
-    assert fit.degree(0) == 0
+    assert fit.degrees[0] == 0
     assert all(qp_value(fit, (k,)) == 1 for k in range(-12, 13))
     _passline(5, "both expansions of 1/(1-q) are exact and their difference "
                  "fits the constant 1")
@@ -203,7 +203,7 @@ def _stated_orthant_product(a, monos, nv):
     one = LaurentPolynomial.constant(nv, 1)
     out = one
     for i, w in enumerate(monos):
-        e = 1 + a.degree(i)
+        e = 1 + a.degrees[i]
         if e > 0:
             step = tuple(a.period * x for x in w)
             out = out * power(one - LaurentPolynomial.monomial(step), e)
@@ -218,7 +218,7 @@ def _stated_chain_product(a, pattern, monos, nv):
     for m in pattern.free_positions():
         tail = range(m - 1, pattern.r)
         w = tuple(sum(monos[i][k] for i in tail) for k in range(nv))
-        e = 1 + sum(a.degree(i) for i in tail)
+        e = 1 + sum(a.degrees[i] for i in tail)
         if e > 0:
             step = tuple(a.period * x for x in w)
             out = out * power(one - LaurentPolynomial.monomial(step), e)

@@ -43,7 +43,7 @@ def test_expand_matches_sympy_series(g, h, sign, extra):
     low_g, low_h = (min(L(e) for e, _ in p.items()) for p in (g, h))
     top = int(low_g - low_h) + extra
     s = expand(RationalFunction(g, h), Window(L, top))
-    g, h = (p.map_exponents(lambda e: (sign * e[0],), 1) for p in (g, h))
+    g, h = (LaurentPolynomial((((sign * e[0],), c) for e, c in p.items()), 1) for p in (g, h))
     want = _sympy_coeffs(g, h, top)
     assert {j: s.coeff((sign * j,)) for j in want} == want
 
