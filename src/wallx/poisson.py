@@ -66,44 +66,52 @@ def _binary_op(x: TorusElement, y: TorusElement, trunc: Truncation | None,
                times_chi: bool, sigma: int) -> TorusElement:
     """Bilinear extension of t^a1, t^a2 -> sigma^chi chi t^(a1 + a2), the factor
     chi only when times_chi, with chi the row a1.pairing dotted with a2; the
-    numerators are summed over the product of the operands' denominators.  trunc
-    is tested on the summed rank, point degree and curve part, in that order, so
-    the cone below its cap is built only when a pair needs it."""
+    numerators are summed over the product of the operands' denominators, keyed
+    by summed class triples (r, beta, c).  A pair is tested on trunc's ranks and
+    point degree, then on its weight, then on trunc's cone, which is built only
+    when a pair gets that far.  Each left term maps a right term's c and beta to
+    the summed part, or to () past the cap, once per distinct value."""
     x._check_context(y)
     spec = x.context
     cols = list(zip(*spec.pairing))
-    split = 1 + spec.rank1
     deg = spec.deg[spec.rank1:]
-
-    def parts(z):  # (vector, r, beta, point degree, numerator) per term
-        return [(a.vector(), a.r, a.beta, sum(map(operator.mul, deg, a.c)), n)
-                for a, n in z._terms.items()]
-
-    xs, ys, flip = parts(x), parts(y), sigma == -1
-    if trunc is not None:
-        ranks, below = trunc.rank_set, None
-        cap = None if trunc.deg_cap is None else math.floor(trunc.deg_cap)
-    acc: dict = {}
-    for v1, r1, b1, d1, n1 in xs:
+    flip, below, acc = sigma == -1, None, {}
+    ranks, cap = (trunc.rank_set, trunc.deg_cap) if trunc is not None else (
+        {r1 + r2 for r1, _, _ in x._terms for r2, _, _ in y._terms}, None)  # every rank passes
+    for (r1, b1, c1), n1 in x._terms.items():
+        v1 = (r1,) + b1 + c1
         row = [sum(map(operator.mul, v1, col)) for col in cols]
-        for v2, r2, b2, d2, n2 in ys:
-            chi = sum(map(operator.mul, row, v2))
+        lim = None if cap is None else math.floor(cap) - sum(map(operator.mul, deg, c1))
+        points, sums = {}, {}
+        for (r2, b2, c2), n2 in y._terms.items():
+            r = r1 + r2
+            if r not in ranks:
+                continue
+            c = points.get(c2)
+            if c is None:
+                c = points[c2] = (tuple(map(operator.add, c1, c2)) if lim is None
+                                  or sum(map(operator.mul, deg, c2)) <= lim else ())
+            if not c:
+                continue
+            chi = sum(map(operator.mul, row, (r2,) + b2 + c2))
             w = chi if times_chi else 1
             if not w:
                 continue
             if flip and chi % 2:
                 w = -w
-            if trunc is not None:
-                if r1 + r2 not in ranks or (cap is not None and d1 + d2 > cap):
-                    continue
-                if below is None:
-                    below = spec._below(trunc.beta_cap)
-                if tuple(map(operator.add, b1, b2)) not in below:
-                    continue
-            v = tuple(map(operator.add, v1, v2))
-            acc[v] = acc.get(v, 0) + n1 * n2 * w
-    return TorusElement._make({KClass._make((v[0], v[1:split], v[split:])): n
-                               for v, n in acc.items() if n}, spec, x._den * y._den)
+            b = sums.get(b2)
+            if b is None:
+                b = sums[b2] = tuple(map(operator.add, b1, b2))
+                if trunc is not None:
+                    if below is None:
+                        below = spec._below(trunc.beta_cap)
+                    if b not in below:
+                        b = sums[b2] = ()
+            if b:
+                key = (r, b, c)
+                acc[key] = acc.get(key, 0) + n1 * n2 * w
+    return TorusElement._make({KClass._make(k): n for k, n in acc.items() if n},
+                              spec, x._den * y._den)
 
 
 def bracket(x: TorusElement, y: TorusElement,

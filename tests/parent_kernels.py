@@ -11,6 +11,10 @@ elements; ``exp_ad`` looks ``bracket`` up in this module.
 ``_packed_divide_terms`` and the ``weighted_`` products already ran on int
 numerators over one denominator: the first keyed its remainder by packed ints,
 the others took their sign and chi factor from a weight callable.
+The ``vector_`` products after them took the sign inline, but turned each
+term into a flat vector (r, beta, c), computed chi before testing a pair's
+rank and point degree, and summed every pair's curve part and vector before
+rebuilding the class from slices.
 
 The readers ``reexpand_check`` and ``run_a1`` read their series into
 Fractions (``terms()`` and ``coeff()``) and write through the Fraction wire
@@ -453,6 +457,73 @@ def weighted_naive_product(x: poisson.TorusElement, y: poisson.TorusElement,
                            trunc: Truncation | None = None) -> poisson.TorusElement:
     """t^a t^b = t^(a+b) with no sign; this is what assembles series."""
     return _weighted_binary_op(x, y, trunc, lambda chi: 1)
+
+
+# -- torus products before class triples --------------------------------------
+# The products that flattened every term into a vector, tested rank and degree
+# after the pairing, and summed each pair's curve part.
+
+def _vector_binary_op(x: poisson.TorusElement, y: poisson.TorusElement,
+                      trunc: Truncation | None, times_chi: bool,
+                      sigma: int) -> poisson.TorusElement:
+    """Bilinear extension of t^a1, t^a2 -> sigma^chi chi t^(a1 + a2), the factor
+    chi only when times_chi, with chi the row a1.pairing dotted with a2; the
+    numerators are summed over the product of the operands' denominators.  trunc
+    is tested on the summed rank, point degree and curve part, in that order, so
+    the cone below its cap is built only when a pair needs it."""
+    x._check_context(y)
+    spec = x.context
+    cols = list(zip(*spec.pairing))
+    split = 1 + spec.rank1
+    deg = spec.deg[spec.rank1:]
+
+    def parts(z):  # (vector, r, beta, point degree, numerator) per term
+        return [(a.vector(), a.r, a.beta, sum(map(operator.mul, deg, a.c)), n)
+                for a, n in z._terms.items()]
+
+    xs, ys, flip = parts(x), parts(y), sigma == -1
+    if trunc is not None:
+        ranks, below = trunc.rank_set, None
+        cap = None if trunc.deg_cap is None else math.floor(trunc.deg_cap)
+    acc: dict = {}
+    for v1, r1, b1, d1, n1 in xs:
+        row = [sum(map(operator.mul, v1, col)) for col in cols]
+        for v2, r2, b2, d2, n2 in ys:
+            chi = sum(map(operator.mul, row, v2))
+            w = chi if times_chi else 1
+            if not w:
+                continue
+            if flip and chi % 2:
+                w = -w
+            if trunc is not None:
+                if r1 + r2 not in ranks or (cap is not None and d1 + d2 > cap):
+                    continue
+                if below is None:
+                    below = spec._below(trunc.beta_cap)
+                if tuple(map(operator.add, b1, b2)) not in below:
+                    continue
+            v = tuple(map(operator.add, v1, v2))
+            acc[v] = acc.get(v, 0) + n1 * n2 * w
+    return poisson.TorusElement._make({KClass._make((v[0], v[1:split], v[split:])): n
+                                       for v, n in acc.items() if n}, spec, x._den * y._den)
+
+
+def vector_bracket(x: poisson.TorusElement, y: poisson.TorusElement,
+                   trunc: Truncation | None = None) -> poisson.TorusElement:
+    """{t^a, t^b} = sigma^chi(a,b) chi(a,b) t^(a+b), extended bilinearly."""
+    return _vector_binary_op(x, y, trunc, True, x.context.sigma)
+
+
+def vector_star_product(x: poisson.TorusElement, y: poisson.TorusElement,
+                        trunc: Truncation | None = None) -> poisson.TorusElement:
+    """t^a * t^b = sigma^chi(a,b) t^(a+b)."""
+    return _vector_binary_op(x, y, trunc, False, x.context.sigma)
+
+
+def vector_naive_product(x: poisson.TorusElement, y: poisson.TorusElement,
+                         trunc: Truncation | None = None) -> poisson.TorusElement:
+    """t^a t^b = t^(a+b) with no sign; this is what assembles series."""
+    return _vector_binary_op(x, y, trunc, False, 1)
 
 
 # -- readers ------------------------------------------------------------------

@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wallx import poisson
 from wallx.errors import InputError
-from wallx.lattice import KClass, lattice_from_obj
+from wallx.lattice import KClass, LatticeSpec, lattice_from_obj
 from wallx.poisson import (
     TorusElement,
     Truncation,
@@ -409,16 +409,27 @@ _WEIGHTED_OPS = {bracket: parent.weighted_bracket, star_product: parent.weighted
                  naive_product: parent.weighted_naive_product}
 
 
+_VECTOR_OPS = {bracket: parent.vector_bracket, star_product: parent.vector_star_product,
+               naive_product: parent.vector_naive_product}
+
+
 def _assert_same_products(x, y, trunc):
-    """Each product equals the weight-callback kernel's, terms in the same order
-    over the same denominator."""
-    for op, weighted in _WEIGHTED_OPS.items():
-        got, want = op(x, y, trunc), weighted(x, y, trunc)
-        assert list(got._terms.items()) == list(want._terms.items())
-        assert got._den == want._den
+    """Each product equals the weight-callback kernel's and the flat-vector
+    kernel's, terms in the same order over the same denominator."""
+    for op in _VECTOR_OPS:
+        got = op(x, y, trunc)
+        for old in (_WEIGHTED_OPS[op], _VECTOR_OPS[op]):
+            want = old(x, y, trunc)
+            assert list(got._terms.items()) == list(want._terms.items())
+            assert got._den == want._den
 
 
 _SPECS = [model_lattice(), two_gen_lattice()]
+# a pairing that is neither antisymmetric nor even: chi(a, a) need not vanish,
+# chi(a, b) + chi(b, a) need not either, and odd chi flips the sign under sigma = -1
+_ODD_PAIRING = rebuilt(model_lattice(), pairing=((1, 3, 0, -1), (-1, 2, 1, 0),
+                                                 (3, 0, -1, 1), (0, 1, 1, 3)))
+_KERNEL_SPECS = _SPECS + [_ODD_PAIRING]
 _MIXED = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
@@ -429,27 +440,44 @@ def _terms(spec, r, beta, c, min_size=0):
         min_size=min_size, max_size=4)
 
 
+def _shared_beta_terms(spec, r, beta, c):
+    """1-4 terms whose curve parts come from a pool of one or two, so that the
+    kernel's per-term maps from a right term's beta and c both hit and miss."""
+    pool = st.lists(st.tuples(*[beta] * spec.rank1), min_size=1, max_size=2)
+    return pool.flatmap(lambda betas: st.dictionaries(
+        st.builds(KClass, r, st.sampled_from(betas), st.tuples(*[c] * spec.rank0)),
+        _MIXED.filter(bool), min_size=1, max_size=4))
+
+
+def _operands(spec, r, beta, c, min_size=0):
+    return _terms(spec, r, beta, c, min_size) | _shared_beta_terms(spec, r, beta, c)
+
+
+_DEG_CAPS = [None, fr(3), fr(7, 2), fr(1, 3), fr(0), fr(-1, 2), fr(-2)]
+_RANK_SETS = [frozenset({0, -1}), frozenset({-1}), frozenset({0, 1})]
+
+
 def _truncations(spec, cap):
-    return st.builds(Truncation, st.just(cap),
-                     st.sampled_from([None, fr(3), fr(7, 2), fr(-1, 2)]),
-                     st.sampled_from([frozenset({0, -1}), frozenset({-1})]))
+    return st.builds(Truncation, st.just(cap), st.sampled_from(_DEG_CAPS),
+                     st.sampled_from(_RANK_SETS))
 
 
 @given(st.data())
 @settings(deadline=None, max_examples=150)
 def test_kernel_matches_reference(data):
-    spec = data.draw(st.sampled_from(_SPECS))
+    spec = data.draw(st.sampled_from(_KERNEL_SPECS))
     spec = rebuilt(spec, sigma=data.draw(st.sampled_from([1, -1])))
     cap = (2,) if spec.rank1 == 1 else (2, 1)
     small = st.integers(-2, 2)
-    x, y = (TorusElement(spec, data.draw(_terms(spec, st.integers(-1, 1), small, small)))
+    x, y = (TorusElement(spec, data.draw(_operands(spec, st.integers(-1, 1), small, small)))
             for _ in range(2))
-    trunc = data.draw(st.none() | _truncations(spec, cap))
-    for op, weight in _reference_weights(spec).items():
-        want = _reference_binary_op(x, y, trunc, weight)
-        assert op(x, y, trunc) == want == parent.element(
-            _PARENT_OPS[op](parent.stored(x), parent.stored(y), trunc))
-    _assert_same_products(x, y, trunc)
+    trunc = data.draw(_truncations(spec, cap))
+    for t in (None, trunc):
+        for op, weight in _reference_weights(spec).items():
+            want = _reference_binary_op(x, y, t, weight)
+            assert op(x, y, t) == want == parent.element(
+                _PARENT_OPS[op](parent.stored(x), parent.stored(y), t))
+        _assert_same_products(x, y, t)
     # curve walls, and point walls (beta 0, positive point degree) under a
     # cap, on rank -1 terms low in the cone, so that rounds survive it
     trunc = data.draw(_truncations(spec, cap).filter(lambda t: t.deg_cap is not None))
@@ -467,6 +495,73 @@ def test_kernel_matches_reference(data):
     for w, x in ((w, x), scaled):
         out = exp_ad(w, x, trunc)
         assert out == _parent_exp_ad(w, x, trunc) == _reference_exp_ad(w, x, trunc)
+
+
+def _spy_below(monkeypatch):
+    """The caps that LatticeSpec._below is asked for from here on."""
+    calls, real = [], LatticeSpec._below
+    monkeypatch.setattr(LatticeSpec, "_below",
+                        lambda self, beta: calls.append(beta) or real(self, beta))
+    return calls
+
+
+def test_cone_is_asked_for_only_past_rank_degree_and_weight(monkeypatch):
+    # on the model lattice chi(a, b) = r_a (b_b + c_b[0]) - (b_a + c_a[0]) r_b
+    spec = model_lattice()
+    trunc = Truncation((2,), fr(1))
+    x = TorusElement(spec, {KClass(1, (0,), (0, 0)): 1,    # rank 1 + 0 fails
+                            KClass(0, (0,), (1, 0)): 2})
+    y = TorusElement(spec, {KClass(0, (1,), (0, 0)): 3,    # chi = 0 with x's second term
+                            KClass(0, (1,), (1, 0)): 5})   # degree 1 + 1 fails
+    calls = _spy_below(monkeypatch)
+    for op in _VECTOR_OPS:  # x's own pairs fail on rank or degree
+        assert op(x, x, trunc).is_zero()
+    assert bracket(x, y, trunc).is_zero() and bracket(y, x, trunc).is_zero()
+    assert calls == []
+    # star and naive keep the chi = 0 pair, so they build the cone below the cap
+    kept = TorusElement(spec, {KClass(0, (1,), (1, 0)): 6})
+    for op in (star_product, naive_product):
+        del calls[:]
+        assert op(x, y, trunc) == op(y, x, trunc) == kept
+        assert calls == [(2,), (2,)]
+        for old in (_VECTOR_OPS[op], _WEIGHTED_OPS[op]):
+            del calls[:]
+            assert old(x, y, trunc) == kept and calls == [(2,)]
+
+
+_CONE_CAPS = {1: st.tuples(st.integers(0, 6)),
+              2: st.integers(0, 6).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b)))}
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cone_budget_errors_match_the_parent(set_budget, monkeypatch, data):
+    """On a fresh lattice, each product asks for the cone on the same calls as
+    the flat-vector kernel, and under any cone budget it raises that kernel's
+    message or gives its terms in its order."""
+    spec = data.draw(st.sampled_from(_KERNEL_SPECS))
+    spec = rebuilt(spec, sigma=data.draw(st.sampled_from([1, -1])))
+    terms = [data.draw(_operands(spec, st.integers(-1, 1), st.integers(0, 3),
+                                 st.integers(-2, 3), 1)) for _ in range(2)]
+    trunc = data.draw(st.builds(Truncation, _CONE_CAPS[spec.rank1],
+                                st.sampled_from([None, fr(9, 2), fr(2), fr(-1, 2)]),
+                                st.sampled_from(_RANK_SETS)))
+    set_budget("cone", data.draw(st.integers(0, 12)))
+
+    def outcome(kernel):
+        fresh = rebuilt(spec)  # its cone is still empty
+        x, y = (TorusElement(fresh, t) for t in terms)
+        with monkeypatch.context() as m:
+            calls = _spy_below(m)
+            try:
+                out = kernel(x, y, trunc)
+                return list(out._terms.items()), out._den, calls
+            except InputError as err:
+                return err.message, calls
+
+    for op, old in _VECTOR_OPS.items():
+        assert outcome(op) == outcome(old)
 
 
 def test_products_flip_the_sign_of_negative_odd_chi():
