@@ -57,7 +57,8 @@ class A1Model(collections.namedtuple("A1Model", "lattice l_plus l_minus point_ro
     (-1)^m (m + 1).  ``orbifold_layer`` is the curve-row data on one side
     and ``shared_layer`` is the common rational function whose two
     one-sided expansions are the report columns; the other side's curve
-    row equals ``shared_layer`` directly.  The report's normalization (the
+    row equals ``shared_layer`` directly.  The orbifold column minus the
+    resolution column equals (-1)^m (3m - 9).  The report's normalization (the
     two point degrees and l of the curve) is read off ``lattice``.
 
     The resolution-side classes (r, beta, (m, n)) are C_h = (0, (1,), (0, 1)),
@@ -82,10 +83,6 @@ class A1Model(collections.namedtuple("A1Model", "lattice l_plus l_minus point_ro
         if m >= 3:
             return 0
         return -_alt(m) * (3 * m - 9)
-
-    def column_difference(self, m: int) -> int:
-        """Orbifold column minus resolution column; equals (-1)^m (3m - 9)."""
-        return self.orbifold_column(m) - self.resolution_column(m)
 
 
 def build_a1() -> A1Model:
@@ -180,15 +177,16 @@ def run_a1(report_window: int) -> dict:
         point_row.append({"m": m, "value": format_ratio(value, den)})
     orb_div = res_div = None
     orbifold_column, resolution_column = model.orbifold_column, model.resolution_column
-    column_difference, table = model.column_difference, []
+    table = []
     for m, value in zip(ms, values):
         orb, res = orb_get((m, 4), 0) * orb_k, res_get((m, 4), 0) * res_k
-        if orb_div is None and orbifold_column(m) * den != orb:
-            orb_div = m, orbifold_column(m), orb, den
-        if res_div is None and resolution_column(m) * den != res:
-            res_div = m, resolution_column(m), res, den
-        if fit_div is None and column_difference(m) * fit_den != value:
-            fit_div = m, column_difference(m), value, fit_den
+        orb_m, res_m = orbifold_column(m), resolution_column(m)
+        if orb_div is None and orb_m * den != orb:
+            orb_div = m, orb_m, orb, den
+        if res_div is None and res_m * den != res:
+            res_div = m, res_m, res, den
+        if fit_div is None and (orb_m - res_m) * fit_den != value:
+            fit_div = m, orb_m - res_m, value, fit_den
         if behrend_div is None:  # the orbifold entry at m, then the resolution one
             for expected, actual in ((behrend_smooth([2, m - 4]) if m >= 4 else 0, orb),
                                      (behrend_smooth([2, 2 - m]) if m <= 2 else 0, res)):

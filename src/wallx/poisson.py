@@ -165,12 +165,12 @@ def exp_ad(w: TorusElement, x: TorusElement, trunc: Truncation) -> TorusElement:
     top = len(rounds) - 1
     fact = math.factorial(top)
     den = dx * dw ** top * fact
-    charge("exp_ad_size", len(set().union(*rounds)) * den.bit_length())
-    total: dict = {}
+    total = {cls: 0 for z in rounds for cls in z._terms}
+    charge("exp_ad_size", len(total) * den.bit_length())
     for k, z in enumerate(rounds):
         s = dw ** (top - k) * (fact // math.factorial(k))
         for cls, n in z._terms.items():
-            total[cls] = total.get(cls, 0) + n * s
+            total[cls] += n * s
     return TorusElement._make({cls: n for cls, n in total.items() if n}, spec, den)
 
 

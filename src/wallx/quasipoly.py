@@ -111,9 +111,6 @@ class QuasiPolynomial(collections.namedtuple("QuasiPolynomial", "vars period tab
             out.append(acc)
         return out, den
 
-    def is_zero(self) -> bool:
-        return not any(coeffs for coeffs, _, _ in self._horner[0].values())
-
 
 def _nest(terms, r: int) -> tuple:
     """The coefficients of the terms (e, c), highest e first; the levels (i, Horner
@@ -257,7 +254,7 @@ def resum_chain(a: QuasiPolynomial, pattern: ChainPattern, monos,
     if a.vars != pattern.r:
         raise InputError("quasi-polynomial arity must match the chain length")
     monos_t, nq = _check_monomials(monos, pattern.r, grading)
-    if pattern.r == 0 or a.is_zero():  # no increments, or the zero box
+    if pattern.r == 0 or a.degrees[0] < 0:  # no increments, or the zero box
         return resum_orthant(a, monos_t, grading)
     r = pattern.r
     free = pattern.free_positions()

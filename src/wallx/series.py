@@ -475,9 +475,7 @@ def mul_series_polynomial(s: LaurentSeries, p: LaurentPolynomial) -> LaurentSeri
     """Multiply a series by a fully known polynomial."""
     _no_coset(s)
     L = s.window.functional
-    if p.is_zero():
-        return LaurentSeries._make({}, s.window)
-    return _series_product(s, p, Window(L, s.bound + min(map(L, p))))
+    return _series_product(s, p, Window(L, s.bound + min(map(L, p), default=0)))
 
 
 def _series_product(a: _Sparse, b: _Sparse, window: Window) -> LaurentSeries:

@@ -187,15 +187,14 @@ def _b_factor(group: GroupSpec) -> QuasiPolynomial:
         product = product * chis[-1]
     if spec.sigma == 1:
         return QuasiPolynomial(r, 1, {(0,) * r: product})
-    # per residue tuple: every chi evaluated, one signed copy of the product
+    # charged per residue tuple: every chi evaluated and the product's terms
     work += r * ((len(product.terms()) + sum(len(chi.terms()) for chi in chis)) << r)
     charge("weights", work)
     # sigma^(chi_1 + ... + chi_r) at rho: each chi term has a 0/1 exponent and an
     # int coefficient, so the sum adds the coefficients whose exponent is under rho
-    terms = [t for chi in chis for t in chi._terms.items()]
+    terms, signed = [t for chi in chis for t in chi._terms.items()], (product, -product)
     return QuasiPolynomial(r, 2, {
-        rho: product.scale(-1 if sum(c for e, c in terms
-                                     if all(x <= y for x, y in zip(e, rho))) % 2 else 1)
+        rho: signed[sum(c for e, c in terms if all(x <= y for x, y in zip(e, rho))) % 2]
         for rho in itertools.product((0, 1), repeat=r)})
 
 

@@ -15,6 +15,8 @@ The ``vector_`` products after them took the sign inline, but turned each
 term into a flat vector (r, beta, c), computed chi before testing a pair's
 rank and point degree, and summed every pair's curve part and vector before
 rebuilding the class from slices.
+``union_exp_ad`` after them counted its rounds' classes for the size charge as
+a set union, then summed the rounds into a second dict.
 
 The readers ``reexpand_check`` and ``run_a1`` read their series into
 Fractions (``terms()`` and ``coeff()``) and write through the Fraction wire
@@ -526,6 +528,53 @@ def vector_naive_product(x: poisson.TorusElement, y: poisson.TorusElement,
     return _vector_binary_op(x, y, trunc, False, 1)
 
 
+# -- exp_ad before it summed into the dict it charges --------------------------
+# Its charge counted the rounds' classes as a set union, and the sum then
+# built its own dict with .get.
+
+def union_exp_ad(w: poisson.TorusElement, x: poisson.TorusElement,
+                 trunc: Truncation) -> poisson.TorusElement:
+    """exp({w, -}) applied to x inside the truncation.
+
+    Every w-term must have rank 0 and either a nonzero effective curve
+    part, or a curve part of zero with positive point degree; in the
+    latter case the truncation must carry a degree cap, otherwise the
+    adjoint action never becomes nilpotent.  The inverse is exp_ad(-w).
+    Round k is the element dx dw^k ad_w^k(x) over 1, with dw and dx the
+    denominators of w and x; the rounds are summed once over dx dw^K K!,
+    charged first as the classes they hold times the bits of that denominator.
+    """
+    if trunc is None:
+        raise InputError("non-nilpotent adjoint under this truncation")
+    spec = w.context
+    w._check_context(x)
+    for cls in w:
+        if cls.r != 0:
+            raise InputError("wall data must have rank zero")
+        if all(b == 0 for b in cls.beta):
+            if spec.deg_point(cls.c) <= 0 or trunc.deg_cap is None:
+                raise InputError("non-nilpotent adjoint under this truncation")
+        elif not spec.is_effective(cls.beta):
+            raise InputError("non-nilpotent adjoint under this truncation")
+    dw, dx = w._den, x._den
+    w = poisson.TorusElement._make(w._terms, spec)
+    rounds = [poisson.TorusElement._make(x._terms, spec)]  # k = 0, 1, ...
+    while not rounds[-1].is_zero():
+        charge("exp_ad", len(rounds))
+        rounds.append(poisson.bracket(w, rounds[-1], trunc))
+    rounds = rounds[:-1] or rounds  # the last nonzero round is K
+    top = len(rounds) - 1
+    fact = math.factorial(top)
+    den = dx * dw ** top * fact
+    charge("exp_ad_size", len(set().union(*rounds)) * den.bit_length())
+    total: dict = {}
+    for k, z in enumerate(rounds):
+        s = dw ** (top - k) * (fact // math.factorial(k))
+        for cls, n in z._terms.items():
+            total[cls] = total.get(cls, 0) + n * s
+    return poisson.TorusElement._make({cls: n for cls, n in total.items() if n}, spec, den)
+
+
 # -- readers ------------------------------------------------------------------
 
 def format_rational(value: Fraction) -> str:
@@ -673,9 +722,9 @@ def run_a1(report_window: int) -> dict:
         fit_detail = {}
     else:  # the fit's int numerators against the closed form times den
         values, den = fit.scaled_values([(m,) for m in ms])
-        fit_div = _first_divergence((m, model.column_difference(m), Fraction(v, den))
-                                    for m, v in zip(ms, values)
-                                    if v != model.column_difference(m) * den)
+        fit_div = _first_divergence(
+            (m, model.orbifold_column(m) - model.resolution_column(m), Fraction(v, den))
+            for m, v in zip(ms, values))
         fit_detail = {"period": fit.period, "degree": fit.degrees[0]}
     add_step("difference quasi-polynomial", fit_div, **fit_detail)
 
@@ -1126,8 +1175,9 @@ def run_a1_stepwise(report_window: int) -> dict:
         fit_detail = {}
     else:  # the fit's int numerators against the closed form
         values, fit_den = fit.scaled_values([(m,) for m in ms])
-        fit_div = _first_divergence_over(zip(ms, map(model.column_difference, ms), values),
-                                         fit_den)
+        fit_div = _first_divergence_over(
+            ((m, model.orbifold_column(m) - model.resolution_column(m), v)
+             for m, v in zip(ms, values)), fit_den)
         fit_detail = {"period": fit.period, "degree": fit.degrees[0]}
     add_step("difference quasi-polynomial", fit_div, **fit_detail)
     add_step("re-expansion certificate",

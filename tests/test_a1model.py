@@ -10,7 +10,7 @@ from wallx.a1model import (A1Model, behrend_smooth, build_a1, render_a1_table,
                            run_a1)
 from wallx.errors import InputError
 from wallx.lattice import KClass
-from wallx.quasipoly import detect_quasipoly, reexpand_check
+from wallx.quasipoly import QuasiPolynomial, detect_quasipoly, reexpand_check
 from wallx.series import LaurentPolynomial, RationalFunction, Window, expand
 from wallx.wallcross import dtpt_ratio
 
@@ -381,19 +381,32 @@ def _reference_fit_step(model, report):
     fit = detect_quasipoly({entry["m"]: Fraction(entry["difference"])
                             for entry in report["table"]})
     divergence = parent._first_divergence_over(
-        ((m, model.column_difference(m), qp_value(fit, (m,))) for m in ms), 1)
+        ((m, model.orbifold_column(m) - model.resolution_column(m), qp_value(fit, (m,)))
+         for m in ms), 1)
     step = {"name": "difference quasi-polynomial", "ok": divergence is None}
     if divergence is not None:
         step["first_divergence"] = divergence
     return dict(step, period=fit.period, degree=fit.degrees[0])
 
 
+def _shift_fit(mp, bad, c):
+    """Move every quasi-polynomial's value at the point (bad,) by c, as its
+    ``scaled_values`` reads it: the fitted difference alone diverges there."""
+    scaled_values, (num, k) = QuasiPolynomial.scaled_values, fr(c).as_integer_ratio()
+
+    def shifted(self, points):
+        points = list(points)
+        values, den = scaled_values(self, points)
+        return [v * k + (num * den if n == (bad,) else 0)
+                for v, n in zip(values, points)], den * k
+
+    mp.setattr(QuasiPolynomial, "scaled_values", shifted)
+
+
 @pytest.mark.parametrize("bad, offset", [(None, 0), (3, 1), (-8, -2),
                                          (12, fr(1, 2)), (0, fr(-7, 3))])
 def test_integer_fit_check_reports_what_eval_did(monkeypatch, bad, offset):
-    closed_form = A1Model.column_difference
-    monkeypatch.setattr(A1Model, "column_difference", lambda self, m: (
-        closed_form(self, m) + (offset if m == bad else 0)))
+    _shift_fit(monkeypatch, bad, offset)
     report = run_a1(8)
     step = report["steps"][2]
     assert step == _reference_fit_step(build_a1(), report)
@@ -427,7 +440,8 @@ def _perturbed(orbifold=(), resolution=(), point=(), scale=1):
 
 def _reports(model, w, expected=None):
     """run_a1's and the stepwise report's JSON (or error) for the model, with
-    A1Model's closed form ``expected = (name, m, c)`` moved by c at m."""
+    A1Model's closed form ``expected = (name, m, c)`` moved by c at m, or with
+    the fit's value there moved by c when name is "fit"."""
     def outcome(run):
         try:
             return json.dumps(run(w))
@@ -436,7 +450,9 @@ def _reports(model, w, expected=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(a1model, "build_a1", lambda: model)
-        if expected is not None:
+        if expected is not None and expected[0] == "fit":
+            _shift_fit(mp, *expected[1:])
+        elif expected is not None:
             name, bad, c = expected
             closed = getattr(A1Model, name)
             mp.setattr(A1Model, name, lambda self, m: closed(self, m) + (c if m == bad else 0))
@@ -454,7 +470,7 @@ def _a1_case(draw):
         ("orbifold", ms), ("resolution", ms), ("point", st.integers(0, w + 4)))}
     changes["scale"] = draw(st.sampled_from([1, 1, fr(3, 2), -1]))
     expected = draw(st.none() | st.tuples(st.sampled_from(
-        ["orbifold_column", "resolution_column", "column_difference"]), ms, _COEFF))
+        ["orbifold_column", "resolution_column", "fit"]), ms, _COEFF))
     return w, changes, expected
 
 
@@ -477,7 +493,7 @@ def test_run_a1_matches_the_stepwise_report(case):
     (8, dict(orbifold=[(2, 1)], resolution=[(2, 1)]), None, "behrend cross-check", 2),
     (8, dict(orbifold=[(7, 1)], resolution=[(3, fr(5, 2))]), None, "behrend cross-check", 3),
     # a fit that disagrees with the closed form at a drawn m
-    (11, {}, ("column_difference", 7, fr(1, 2)), "difference quasi-polynomial", 7),
+    (11, {}, ("fit", 7, fr(1, 2)), "difference quasi-polynomial", 7),
     (200, dict(orbifold=[(150, -2)]), None, "behrend cross-check", 150),
 ])
 def test_run_a1_matches_the_stepwise_report_at_each_divergence(w, changes, expected, step, m):

@@ -248,7 +248,7 @@ def test_criterion_06_resummation_matches_bruteforce(rng):
             brute = _brute_orthant(a, monos, grading, cap)
             stated = _stated_orthant_product(a, monos, nv)
         assert _coeffs_through(out, grading, cap) == brute
-        if not a.is_zero():
+        if a.degrees[0] >= 0:
             if out.denominator != stated:
                 assert _exact_quotient(stated, out.denominator,
                                        grading) is not None

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wallx import poisson
-from wallx.errors import InputError
+from wallx.errors import BUDGETS, InputError, charge
 from wallx.lattice import KClass, LatticeSpec, lattice_from_obj
 from wallx.poisson import (
     TorusElement,
@@ -692,6 +692,64 @@ def test_exp_ad_size_budget_boundary(set_budget):
     set_budget("exp_ad_size", 68 * 28 - 1)
     with pytest.raises(InputError, match="exp_ad result needs more than 1903 classes"):
         exp_ad(w, x, trunc)
+
+
+def _exp_ad_outcome(run, w, x, trunc, limit=None):
+    """run's terms in order and denominator, or its error message, with the
+    exp_ad_size budget at limit when one is given."""
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setitem(BUDGETS, "exp_ad_size", BUDGETS["exp_ad_size"]._replace(limit=limit))
+        try:
+            out = run(w, x, trunc)
+        except InputError as err:
+            return err.message
+    return list(out._terms.items()), out._den
+
+
+def _union_charge(w, x, trunc):
+    """The exp_ad_size charge that the set-union parent makes on w and x."""
+    used = []
+
+    def spy(stage, n, *details):
+        if stage == "exp_ad_size":
+            used.append(n)
+        charge(stage, n, *details)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parent, "charge", spy)
+        parent.union_exp_ad(w, x, trunc)
+    return used[0]
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_exp_ad_matches_the_set_union_parent(data):
+    spec = data.draw(st.sampled_from(_SPECS))
+    cap = (2,) if spec.rank1 == 1 else (2, 1)
+    trunc = data.draw(_truncations(spec, cap))
+    small = st.integers(-2, 2)
+    x = TorusElement(spec, data.draw(_terms(spec, st.just(-1), st.integers(0, 1), small, 1)))
+    # curve walls, and point walls (beta 0, positive point degree) when trunc has a cap
+    walls = data.draw(st.one_of(
+        _terms(spec, st.just(0), st.integers(0, 1), small, 1),
+        _terms(spec, st.just(0), st.just(0), st.integers(0, 2), 1)))
+    w = TorusElement(spec, {cls: c for cls, c in walls.items()
+                            if (any(cls.beta) and spec.is_effective(cls.beta))
+                            or (not any(cls.beta) and spec.deg_point(cls.c) > 0
+                                and trunc.deg_cap is not None)})
+    want = _exp_ad_outcome(parent.union_exp_ad, w, x, trunc)
+    assert _exp_ad_outcome(exp_ad, w, x, trunc) == want
+    used = _union_charge(w, x, trunc)
+    limit = data.draw(st.integers(used - 2, used + 2))
+    mine, theirs = (_exp_ad_outcome(run, w, x, trunc, limit)
+                    for run in (exp_ad, parent.union_exp_ad))
+    assert mine == theirs
+    if limit >= used:
+        assert mine == want
+    else:
+        assert mine == f"work budget exceeded: exp_ad result needs more than {limit} " \
+                       "classes times denominator bits"
 
 
 # -- wire format --------------------------------------------------------------

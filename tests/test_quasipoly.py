@@ -163,14 +163,14 @@ def test_qp_table_is_counted_not_enumerated():
     with pytest.raises(InputError, match="residue table"):
         QuasiPolynomial(1, 1, {})
     # period 1 has one residue tuple at any arity, arity 0 one at any period
-    assert QuasiPolynomial(40, 1, {(0,) * 40: _poly(40, {})}).is_zero()
+    assert QuasiPolynomial(40, 1, {(0,) * 40: _poly(40, {})}).degrees == (-1,) * 40
     assert qp_value(QuasiPolynomial(0, 5, {(): _poly(0, {(): 3})}), ()) == 3
 
 
 def test_zero_qp_degree_sentinel():
     a = _qp_const(1, 0)
     assert a.degrees[0] == -1
-    assert a.is_zero()
+    assert all(poly.is_zero() for poly in a.table.values())
 
 
 @st.composite
@@ -202,7 +202,9 @@ def test_degree_and_is_zero_match_the_table_walk(a):
     for i in range(a.vars):
         assert a.degrees[i] == max(max((e[i] for e, _ in poly.items()), default=-1)
                                   for poly in a.table.values())
-    assert a.is_zero() == all(poly.is_zero() for poly in a.table.values())
+    # the zero-table sentinel that resum_chain reads
+    if a.vars:
+        assert (a.degrees[0] < 0) == all(poly.is_zero() for poly in a.table.values())
 
 
 def _reference_scaled_values(a, points):
@@ -401,7 +403,7 @@ def test_orthant_matches_bruteforce_random():
         period = rng.randint(1, 3)
         degree = rng.randint(0, 2)
         a = _random_qp(rng, r, period, degree)
-        if a.is_zero():
+        if a.degrees[0] < 0:
             continue
         monos = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(r)]
         monos = [m if m != (0, 0) else (1, 0) for m in monos]
@@ -416,7 +418,7 @@ def test_orthant_denominator_and_degree_drop():
         r = rng.randint(1, 2)
         period = rng.randint(1, 3)
         a = _random_qp(rng, r, period, rng.randint(0, 2))
-        if a.is_zero():
+        if a.degrees[0] < 0:
             continue
         monos = [(rng.randint(1, 2),) for _ in range(r)]
         f = resum_orthant(a, monos, G1)
@@ -426,7 +428,7 @@ def test_orthant_denominator_and_degree_drop():
                 {(0,): fr(1), (period * monos[i][0],): fr(-1)}, 1)
             expected_h = expected_h * power(base, 1 + a.degrees[i])
         assert f.denominator == expected_h
-        assert not f.numerator.is_zero() or True
+        assert _expand_coeffs(f, G1, 10) == _brute_orthant(a, monos, G1, 10)
         g_top = max((G1(e) for e, _ in f.numerator.items()), default=None)
         h_top = max(G1(e) for e, _ in f.denominator.items())
         if g_top is not None:
@@ -462,13 +464,27 @@ def test_chain_matches_bruteforce_all_patterns():
             eqs = frozenset(i + 1 for i, b in enumerate(bits) if b)
             pattern = ChainPattern(r, eqs)
             a = _random_qp(rng, r, rng.randint(1, 2), rng.randint(0, 2))
-            if a.is_zero():
+            if a.degrees[0] < 0:
                 continue
             monos = [(rng.randint(0, 2), rng.randint(1, 2)) for _ in range(r)]
             f = resum_chain(a, pattern, monos, grading2)
             cap = 9
             assert (_expand_coeffs(f, grading2, cap)
                     == _brute_chain(a, pattern, monos, grading2, cap))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_chain_of_the_zero_table_is_the_orthant_zero(r):
+    grading = LinearFunctional((fr(1), fr(1)))
+    monos = [(1, 0), (0, 1), (1, 1)][:r]
+    for period in (1, 2):
+        a = QuasiPolynomial(r, period, {rho: _poly(r, {})
+                                        for rho in itertools.product(range(period), repeat=r)})
+        for bits in itertools.product([False, True], repeat=r - 1):
+            pattern = ChainPattern(r, frozenset(i + 1 for i, b in enumerate(bits) if b))
+            f = resum_chain(a, pattern, monos, grading)
+            assert f == resum_orthant(a, monos, grading)
+            assert f.numerator.is_zero() and f.denominator == LaurentPolynomial.constant(2, 1)
 
 
 def test_chain_pattern_validation():

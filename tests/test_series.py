@@ -811,6 +811,20 @@ def test_products_and_quotients_with_an_empty_operand_keep_their_windows():
         parent.divide(s, empty3)
 
 
+def test_product_with_the_zero_polynomial_is_empty_over_the_series_window():
+    L = LinearFunctional((fr(1), fr(1, 2)))
+    zero = LaurentPolynomial({}, 2)
+    for s in (LaurentSeries({(-2, 0): fr(1, 3), (1, 2): fr(5, 2)}, Window(L, fr(4))),
+              LaurentSeries({}, Window(L, fr(7, 2)))):
+        out = mul_series_polynomial(s, zero)
+        assert type(out) is LaurentSeries and out.window == s.window
+        assert out._terms == {} and out._den == 1
+    # a coset window is refused before the product is looked at
+    on_coset = LaurentSeries({(0, 0): fr(1, 3)}, Window(L, fr(4), Coset((0, 0), ((1, 1),))))
+    with pytest.raises(InputError, match="products of coset-window series are not supported"):
+        mul_series_polynomial(on_coset, zero)
+
+
 # -- the window invariant against a wider direct expansion --------------------
 
 # generic on exponents in [-2, 2]^n, so every nonzero polynomial drawn below
